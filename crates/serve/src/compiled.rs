@@ -1,10 +1,11 @@
 //! Topology-specialized ("compiled") predictors over loaded artifacts.
 //!
-//! The generic predict path interprets a loaded `.ppmodel` per window:
+//! The generic predict path interprets a loaded `.ppmodel` per call:
 //! build a [`mlmodels::Table`] from the requests, re-run the
 //! preprocessor's transform, and walk the estimator's weight structures
 //! (for networks, rebuilding each layer's weight [`Matrix`] per call).
-//! [`compile`] does all shape-dependent work once at load time instead:
+//! [`compile_with`] does all shape-dependent work once at load time
+//! instead:
 //!
 //! * **LR / LR-E** compile to a single fused dot product — intercept
 //!   plus one `coef * scale(extract(cell))` term per *active* feature,
@@ -16,22 +17,11 @@
 //!   feeding [`Matrix::affine_nt`] (SIMD-dispatched) with in-place tanh
 //!   between layers, and the target unscale folded onto the output.
 //!
-//! Both are **bit-identical** in f64 to the interpreted path: every
-//! arithmetic step keeps the same operand order and grouping as
-//! `transform` + `LinearFit::predict_row` / `Mlp::forward_batch`
-//! (`serve::core` keeps the interpreted path alive behind
-//! `PERFPREDICT_SERVE=interpreted` as the oracle, and the equivalence
-//! tests and bench pre-checks compare the two byte-for-byte).
-//!
-//! # f32 inference mode
-//!
-//! [`compile_with`] + [`Precision::F32`] additionally lowers the
-//! predictor to f32 (train in f64, predict in f32). The f32 path has no
-//! bit-identity contract; instead, compilation runs a deterministic
-//! probe over configurations drawn from the schema's observed training
-//! domains and rejects the artifact with a typed error if any probe
-//! prediction deviates from the f64 path by more than
-//! [`F32_REL_BOUND`] relative error. Opt-in per artifact load.
+//! Both are **bit-identical** to the interpreted path: every arithmetic
+//! step keeps the same operand order and grouping as `transform` +
+//! `LinearFit::predict_row` / `Mlp::forward_batch`. The interpreted path
+//! is the oracle in tests only: `tests/compiled_prop.rs` compares the
+//! two bit for bit across every model kind.
 
 use crate::request::{Cell, Request};
 use fault::{Error, Result};
@@ -40,29 +30,14 @@ use mlmodels::artifact::{ColumnSchema, ModelArtifact};
 use mlmodels::model::Estimator;
 use mlmodels::prep::FeaturePlan;
 
-/// Numeric precision a compiled predictor serves in.
+/// Numeric precision a compiled predictor serves in. Serving is f64
+/// only, so this has one variant; it stays an enum so the
+/// [`compile_with`] signature is stable for existing callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Precision {
     /// Double precision — bit-identical to the interpreted path.
     F64,
-    /// Single precision — bounded-relative-error against the f64 path,
-    /// verified at compile time over the schema's observed domains.
-    F32,
 }
-
-impl Precision {
-    /// Lower-case label used in status lines and load frames.
-    pub fn label(self) -> &'static str {
-        match self {
-            Precision::F64 => "f64",
-            Precision::F32 => "f32",
-        }
-    }
-}
-
-/// Maximum relative error (against the f64 path, relative to
-/// `max(1, |f64 prediction|)`) the f32 probe tolerates at compile time.
-pub const F32_REL_BOUND: f64 = 1e-3;
 
 /// One fused extract+scale: read the plan's source cell and apply the
 /// training min/max scaling, exactly as `encode_unscaled` + `transform`
@@ -104,9 +79,9 @@ impl FeatureExtract {
     }
 }
 
-/// f64 predictor specialized to the artifact's topology.
+/// Predictor specialized to the artifact's topology.
 #[derive(Debug)]
-enum PredictorF64 {
+enum Predictor {
     /// `intercept + Σ coef · scaled(feature)`, active terms only, in
     /// the fit's active order — the same fold as `predict_row`.
     Linear {
@@ -125,85 +100,32 @@ enum PredictorF64 {
     },
 }
 
-/// f32 predictor (opt-in). Same structure as [`PredictorF64`] with the
-/// arithmetic lowered to f32; extraction stays f64 (cells are f64) and
-/// is rounded once per feature.
-#[derive(Debug)]
-enum PredictorF32 {
-    Linear {
-        intercept: f32,
-        terms: Vec<(FeatureExtract, f32)>,
-    },
-    Network {
-        features: Vec<FeatureExtract>,
-        dead: Vec<bool>,
-        /// Per layer: `(outputs, inputs, row-major weights)`.
-        weights: Vec<(usize, usize, Vec<f32>)>,
-        biases: Vec<Vec<f32>>,
-        target_min: f64,
-        target_max: f64,
-    },
-}
-
 /// A loaded artifact compiled into a topology-specialized predictor.
 #[derive(Debug)]
 pub struct CompiledModel {
     /// The artifact this was compiled from (schema, model metadata).
     pub artifact: ModelArtifact,
-    precision: Precision,
-    f64p: PredictorF64,
-    f32p: Option<PredictorF32>,
+    predictor: Predictor,
 }
 
-/// Compile an artifact into its specialized f64 predictor. Production
-/// callers pick a precision via [`compile_with`]; the equivalence tests
-/// are this shorthand's remaining users.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn compile(artifact: ModelArtifact) -> Result<CompiledModel> {
-    compile_with(artifact, Precision::F64)
-}
-
-/// Compile an artifact, optionally lowering inference to f32 (verified
-/// against the f64 path at compile time; see [`F32_REL_BOUND`]).
-pub fn compile_with(artifact: ModelArtifact, precision: Precision) -> Result<CompiledModel> {
+/// Compile an artifact into its specialized predictor. The only
+/// precision is [`Precision::F64`]; a malformed artifact is a typed
+/// `invalid` error.
+pub fn compile_with(artifact: ModelArtifact, _precision: Precision) -> Result<CompiledModel> {
     let extracts = check_plan(&artifact)?;
-    let f64p = build_f64(&artifact, &extracts)?;
-    let f32p = match precision {
-        Precision::F64 => None,
-        Precision::F32 => {
-            let p = build_f32(&artifact, &extracts);
-            probe_f32(&artifact, &f64p, &p)?;
-            Some(p)
-        }
-    };
+    let predictor = build(&artifact, &extracts)?;
     Ok(CompiledModel {
         artifact,
-        precision,
-        f64p,
-        f32p,
+        predictor,
     })
 }
 
 impl CompiledModel {
-    /// The precision requests are served in.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
     /// Predict every request (schema-validated cells). Infallible by
     /// construction: every shape and type the prediction reads was
     /// checked when the artifact was compiled.
     pub fn predict_requests(&self, requests: &[&Request]) -> Vec<f64> {
-        match &self.f32p {
-            Some(p) => predict_f32(p, requests),
-            None => predict_f64(&self.f64p, requests),
-        }
-    }
-
-    /// The f64 predictor's output, regardless of serving precision —
-    /// the oracle side of the f32 probe and the f32 bounded-error tests.
-    pub fn predict_requests_f64(&self, requests: &[&Request]) -> Vec<f64> {
-        predict_f64(&self.f64p, requests)
+        predict(&self.predictor, requests)
     }
 }
 
@@ -251,7 +173,7 @@ fn check_plan(artifact: &ModelArtifact) -> Result<Vec<FeatureExtract>> {
     Ok(extracts)
 }
 
-fn build_f64(artifact: &ModelArtifact, extracts: &[FeatureExtract]) -> Result<PredictorF64> {
+fn build(artifact: &ModelArtifact, extracts: &[FeatureExtract]) -> Result<Predictor> {
     let model = &artifact.model;
     match &model.estimator {
         Estimator::Linear(fit) => {
@@ -262,7 +184,7 @@ fn build_f64(artifact: &ModelArtifact, extracts: &[FeatureExtract]) -> Result<Pr
                     extracts.len()
                 )));
             }
-            Ok(PredictorF64::Linear {
+            Ok(Predictor::Linear {
                 intercept: fit.intercept,
                 terms: fit
                     .active
@@ -281,7 +203,7 @@ fn build_f64(artifact: &ModelArtifact, extracts: &[FeatureExtract]) -> Result<Pr
                 )));
             }
             let (target_min, target_max) = model.prep.target_range();
-            Ok(PredictorF64::Network {
+            Ok(Predictor::Network {
                 features: extracts.to_vec(),
                 dead: net.dead_inputs().to_vec(),
                 weights: (0..net.n_layers()).map(|l| net.layer_weights(l)).collect(),
@@ -295,46 +217,9 @@ fn build_f64(artifact: &ModelArtifact, extracts: &[FeatureExtract]) -> Result<Pr
     }
 }
 
-fn build_f32(artifact: &ModelArtifact, extracts: &[FeatureExtract]) -> PredictorF32 {
-    let model = &artifact.model;
-    match &model.estimator {
-        Estimator::Linear(fit) => PredictorF32::Linear {
-            intercept: fit.intercept as f32,
-            terms: fit
-                .active
-                .iter()
-                .zip(&fit.coefs)
-                .map(|(&c, &b)| (extracts[c].clone(), b as f32))
-                .collect(),
-        },
-        Estimator::Network(net) => {
-            let (target_min, target_max) = model.prep.target_range();
-            let mut weights = Vec::with_capacity(net.n_layers());
-            let mut biases = Vec::with_capacity(net.n_layers());
-            for l in 0..net.n_layers() {
-                let w = net.layer_weights(l);
-                weights.push((
-                    w.rows(),
-                    w.cols(),
-                    w.as_slice().iter().map(|&x| x as f32).collect(),
-                ));
-                biases.push(net.layer_bias(l).iter().map(|&x| x as f32).collect());
-            }
-            PredictorF32::Network {
-                features: extracts.to_vec(),
-                dead: net.dead_inputs().to_vec(),
-                weights,
-                biases,
-                target_min,
-                target_max,
-            }
-        }
-    }
-}
-
-fn predict_f64(p: &PredictorF64, requests: &[&Request]) -> Vec<f64> {
+fn predict(p: &Predictor, requests: &[&Request]) -> Vec<f64> {
     match p {
-        PredictorF64::Linear { intercept, terms } => requests
+        Predictor::Linear { intercept, terms } => requests
             .iter()
             .map(|r| {
                 let mut y = *intercept;
@@ -344,7 +229,7 @@ fn predict_f64(p: &PredictorF64, requests: &[&Request]) -> Vec<f64> {
                 y
             })
             .collect(),
-        PredictorF64::Network {
+        Predictor::Network {
             features,
             dead,
             weights,
@@ -379,112 +264,6 @@ fn predict_f64(p: &PredictorF64, requests: &[&Request]) -> Vec<f64> {
                 .collect()
         }
     }
-}
-
-fn predict_f32(p: &PredictorF32, requests: &[&Request]) -> Vec<f64> {
-    let be = simd::backend();
-    match p {
-        PredictorF32::Linear { intercept, terms } => requests
-            .iter()
-            .map(|r| {
-                let mut y = *intercept;
-                for (fx, coef) in terms {
-                    y += coef * fx.scaled(&r.cells) as f32;
-                }
-                y as f64
-            })
-            .collect(),
-        PredictorF32::Network {
-            features,
-            dead,
-            weights,
-            biases,
-            target_min,
-            target_max,
-        } => requests
-            .iter()
-            .map(|r| {
-                let mut act: Vec<f32> = features
-                    .iter()
-                    .enumerate()
-                    .map(|(j, fx)| {
-                        if dead[j] {
-                            0.0
-                        } else {
-                            fx.scaled(&r.cells) as f32
-                        }
-                    })
-                    .collect();
-                let last = weights.len() - 1;
-                for (l, ((outs, ins, w), b)) in weights.iter().zip(biases).enumerate() {
-                    let mut next = Vec::with_capacity(*outs);
-                    for o in 0..*outs {
-                        let s = b[o] + simd::dot_f32(be, &w[o * ins..(o + 1) * ins], &act);
-                        next.push(if l == last { s } else { s.tanh() });
-                    }
-                    act = next;
-                }
-                target_min + act[0] as f64 * (target_max - target_min)
-            })
-            .collect(),
-    }
-}
-
-/// Deterministic f32-vs-f64 probe over the schema's observed training
-/// domains: cycle each column through its observed values with a
-/// per-column phase offset, predict the probe set both ways, and reject
-/// compilation if any relative error exceeds [`F32_REL_BOUND`].
-fn probe_f32(artifact: &ModelArtifact, f64p: &PredictorF64, f32p: &PredictorF32) -> Result<()> {
-    let columns = &artifact.schema.columns;
-    let domains: Vec<Vec<Cell>> = columns
-        .iter()
-        .map(|c| match c {
-            ColumnSchema::Numeric { observed, .. } => {
-                if observed.is_empty() {
-                    vec![Cell::Num(0.0)]
-                } else {
-                    observed.iter().map(|&v| Cell::Num(v)).collect()
-                }
-            }
-            ColumnSchema::Flag { .. } => vec![Cell::Flag(false), Cell::Flag(true)],
-            ColumnSchema::Categorical { levels, .. } => {
-                (0..levels.len() as u32).map(Cell::Code).collect()
-            }
-        })
-        .collect();
-    let n_probe = domains
-        .iter()
-        .map(|d| d.len())
-        .max()
-        .unwrap_or(1)
-        .clamp(4, 64);
-    let probes: Vec<Request> = (0..n_probe)
-        .map(|i| Request {
-            id: format!("probe-{i}"),
-            cells: domains
-                .iter()
-                .enumerate()
-                .map(|(j, d)| d[(i + j) % d.len()].clone())
-                .collect(),
-        })
-        .collect();
-    let refs: Vec<&Request> = probes.iter().collect();
-    let exact = predict_f64(f64p, &refs);
-    let approx = predict_f32(f32p, &refs);
-    for (i, (a, b)) in exact.iter().zip(&approx).enumerate() {
-        let tol = F32_REL_BOUND * a.abs().max(1.0);
-        if !(a - b).abs().le(&tol) {
-            return Err(Error::artifact(
-                "<f32 probe>",
-                format!(
-                    "f32 inference deviates from f64 beyond {F32_REL_BOUND:e} on probe {i}: \
-                     f64 {a} vs f32 {b} (model {})",
-                    artifact.model.kind.abbrev()
-                ),
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -544,7 +323,7 @@ mod tests {
             .collect()
     }
 
-    /// The compiled path must be byte-identical (f64) to the interpreted
+    /// The compiled path must be bit-identical to the interpreted
     /// batch-table path, for both estimator families.
     #[test]
     fn compiled_matches_interpreted_bitwise() {
@@ -559,7 +338,7 @@ mod tests {
             let refs: Vec<&Request> = reqs.iter().collect();
             let table = crate::request::batch_table(&art.schema, &refs);
             let interpreted = art.model.predict(&table);
-            let compiled = compile(art).expect("compiles");
+            let compiled = compile_with(art, Precision::F64).expect("compiles");
             let fast = compiled.predict_requests(&refs);
             assert_eq!(interpreted.len(), fast.len());
             for (i, (a, b)) in interpreted.iter().zip(&fast).enumerate() {
@@ -573,35 +352,13 @@ mod tests {
         }
     }
 
-    /// f32 mode compiles (the probe passes on well-scaled models) and
-    /// stays within the documented relative-error bound.
-    #[test]
-    fn f32_mode_is_bounded_error_against_f64() {
-        for kind in [ModelKind::LrE, ModelKind::NnQ] {
-            let art = artifact(kind);
-            let reqs = requests(&art, 64);
-            let refs: Vec<&Request> = reqs.iter().collect();
-            let compiled = compile_with(art, Precision::F32).expect("f32 probe passes");
-            assert_eq!(compiled.precision(), Precision::F32);
-            let exact = compiled.predict_requests_f64(&refs);
-            let approx = compiled.predict_requests(&refs);
-            for (i, (a, b)) in exact.iter().zip(&approx).enumerate() {
-                assert!(
-                    (a - b).abs() <= F32_REL_BOUND * a.abs().max(1.0),
-                    "{} request {i}: f64 {a} vs f32 {b}",
-                    kind.abbrev()
-                );
-            }
-        }
-    }
-
     /// A malformed artifact (plan reading columns its schema lacks) is a
     /// typed compile-time error, not a per-request panic.
     #[test]
     fn mismatched_plan_fails_compilation_with_typed_error() {
         let mut art = artifact(ModelKind::LrE);
         art.schema.columns.truncate(1);
-        let e = compile(art).expect_err("plan reads missing columns");
+        let e = compile_with(art, Precision::F64).expect_err("plan reads missing columns");
         assert_eq!(e.kind(), "invalid");
     }
 }

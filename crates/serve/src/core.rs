@@ -17,8 +17,7 @@
 
 use crate::cache::LruCache;
 use crate::compiled::CompiledModel;
-use crate::request::{batch_table, Request};
-use mlmodels::TrainedModel;
+use crate::request::Request;
 use std::collections::HashMap;
 
 /// What one window predict produced, slot-aligned with the input.
@@ -34,72 +33,12 @@ pub(crate) struct WindowOutcome {
     pub batches: u64,
 }
 
-/// Whether the interpreted (batch-table + weight-walking) predict path
-/// was requested via `PERFPREDICT_SERVE=interpreted`. Read per call —
-/// not cached — so equivalence tests and benches can flip between the
-/// compiled path and its oracle in-process.
-fn interpreted_oracle() -> bool {
-    std::env::var("PERFPREDICT_SERVE").is_ok_and(|v| v.eq_ignore_ascii_case("interpreted"))
-}
-
-/// Shard `table`'s rows across `workers` scoped threads and predict each
-/// contiguous chunk independently through the interpreted
-/// [`TrainedModel::try_predict`] path. Row `i`'s arithmetic never reads
-/// any other row, so the concatenated result is bit-identical to
-/// `model.try_predict(&table)` for every worker count.
-pub(crate) fn predict_sharded(
-    model: &TrainedModel,
-    table: &mlmodels::Table,
-    workers: usize,
-) -> fault::Result<Vec<f64>> {
-    let n = table.n_rows();
-    let workers = workers.min(n).max(1);
-    if workers == 1 {
-        return model.try_predict(table);
-    }
-    let chunk = n.div_ceil(workers);
-    let mut out = vec![0.0; n];
-    let mut first_err = None;
-    std::thread::scope(|scope| {
-        let mut remaining: &mut [f64] = &mut out;
-        let mut start = 0;
-        let mut handles = Vec::with_capacity(workers);
-        while start < n {
-            let len = chunk.min(n - start);
-            let (slot, rest) = remaining.split_at_mut(len);
-            remaining = rest;
-            let rows: Vec<usize> = (start..start + len).collect();
-            handles.push(scope.spawn(move || -> fault::Result<()> {
-                let sub = table.select_rows(&rows);
-                slot.copy_from_slice(&model.try_predict(&sub)?);
-                Ok(())
-            }));
-            start += len;
-        }
-        for h in handles {
-            match h.join() {
-                Err(payload) => std::panic::resume_unwind(payload),
-                Ok(Err(e)) if first_err.is_none() => first_err = Some(e),
-                Ok(_) => {}
-            }
-        }
-    });
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
-}
-
 /// Shard `requests` across `workers` scoped threads through the
 /// compiled predictor. Each request's prediction reads only its own
 /// cells (and for networks, `affine_nt` computes each output row from
 /// its own input row), so the concatenated result is bit-identical to
 /// one `predict_requests` call for every worker count.
-fn predict_compiled_sharded(
-    model: &CompiledModel,
-    requests: &[&Request],
-    workers: usize,
-) -> Vec<f64> {
+fn predict_sharded(model: &CompiledModel, requests: &[&Request], workers: usize) -> Vec<f64> {
     let n = requests.len();
     let workers = workers.min(n).max(1);
     if workers == 1 {
@@ -133,19 +72,14 @@ fn predict_compiled_sharded(
 /// Serve one window of validated requests: cache probe, in-window
 /// dedup, one sharded pass over the distinct misses through the
 /// compiled predictor, cache fill. Returns one `(prediction, cached)`
-/// pair per input slot.
-///
-/// The pre-compile interpreted path (batch table + generic weight
-/// interpretation) stays selectable via `PERFPREDICT_SERVE=interpreted`
-/// as the equivalence oracle; it produces bit-identical f64 output.
-/// Errors can only arise on that oracle path (the compiled path proved
-/// every shape it reads at compile time).
+/// pair per input slot. Infallible: the compiled predictor proved every
+/// shape it reads when the artifact was compiled.
 pub(crate) fn predict_window(
     model: &CompiledModel,
     cache: &mut LruCache<Vec<u64>, f64>,
     workers: usize,
     requests: &[&Request],
-) -> fault::Result<WindowOutcome> {
+) -> WindowOutcome {
     let _span = telemetry::span!("serve/batch", rows = requests.len());
     let mut results: Vec<(f64, bool)> = vec![(0.0, false); requests.len()];
     let mut miss_of_key: HashMap<Vec<u64>, usize> = HashMap::new();
@@ -171,12 +105,7 @@ pub(crate) fn predict_window(
     let mut batches = 0u64;
     // One sharded pass over the deduplicated misses.
     if !unique.is_empty() {
-        let preds = if interpreted_oracle() {
-            let table = batch_table(&model.artifact.schema, &unique);
-            predict_sharded(&model.artifact.model, &table, workers)?
-        } else {
-            predict_compiled_sharded(model, &unique, workers)
-        };
+        let preds = predict_sharded(model, &unique, workers);
         predictions = preds.len() as u64;
         batches = 1;
         telemetry::counter_add("serve/predictions", predictions);
@@ -190,18 +119,18 @@ pub(crate) fn predict_window(
     telemetry::counter_add("serve/requests", requests.len() as u64);
     telemetry::counter_add("serve/cache_hits", hits);
     telemetry::counter_add("serve/cache_misses", requests.len() as u64 - hits);
-    Ok(WindowOutcome {
+    WindowOutcome {
         results,
         hits,
         predictions,
         batches,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::compile;
+    use crate::compiled::{compile_with, Precision};
     use mlmodels::{train, ModelArtifact, ModelKind, Table};
 
     fn artifact() -> ModelArtifact {
@@ -214,7 +143,7 @@ mod tests {
     }
 
     fn compiled() -> CompiledModel {
-        compile(artifact()).expect("artifact compiles")
+        compile_with(artifact(), Precision::F64).expect("artifact compiles")
     }
 
     fn request(schema: &mlmodels::artifact::TableSchema, x: f64, line: u64) -> Request {
@@ -232,7 +161,7 @@ mod tests {
             .map(|(i, &x)| request(&model.artifact.schema, x, i as u64 + 1))
             .collect();
         let refs: Vec<&Request> = reqs.iter().collect();
-        let out = predict_window(&model, &mut cache, 2, &refs).expect("window predicts");
+        let out = predict_window(&model, &mut cache, 2, &refs);
         assert_eq!(out.results.len(), 5);
         assert_eq!(out.predictions, 3, "three distinct configs");
         assert_eq!(out.batches, 1);
@@ -241,7 +170,7 @@ mod tests {
         assert_eq!(out.results[0].0.to_bits(), out.results[2].0.to_bits());
         assert_eq!(out.results[1].0.to_bits(), out.results[4].0.to_bits());
         // A second pass over the same window is all cache hits.
-        let again = predict_window(&model, &mut cache, 2, &refs).expect("window predicts");
+        let again = predict_window(&model, &mut cache, 2, &refs);
         assert_eq!(again.hits, 5);
         assert_eq!(again.batches, 0);
         assert!(again.results.iter().all(|&(_, cached)| cached));
@@ -255,10 +184,10 @@ mod tests {
             .collect();
         let refs: Vec<&Request> = reqs.iter().collect();
         let mut base_cache = LruCache::new(64);
-        let base = predict_window(&model, &mut base_cache, 1, &refs).expect("window predicts");
+        let base = predict_window(&model, &mut base_cache, 1, &refs);
         for workers in [2, 3, 8] {
             let mut cache = LruCache::new(64);
-            let out = predict_window(&model, &mut cache, workers, &refs).expect("window predicts");
+            let out = predict_window(&model, &mut cache, workers, &refs);
             for (slot, (a, b)) in base.results.iter().zip(&out.results).enumerate() {
                 assert_eq!(
                     a.0.to_bits(),
@@ -285,35 +214,12 @@ mod tests {
         ]
         .map(|r| r.expect("valid request"));
         let refs: Vec<&Request> = reqs.iter().collect();
-        let out = predict_window(&model, &mut cache, 1, &refs).expect("window predicts");
+        let out = predict_window(&model, &mut cache, 1, &refs);
         assert_eq!(out.predictions, 1, "one distinct configuration");
         assert_eq!(out.results[0].0.to_bits(), out.results[1].0.to_bits());
         assert_eq!(cache.len(), 1, "one shared cache entry");
         // And a -0.0 replay is a pure cache hit.
-        let again = predict_window(&model, &mut cache, 1, &refs[..1]).expect("window predicts");
+        let again = predict_window(&model, &mut cache, 1, &refs[..1]);
         assert_eq!(again.hits, 1);
-    }
-
-    /// The interpreted path stays available as the equivalence oracle
-    /// and is bit-identical to the compiled default.
-    #[test]
-    fn interpreted_oracle_env_is_bit_identical() {
-        let model = compiled();
-        let reqs: Vec<Request> = (0..24)
-            .map(|i| request(&model.artifact.schema, 100.0 + (i % 7) as f64 * 37.5, i + 1))
-            .collect();
-        let refs: Vec<&Request> = reqs.iter().collect();
-        let mut c1 = LruCache::new(64);
-        let fast = predict_window(&model, &mut c1, 2, &refs).expect("compiled path");
-        // Safe pre-2024-edition; racing readers at worst see the oracle
-        // path, which is the whole point: it is bit-identical.
-        std::env::set_var("PERFPREDICT_SERVE", "interpreted");
-        let mut c2 = LruCache::new(64);
-        let slow = predict_window(&model, &mut c2, 2, &refs);
-        std::env::remove_var("PERFPREDICT_SERVE");
-        let slow = slow.expect("interpreted path");
-        for (slot, (a, b)) in fast.results.iter().zip(&slow.results).enumerate() {
-            assert_eq!(a.0.to_bits(), b.0.to_bits(), "slot {slot}");
-        }
     }
 }

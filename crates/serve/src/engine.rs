@@ -10,9 +10,9 @@
 //!    [`ServeConfig::window`] requests is checked against the LRU
 //!    surrogate cache ([`crate::cache`]); hits never touch the model.
 //! 3. **Batch predict** — cache misses are *deduplicated by canonical
-//!    key* (a window full of the same config costs one forward pass),
-//!    assembled into one prediction [`Table`], and run through the model
-//!    in matrix form, sharded across a scoped worker pool.
+//!    key* (a window full of the same config costs one forward pass)
+//!    and run through the artifact's compiled predictor
+//!    ([`crate::compiled`]), sharded across a scoped worker pool.
 //! 4. **Ordered response** — predictions are written back by request
 //!    index, so output order equals input order and is byte-identical
 //!    for any worker count: sharding is by row range, every row's
@@ -161,19 +161,8 @@ impl Engine {
     /// Build an engine over a loaded artifact, compiling it into its
     /// topology-specialized f64 predictor.
     pub fn new(artifact: ModelArtifact, config: ServeConfig) -> Result<Engine> {
-        Self::with_precision(artifact, config, Precision::F64)
-    }
-
-    /// Build an engine serving at the given precision. [`Precision::F32`]
-    /// is verified against the f64 path at compile time and rejected
-    /// with a typed error if it exceeds the documented error bound.
-    pub fn with_precision(
-        artifact: ModelArtifact,
-        config: ServeConfig,
-        precision: Precision,
-    ) -> Result<Engine> {
         config.validated()?;
-        let model = compile_with(artifact, precision)?;
+        let model = compile_with(artifact, Precision::F64)?;
         let cache = LruCache::new(config.cache_cap);
         Ok(Engine {
             model,
@@ -199,7 +188,7 @@ impl Engine {
         latency: &mut Histogram,
     ) -> Result<()> {
         let requests: Vec<&Request> = window.iter().map(|adm| &adm.request).collect();
-        let outcome = predict_window(&self.model, &mut self.cache, self.config.workers, &requests)?;
+        let outcome = predict_window(&self.model, &mut self.cache, self.config.workers, &requests);
         stats.cache_hits += outcome.hits;
         stats.cache_misses += window.len() as u64 - outcome.hits;
         stats.predictions += outcome.predictions;

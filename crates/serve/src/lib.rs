@@ -6,7 +6,7 @@
 //! against a [`mlmodels::ModelArtifact`] with the throughput posture of a
 //! real inference tier:
 //!
-//! * [`request`] — parse JSONL requests and validate each configuration
+//! * `request` — parse JSONL requests and validate each configuration
 //!   against the artifact's [`mlmodels::TableSchema`] (typed
 //!   `InvalidInput` errors naming the offending line and field, never a
 //!   panic deep in the preprocessor).
@@ -33,12 +33,12 @@ pub(crate) mod core;
 pub mod daemon;
 pub mod engine;
 pub mod registry;
-pub mod request;
+pub(crate) mod request;
 pub mod workload;
 
 pub use admission::AdmissionQueue;
 pub use cache::LruCache;
-pub use compiled::{compile_with, CompiledModel, Precision, F32_REL_BOUND};
+pub use compiled::{compile_with, CompiledModel, Precision};
 pub use daemon::{Daemon, DaemonConfig, DaemonStats};
 pub use engine::{serve_jsonl, Engine, ServeConfig, ServeStats};
 pub use registry::{Registry, RegistryConfig};

@@ -73,9 +73,6 @@ pub(crate) enum VersionState {
 struct Version {
     version: u64,
     path: String,
-    /// Precision this version was loaded at; reloads recompile at the
-    /// same precision.
-    precision: Precision,
     state: VersionState,
 }
 
@@ -213,25 +210,13 @@ impl Registry {
         }
     }
 
-    /// Register a new version of `name` from `path` at f64 precision.
-    /// See [`Registry::load_with_precision`].
+    /// Register a new version of `name` from `path`. On success the new
+    /// version becomes the newest healthy route target. On a corrupt
+    /// artifact — or one that fails to compile (malformed plan) — the
+    /// new version is registered *quarantined* (with the reason) and the
+    /// error is returned; previously healthy versions keep serving
+    /// untouched.
     pub fn load(&mut self, name: &str, path: &str) -> Result<u64> {
-        self.load_with_precision(name, path, Precision::F64)
-    }
-
-    /// Register a new version of `name` from `path`, compiled at the
-    /// given precision. On success the new version becomes the newest
-    /// healthy route target. On a corrupt artifact — or one that fails
-    /// to compile (malformed plan, or an f32 probe exceeding the error
-    /// bound) — the new version is registered *quarantined* (with the
-    /// reason) and the error is returned; previously healthy versions
-    /// keep serving untouched.
-    pub(crate) fn load_with_precision(
-        &mut self,
-        name: &str,
-        path: &str,
-        precision: Precision,
-    ) -> Result<u64> {
         if name.is_empty() || name.contains('@') {
             return Err(Error::invalid(format!(
                 "model name '{name}' must be non-empty and must not contain '@'"
@@ -239,7 +224,7 @@ impl Registry {
         }
         let loaded = self
             .load_with_retry(path)
-            .and_then(|a| compile_with(a, precision));
+            .and_then(|a| compile_with(a, Precision::F64));
         let entry = self.models.entry(name.to_string()).or_insert(ModelEntry {
             versions: Vec::new(),
             next_version: 1,
@@ -251,7 +236,6 @@ impl Registry {
                 entry.versions.push(Version {
                     version,
                     path: path.to_string(),
-                    precision,
                     state: VersionState::Ready(Box::new(ServingModel {
                         compiled,
                         cache: LruCache::new(self.config.cache_cap),
@@ -265,7 +249,6 @@ impl Registry {
                 entry.versions.push(Version {
                     version,
                     path: path.to_string(),
-                    precision,
                     state: VersionState::Quarantined {
                         reason: e.to_string(),
                         cache: LruCache::new(0),
@@ -288,7 +271,7 @@ impl Registry {
         // Resolve the target version number first (immutably), then
         // load outside the borrow so retry/backoff does not hold the
         // entry.
-        let (version, path, precision) = {
+        let (version, path) = {
             let entry = self
                 .models
                 .get(name)
@@ -304,11 +287,11 @@ impl Registry {
                     .last()
                     .ok_or_else(|| Error::invalid(format!("model '{name}' has no versions")))?,
             };
-            (v.version, v.path.clone(), v.precision)
+            (v.version, v.path.clone())
         };
         let loaded = self
             .load_with_retry(&path)
-            .and_then(|a| compile_with(a, precision));
+            .and_then(|a| compile_with(a, Precision::F64));
         let entry = self.models.get_mut(name).unwrap_or_else(|| {
             unreachable!("entry '{name}' existed above and reload holds &mut self")
         });
@@ -481,7 +464,6 @@ impl Registry {
                     VersionState::Ready(m) => obj
                         .str("state", "ready")
                         .str("kind", m.compiled.artifact.model.kind.abbrev())
-                        .str("precision", v.precision.label())
                         .uint("cache_entries", m.cache.len() as u64),
                     VersionState::Quarantined { reason, cache, .. } => obj
                         .str("state", "quarantined")

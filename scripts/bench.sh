@@ -18,8 +18,7 @@
 # (CRITERION_JSON_LINES); equivalence between the incremental/batched and
 # reference/scalar paths is asserted inside the bench binaries themselves
 # — nn additionally pins the AVX2 linalg kernels to the scalar oracle,
-# and serve pins the compiled specialized predictors to the interpreted
-# transform-then-predict path (PERFPREDICT_SERVE=interpreted) — so a
+# and serve pins its replay output across 1, 2 and 4 workers — so a
 # completed run certifies bit-identical answers, not just speed.
 # The dse bench also times the adaptive (query-by-committee) explorer
 # against its equal-budget random baseline (dse/adaptive_vs_random_quick),

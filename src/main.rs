@@ -58,8 +58,8 @@ use perfpredict::dse::sampled::{
 use perfpredict::error::{Error, Result};
 use perfpredict::mlmodels::{self, ModelArtifact, ModelKind};
 use perfpredict::serve::{
-    generate_requests, serve_jsonl, Daemon, DaemonConfig, Engine, Precision, Registry,
-    RegistryConfig, ServeConfig,
+    generate_requests, serve_jsonl, Daemon, DaemonConfig, Engine, Registry, RegistryConfig,
+    ServeConfig,
 };
 use perfpredict::specdata::ProcessorFamily;
 use perfpredict::telemetry::{self, json::JsonObject, ConsoleLevel, TelemetryConfig};
@@ -89,9 +89,8 @@ fn usage() -> ! {
            predict   <model.ppmodel> [--input F]\n\
                                               one-shot replay: JSONL requests -> predictions\n\
            serve     <model.ppmodel> [--input F] [--workers N] [--window N]\n\
-                     [--queue-cap N] [--cache-cap N] [--f32]\n\
+                     [--queue-cap N] [--cache-cap N]\n\
                                               batched service with LRU cache; stats on stderr\n\
-                                              --f32: verified single-precision inference\n\
            serve     --daemon [model.ppmodel] [--preload name=path]...\n\
                      [--socket P] [--input F] [--deadline-ms N]\n\
                      [--max-frame-bytes N] [--default-model NAME]\n\
@@ -835,12 +834,7 @@ fn cli() -> Result<()> {
                 workers: parse_number(rest, "--workers", defaults.workers)?,
                 cache_cap: parse_number(rest, "--cache-cap", defaults.cache_cap)?,
             };
-            let precision = if rest.iter().any(|a| a == "--f32") {
-                Precision::F32
-            } else {
-                Precision::F64
-            };
-            let mut engine = Engine::with_precision(artifact, config, precision)?;
+            let mut engine = Engine::new(artifact, config)?;
             let stdout = std::io::stdout();
             let mut out = std::io::BufWriter::new(stdout.lock());
             let stats = match parse_flag(rest, "--input") {
