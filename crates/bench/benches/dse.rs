@@ -8,7 +8,7 @@
 //! here moves with the `selection` micro-benchmarks.
 
 use bench::Scale;
-use cpusim::runner::sweep_design_space;
+use cpusim::runner::try_sweep_design_space;
 use cpusim::Benchmark;
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dse::adaptive::{try_run_adaptive, AdaptiveConfig, EvalMode};
@@ -36,7 +36,9 @@ fn bench_dse(c: &mut Criterion) {
     // One sweep shared by every iteration: the simulator's cost is covered
     // by the `simulator` benchmark; here only the modelling pipeline is
     // timed.
-    let sweep = sweep_design_space(&space, Benchmark::Gcc, &sim);
+    let sweep = try_sweep_design_space(&space, Benchmark::Gcc, &sim, None)
+        .expect("sweep")
+        .results;
 
     // Record one representative end-to-end timing into telemetry counters
     // (visible in `--metrics-out` manifests).
@@ -87,7 +89,9 @@ fn bench_dse(c: &mut Criterion) {
     // modelling + acquisition loop is timed.
     let quick_space = Scale::Quick.space();
     let quick_sim = Scale::Quick.sim_options();
-    let quick_sweep = sweep_design_space(&quick_space, Benchmark::Gcc, &quick_sim);
+    let quick_sweep = try_sweep_design_space(&quick_space, Benchmark::Gcc, &quick_sim, None)
+        .expect("sweep")
+        .results;
     let acfg = AdaptiveConfig {
         initial: 16,
         batch: 8,

@@ -3,7 +3,7 @@
 //! order of seconds", and NN-E is "the slowest of all".
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use mlmodels::{train, ModelKind, Table};
+use mlmodels::{try_train, ModelKind, Table};
 use std::hint::black_box;
 
 /// A 24-predictor, 150-row training table shaped like a 3 % design-space
@@ -55,7 +55,7 @@ fn bench_training(c: &mut Criterion) {
         group.bench_function(kind.abbrev(), |b| {
             b.iter_batched(
                 || table.clone(),
-                |t| black_box(train(kind, &t, 7)),
+                |t| black_box(try_train(kind, &t, 7)),
                 BatchSize::LargeInput,
             )
         });

@@ -65,8 +65,8 @@ fn assert_equivalence_and_record(x: &Matrix, y: &[f64]) {
         net.try_train(x, y, &cfg).expect("scalar training");
         (net, t1.elapsed().as_nanos() as u64)
     });
-    let pb = batched.predict(x);
-    let ps = with_scalar_oracle(|| scalar.predict(x));
+    let pb = batched.try_predict(x).expect("batched predict");
+    let ps = with_scalar_oracle(|| scalar.try_predict(x)).expect("scalar predict");
     for (a, b) in pb.iter().zip(&ps) {
         assert_eq!(a.to_bits(), b.to_bits(), "batched/scalar paths diverged");
     }
@@ -121,10 +121,10 @@ fn bench_nn(c: &mut Criterion) {
     let mut trained = Mlp::new(COLS, &HIDDEN, cfg.seed);
     trained.try_train(&x, &y, &cfg).expect("training");
     group.bench_function("predict_batched", |b| {
-        b.iter(|| black_box(trained.predict(&x)))
+        b.iter(|| black_box(trained.try_predict(&x)))
     });
     group.bench_function("predict_scalar", |b| {
-        with_scalar_oracle(|| b.iter(|| black_box(trained.predict(&x))))
+        with_scalar_oracle(|| b.iter(|| black_box(trained.try_predict(&x))))
     });
 
     // Linalg kernel microbenches: the gradient-shaped `matmul_tn` and

@@ -3,7 +3,7 @@
 //! 4608-point space in microseconds-per-point instead of simulator-hours.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use mlmodels::{train, ModelKind, Table};
+use mlmodels::{try_train, ModelKind, Table};
 use std::hint::black_box;
 
 fn tables() -> (Table, Table) {
@@ -31,9 +31,9 @@ fn bench_prediction(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(4));
     group.throughput(Throughput::Elements(eval_t.n_rows() as u64));
     for kind in [ModelKind::LrE, ModelKind::NnS, ModelKind::NnE] {
-        let model = train(kind, &train_t, 3);
+        let model = try_train(kind, &train_t, 3).expect("training");
         group.bench_function(kind.abbrev(), |b| {
-            b.iter(|| black_box(model.predict(&eval_t)))
+            b.iter(|| black_box(model.try_predict(&eval_t)))
         });
     }
     group.finish();

@@ -3,7 +3,7 @@
 //! sampled DSE matters: full-space cost grows linearly in the number of
 //! configurations, while the surrogate needs only the sampled fraction.
 
-use cpusim::{sweep_design_space, Benchmark, DesignSpace, SimOptions};
+use cpusim::{try_sweep_design_space, Benchmark, DesignSpace, SimOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
@@ -21,7 +21,7 @@ fn bench_sweep(c: &mut Criterion) {
         let sub = DesignSpace::from_configs(full.configs()[..n].to_vec());
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &sub, |b, sub| {
-            b.iter(|| black_box(sweep_design_space(sub, Benchmark::Applu, &opts)))
+            b.iter(|| black_box(try_sweep_design_space(sub, Benchmark::Applu, &opts, None)))
         });
     }
     group.finish();

@@ -2,13 +2,18 @@
 //! one-shot random sampling at equal simulation budgets.
 
 use bench::{banner, parse_common_args};
-use cpusim::runner::sweep_design_space;
+use cpusim::runner::try_sweep_design_space;
 use cpusim::Benchmark;
 use dse::adaptive::{try_run_adaptive, AdaptiveConfig};
-use dse::report::{f, render_table};
+use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner(
         "ablation: adaptive sampling (query-by-committee) vs random",
@@ -20,7 +25,7 @@ fn main() {
     sim.seed = seed;
 
     for b in [Benchmark::Mesa, Benchmark::Gcc] {
-        let sweep = sweep_design_space(&space, b, &sim);
+        let sweep = try_sweep_design_space(&space, b, &sim, None)?.results;
         let n = space.len();
         // 1% of the space per round, but never below a trainable floor
         // (quick-scale spaces are small).
@@ -36,8 +41,7 @@ fn main() {
             seed,
             ..Default::default()
         };
-        let r = try_run_adaptive(b, &space, &cfg, Some(sweep), None)
-            .expect("ablation space fits the adaptive budget");
+        let r = try_run_adaptive(b, &space, &cfg, Some(sweep), None)?;
         println!("{} ({} configs):", b.name(), n);
         let rows: Vec<Vec<String>> = r
             .trajectory
@@ -53,7 +57,7 @@ fn main() {
             .collect();
         print!(
             "{}",
-            render_table(
+            try_render_table(
                 &[
                     "budget".into(),
                     "adaptive err %".into(),
@@ -61,8 +65,9 @@ fn main() {
                     "gain %".into(),
                 ],
                 &rows,
-            )
+            )?
         );
         println!();
     }
+    Ok(())
 }

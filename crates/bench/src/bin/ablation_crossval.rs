@@ -7,16 +7,21 @@
 //! to the true error.
 
 use bench::{banner, parse_common_args};
-use cpusim::runner::sweep_design_space;
+use cpusim::runner::try_sweep_design_space;
 use cpusim::Benchmark;
-use dse::data::table_from_sweep;
-use dse::report::{f, render_table};
+use dse::data::try_table_from_sweep;
+use dse::report::{f, try_render_table};
 use linalg::dist::{child_seed, sample_indices, seeded_rng};
 use linalg::stats::mape;
-use mlmodels::crossval::estimate_error;
-use mlmodels::{train, ModelKind};
+use mlmodels::crossval::try_estimate_error;
+use mlmodels::{try_train, ModelKind};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner(
         "ablation: estimated-error statistic (mean vs max of 5 splits)",
@@ -26,8 +31,8 @@ fn main() {
     let space = scale.space();
     let mut sim = scale.sim_options();
     sim.seed = seed;
-    let results = sweep_design_space(&space, Benchmark::Mesa, &sim);
-    let full = table_from_sweep(&results);
+    let results = try_sweep_design_space(&space, Benchmark::Mesa, &sim, None)?.results;
+    let full = try_table_from_sweep(&results)?;
     let n = full.n_rows();
     let k = (n / 20).max(24); // 5% sample
 
@@ -43,9 +48,9 @@ fn main() {
             let mut rng = seeded_rng(rep_seed);
             let rows_idx = sample_indices(&mut rng, n, k);
             let sample = full.select_rows(&rows_idx);
-            let model = train(kind, &sample, rep_seed);
-            let (true_err, _) = mape(&model.predict(&full), full.target());
-            let est = estimate_error(kind, &sample, child_seed(rep_seed, 1));
+            let model = try_train(kind, &sample, rep_seed)?;
+            let (true_err, _) = mape(&model.try_predict(&full)?, full.target());
+            let est = try_estimate_error(kind, &sample, child_seed(rep_seed, 1))?;
             mean_gap.push((est.mean - true_err).abs());
             max_gap.push((est.max - true_err).abs());
             if est.mean < true_err {
@@ -65,7 +70,7 @@ fn main() {
     }
     print!(
         "{}",
-        render_table(
+        try_render_table(
             &[
                 "model".into(),
                 "|mean est - true|".into(),
@@ -74,10 +79,11 @@ fn main() {
                 "max underestimates".into(),
             ],
             &rows,
-        )
+        )?
     );
     println!(
         "\npaper's claim to check: the max statistic tracks the true error more \
          closely (smaller gap) and underestimates less often."
     );
+    Ok(())
 }

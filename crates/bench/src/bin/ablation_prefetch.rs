@@ -7,9 +7,14 @@ use cpusim::core::Core;
 use cpusim::prefetch::PrefetcherKind;
 use cpusim::trace::TraceGenerator;
 use cpusim::{Benchmark, CpuConfig};
-use dse::report::{f, render_table};
+use dse::report::{f, try_render_table};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner("ablation: data prefetchers (library extension)", scale);
 
@@ -38,7 +43,7 @@ fn main() {
     }
     print!(
         "{}",
-        render_table(
+        try_render_table(
             &[
                 "benchmark".into(),
                 "base cycles".into(),
@@ -48,10 +53,11 @@ fn main() {
                 "pf issued".into(),
             ],
             &rows,
-        )
+        )?
     );
     println!(
         "\nexpectation: streaming fp codes (applu, swim-like) benefit most; \
          pointer-chasing mcf barely moves (its misses are unpredictable)."
     );
+    Ok(())
 }

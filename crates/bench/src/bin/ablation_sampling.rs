@@ -7,13 +7,18 @@
 //! predictor-stratified sampling at 1 % and 3 %.
 
 use bench::{banner, parse_common_args};
-use cpusim::runner::sweep_design_space;
+use cpusim::runner::try_sweep_design_space;
 use cpusim::Benchmark;
-use dse::report::{f, render_table};
-use dse::sampled::{run_sampled_dse, SampledConfig, SamplingStrategy};
+use dse::report::{f, try_render_table};
+use dse::sampled::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
 use mlmodels::ModelKind;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner(
         "ablation: sampling strategy (random vs systematic vs stratified)",
@@ -24,7 +29,7 @@ fn main() {
     let mut sim = scale.sim_options();
     sim.seed = seed;
     // Share one sweep across all strategies.
-    let sweep = sweep_design_space(&space, Benchmark::Gcc, &sim);
+    let sweep = try_sweep_design_space(&space, Benchmark::Gcc, &sim, None)?.results;
 
     let mut rows = Vec::new();
     for (name, strategy) in [
@@ -41,7 +46,7 @@ fn main() {
             estimate_errors: false,
             export_models: None,
         };
-        let run = run_sampled_dse(Benchmark::Gcc, &space, &cfg, Some(sweep.clone()));
+        let run = try_run_sampled_dse(Benchmark::Gcc, &space, &cfg, Some(sweep.clone()), None)?;
         // A fit that failed is dropped from the run, not fatal: render "-".
         let cell = |kind, rate| {
             run.point(kind, rate)
@@ -57,7 +62,7 @@ fn main() {
     }
     print!(
         "{}",
-        render_table(
+        try_render_table(
             &[
                 "strategy".into(),
                 "NN-S @1%".into(),
@@ -66,6 +71,7 @@ fn main() {
                 "LR-B @3%".into(),
             ],
             &rows,
-        )
+        )?
     );
+    Ok(())
 }

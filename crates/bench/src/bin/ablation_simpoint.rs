@@ -10,7 +10,8 @@ use cpusim::core::Core;
 use cpusim::simpoint::analyze;
 use cpusim::trace::{ReplaySource, TraceGenerator};
 use cpusim::{Benchmark, CpuConfig};
-use dse::report::{f, render_table};
+use dse::report::{f, try_render_table};
+use std::process::ExitCode;
 
 /// CPI of interval `idx`, measured after warming the microarchitectural
 /// state on the *preceding* interval (standard SimPoint warm-up practice);
@@ -32,7 +33,11 @@ fn cpi_of_interval(b: Benchmark, seed: u64, idx: usize, len: u64, cfg: CpuConfig
     s.cycles as f64 / s.instructions as f64
 }
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner(
         "ablation: SimPoint interval selection vs first-interval",
@@ -80,7 +85,7 @@ fn main() {
     }
     print!(
         "{}",
-        render_table(
+        try_render_table(
             &[
                 "benchmark".into(),
                 "ref CPI".into(),
@@ -91,10 +96,11 @@ fn main() {
                 "k".into(),
             ],
             &rows,
-        )
+        )?
     );
     println!(
         "\nSimPoint earns its keep when its error column beats the first-interval \
          column (phase-heterogeneous workloads like gcc/bzip2)."
     );
+    Ok(())
 }

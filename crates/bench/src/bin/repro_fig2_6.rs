@@ -8,10 +8,11 @@
 use bench::{banner, parse_common_args};
 use cpusim::{Benchmark, DesignSpace};
 use dse::report::render_series;
-use dse::sampled::{run_sampled_dse, SampledConfig, SamplingStrategy};
+use dse::sampled::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
 use mlmodels::ModelKind;
+use std::process::ExitCode;
 
-fn run_one(b: Benchmark, space: &DesignSpace, cfg: &SampledConfig) {
+fn run_one(b: Benchmark, space: &DesignSpace, cfg: &SampledConfig) -> fault::Result<()> {
     let figure = match b {
         Benchmark::Applu => "Figure 2",
         Benchmark::Equake => "Figure 3",
@@ -20,7 +21,7 @@ fn run_one(b: Benchmark, space: &DesignSpace, cfg: &SampledConfig) {
         Benchmark::Mesa => "Figure 6",
         _ => "(extension)",
     };
-    let run = run_sampled_dse(b, space, cfg, None);
+    let run = try_run_sampled_dse(b, space, cfg, None, None)?;
     println!(
         "{figure}: {} — mean % error vs training sample size (space {} configs, cycle range {:.2})",
         b.name(),
@@ -57,9 +58,14 @@ fn run_one(b: Benchmark, space: &DesignSpace, cfg: &SampledConfig) {
     }
     print!("{}", render_series("sample%", &xs, &curves));
     println!();
+    Ok(())
 }
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, rest) = parse_common_args();
     let _run = banner("Figures 2–6: sampled design-space exploration", scale);
 
@@ -70,7 +76,7 @@ fn main() {
         match a.as_str() {
             "--app" => app = it.next().cloned(),
             "--all" => all = true,
-            other => panic!("unknown argument '{other}'"),
+            other => return Err(fault::Error::invalid(format!("unknown argument '{other}'"))),
         }
     }
 
@@ -91,9 +97,11 @@ fn main() {
         Benchmark::PRESENTED.to_vec()
     } else {
         let name = app.unwrap_or_else(|| "applu".into());
-        vec![Benchmark::from_name(&name).unwrap_or_else(|| panic!("unknown benchmark '{name}'"))]
+        vec![Benchmark::from_name(&name)
+            .ok_or_else(|| fault::Error::invalid(format!("unknown benchmark '{name}'")))?]
     };
     for b in benches {
-        run_one(b, &space, &cfg);
+        run_one(b, &space, &cfg)?;
     }
+    Ok(())
 }

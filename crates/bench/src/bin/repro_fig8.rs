@@ -2,12 +2,17 @@
 //! SMP systems with (a) one, (b) two, (c) four, and (d) eight processors.
 
 use bench::{banner, parse_common_args};
-use dse::chrono::{run_chronological, ChronoConfig};
-use dse::report::{f, render_table};
+use dse::chrono::{try_run_chronological, ChronoConfig};
+use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
 use specdata::ProcessorFamily;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner("Figure 8: chronological predictions (Opteron SMPs)", scale);
 
@@ -25,7 +30,7 @@ fn main() {
             estimate_errors: false,
             export_models: None,
         };
-        let r = run_chronological(fam, &cfg);
+        let r = try_run_chronological(fam, &cfg)?;
         println!(
             "Figure 8{panel}: {} — train 2005 ({} records) -> predict 2006 ({} records)",
             fam.name(),
@@ -45,9 +50,10 @@ fn main() {
             .collect();
         print!(
             "{}",
-            render_table(&["model".into(), "mean err %".into(), "std".into()], &rows)
+            try_render_table(&["model".into(), "mean err %".into(), "std".into()], &rows)?
         );
-        let (best, err) = r.best();
+        let (best, err) = r.try_best()?;
         println!("best: {} at {:.2}%\n", best.model.abbrev(), err);
     }
+    Ok(())
 }

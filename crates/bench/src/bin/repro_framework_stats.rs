@@ -7,12 +7,17 @@
 //!   (paper: Opteron 138/1.40/0.08 … Xeon 216/1.34/0.09).
 
 use bench::{banner, parse_common_args};
-use cpusim::runner::{summarize_sweep, sweep_design_space};
+use cpusim::runner::{summarize_sweep, try_sweep_design_space};
 use cpusim::Benchmark;
-use dse::report::{f, render_table};
+use dse::report::{f, try_render_table};
 use specdata::{AnnouncementSet, ProcessorFamily};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner("§4.1 framework statistics", scale);
     let space = scale.space();
@@ -29,7 +34,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for b in Benchmark::PRESENTED {
-        let results = sweep_design_space(&space, b, &sim);
+        let results = try_sweep_design_space(&space, b, &sim, None)?.results;
         let s = summarize_sweep(&results);
         let (pr, pv) = paper
             .iter()
@@ -50,7 +55,7 @@ fn main() {
     );
     print!(
         "{}",
-        render_table(
+        try_render_table(
             &[
                 "benchmark".into(),
                 "range".into(),
@@ -59,7 +64,7 @@ fn main() {
                 "paper var".into(),
             ],
             &rows,
-        )
+        )?
     );
 
     println!("\nSPEC announcement populations:");
@@ -80,7 +85,7 @@ fn main() {
     }
     print!(
         "{}",
-        render_table(
+        try_render_table(
             &[
                 "family".into(),
                 "records".into(),
@@ -91,6 +96,7 @@ fn main() {
                 "paper var".into(),
             ],
             &rows,
-        )
+        )?
     );
+    Ok(())
 }

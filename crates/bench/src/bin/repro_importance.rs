@@ -9,12 +9,17 @@
 //! (0.733), L2 size (0.583), memory size, memory frequency, and L1 size.
 
 use bench::{banner, parse_common_args};
-use dse::chrono::{run_chronological, ChronoConfig};
-use dse::report::{f, render_table};
+use dse::chrono::{try_run_chronological, ChronoConfig};
+use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
 use specdata::ProcessorFamily;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner("§4.4: predictor importance", scale);
 
@@ -27,7 +32,7 @@ fn main() {
             estimate_errors: false,
             export_models: None,
         };
-        let r = run_chronological(fam, &cfg);
+        let r = try_run_chronological(fam, &cfg)?;
         println!("{} — top predictors:", fam.name());
         for p in &r.points {
             let label = if p.model.is_linear() {
@@ -42,7 +47,7 @@ fn main() {
                 .take(6)
                 .map(|imp| vec![imp.name.clone(), f(imp.score, 3)])
                 .collect();
-            let table = render_table(&["predictor".into(), "score".into()], &rows);
+            let table = try_render_table(&["predictor".into(), "score".into()], &rows)?;
             for line in table.lines() {
                 println!("    {line}");
             }
@@ -57,4 +62,5 @@ fn main() {
         "Pentium D NN: speed 0.570, L2 size 0.500, L1 shared 0.206, L2 shared 0.154, \
          L1D 0.145, bus 0.120; LR: speed 0.733, L2 0.583, mem size 0.001, mem freq 0.094, L1 0.297."
     );
+    Ok(())
 }

@@ -6,12 +6,17 @@
 //! and how error shrinks as the database accumulates records.
 
 use bench::{banner, parse_common_args};
-use dse::chrono::{run_chronological, ChronoConfig};
-use dse::report::{f, render_table};
+use dse::chrono::{try_run_chronological, ChronoConfig};
+use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
 use specdata::ProcessorFamily;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner(
         "§4.3 extension: rolling-year chronological evaluation",
@@ -42,7 +47,7 @@ fn main() {
                 estimate_errors: false,
                 export_models: None,
             };
-            let r = run_chronological(fam, &cfg);
+            let r = try_run_chronological(fam, &cfg)?;
             let err = |m: ModelKind| {
                 r.points
                     .iter()
@@ -62,7 +67,7 @@ fn main() {
         }
         print!(
             "{}",
-            render_table(
+            try_render_table(
                 &[
                     "split".into(),
                     "n_train".into(),
@@ -73,8 +78,9 @@ fn main() {
                     "NN-E %".into(),
                 ],
                 &rows,
-            )
+            )?
         );
         println!();
     }
+    Ok(())
 }

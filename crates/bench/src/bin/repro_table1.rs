@@ -4,9 +4,14 @@
 //! lattice holds exactly 4608 configurations per benchmark.
 
 use cpusim::DesignSpace;
-use dse::report::render_table;
+use dse::report::try_render_table;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, _seed, _rest) = bench::parse_common_args();
     let _run = bench::banner(
         "Table 1: configurations used in microprocessor study",
@@ -42,7 +47,7 @@ fn main() {
     ];
     print!(
         "{}",
-        render_table(&["Parameters".into(), "Values".into()], &rows)
+        try_render_table(&["Parameters".into(), "Values".into()], &rows)?
     );
 
     let space = DesignSpace::table1();
@@ -52,4 +57,5 @@ fn main() {
     );
     assert_eq!(space.len(), 4608, "lattice must match the paper exactly");
     println!("OK: lattice matches the paper's count exactly.");
+    Ok(())
 }

@@ -6,12 +6,17 @@
 //! (all LR-B/LR-S).
 
 use bench::{banner, parse_common_args};
-use dse::chrono::{run_chronological, ChronoConfig};
-use dse::report::{f, render_table};
+use dse::chrono::{try_run_chronological, ChronoConfig};
+use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
 use specdata::ProcessorFamily;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner("Table 2: best chronological accuracy per family", scale);
 
@@ -36,9 +41,9 @@ fn main() {
             estimate_errors: false,
             export_models: None,
         };
-        let r = run_chronological(fam, &cfg);
-        let (_, best_err) = r.best();
-        let winners = r.best_set(0.02);
+        let r = try_run_chronological(fam, &cfg)?;
+        let (_, best_err) = r.try_best()?;
+        let winners = r.best_set(0.02)?;
         let winners: Vec<&str> = winners.iter().map(|m| m.abbrev()).collect();
         rows.push(vec![
             name.to_string(),
@@ -50,7 +55,7 @@ fn main() {
     }
     print!(
         "{}",
-        render_table(
+        try_render_table(
             &[
                 "family".into(),
                 "best err %".into(),
@@ -59,6 +64,7 @@ fn main() {
                 "paper method".into(),
             ],
             &rows,
-        )
+        )?
     );
+    Ok(())
 }

@@ -14,12 +14,17 @@
 
 use bench::{banner, parse_common_args};
 use cpusim::Benchmark;
-use dse::report::{f, render_table};
-use dse::sampled::{run_sampled_dse, SampledConfig, SamplingStrategy};
-use dse::selectbest::select_method_error;
+use dse::report::{f, try_render_table};
+use dse::sampled::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
+use dse::selectbest::try_select_method_error;
 use mlmodels::ModelKind;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    bench::exit_status(run())
+}
+
+fn run() -> fault::Result<()> {
     let (scale, seed, _) = parse_common_args();
     let _run = banner("Table 3: average sampled-DSE accuracy", scale);
 
@@ -41,13 +46,13 @@ fn main() {
     let mut acc: std::collections::HashMap<(ModelKind, usize), Vec<f64>> = Default::default();
     let mut select_acc: Vec<Vec<f64>> = vec![Vec::new(); rates.len()];
     for b in Benchmark::PRESENTED {
-        let run = run_sampled_dse(b, &space, &cfg, None);
+        let run = try_run_sampled_dse(b, &space, &cfg, None, None)?;
         for (ri, &r) in rates.iter().enumerate() {
             for m in ModelKind::FIGURE2_ORDER {
                 let p = run.point(m, r).expect("point");
                 acc.entry((m, ri)).or_default().push(p.true_error);
             }
-            select_acc[ri].push(select_method_error(&run, r).true_error);
+            select_acc[ri].push(try_select_method_error(&run, r)?.true_error);
         }
         eprintln!("  … {} done", b.name());
     }
@@ -80,7 +85,7 @@ fn main() {
 
     print!(
         "{}",
-        render_table(
+        try_render_table(
             &[
                 "method".into(),
                 "1%".into(),
@@ -90,6 +95,7 @@ fn main() {
                 "5%".into(),
             ],
             &rows,
-        )
+        )?
     );
+    Ok(())
 }

@@ -17,9 +17,13 @@
 //! [`banner`] installs the telemetry run and returns a [`RunGuard`] that
 //! prints a one-line wall-time/counter summary (with latency-histogram
 //! tails) when the harness finishes.
+//!
+//! Harness bodies return [`fault::Result`]; [`exit_status`] turns an
+//! error into the same exit status the `perfpredict` CLI uses.
 
 use cpusim::runner::SimOptions;
 use cpusim::DesignSpace;
+use std::process::ExitCode;
 use telemetry::{ConsoleLevel, TelemetryConfig};
 
 /// Experiment scale presets.
@@ -105,6 +109,21 @@ pub fn parse_common_args() -> (Scale, u64, Vec<String>) {
         }
     }
     (scale, seed, rest)
+}
+
+/// The process exit status for a harness result, mapped the way the
+/// `perfpredict` CLI maps errors: success, or the error printed to
+/// stderr and [`fault::Error::exit_code`]. A harness `main` is
+/// `fn main() -> ExitCode { bench::exit_status(run()) }`, where `run`
+/// holds the [`RunGuard`], so the run summary prints first.
+pub fn exit_status(result: fault::Result<()>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::from(u8::try_from(e.exit_code()).unwrap_or(1))
+        }
+    }
 }
 
 /// Ends a harness run: on drop, tears the telemetry run down and prints

@@ -1,9 +1,9 @@
 //! Quick calibration: range/variation per benchmark over a subsample of the
 //! design space.
-use cpusim::{sweep_design_space, Benchmark, DesignSpace, SimOptions};
+use cpusim::{try_sweep_design_space, Benchmark, DesignSpace, SimOptions};
 use std::time::Instant;
 
-fn main() {
+fn main() -> fault::Result<()> {
     let full = DesignSpace::table1();
     let sub = DesignSpace::from_configs(full.configs().iter().copied().step_by(16).collect());
     let opts = SimOptions {
@@ -12,7 +12,7 @@ fn main() {
     };
     for b in Benchmark::PRESENTED {
         let t0 = Instant::now();
-        let res = sweep_design_space(&sub, b, &opts);
+        let res = try_sweep_design_space(&sub, b, &opts, None)?.results;
         let s = cpusim::runner::summarize_sweep(&res);
         let ipc: Vec<f64> = res
             .iter()
@@ -29,4 +29,5 @@ fn main() {
             t0.elapsed()
         );
     }
+    Ok(())
 }

@@ -474,7 +474,7 @@ impl SpaceSpec {
     /// within an axis (duplicates would make [`SpaceSpec::index_of`]
     /// ambiguous and enumerate identical points twice), strictly positive
     /// geometry, and a size that fits `usize`.
-    pub fn validate(&self) -> fault::Result<()> {
+    pub(crate) fn validate(&self) -> fault::Result<()> {
         self.try_len()?;
         fn distinct<T: PartialEq + std::fmt::Debug>(axis: &str, values: &[T]) -> fault::Result<()> {
             for (i, v) in values.iter().enumerate() {

@@ -45,9 +45,7 @@ pub mod trace;
 pub mod workload;
 
 pub use config::{BranchPredictorKind, CpuConfig, DesignSpace, SpaceSpec};
-pub use runner::{
-    simulate, sweep_design_space, try_sweep_design_space, SimOptions, SimResult, SweepOutcome,
-};
+pub use runner::{simulate, try_sweep_design_space, SimOptions, SimResult, SweepOutcome};
 pub use shard::{
     merged_jsonl, try_simulate_indices, try_sweep_sharded, BatchOutcome, ShardOptions, ShardOutcome,
 };

@@ -1,7 +1,7 @@
 //! High-level simulation drivers.
 //!
 //! [`simulate`] produces the cycle count of one `(benchmark, config)` pair;
-//! [`sweep_design_space`] evaluates a whole [`DesignSpace`] in parallel with
+//! [`try_sweep_design_space`] evaluates a whole [`DesignSpace`] in parallel with
 //! Rayon, replaying one materialized trace so every configuration sees
 //! byte-identical instructions. The sweep is the substitute for the paper's
 //! "4608 simulations per benchmark" SimpleScalar campaign.
@@ -192,25 +192,6 @@ pub fn simulate(benchmark: Benchmark, config: CpuConfig, opts: &SimOptions) -> S
     run_windows(config, benchmark, &traces, &weights, opts.seed)
 }
 
-/// Simulate every configuration of a design space in parallel.
-///
-/// The trace is materialized once and replayed per configuration, so the
-/// whole sweep is embarrassingly parallel and deterministic. Results are
-/// returned in design-space order.
-///
-/// Wrapper over [`try_sweep_design_space`] without a checkpoint; that
-/// path has no failure modes, so the unwrap is unreachable.
-pub fn sweep_design_space(
-    space: &DesignSpace,
-    benchmark: Benchmark,
-    opts: &SimOptions,
-) -> Vec<SimResult> {
-    match try_sweep_design_space(space, benchmark, opts, None) {
-        Ok(outcome) => outcome.results,
-        Err(e) => panic!("sweep_design_space without checkpoint cannot fail: {e}"),
-    }
-}
-
 /// Outcome of a checkpointed sweep: the full result set plus how much of
 /// it was restored versus freshly simulated.
 #[derive(Debug, Clone)]
@@ -275,7 +256,13 @@ pub(crate) fn sim_record(idx: usize, result: &SimResult) -> String {
         .finish()
 }
 
-/// Checkpointed design-space sweep with resume.
+/// Simulate every configuration of a design space in parallel, with an
+/// optional checkpoint for resume.
+///
+/// The trace is materialized once and replayed per configuration, so the
+/// whole sweep is embarrassingly parallel and deterministic. Results are
+/// returned in design-space order. Without a checkpoint the sweep has no
+/// failure modes.
 ///
 /// With `checkpoint: Some(path)`, every completed configuration is
 /// appended to `path` as a JSON line and flushed, so a killed sweep loses
@@ -428,7 +415,9 @@ mod tests {
         let space =
             DesignSpace::from_configs(DesignSpace::table1_reduced().configs()[..24].to_vec());
         let opts = SimOptions::quick();
-        let results = sweep_design_space(&space, Benchmark::Mcf, &opts);
+        let results = try_sweep_design_space(&space, Benchmark::Mcf, &opts, None)
+            .expect("sweep")
+            .results;
         assert_eq!(results.len(), 24);
         let s = summarize_sweep(&results);
         assert!(
@@ -443,7 +432,9 @@ mod tests {
         let space =
             DesignSpace::from_configs(DesignSpace::table1_reduced().configs()[..8].to_vec());
         let opts = SimOptions::quick();
-        let results = sweep_design_space(&space, Benchmark::Mesa, &opts);
+        let results = try_sweep_design_space(&space, Benchmark::Mesa, &opts, None)
+            .expect("sweep")
+            .results;
         for (r, c) in results.iter().zip(space.configs()) {
             assert_eq!(r.config, *c);
         }
@@ -584,7 +575,9 @@ mod tests {
     fn summary_matches_manual_stats() {
         let space =
             DesignSpace::from_configs(DesignSpace::table1_reduced().configs()[..6].to_vec());
-        let results = sweep_design_space(&space, Benchmark::Applu, &SimOptions::quick());
+        let results = try_sweep_design_space(&space, Benchmark::Applu, &SimOptions::quick(), None)
+            .expect("sweep")
+            .results;
         let s = summarize_sweep(&results);
         let cycles: Vec<f64> = results.iter().map(|r| r.cycles).collect();
         let lo = cycles.iter().cloned().fold(f64::INFINITY, f64::min);

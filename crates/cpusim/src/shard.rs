@@ -431,7 +431,9 @@ mod tests {
     fn sharded_sweep_is_byte_identical_to_sequential() {
         let space = smoke_space();
         let opts = SimOptions::quick();
-        let sequential = runner::sweep_design_space(&space, Benchmark::Mcf, &opts);
+        let sequential = runner::try_sweep_design_space(&space, Benchmark::Mcf, &opts, None)
+            .expect("sweep")
+            .results;
         let ledger = tmp_ledger("identity.jsonl");
         let sharded = try_sweep_sharded(
             &space,
@@ -463,7 +465,9 @@ mod tests {
     fn killed_worker_unit_is_reclaimed_and_merge_stays_identical() {
         let space = smoke_space();
         let opts = SimOptions::quick();
-        let reference = runner::sweep_design_space(&space, Benchmark::Gcc, &opts);
+        let reference = runner::try_sweep_design_space(&space, Benchmark::Gcc, &opts, None)
+            .expect("sweep")
+            .results;
         let ledger = tmp_ledger("kill-resume.jsonl");
         let shard = ShardOptions {
             shards: 2,

@@ -140,7 +140,7 @@ impl OpMix {
     }
 
     /// Panics unless the mix sums to 1 within tolerance.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         let t = self.total();
         assert!((t - 1.0).abs() < 1e-9, "OpMix must sum to 1.0, got {t}");
         for (name, v) in [
@@ -636,7 +636,7 @@ impl WorkloadProfile {
 
     /// Validate internal consistency; panics on malformed profiles. Called
     /// by the trace generator.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         self.op_mix.validate();
         let bm = &self.branch_mix;
         let t = bm.biased + bm.patterned + bm.random;

@@ -1,14 +1,15 @@
 //! Full-space sampled-DSE check at the paper's rates.
 use cpusim::{Benchmark, DesignSpace, SimOptions};
-use dse::{run_sampled_dse, SampledConfig, SamplingStrategy};
+use dse::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
 use mlmodels::ModelKind;
 use std::time::Instant;
 
-fn main() {
+fn main() -> fault::Result<()> {
     let args: Vec<String> = std::env::args().collect();
     let bench = args.get(1).map(|s| s.as_str()).unwrap_or("applu");
     let insts: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(100_000);
-    let b = Benchmark::from_name(bench).expect("benchmark name");
+    let b = Benchmark::from_name(bench)
+        .ok_or_else(|| fault::Error::invalid(format!("unknown benchmark '{bench}'")))?;
     let space = DesignSpace::table1();
     let t0 = Instant::now();
     let cfg = SampledConfig {
@@ -23,7 +24,7 @@ fn main() {
         estimate_errors: true,
         export_models: None,
     };
-    let run = run_sampled_dse(b, &space, &cfg, None);
+    let run = try_run_sampled_dse(b, &space, &cfg, None, None)?;
     println!(
         "== {} range {:.2} var {:.3} ({} cfgs in {:.0?})",
         b.name(),
@@ -42,4 +43,5 @@ fn main() {
             p.estimated.map(|e| e.max).unwrap_or(f64::NAN)
         );
     }
+    Ok(())
 }

@@ -1,11 +1,13 @@
 //! Shape validation: paper's headline orderings on reduced spaces.
 use cpusim::{Benchmark, DesignSpace, SimOptions};
-use dse::{run_chronological, run_sampled_dse, ChronoConfig, SampledConfig, SamplingStrategy};
+use dse::{
+    try_run_chronological, try_run_sampled_dse, ChronoConfig, SampledConfig, SamplingStrategy,
+};
 use mlmodels::ModelKind;
 use specdata::ProcessorFamily;
 use std::time::Instant;
 
-fn main() {
+fn main() -> fault::Result<()> {
     // Sampled DSE on a 1152-config subspace, 2% and 5% sampling.
     let full = DesignSpace::table1();
     let sub = DesignSpace::from_configs(full.configs().iter().copied().step_by(4).collect());
@@ -23,7 +25,7 @@ fn main() {
             estimate_errors: true,
             export_models: None,
         };
-        let run = run_sampled_dse(b, &sub, &cfg, None);
+        let run = try_run_sampled_dse(b, &sub, &cfg, None, None)?;
         println!(
             "== {} (range {:.2}) in {:.0?}",
             b.name(),
@@ -49,7 +51,7 @@ fn main() {
     ] {
         let cfg = ChronoConfig::default();
         let t0 = Instant::now();
-        let r = run_chronological(fam, &cfg);
+        let r = try_run_chronological(fam, &cfg)?;
         println!(
             "== {} (train {} test {}) in {:.0?}",
             fam.name(),
@@ -66,4 +68,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

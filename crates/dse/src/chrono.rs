@@ -80,20 +80,11 @@ pub struct ChronoResult {
 }
 
 impl ChronoResult {
-    /// The best (lowest mean error) model and its error — Table 2's cells.
-    ///
-    /// Panicking wrapper over [`ChronoResult::try_best`].
-    pub fn best(&self) -> (&ChronoPoint, f64) {
-        match self.try_best() {
-            Ok(b) => b,
-            Err(e) => panic!("best model: {e}"),
-        }
-    }
-
-    /// The best model among those with a finite mean error, or
+    /// The best (lowest mean error) model and its error — Table 2's
+    /// cells — among those with a finite mean error, or
     /// [`Error::NoViableModel`] when every candidate failed or scored
     /// non-finite.
-    pub(crate) fn try_best(&self) -> Result<(&ChronoPoint, f64)> {
+    pub fn try_best(&self) -> Result<(&ChronoPoint, f64)> {
         let p = self
             .points
             .iter()
@@ -123,30 +114,19 @@ impl ChronoResult {
     }
 
     /// All models within `slack` (relative) of the best — the paper lists
-    /// ties like "LR-B/LR-S".
-    pub fn best_set(&self, slack: f64) -> Vec<ModelKind> {
-        let (_, best) = self.best();
-        self.points
+    /// ties like "LR-B/LR-S". Errors as [`Self::try_best`] does.
+    pub fn best_set(&self, slack: f64) -> Result<Vec<ModelKind>> {
+        let (_, best) = self.try_best()?;
+        Ok(self
+            .points
             .iter()
             .filter(|p| p.error_mean <= best * (1.0 + slack))
             .map(|p| p.model)
-            .collect()
+            .collect())
     }
 }
 
 /// Run the chronological experiment for one family.
-///
-/// Infallible-signature wrapper over [`try_run_chronological`]; panics on
-/// its error paths (empty train/test years). Pipeline code uses the
-/// `try_` variant.
-pub fn run_chronological(family: ProcessorFamily, cfg: &ChronoConfig) -> ChronoResult {
-    match try_run_chronological(family, cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("chronological {}: {e}", family.name()),
-    }
-}
-
-/// Fallible chronological experiment.
 ///
 /// An empty training or test year is [`Error::DegenerateData`]. A model
 /// whose fit fails is recorded in [`ChronoResult::dropped`] with its
@@ -169,7 +149,7 @@ pub fn try_run_chronological(family: ProcessorFamily, cfg: &ChronoConfig) -> Res
 
     let progress = telemetry::Progress::new("chronological", cfg.models.len() as u64);
     type Outcome = std::result::Result<(ChronoPoint, Option<mlmodels::TrainedModel>), Dropped>;
-    let outcomes: Vec<Outcome> = cfg
+    let outcomes: Vec<Result<Outcome>> = cfg
         .models
         .par_iter()
         .enumerate()
@@ -190,14 +170,14 @@ pub fn try_run_chronological(family: ProcessorFamily, cfg: &ChronoConfig) -> Res
                         reason = e.kind()
                     );
                     progress.inc();
-                    return Err(Dropped {
+                    return Ok(Err(Dropped {
                         kind,
                         reason: e.kind().to_string(),
                         detail: e.to_string(),
-                    });
+                    }));
                 }
             };
-            let preds = model.predict(&test_table);
+            let preds = model.try_predict(&test_table)?;
             let (error_mean, error_std) = mape(&preds, test_table.target());
             let estimated = if cfg.estimate_errors {
                 let _est_span = telemetry::span!("estimate_error", model = kind.abbrev());
@@ -218,7 +198,7 @@ pub fn try_run_chronological(family: ProcessorFamily, cfg: &ChronoConfig) -> Res
             progress.inc();
             let imp = importance(&model, &train_table);
             let keep_model = cfg.export_models.is_some();
-            Ok((
+            Ok(Ok((
                 ChronoPoint {
                     model: kind,
                     error_mean,
@@ -227,14 +207,14 @@ pub fn try_run_chronological(family: ProcessorFamily, cfg: &ChronoConfig) -> Res
                     importance: imp,
                 },
                 keep_model.then_some(model),
-            ))
+            )))
         })
         .collect();
 
     let mut points = Vec::new();
     let mut dropped = Vec::new();
     for outcome in outcomes {
-        match outcome {
+        match outcome? {
             Ok((p, model)) => {
                 if let (Some(dir), Some(model)) = (&cfg.export_models, model) {
                     let path = format!(
@@ -274,7 +254,8 @@ mod tests {
 
     #[test]
     fn produces_results_for_each_model() {
-        let r = run_chronological(ProcessorFamily::Opteron, &quick_cfg());
+        let r = try_run_chronological(ProcessorFamily::Opteron, &quick_cfg())
+            .expect("chronological run");
         assert_eq!(r.points.len(), 3);
         assert!(r.n_train > 10 && r.n_test > 10);
         for p in &r.points {
@@ -287,7 +268,7 @@ mod tests {
     #[test]
     fn linear_models_predict_the_future_year_well() {
         for fam in [ProcessorFamily::Opteron, ProcessorFamily::Xeon] {
-            let r = run_chronological(fam, &quick_cfg());
+            let r = try_run_chronological(fam, &quick_cfg()).expect("chronological run");
             let lr_best = r
                 .points
                 .iter()
@@ -304,7 +285,8 @@ mod tests {
 
     #[test]
     fn processor_speed_dominates_importance() {
-        let r = run_chronological(ProcessorFamily::Opteron, &quick_cfg());
+        let r = try_run_chronological(ProcessorFamily::Opteron, &quick_cfg())
+            .expect("chronological run");
         // For the LR-E model the top importance should be processor speed
         // (paper: standardized beta 0.915).
         let lre = r.points.iter().find(|p| p.model == ModelKind::LrE).unwrap();
@@ -318,9 +300,13 @@ mod tests {
 
     #[test]
     fn best_set_includes_the_minimum() {
-        let r = run_chronological(ProcessorFamily::PentiumD, &quick_cfg());
-        let (best_point, _) = r.best();
-        assert!(r.best_set(0.1).contains(&best_point.model));
+        let r = try_run_chronological(ProcessorFamily::PentiumD, &quick_cfg())
+            .expect("chronological run");
+        let (best_point, _) = r.try_best().expect("a viable model");
+        assert!(r
+            .best_set(0.1)
+            .expect("a viable model")
+            .contains(&best_point.model));
     }
 
     #[test]
@@ -330,7 +316,7 @@ mod tests {
             estimate_errors: true,
             ..Default::default()
         };
-        let r = run_chronological(ProcessorFamily::Opteron, &cfg);
+        let r = try_run_chronological(ProcessorFamily::Opteron, &cfg).expect("chronological run");
         let est = r.points[0].estimated.expect("requested estimation");
         assert!(est.max >= est.mean);
     }
@@ -342,7 +328,7 @@ mod tests {
             models: vec![ModelKind::LrE],
             ..Default::default()
         };
-        let r = run_chronological(ProcessorFamily::Opteron4, &cfg);
+        let r = try_run_chronological(ProcessorFamily::Opteron4, &cfg).expect("chronological run");
         assert!(r.n_train > 0 && r.n_test > 0);
     }
 
@@ -366,7 +352,7 @@ mod tests {
             export_models: Some(dir.to_string_lossy().into_owned()),
             ..Default::default()
         };
-        let r = run_chronological(ProcessorFamily::Opteron, &cfg);
+        let r = try_run_chronological(ProcessorFamily::Opteron, &cfg).expect("chronological run");
         assert_eq!(r.points.len(), 2);
         let mut exported: Vec<_> = std::fs::read_dir(&dir)
             .expect("export dir")
@@ -383,8 +369,10 @@ mod tests {
 
     #[test]
     fn deterministic_per_seeds() {
-        let a = run_chronological(ProcessorFamily::Opteron2, &quick_cfg());
-        let b = run_chronological(ProcessorFamily::Opteron2, &quick_cfg());
+        let a = try_run_chronological(ProcessorFamily::Opteron2, &quick_cfg())
+            .expect("chronological run");
+        let b = try_run_chronological(ProcessorFamily::Opteron2, &quick_cfg())
+            .expect("chronological run");
         for (x, y) in a.points.iter().zip(&b.points) {
             assert_eq!(x.error_mean, y.error_mean);
         }

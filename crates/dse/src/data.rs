@@ -1,10 +1,11 @@
 //! Adapters: simulator sweeps and SPEC announcements → model tables.
 //!
-//! The `try_` builders are the library path: every defect — an empty
-//! sweep, a categorical vocabulary too large for its code type, a table
-//! that fails validation — propagates as a typed [`fault::Error`]
-//! instead of panicking. The un-prefixed wrappers keep the historical
-//! panicking signatures for test and bench harnesses.
+//! Every builder returns a [`fault::Result`]: each defect — an empty
+//! sweep, a categorical vocabulary too large for its code type, an
+//! out-of-range application index, a table that fails validation —
+//! propagates as a typed [`fault::Error`] instead of panicking. The one
+//! panicking form left, [`table_from_announcements`], exists only
+//! because the frozen perfbench sources call it.
 
 use std::collections::HashMap;
 
@@ -16,19 +17,10 @@ use specdata::Announcement;
 
 /// Build the sampled-DSE table from sweep results: the 24 Table-1
 /// parameters as predictors (branch predictor categorical, wrong-path a
-/// flag, the rest numeric), simulated cycles as the target.
-///
-/// Panicking wrapper over [`try_table_from_sweep`].
-pub fn table_from_sweep(results: &[SimResult]) -> Table {
-    match try_table_from_sweep(results) {
-        Ok(t) => t,
-        Err(e) => panic!("sweep table: {e}"),
-    }
-}
-
-/// Fallible sweep-table builder. An empty sweep or a feature list
-/// missing the wrong-path flag is [`Error::DegenerateData`]; the built
-/// table is validated before it is returned.
+/// flag, the rest numeric), simulated cycles as the target. An empty
+/// sweep or a feature list missing the wrong-path flag is
+/// [`Error::DegenerateData`]; the built table is validated before it is
+/// returned.
 pub fn try_table_from_sweep(results: &[SimResult]) -> Result<Table> {
     if results.is_empty() {
         return Err(Error::degenerate("empty sweep"));
@@ -99,10 +91,11 @@ fn table_from_config_rows(configs: &[CpuConfig], target: Vec<f64>) -> Result<Tab
     Ok(t)
 }
 
-/// Build a chronological-modelling table from announcements: all 32
-/// parameters typed as §3.4 expects, SPECint rate as the target.
+/// [`try_table_from_announcements`], panicking on its error.
 ///
-/// Panicking wrapper over [`try_table_from_announcements`].
+/// Kept only because the frozen perfbench sources
+/// (`crates/bench/examples/perfbench`) call it; everything else uses
+/// the `try_` form.
 pub fn table_from_announcements(records: &[&Announcement]) -> Table {
     match try_table_from_announcements(records) {
         Ok(t) => t,
@@ -110,10 +103,12 @@ pub fn table_from_announcements(records: &[&Announcement]) -> Table {
     }
 }
 
-/// Fallible announcement-table builder. An empty record set is
-/// [`Error::DegenerateData`], and a categorical vocabulary too large for
-/// the `u32` code space is reported instead of silently truncated.
-pub(crate) fn try_table_from_announcements(records: &[&Announcement]) -> Result<Table> {
+/// Build a chronological-modelling table from announcements: all 32
+/// parameters typed as §3.4 expects, SPECint rate as the target. An
+/// empty record set is [`Error::DegenerateData`], and a categorical
+/// vocabulary too large for the `u32` code space is reported instead of
+/// silently truncated.
+pub fn try_table_from_announcements(records: &[&Announcement]) -> Result<Table> {
     if records.is_empty() {
         return Err(Error::degenerate("empty announcement set"));
     }
@@ -202,17 +197,9 @@ pub(crate) fn try_table_from_announcements(records: &[&Announcement]) -> Result<
     Ok(t)
 }
 
-/// Like [`table_from_announcements`] but targeting the SPECfp2000 rate —
-/// the floating-point counterpart the paper mentions in §4 ("SPECint2000
-/// rate (and SPECfp2000 rate)").
-pub fn table_from_announcements_fp(records: &[&Announcement]) -> Table {
-    let mut t = table_from_announcements(records);
-    t.set_target(records.iter().map(|r| r.specfp_rate).collect());
-    t.validate();
-    t
-}
-
-/// Fallible variant of [`table_from_announcements_fp`].
+/// Like [`try_table_from_announcements`] but targeting the SPECfp2000
+/// rate — the floating-point counterpart the paper mentions in §4
+/// ("SPECint2000 rate (and SPECfp2000 rate)").
 pub fn try_table_from_announcements_fp(records: &[&Announcement]) -> Result<Table> {
     let mut t = try_table_from_announcements(records)?;
     t.set_target(records.iter().map(|r| r.specfp_rate).collect());
@@ -220,34 +207,39 @@ pub fn try_table_from_announcements_fp(records: &[&Announcement]) -> Result<Tabl
     Ok(t)
 }
 
-/// Like [`table_from_announcements`] but targeting one *individual*
+/// Like [`try_table_from_announcements`] but targeting one *individual*
 /// application's normalized ratio instead of the overall rate — the
 /// per-application estimation the paper ran but omitted for space ("we
 /// have also tested individual SPEC applications and show that they can
-/// also be accurately estimated").
-pub fn table_from_announcements_app(records: &[&Announcement], app: usize) -> Table {
-    assert!(
-        records.iter().all(|r| app < r.app_ratios.len()),
-        "application index {app} out of range"
-    );
-    let mut t = table_from_announcements(records);
+/// also be accurately estimated"). An `app` index some record has no
+/// ratio for is [`Error::InvalidInput`].
+pub fn try_table_from_announcements_app(records: &[&Announcement], app: usize) -> Result<Table> {
+    if let Some(r) = records.iter().find(|r| app >= r.app_ratios.len()) {
+        return Err(Error::invalid(format!(
+            "application index {app} out of range ({} per-application ratios)",
+            r.app_ratios.len()
+        )));
+    }
+    let mut t = try_table_from_announcements(records)?;
     t.set_target(records.iter().map(|r| r.app_ratios[app]).collect());
-    t.validate();
-    t
+    t.try_validate()?;
+    Ok(t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpusim::{sweep_design_space, Benchmark, DesignSpace, SimOptions};
+    use cpusim::{try_sweep_design_space, Benchmark, DesignSpace, SimOptions};
     use specdata::{AnnouncementSet, ProcessorFamily};
 
     #[test]
     fn sweep_table_has_24_parameters() {
         let space =
             DesignSpace::from_configs(DesignSpace::table1_reduced().configs()[..12].to_vec());
-        let res = sweep_design_space(&space, Benchmark::Applu, &SimOptions::quick());
-        let t = table_from_sweep(&res);
+        let res = try_sweep_design_space(&space, Benchmark::Applu, &SimOptions::quick(), None)
+            .expect("sweep")
+            .results;
+        let t = try_table_from_sweep(&res).expect("sweep table");
         assert_eq!(t.n_cols(), 24, "Table 1 has 24 parameters");
         assert_eq!(t.n_rows(), 12);
         assert!(t.target().iter().all(|&c| c > 0.0));
@@ -259,7 +251,7 @@ mod tests {
     fn announcement_table_has_32_parameters() {
         let set = AnnouncementSet::generate(ProcessorFamily::Opteron, 42);
         let refs: Vec<&Announcement> = set.records.iter().collect();
-        let t = table_from_announcements(&refs);
+        let t = try_table_from_announcements(&refs).expect("announcement table");
         assert_eq!(t.n_cols(), 32, "each record provides 32 parameters");
         assert_eq!(t.n_rows(), set.len());
         assert!(t.column("processor_speed_mhz").is_some());
@@ -270,7 +262,7 @@ mod tests {
     fn fp_table_targets_the_fp_rate() {
         let set = AnnouncementSet::generate(ProcessorFamily::Xeon, 42);
         let refs: Vec<&Announcement> = set.records.iter().collect();
-        let t = table_from_announcements_fp(&refs);
+        let t = try_table_from_announcements_fp(&refs).expect("fp table");
         for (y, rec) in t.target().iter().zip(&set.records) {
             assert_eq!(*y, rec.specfp_rate);
         }
@@ -280,10 +272,22 @@ mod tests {
     fn per_app_table_targets_the_ratio() {
         let set = AnnouncementSet::generate(ProcessorFamily::Opteron, 42);
         let refs: Vec<&Announcement> = set.records.iter().collect();
-        let t = table_from_announcements_app(&refs, 3);
+        let t = try_table_from_announcements_app(&refs, 3).expect("per-app table");
         for (y, rec) in t.target().iter().zip(&set.records) {
             assert_eq!(*y, rec.app_ratios[3]);
         }
+    }
+
+    /// Regression: an out-of-range application index used to trip an
+    /// `assert!`; it is now a typed `InvalidInput`.
+    #[test]
+    fn per_app_table_rejects_out_of_range_index() {
+        let set = AnnouncementSet::generate(ProcessorFamily::Opteron, 42);
+        let refs: Vec<&Announcement> = set.records.iter().collect();
+        let n_apps = set.records[0].app_ratios.len();
+        let e = try_table_from_announcements_app(&refs, n_apps).expect_err("index past the end");
+        assert_eq!(e.kind(), "invalid");
+        assert!(e.to_string().contains(&format!("index {n_apps}")), "{e}");
     }
 
     #[test]
@@ -307,20 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn try_builders_match_panicking_wrappers() {
-        let set = AnnouncementSet::generate(ProcessorFamily::Opteron, 42);
-        let refs: Vec<&Announcement> = set.records.iter().collect();
-        assert_eq!(
-            try_table_from_announcements(&refs).expect("valid"),
-            table_from_announcements(&refs)
-        );
-    }
-
-    #[test]
     fn announcement_targets_are_rates() {
         let set = AnnouncementSet::generate(ProcessorFamily::Xeon, 42);
         let refs: Vec<&Announcement> = set.records.iter().collect();
-        let t = table_from_announcements(&refs);
+        let t = try_table_from_announcements(&refs).expect("announcement table");
         for (row, rec) in t.target().iter().zip(&set.records) {
             assert_eq!(*row, rec.specint_rate);
         }

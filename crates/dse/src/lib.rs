@@ -19,9 +19,9 @@
 //!   collinear columns, divergent configs, truncated checkpoints) backing
 //!   the robustness test suite.
 //!
-//! Each workflow has a panicking legacy entry point and a fallible `try_*`
-//! variant returning typed [`fault::Error`]s; the `try_*` forms also
-//! accept a `--checkpoint` JSONL path for kill-and-resume operation.
+//! Each workflow has one entry point, a `try_*` function returning typed
+//! [`fault::Error`]s; the sampled and sweep forms also accept a
+//! `--checkpoint` JSONL path for kill-and-resume operation.
 
 pub mod adaptive;
 pub mod chrono;
@@ -32,9 +32,8 @@ pub mod sampled;
 pub mod selectbest;
 
 pub use adaptive::{try_run_adaptive, AdaptiveConfig, AdaptiveResult, EvalMode, TrajectoryPoint};
-pub use chrono::{run_chronological, try_run_chronological, ChronoConfig, ChronoResult};
+pub use chrono::{try_run_chronological, ChronoConfig, ChronoResult};
 pub use sampled::{
-    run_sampled_dse, try_run_sampled_dse, DroppedFit, SampledConfig, SampledPoint, SampledRun,
-    SamplingStrategy,
+    try_run_sampled_dse, DroppedFit, SampledConfig, SampledPoint, SampledRun, SamplingStrategy,
 };
-pub use selectbest::{select_method_error, try_select_method_error, SelectOutcome};
+pub use selectbest::{try_select_method_error, SelectOutcome};

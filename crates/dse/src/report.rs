@@ -4,23 +4,11 @@
 //! column per curve) so the paper's plots can be regenerated with any
 //! plotting tool; tables print directly in the paper's layout.
 
-/// Render an aligned text table. `header` and every row must have equal
-/// lengths.
-///
-/// Panicking wrapper over [`try_render_table`] for the reproduction
-/// harnesses, whose shapes are static.
-pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
-    match try_render_table(header, rows) {
-        Ok(s) => s,
-        Err(e) => panic!("ragged table: {e}"),
-    }
-}
-
-/// Fallible table renderer. A ragged row (length differing from the
+/// Render an aligned text table. A ragged row (length differing from the
 /// header) is [`fault::Error::InvalidInput`]; an empty header renders as
 /// an empty string rather than underflowing the separator-width
 /// arithmetic (`2 * (ncol - 1)` wraps for `ncol == 0`).
-pub(crate) fn try_render_table(header: &[String], rows: &[Vec<String>]) -> fault::Result<String> {
+pub fn try_render_table(header: &[String], rows: &[Vec<String>]) -> fault::Result<String> {
     let ncol = header.len();
     if ncol == 0 {
         return if rows.iter().all(|r| r.is_empty()) {
@@ -35,6 +23,13 @@ pub(crate) fn try_render_table(header: &[String], rows: &[Vec<String>]) -> fault
             row.len()
         )));
     }
+    Ok(render_aligned(header, rows))
+}
+
+/// Unchecked core of [`try_render_table`]: `header` is non-empty and
+/// every row has exactly its width.
+fn render_aligned(header: &[String], rows: &[Vec<String>]) -> String {
+    let ncol = header.len();
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
     for row in rows {
         for (w, cell) in widths.iter_mut().zip(row) {
@@ -60,7 +55,7 @@ pub(crate) fn try_render_table(header: &[String], rows: &[Vec<String>]) -> fault
     for row in rows {
         out.push_str(&fmt_row(row, &widths));
     }
-    Ok(out)
+    out
 }
 
 /// Format a float with fixed decimals.
@@ -87,7 +82,7 @@ pub fn render_series(x_label: &str, xs: &[String], curves: &[(&str, Vec<f64>)]) 
                 .collect()
         })
         .collect();
-    render_table(&header, &rows)
+    render_aligned(&header, &rows)
 }
 
 /// Render an adaptive-exploration trajectory as an aligned text table:
@@ -110,7 +105,7 @@ pub fn render_trajectory(trajectory: &[crate::adaptive::TrajectoryPoint]) -> Str
             ]
         })
         .collect();
-    render_table(&header, &rows)
+    render_aligned(&header, &rows)
 }
 
 /// Write a CSV file (RFC-4180-style quoting for cells containing commas,
@@ -156,13 +151,14 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let out = render_table(
+        let out = try_render_table(
             &["model".into(), "error".into()],
             &[
                 vec!["NN-E".into(), "1.80".into()],
                 vec!["LR-B".into(), "4.20".into()],
             ],
-        );
+        )
+        .expect("rectangular table");
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("model"));
@@ -227,17 +223,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ragged")]
-    fn ragged_rows_panic() {
-        let _ = render_table(&["a".into()], &[vec!["1".into(), "2".into()]]);
-    }
-
-    #[test]
     fn empty_header_renders_empty_instead_of_underflowing() {
         // Regression: `2 * (ncol - 1)` wrapped for ncol == 0 and panicked
         // in release-checked / debug builds.
         assert_eq!(try_render_table(&[], &[]).expect("empty table"), "");
-        assert_eq!(render_table(&[], &[]), "");
         // Zero columns with rows of zero cells is still a zero-column table.
         assert_eq!(
             try_render_table(&[], &[vec![], vec![]]).expect("no cells"),
@@ -254,12 +243,5 @@ mod tests {
             .expect_err("ragged row");
         assert_eq!(err.kind(), "invalid");
         assert!(err.to_string().contains("row 0"), "{err}");
-        // Valid input still renders identically through both paths.
-        let header = vec!["m".into(), "e".into()];
-        let rows = vec![vec!["NN-E".into(), "1.8".into()]];
-        assert_eq!(
-            try_render_table(&header, &rows).expect("valid"),
-            render_table(&header, &rows)
-        );
     }
 }

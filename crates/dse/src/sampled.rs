@@ -195,29 +195,9 @@ pub fn draw_sample(
 }
 
 /// Evaluate one trained model's true error over the full space table.
-fn true_error(model: &mlmodels::TrainedModel, full: &Table) -> (f64, f64) {
-    let preds = model.predict(full);
-    mape(&preds, full.target())
-}
-
-/// Run the sampled-DSE experiment for one benchmark over a design space.
-///
-/// `sweep` results may be precomputed (pass `Some`) to share the expensive
-/// simulation across experiments.
-///
-/// Infallible-signature wrapper over [`try_run_sampled_dse`] without a
-/// checkpoint; panics on its error paths (degenerate sweeps, invalid
-/// rates). Pipeline code uses the `try_` variant.
-pub fn run_sampled_dse(
-    benchmark: Benchmark,
-    space: &DesignSpace,
-    cfg: &SampledConfig,
-    precomputed: Option<Vec<SimResult>>,
-) -> SampledRun {
-    match try_run_sampled_dse(benchmark, space, cfg, precomputed, None) {
-        Ok(run) => run,
-        Err(e) => panic!("sampled DSE on {}: {e}", benchmark.name()),
-    }
+fn true_error(model: &mlmodels::TrainedModel, full: &Table) -> Result<(f64, f64)> {
+    let preds = model.try_predict(full)?;
+    Ok(mape(&preds, full.target()))
 }
 
 /// A restored per-fit checkpoint record.
@@ -319,9 +299,10 @@ fn drop_line(ri: usize, d: &DroppedFit) -> String {
         .finish()
 }
 
-/// Fallible, checkpointable sampled-DSE experiment.
+/// Run the sampled-DSE experiment for one benchmark over a design space.
 ///
-/// Differences from the historical panicking path, none of which change
+/// `precomputed` sweep results may be passed to share the expensive
+/// simulation across experiments. Fault handling, none of which changes
 /// the no-fault results:
 ///
 /// * Sweep rows with non-finite cycles are dropped (with a telemetry
@@ -484,7 +465,7 @@ pub fn try_run_sampled_dse(
                             .save(&path)?;
                         telemetry::point!("sampled/export", model = kind.abbrev(), path = path);
                     }
-                    let (te, te_std) = true_error(&model, &full);
+                    let (te, te_std) = true_error(&model, &full)?;
                     let estimated = if cfg.estimate_errors {
                         let _est_span = telemetry::span!("estimate_error", model = kind.abbrev());
                         match try_estimate_error(kind, &sample, child_seed(train_seed, 0xE5)) {
@@ -538,7 +519,7 @@ pub fn try_run_sampled_dse(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cpusim::runner::sweep_design_space;
+    use cpusim::runner::try_sweep_design_space;
 
     fn small_cfg() -> SampledConfig {
         SampledConfig {
@@ -565,7 +546,8 @@ mod tests {
 
     #[test]
     fn produces_points_for_every_model_and_rate() {
-        let run = run_sampled_dse(Benchmark::Applu, &small_space(), &small_cfg(), None);
+        let run = try_run_sampled_dse(Benchmark::Applu, &small_space(), &small_cfg(), None, None)
+            .expect("sampled run");
         assert_eq!(run.points.len(), 4);
         assert_eq!(run.space_size, 288);
         for p in &run.points {
@@ -580,7 +562,8 @@ mod tests {
     fn models_beat_trivial_scaling() {
         // Even small samples should predict far better than a constant
         // predictor, whose MAPE equals the population spread.
-        let run = run_sampled_dse(Benchmark::Applu, &small_space(), &small_cfg(), None);
+        let run = try_run_sampled_dse(Benchmark::Applu, &small_space(), &small_cfg(), None, None)
+            .expect("sampled run");
         let worst = run
             .points
             .iter()
@@ -597,9 +580,13 @@ mod tests {
     fn precomputed_sweep_matches_internal() {
         let space = small_space();
         let cfg = small_cfg();
-        let sweep = sweep_design_space(&space, Benchmark::Mesa, &cfg.sim);
-        let a = run_sampled_dse(Benchmark::Mesa, &space, &cfg, Some(sweep));
-        let b = run_sampled_dse(Benchmark::Mesa, &space, &cfg, None);
+        let sweep = try_sweep_design_space(&space, Benchmark::Mesa, &cfg.sim, None)
+            .expect("sweep")
+            .results;
+        let a = try_run_sampled_dse(Benchmark::Mesa, &space, &cfg, Some(sweep), None)
+            .expect("sampled run");
+        let b =
+            try_run_sampled_dse(Benchmark::Mesa, &space, &cfg, None, None).expect("sampled run");
         for (x, y) in a.points.iter().zip(&b.points) {
             assert_eq!(x.true_error, y.true_error);
         }
@@ -607,7 +594,8 @@ mod tests {
 
     #[test]
     fn point_lookup_works() {
-        let run = run_sampled_dse(Benchmark::Applu, &small_space(), &small_cfg(), None);
+        let run = try_run_sampled_dse(Benchmark::Applu, &small_space(), &small_cfg(), None, None)
+            .expect("sampled run");
         let p = run.point(ModelKind::LrB, 0.05).expect("point exists");
         assert_eq!(p.model, ModelKind::LrB);
         assert!(run.point(ModelKind::NnE, 0.05).is_none());
@@ -683,7 +671,9 @@ mod tests {
         let space = small_space();
         let cfg = small_cfg();
         let path = tmp_checkpoint("fits-precomputed.jsonl");
-        let sweep = sweep_design_space(&space, Benchmark::Applu, &cfg.sim);
+        let sweep = try_sweep_design_space(&space, Benchmark::Applu, &cfg.sim, None)
+            .expect("sweep")
+            .results;
         try_run_sampled_dse(
             Benchmark::Applu,
             &space,
@@ -781,7 +771,9 @@ mod tests {
     fn nan_cycles_are_dropped_not_fatal() {
         let space = small_space();
         let cfg = small_cfg();
-        let mut sweep = sweep_design_space(&space, Benchmark::Applu, &cfg.sim);
+        let mut sweep = try_sweep_design_space(&space, Benchmark::Applu, &cfg.sim, None)
+            .expect("sweep")
+            .results;
         for r in sweep.iter_mut().take(20) {
             r.cycles = f64::NAN;
         }
@@ -795,7 +787,9 @@ mod tests {
     fn all_nan_sweep_is_degenerate() {
         let space = small_space();
         let cfg = small_cfg();
-        let mut sweep = sweep_design_space(&space, Benchmark::Applu, &cfg.sim);
+        let mut sweep = try_sweep_design_space(&space, Benchmark::Applu, &cfg.sim, None)
+            .expect("sweep")
+            .results;
         for r in sweep.iter_mut() {
             r.cycles = f64::NAN;
         }

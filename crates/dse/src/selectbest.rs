@@ -23,18 +23,9 @@ pub struct SelectOutcome {
     pub true_error: f64,
 }
 
-/// Apply the select method to a finished sampled run at one rate.
-///
-/// Panicking wrapper over [`try_select_method_error`].
-pub fn select_method_error(run: &SampledRun, rate: f64) -> SelectOutcome {
-    match try_select_method_error(run, rate) {
-        Ok(o) => o,
-        Err(e) => panic!("select method: {e}"),
-    }
-}
-
-/// Fallible select method: pick the candidate with the lowest estimated
-/// (max) error among those that have a finite estimate.
+/// Apply the select method to a finished sampled run at one rate: pick
+/// the candidate with the lowest estimated (max) error among those that
+/// have a finite estimate.
 ///
 /// Candidates whose fit was dropped never appear in `run.points`, and
 /// candidates without a usable estimate (estimation disabled or failed)
@@ -88,14 +79,15 @@ pub fn try_select_method_error(run: &SampledRun, rate: f64) -> Result<SelectOutc
     }
 }
 
-/// Select outcomes for every rate in a run.
-pub fn select_method_series(run: &SampledRun) -> Vec<SelectOutcome> {
+/// Select outcomes for every rate in a run; the first rate that fails
+/// [`try_select_method_error`] fails the series.
+pub fn select_method_series(run: &SampledRun) -> Result<Vec<SelectOutcome>> {
     let mut rates: Vec<f64> = run.points.iter().map(|p| p.rate).collect();
     rates.sort_by(f64::total_cmp);
     rates.dedup();
     rates
         .into_iter()
-        .map(|r| select_method_error(run, r))
+        .map(|r| try_select_method_error(run, r))
         .collect()
 }
 
@@ -139,27 +131,20 @@ mod tests {
     #[test]
     fn picks_best_estimated_model() {
         let run = fake_run();
-        let s1 = select_method_error(&run, 0.01);
+        let s1 = try_select_method_error(&run, 0.01).expect("points at 1%");
         assert_eq!(s1.chosen, ModelKind::LrB);
         assert_eq!(s1.true_error, 1.2);
-        let s3 = select_method_error(&run, 0.03);
+        let s3 = try_select_method_error(&run, 0.03).expect("points at 3%");
         assert_eq!(s3.chosen, ModelKind::NnE);
     }
 
     #[test]
     fn series_covers_all_rates() {
         let run = fake_run();
-        let series = select_method_series(&run);
+        let series = select_method_series(&run).expect("every rate selects");
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].rate, 0.01);
         assert_eq!(series[1].rate, 0.03);
-    }
-
-    #[test]
-    #[should_panic(expected = "no points at rate")]
-    fn missing_rate_panics() {
-        let run = fake_run();
-        let _ = select_method_error(&run, 0.02);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * checkpoint files truncated mid-write (resumed, finishing only the
 //!   remaining work) and corrupted mid-file (typed `Checkpoint` reject).
 
-use cpusim::runner::{sweep_design_space, try_sweep_design_space, SimOptions};
+use cpusim::runner::{try_sweep_design_space, SimOptions};
 use cpusim::{Benchmark, DesignSpace};
-use dse::data::table_from_sweep;
+use dse::data::try_table_from_sweep;
 use dse::faultinject::{
     corrupt_line, divergent_train_config, nan_cycles, truncate_file, with_collinear_column,
     with_constant_column, with_constant_target, with_nan_targets,
@@ -47,8 +47,10 @@ fn small_cfg() -> SampledConfig {
 }
 
 fn sweep_table() -> Table {
-    let res = sweep_design_space(&small_space(), Benchmark::Gcc, &SimOptions::quick());
-    table_from_sweep(&res[..64])
+    let res = try_sweep_design_space(&small_space(), Benchmark::Gcc, &SimOptions::quick(), None)
+        .expect("sweep")
+        .results;
+    try_table_from_sweep(&res[..64]).expect("sweep table")
 }
 
 fn tmp(name: &str) -> String {
@@ -63,7 +65,9 @@ fn tmp(name: &str) -> String {
 fn nan_cycles_degrade_gracefully() {
     let space = small_space();
     let cfg = small_cfg();
-    let mut sweep = sweep_design_space(&space, Benchmark::Mcf, &cfg.sim);
+    let mut sweep = try_sweep_design_space(&space, Benchmark::Mcf, &cfg.sim, None)
+        .expect("sweep")
+        .results;
     nan_cycles(&mut sweep, 10, 77);
     let run = try_run_sampled_dse(Benchmark::Mcf, &space, &cfg, Some(sweep), None)
         .expect("NaN rows must be dropped, not fatal");
@@ -75,7 +79,9 @@ fn nan_cycles_degrade_gracefully() {
 fn all_nan_cycles_is_a_typed_error() {
     let space = small_space();
     let cfg = small_cfg();
-    let mut sweep = sweep_design_space(&space, Benchmark::Mcf, &cfg.sim);
+    let mut sweep = try_sweep_design_space(&space, Benchmark::Mcf, &cfg.sim, None)
+        .expect("sweep")
+        .results;
     let n = sweep.len();
     nan_cycles(&mut sweep, n, 77);
     let err = try_run_sampled_dse(Benchmark::Mcf, &space, &cfg, Some(sweep), None)
@@ -88,7 +94,11 @@ fn constant_column_still_trains() {
     let faulty = with_constant_column(&sweep_table(), "l2_size_kb");
     for kind in [ModelKind::LrE, ModelKind::LrS, ModelKind::NnS] {
         let m = try_train(kind, &faulty, 3).unwrap_or_else(|e| panic!("{}: {e}", kind.abbrev()));
-        assert!(m.predict(&faulty).iter().all(|p| p.is_finite()));
+        assert!(m
+            .try_predict(&faulty)
+            .expect("predict")
+            .iter()
+            .all(|p| p.is_finite()));
     }
 }
 
@@ -102,7 +112,11 @@ fn collinear_column_is_survivable_for_every_lr_method() {
         ModelKind::LrF,
     ] {
         let m = try_train(kind, &faulty, 3).unwrap_or_else(|e| panic!("{}: {e}", kind.abbrev()));
-        assert!(m.predict(&faulty).iter().all(|p| p.is_finite()));
+        assert!(m
+            .try_predict(&faulty)
+            .expect("predict")
+            .iter()
+            .all(|p| p.is_finite()));
     }
 }
 
@@ -113,7 +127,7 @@ fn constant_target_never_panics() {
         match try_train(kind, &faulty, 5) {
             Ok(m) => {
                 // A flat surface is the only honest fit.
-                for p in m.predict(&faulty) {
+                for p in m.try_predict(&faulty).expect("predict") {
                     assert!(p.is_finite(), "{}: non-finite prediction", kind.abbrev());
                 }
             }

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use cpusim::runner::SimOptions;
 use cpusim::{Benchmark, DesignSpace};
-use dse::sampled::{run_sampled_dse, SampledConfig, SamplingStrategy};
+use dse::sampled::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
 use mlmodels::ModelKind;
 use telemetry::json::{parse, Value};
 
@@ -49,7 +49,8 @@ fn sampled_run_manifest_has_all_expected_stages() {
         estimate_errors: true,
         export_models: None,
     };
-    let result = run_sampled_dse(Benchmark::Mcf, &space, &cfg, None);
+    let result =
+        try_run_sampled_dse(Benchmark::Mcf, &space, &cfg, None, None).expect("sampled run");
     assert_eq!(result.points.len(), 2);
     let summary = run.finish();
 

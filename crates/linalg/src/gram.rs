@@ -47,11 +47,11 @@ pub struct NormalEq {
 }
 
 impl NormalEq {
-    /// Accumulate the sufficient statistics from a design matrix and
-    /// target vector. Accumulation is row-major and index-ascending,
-    /// matching `Matrix::gram`/`t_matvec` on the explicit augmented
-    /// design, so both routes produce bitwise-identical statistics.
-    pub fn from_design(x: &Matrix, y: &[f64]) -> NormalEq {
+    /// Unchecked core of [`NormalEq::try_from_design`]. Accumulation is
+    /// row-major and index-ascending, matching `Matrix::gram`/`t_matvec`
+    /// on the explicit augmented design, so both routes produce
+    /// bitwise-identical statistics.
+    fn from_design(x: &Matrix, y: &[f64]) -> NormalEq {
         let (n, p) = (x.rows(), x.cols());
         debug_assert_eq!(n, y.len(), "design rows must match target length");
         let mut g = Matrix::zeros(p + 1, p + 1);
@@ -81,9 +81,10 @@ impl NormalEq {
         NormalEq { g, c, yty, n }
     }
 
-    /// Like [`NormalEq::from_design`] but rejects non-finite inputs
-    /// with [`Error::DegenerateData`], matching the validation the
-    /// from-scratch solvers perform.
+    /// Accumulate the sufficient statistics from a design matrix and
+    /// target vector, rejecting a row-count mismatch or non-finite
+    /// inputs with [`Error::DegenerateData`], matching the validation
+    /// the from-scratch solvers perform.
     pub fn try_from_design(x: &Matrix, y: &[f64]) -> Result<NormalEq> {
         if x.rows() != y.len() {
             return Err(Error::degenerate(format!(

@@ -26,4 +26,4 @@ pub mod special;
 pub mod stats;
 
 pub use matrix::Matrix;
-pub use solve::{lstsq, lstsq_ridge, solve_qr, try_lstsq, LstsqMethod};
+pub use solve::{lstsq_ridge, solve_qr, try_lstsq, LstsqMethod};

@@ -3,7 +3,7 @@
 //! Ordinary least squares is solved either through the normal equations with
 //! a Cholesky factorization (fast; fine for the well-scaled 0–1 design
 //! matrices this project produces) or through a Householder QR factorization
-//! (slower but numerically robust). Three entry points trade strictness for
+//! (slower but numerically robust). Two entry points trade strictness for
 //! convenience:
 //!
 //! * [`try_lstsq`] — Cholesky then QR; a rank-deficient system is reported
@@ -15,10 +15,6 @@
 //!   paper's Enter method, which regresses on all predictors regardless of
 //!   redundancy). Still returns `Err` on non-finite input or when even
 //!   heavy shrinkage cannot stabilize the system.
-//! * [`lstsq`] — the original infallible-looking signature, now a thin
-//!   wrapper over [`lstsq_ridge`] that panics on the (degenerate-input)
-//!   error paths. Kept for tests and exploratory callers; pipeline code
-//!   uses the fallible forms.
 
 use fault::{Error, Result};
 
@@ -272,17 +268,6 @@ pub fn lstsq_ridge(x: &Matrix, y: &[f64]) -> Result<(Vec<f64>, LstsqMethod)> {
     )))
 }
 
-/// Infallible-signature least squares, kept for tests and exploratory
-/// callers: [`lstsq_ridge`] that panics on its error paths (non-finite
-/// input, or a system no amount of shrinkage stabilizes). Pipeline code
-/// uses [`try_lstsq`] / [`lstsq_ridge`] instead.
-pub fn lstsq(x: &Matrix, y: &[f64]) -> (Vec<f64>, LstsqMethod) {
-    match lstsq_ridge(x, y) {
-        Ok(solved) => solved,
-        Err(e) => panic!("lstsq: {e}"),
-    }
-}
-
 /// Residual sum of squares `‖y − X β‖²`.
 pub fn rss(x: &Matrix, y: &[f64], beta: &[f64]) -> f64 {
     (0..x.rows())
@@ -358,7 +343,7 @@ mod tests {
             .collect();
         let y: Vec<f64> = xs.iter().map(|r| 1.0 + 2.0 * r[1]).collect();
         let x = Matrix::from_rows(&xs);
-        let (beta, method) = lstsq(&x, &y);
+        let (beta, method) = lstsq_ridge(&x, &y).expect("ridge solve");
         assert_eq!(method, LstsqMethod::Ridge);
         // Predictions must still be accurate even if betas are split.
         let pred = x.matvec(&beta);
@@ -428,7 +413,7 @@ mod tests {
             y.push(5.0 - 2.0 * a + 0.5 * b + noise);
         }
         let x = Matrix::from_rows(&xs);
-        let (beta, _) = lstsq(&x, &y);
+        let (beta, _) = lstsq_ridge(&x, &y).expect("ridge solve");
         assert!((beta[0] - 5.0).abs() < 0.05);
         assert!((beta[1] + 2.0).abs() < 0.1);
         assert!((beta[2] - 0.5).abs() < 0.1);

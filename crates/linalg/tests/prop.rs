@@ -1,7 +1,7 @@
 //! Property-based tests for the linalg crate.
 
 use linalg::matrix::{dot, Matrix};
-use linalg::solve::{lstsq, lstsq_ridge, rss, solve_qr, try_lstsq};
+use linalg::solve::{lstsq_ridge, rss, solve_qr, try_lstsq};
 use linalg::special::{f_cdf, inc_beta, t_cdf};
 use linalg::stats::{geometric_mean, mean, percentile, range_ratio};
 use proptest::prelude::*;
@@ -56,13 +56,13 @@ proptest! {
         perturb in prop::collection::vec(-1.0f64..1.0, 3),
     ) {
         let x = Matrix::from_vec(12, 3, data);
-        let (beta, _) = lstsq(&x, &y);
+        let (beta, _) = lstsq_ridge(&x, &y).expect("ridge solve");
         let base = rss(&x, &y, &beta);
         let other: Vec<f64> = beta.iter().zip(&perturb).map(|(b, p)| b + p).collect();
         prop_assert!(base <= rss(&x, &y, &other) + 1e-6);
     }
 
-    /// QR and the lstsq front door agree on well-conditioned problems.
+    /// QR and the ridge front door agree on well-conditioned problems.
     #[test]
     fn qr_and_lstsq_agree(seed_vals in prop::collection::vec(0.1f64..3.0, 10)) {
         let rows: Vec<Vec<f64>> = seed_vals
@@ -73,7 +73,7 @@ proptest! {
         let x = Matrix::from_rows(&rows);
         let y: Vec<f64> = rows.iter().map(|r| 1.0 + 2.0 * r[1] - 0.3 * r[2]).collect();
         if let Some(q) = solve_qr(&x, &y) {
-            let (b, _) = lstsq(&x, &y);
+            let (b, _) = lstsq_ridge(&x, &y).expect("ridge solve");
             let pred_q = x.matvec(&q);
             let pred_b = x.matvec(&b);
             for (p, t) in pred_q.iter().zip(&pred_b) {

@@ -709,7 +709,7 @@ impl ModelArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::train;
+    use crate::model::try_train;
 
     fn table(n: usize) -> Table {
         let speeds: Vec<f64> = (0..n).map(|i| 1000.0 + (i % 10) as f64 * 200.0).collect();
@@ -738,14 +738,19 @@ mod tests {
     fn round_trip_preserves_predictions_linear_and_network() {
         let t = table(80);
         for kind in [ModelKind::LrB, ModelKind::NnQ] {
-            let model = train(kind, &t, 7);
-            let expect = model.predict(&t);
+            let model = try_train(kind, &t, 7).expect("train");
+            let expect = model.try_predict(&t).expect("predict");
             let art = ModelArtifact::from_training(model, &t);
             let bytes = art.to_bytes().expect("serialize");
             let back = ModelArtifact::from_bytes("test", &bytes).expect("deserialize");
             assert_eq!(back.model.kind, kind);
             assert_eq!(back.schema, art.schema);
-            assert_eq!(back.model.predict(&t), expect, "{}", kind.abbrev());
+            assert_eq!(
+                back.model.try_predict(&t).expect("predict"),
+                expect,
+                "{}",
+                kind.abbrev()
+            );
         }
     }
 
@@ -772,7 +777,8 @@ mod tests {
     #[test]
     fn truncated_artifact_is_a_typed_error() {
         let t = table(40);
-        let art = ModelArtifact::from_training(train(ModelKind::LrE, &t, 1), &t);
+        let art =
+            ModelArtifact::from_training(try_train(ModelKind::LrE, &t, 1).expect("train"), &t);
         let bytes = art.to_bytes().expect("serialize");
         for cut in [10, bytes.len() / 2, bytes.len() - 5] {
             let err = ModelArtifact::from_bytes("cut", &bytes[..cut]).expect_err("truncated");
@@ -783,7 +789,8 @@ mod tests {
     #[test]
     fn flipped_byte_is_a_checksum_error() {
         let t = table(40);
-        let art = ModelArtifact::from_training(train(ModelKind::LrE, &t, 1), &t);
+        let art =
+            ModelArtifact::from_training(try_train(ModelKind::LrE, &t, 1).expect("train"), &t);
         let mut bytes = art.to_bytes().expect("serialize");
         // Flip a digit inside the payload (header stays intact).
         let header_end = bytes.iter().position(|&b| b == b'\n').expect("newline");
@@ -801,7 +808,8 @@ mod tests {
     #[test]
     fn future_format_version_is_rejected() {
         let t = table(40);
-        let art = ModelArtifact::from_training(train(ModelKind::LrE, &t, 1), &t);
+        let art =
+            ModelArtifact::from_training(try_train(ModelKind::LrE, &t, 1).expect("train"), &t);
         let bytes = art.to_bytes().expect("serialize");
         let text = String::from_utf8(bytes).expect("utf8");
         let bumped = text.replacen(
@@ -820,13 +828,13 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("tmp dir");
         let path = dir.join("m.ppmodel").to_string_lossy().into_owned();
         let t = table(60);
-        let model = train(ModelKind::NnS, &t, 3);
-        let expect = model.predict(&t);
+        let model = try_train(ModelKind::NnS, &t, 3).expect("train");
+        let expect = model.try_predict(&t).expect("predict");
         ModelArtifact::from_training(model, &t)
             .save(&path)
             .expect("save");
         let back = ModelArtifact::load(&path).expect("load");
-        assert_eq!(back.model.predict(&t), expect);
+        assert_eq!(back.model.try_predict(&t).expect("predict"), expect);
         let _ = std::fs::remove_file(&path);
     }
 

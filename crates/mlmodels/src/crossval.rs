@@ -42,18 +42,8 @@ pub struct Dropped {
     pub detail: String,
 }
 
-/// Run the §3.3 estimation for one model kind on a training table.
-///
-/// Infallible-signature wrapper over [`try_estimate_error`]; panics on
-/// its error paths. Pipeline code uses the fallible form.
-pub fn estimate_error(kind: ModelKind, table: &Table, seed: u64) -> ErrorEstimate {
-    match try_estimate_error(kind, table, seed) {
-        Ok(est) => est,
-        Err(e) => panic!("estimate_error {}: {e}", kind.abbrev()),
-    }
-}
-
-/// Fallible §3.3 estimation: each split trains on a random half and
+/// Run the §3.3 estimation for one model kind on a training table: each
+/// split trains on a random half and
 /// measures the mean percentage error on the complementary half, splits
 /// in parallel. A failed split fit (diverged, singular, degenerate) fails
 /// the whole estimate — the candidate is then dropped by
@@ -97,7 +87,7 @@ pub fn try_estimate_error(kind: ModelKind, table: &Table, seed: u64) -> Result<E
             if let Some(t) = t_fit {
                 telemetry::hist_observe_ns("train/fold_fit_ns", t.elapsed());
             }
-            let preds = model.predict(&te);
+            let preds = model.try_predict(&te)?;
             let (m, _) = mape(&preds, te.target());
             Ok(m)
         })
@@ -114,32 +104,8 @@ pub fn try_estimate_error(kind: ModelKind, table: &Table, seed: u64) -> Result<E
     Ok(ErrorEstimate { mean, max })
 }
 
-/// Estimate every candidate's error and return `(kind, estimate)` pairs,
-/// candidates in parallel.
-///
-/// Panics if any candidate fails; [`estimate_all_fallible`] records
-/// failures instead.
-pub fn estimate_all(
-    kinds: &[ModelKind],
-    table: &Table,
-    seed: u64,
-) -> Vec<(ModelKind, ErrorEstimate)> {
-    kinds
-        .par_iter()
-        .map(|&k| {
-            (
-                k,
-                estimate_error(
-                    k,
-                    table,
-                    child_seed(seed, k.abbrev().len() as u64 * 31 + k as u64),
-                ),
-            )
-        })
-        .collect()
-}
-
-/// Estimate every candidate, degrading gracefully: a candidate whose
+/// Estimate every candidate's error, candidates in parallel, degrading
+/// gracefully: a candidate whose
 /// estimation fails is moved to the dropped list with its reason
 /// (telemetry point `select/drop_model`) instead of failing the run —
 /// mirroring how the paper's select falls back to the next-best model.
@@ -184,17 +150,7 @@ pub fn estimate_all_fallible(
 }
 
 /// The paper's *select* method: the candidate with the smallest maximum
-/// estimated error.
-///
-/// Panicking wrapper over [`try_select_best`].
-pub fn select_best(estimates: &[(ModelKind, ErrorEstimate)]) -> ModelKind {
-    match try_select_best(estimates) {
-        Ok(kind) => kind,
-        Err(e) => panic!("select_best: {e}"),
-    }
-}
-
-/// Fallible *select*: candidates with non-finite max estimates are
+/// estimated error. Candidates with non-finite max estimates are
 /// ignored; if none remain, [`Error::NoViableModel`] lists every
 /// candidate with why it was unusable.
 pub fn try_select_best(estimates: &[(ModelKind, ErrorEstimate)]) -> Result<ModelKind> {
@@ -222,17 +178,7 @@ pub fn try_select_best(estimates: &[(ModelKind, ErrorEstimate)]) -> Result<Model
 /// 2-fold×5-repeat protocol): partition the rows into `k` folds, train on
 /// k−1, test on the held-out fold, and average the mean percentage errors.
 ///
-/// Infallible-signature wrapper over [`try_kfold_error`]; panics on its
-/// error paths (invalid `k`, too few rows, failed fold fits). Pipeline
-/// code uses the fallible form.
-pub fn kfold_error(kind: ModelKind, table: &Table, k: usize, seed: u64) -> f64 {
-    match try_kfold_error(kind, table, k, seed) {
-        Ok(err) => err,
-        Err(e) => panic!("kfold_error {}: {e}", kind.abbrev()),
-    }
-}
-
-/// Fallible k-fold cross-validation. Precondition violations surface as
+/// Precondition violations surface as
 /// [`Error::InvalidInput`] instead of panicking; a failed fold fit
 /// propagates its typed error. Linear folds score candidates against the
 /// shared full-table Gram ([`LrGramCache`]) — each fold holds out only
@@ -284,7 +230,7 @@ pub fn try_kfold_error(kind: ModelKind, table: &Table, k: usize, seed: u64) -> R
             if let Some(t) = t_fit {
                 telemetry::hist_observe_ns("train/fold_fit_ns", t.elapsed());
             }
-            let (m, _) = mape(&model.predict(&te), te.target());
+            let (m, _) = mape(&model.try_predict(&te)?, te.target());
             Ok(m)
         })
         .collect();
@@ -312,7 +258,7 @@ mod tests {
     #[test]
     fn linear_data_gives_tiny_estimated_error_for_lr() {
         let t = table(100);
-        let est = estimate_error(ModelKind::LrE, &t, 1);
+        let est = try_estimate_error(ModelKind::LrE, &t, 1).expect("estimate");
         assert!(est.mean < 0.5, "mean {}", est.mean);
         assert!(est.max < 1.0, "max {}", est.max);
         assert!(est.max >= est.mean);
@@ -321,8 +267,8 @@ mod tests {
     #[test]
     fn estimates_are_deterministic() {
         let t = table(80);
-        let a = estimate_error(ModelKind::LrB, &t, 9);
-        let b = estimate_error(ModelKind::LrB, &t, 9);
+        let a = try_estimate_error(ModelKind::LrB, &t, 9).expect("estimate");
+        let b = try_estimate_error(ModelKind::LrB, &t, 9).expect("estimate");
         assert_eq!(a.mean, b.mean);
         assert_eq!(a.max, b.max);
     }
@@ -352,7 +298,7 @@ mod tests {
                 },
             ),
         ];
-        assert_eq!(select_best(&ests), ModelKind::NnE);
+        assert_eq!(try_select_best(&ests).expect("viable"), ModelKind::NnE);
     }
 
     #[test]
@@ -394,7 +340,7 @@ mod tests {
     #[test]
     fn kfold_error_is_small_on_linear_data() {
         let t = table(90);
-        let err = kfold_error(ModelKind::LrE, &t, 5, 7);
+        let err = try_kfold_error(ModelKind::LrE, &t, 5, 7).expect("k-fold");
         assert!(err < 0.5, "5-fold LR error on linear data: {err}");
     }
 
@@ -402,16 +348,9 @@ mod tests {
     fn kfold_is_deterministic() {
         let t = table(60);
         assert_eq!(
-            kfold_error(ModelKind::LrB, &t, 3, 1),
-            kfold_error(ModelKind::LrB, &t, 3, 1)
+            try_kfold_error(ModelKind::LrB, &t, 3, 1).expect("k-fold"),
+            try_kfold_error(ModelKind::LrB, &t, 3, 1).expect("k-fold")
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "k >= 2")]
-    fn kfold_rejects_k1() {
-        let t = table(60);
-        let _ = kfold_error(ModelKind::LrE, &t, 1, 0);
     }
 
     #[test]
@@ -453,7 +392,7 @@ mod tests {
                 let tr = t.select_rows(&perm[..half]);
                 let te = t.select_rows(&perm[half..]);
                 let model = try_train(kind, &tr, child_seed(split_seed, 1)).expect("direct train");
-                let (m, _) = mape(&model.predict(&te), te.target());
+                let (m, _) = mape(&model.try_predict(&te).expect("predict"), te.target());
                 errors.push(m);
             }
             let direct_max = errors.iter().cloned().fold(0.0f64, f64::max);
@@ -469,7 +408,8 @@ mod tests {
     #[test]
     fn select_prefers_lr_on_linear_data() {
         let t = table(100);
-        let ests = estimate_all(&[ModelKind::LrE, ModelKind::NnS], &t, 3);
-        assert_eq!(select_best(&ests), ModelKind::LrE);
+        let (ests, dropped) = estimate_all_fallible(&[ModelKind::LrE, ModelKind::NnS], &t, 3);
+        assert!(dropped.is_empty(), "{dropped:?}");
+        assert_eq!(try_select_best(&ests).expect("viable"), ModelKind::LrE);
     }
 }

@@ -40,8 +40,7 @@ impl LrGramCache {
     /// support LR preprocessing at all (callers then train uncached and
     /// surface the usual typed errors).
     pub fn new(table: &Table) -> Option<LrGramCache> {
-        table.try_validate().ok()?;
-        let prep = Preprocessor::fit(table, Encoding::NumericCoded);
+        let prep = Preprocessor::try_fit(table, Encoding::NumericCoded).ok()?;
         let v = prep.encode_unscaled(table);
         let y = table.target().to_vec();
         let ne = NormalEq::try_from_design(&v, &y).ok()?;
@@ -109,12 +108,12 @@ mod tests {
         let held_out: Vec<usize> = (0..40).filter(|i| i % 4 == 0).collect();
         let kept: Vec<usize> = (0..40).filter(|i| i % 4 != 0).collect();
         let sub = t.select_rows(&kept);
-        let fold_prep = Preprocessor::fit(&sub, Encoding::NumericCoded);
+        let fold_prep = Preprocessor::try_fit(&sub, Encoding::NumericCoded).expect("valid table");
         let derived = cache
             .normal_eq_for(&fold_prep, &held_out)
             .expect("plans match");
         let x = fold_prep.transform(&sub);
-        let direct = NormalEq::from_design(&x, sub.target());
+        let direct = NormalEq::try_from_design(&x, sub.target()).expect("finite design");
         assert_eq!(derived.n(), direct.n());
         for i in 0..=x.cols() {
             for j in 0..=x.cols() {
@@ -145,7 +144,7 @@ mod tests {
         let held_out: Vec<usize> = (0..4).collect(); // removes all z variation
         let kept: Vec<usize> = (4..n).collect();
         let sub = t.select_rows(&kept);
-        let fold_prep = Preprocessor::fit(&sub, Encoding::NumericCoded);
+        let fold_prep = Preprocessor::try_fit(&sub, Encoding::NumericCoded).expect("valid table");
         assert!(cache.normal_eq_for(&fold_prep, &held_out).is_none());
     }
 }

@@ -106,7 +106,7 @@ pub fn importance(model: &TrainedModel, table: &Table) -> Vec<Importance> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{train, ModelKind};
+    use crate::model::{try_train, ModelKind};
 
     /// x0 dominates y; x1 minor; x2 irrelevant.
     fn table(n: usize) -> Table {
@@ -127,7 +127,7 @@ mod tests {
     #[test]
     fn linear_importance_ranks_dominant_first() {
         let t = table(90);
-        let m = train(ModelKind::LrE, &t, 1);
+        let m = try_train(ModelKind::LrE, &t, 1).expect("train");
         let imp = importance(&m, &t);
         assert_eq!(imp[0].name, "dominant");
         assert!(imp[0].score > 2.0 * imp[1].score);
@@ -136,7 +136,7 @@ mod tests {
     #[test]
     fn network_importance_ranks_dominant_first_and_normalizes() {
         let t = table(120);
-        let m = train(ModelKind::NnQ, &t, 2);
+        let m = try_train(ModelKind::NnQ, &t, 2).expect("train");
         let imp = importance(&m, &t);
         assert_eq!(imp[0].name, "dominant");
         assert!(
@@ -152,7 +152,7 @@ mod tests {
         let mut t = table(60);
         let codes: Vec<u32> = (0..60).map(|i| (i % 3) as u32).collect();
         t.add_categorical("bpred", codes, vec!["a".into(), "b".into(), "c".into()]);
-        let m = train(ModelKind::NnQ, &t, 3);
+        let m = try_train(ModelKind::NnQ, &t, 3).expect("train");
         let imp = importance(&m, &t);
         let n_bpred = imp.iter().filter(|i| i.name.starts_with("bpred")).count();
         assert_eq!(n_bpred, 1, "indicator columns must merge: {imp:?}");
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn importances_are_sorted_descending() {
         let t = table(90);
-        let m = train(ModelKind::LrB, &t, 4);
+        let m = try_train(ModelKind::LrB, &t, 4).expect("train");
         let imp = importance(&m, &t);
         for w in imp.windows(2) {
             assert!(w[0].score >= w[1].score);

@@ -27,7 +27,7 @@
 //! * **Importance** ([`importance`]) — NN sensitivity analysis and LR
 //!   standardized betas (§4.4).
 //!
-//! The unified entry point is [`model::train`], which dispatches a
+//! The unified entry point is [`model::try_train`], which dispatches a
 //! [`model::ModelKind`] to the right pipeline and returns a trained model
 //! that carries its own preprocessing.
 
@@ -44,5 +44,5 @@ pub mod select;
 pub mod table;
 
 pub use artifact::{ModelArtifact, TableSchema};
-pub use model::{train, try_train, ModelKind, TrainedModel};
+pub use model::{try_train, ModelKind, TrainedModel};
 pub use table::{Column, Table};

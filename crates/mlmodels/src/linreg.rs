@@ -37,30 +37,20 @@ pub struct LinearFit {
 }
 
 impl LinearFit {
-    /// Fit on the columns `active` of `x` (full design matrix, no intercept
-    /// column — one is added internally).
-    ///
-    /// Infallible-signature wrapper over [`LinearFit::try_fit_ridge`];
-    /// panics on its error paths (non-finite data, too few observations).
-    /// Pipeline code uses the fallible forms.
-    pub fn fit(x: &Matrix, y: &[f64], active: &[usize]) -> LinearFit {
-        match Self::try_fit_ridge(x, y, active) {
-            Ok(fit) => fit,
-            Err(e) => panic!("LinearFit::fit: {e}"),
-        }
-    }
-
-    /// Strict fallible fit: a rank-deficient active set yields
-    /// [`Error::SingularSystem`] instead of a ridge-blurred solution.
-    /// Selection drivers use this to *skip* collinear candidates.
+    /// Strict fit on the columns `active` of `x` (full design matrix, no
+    /// intercept column — one is added internally): a rank-deficient
+    /// active set yields [`Error::SingularSystem`] instead of a
+    /// ridge-blurred solution. Selection drivers use this to *skip*
+    /// collinear candidates.
     pub fn try_fit(x: &Matrix, y: &[f64], active: &[usize]) -> Result<LinearFit> {
         Self::fit_impl(x, y, active, false)
     }
 
-    /// Fallible fit with a ridge fallback for collinear active sets (the
-    /// Enter method regresses on all predictors regardless of redundancy).
-    /// Still errors on non-finite data or too few observations.
-    pub(crate) fn try_fit_ridge(x: &Matrix, y: &[f64], active: &[usize]) -> Result<LinearFit> {
+    /// [`Self::try_fit`] with a ridge fallback for collinear active sets
+    /// (the Enter method regresses on all predictors regardless of
+    /// redundancy). Still errors on non-finite data or too few
+    /// observations.
+    pub fn try_fit_ridge(x: &Matrix, y: &[f64], active: &[usize]) -> Result<LinearFit> {
         Self::fit_impl(x, y, active, true)
     }
 
@@ -167,11 +157,17 @@ impl LinearFit {
                 row.len()
             )));
         }
+        Ok(self.row_kernel(row))
+    }
+
+    /// Intercept plus every active term; the caller has checked `row`
+    /// is at least [`Self::min_width`] wide.
+    fn row_kernel(&self, row: &[f64]) -> f64 {
         let mut y = self.intercept;
         for (&c, &b) in self.active.iter().zip(&self.coefs) {
             y += b * row[c];
         }
-        Ok(y)
+        y
     }
 
     /// Predict every row of a design matrix, rejecting width mismatches
@@ -186,38 +182,7 @@ impl LinearFit {
                 x.cols()
             )));
         }
-        Ok((0..x.rows())
-            .map(|i| {
-                let row = x.row(i);
-                let mut y = self.intercept;
-                for (&c, &b) in self.active.iter().zip(&self.coefs) {
-                    y += b * row[c];
-                }
-                y
-            })
-            .collect())
-    }
-
-    /// Predict one row of the full design matrix.
-    ///
-    /// Panics on a feature-width mismatch; use [`Self::try_predict_row`]
-    /// on untrusted widths.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        match self.try_predict_row(row) {
-            Ok(y) => y,
-            Err(e) => panic!("LinearFit::predict_row: {e}"),
-        }
-    }
-
-    /// Predict every row of a design matrix.
-    ///
-    /// Panics on a feature-width mismatch; use [`Self::try_predict`] on
-    /// untrusted widths.
-    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
-        match self.try_predict(x) {
-            Ok(y) => y,
-            Err(e) => panic!("LinearFit::predict: {e}"),
-        }
+        Ok((0..x.rows()).map(|i| self.row_kernel(x.row(i))).collect())
     }
 
     /// Coefficient of determination.
@@ -268,7 +233,7 @@ mod tests {
     #[test]
     fn recovers_exact_coefficients() {
         let (x, y) = exact_data();
-        let fit = LinearFit::fit(&x, &y, &[0, 1]);
+        let fit = LinearFit::try_fit_ridge(&x, &y, &[0, 1]).expect("ridge fit");
         assert!((fit.intercept - 3.0).abs() < 1e-9);
         assert!((fit.coefs[0] - 2.0).abs() < 1e-9);
         assert!((fit.coefs[1] + 1.0).abs() < 1e-9);
@@ -282,7 +247,7 @@ mod tests {
     #[test]
     fn narrow_rows_are_typed_invalid_input_not_panics() {
         let (x, y) = exact_data();
-        let fit = LinearFit::fit(&x, &y, &[0, 2]);
+        let fit = LinearFit::try_fit_ridge(&x, &y, &[0, 2]).expect("ridge fit");
         assert_eq!(fit.min_width(), 3);
         let e = fit
             .try_predict_row(&[1.0, 2.0])
@@ -296,9 +261,44 @@ mod tests {
         let narrow = Matrix::from_rows(&[vec![0.5], vec![0.25]]);
         let e = fit.try_predict(&narrow).expect_err("matrix too narrow");
         assert_eq!(e.kind(), "invalid");
-        // Wide-enough inputs still predict, bit-identical to predict_row.
+        // Wide-enough inputs still predict, row by row identically.
         let ok = fit.try_predict(&x).expect("full-width design");
-        assert_eq!(ok, fit.predict(&x));
+        for (i, p) in ok.iter().enumerate() {
+            let row = fit.try_predict_row(x.row(i)).expect("full-width row");
+            assert_eq!(p.to_bits(), row.to_bits(), "row {i}");
+        }
+    }
+
+    /// The two fits part ways only on a rank-deficient design: the
+    /// strict fit refuses it, the ridge fit (the former infallible
+    /// `LinearFit::fit`) absorbs it. The pinned bits are that former
+    /// wrapper's output on this design.
+    #[test]
+    fn collinear_design_is_singular_strict_and_pinned_under_ridge() {
+        let (x, y) = exact_data();
+        // A fourth column duplicating the first makes [0, 1, 3] singular.
+        let rows: Vec<Vec<f64>> = (0..x.rows())
+            .map(|i| {
+                let mut r = x.row(i).to_vec();
+                r.push(r[0]);
+                r
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let e = LinearFit::try_fit(&x, &y, &[0, 1, 3]).expect_err("rank-deficient");
+        assert_eq!(e.kind(), "singular", "{e}");
+        let fit = LinearFit::try_fit_ridge(&x, &y, &[0, 1, 3]).expect("ridge absorbs it");
+        assert_eq!(fit.intercept.to_bits(), 0x4007_ffff_e9bd_6d34);
+        let coefs: Vec<u64> = fit.coefs.iter().map(|c| c.to_bits()).collect();
+        assert_eq!(
+            coefs,
+            [
+                0x3ff0_0000_07a5_b592,
+                0xbfef_ffff_68b5_55d5,
+                0x3ff0_0000_07b1_1df5
+            ]
+        );
+        assert_eq!(fit.rss.to_bits(), 0x3d4e_7e1d_4d70_988c);
     }
 
     #[test]
@@ -308,7 +308,7 @@ mod tests {
         for (i, v) in y.iter_mut().enumerate() {
             *v += if i % 2 == 0 { 0.01 } else { -0.01 };
         }
-        let fit = LinearFit::fit(&x, &y, &[0, 1, 2]);
+        let fit = LinearFit::try_fit_ridge(&x, &y, &[0, 1, 2]).expect("ridge fit");
         assert!(
             fit.p_values[0] < 0.001,
             "x0 significant: {}",
@@ -330,19 +330,19 @@ mod tests {
             .collect();
         let y: Vec<f64> = rows.iter().map(|r| 10.0 * r[0] + r[1]).collect();
         let x = Matrix::from_rows(&rows);
-        let fit = LinearFit::fit(&x, &y, &[0, 1]);
+        let fit = LinearFit::try_fit_ridge(&x, &y, &[0, 1]).expect("ridge fit");
         assert!(fit.std_betas[0].abs() > 5.0 * fit.std_betas[1].abs());
     }
 
     #[test]
     fn partial_f_detects_useful_predictor() {
         let (x, y) = exact_data();
-        let small = LinearFit::fit(&x, &y, &[0]);
-        let big = LinearFit::fit(&x, &y, &[0, 1]);
+        let small = LinearFit::try_fit_ridge(&x, &y, &[0]).expect("ridge fit");
+        let big = LinearFit::try_fit_ridge(&x, &y, &[0, 1]).expect("ridge fit");
         let f = big.partial_f_vs(&small);
         assert!(f > 100.0, "adding x1 should be hugely significant, F={f}");
         // Adding the irrelevant predictor gives a tiny F.
-        let bigger = LinearFit::fit(&x, &y, &[0, 1, 2]);
+        let bigger = LinearFit::try_fit_ridge(&x, &y, &[0, 1, 2]).expect("ridge fit");
         let f2 = bigger.partial_f_vs(&big);
         assert!(f2 < 10.0, "irrelevant predictor F={f2}");
     }
@@ -350,8 +350,8 @@ mod tests {
     #[test]
     fn predict_matches_fit_on_training_rows() {
         let (x, y) = exact_data();
-        let fit = LinearFit::fit(&x, &y, &[0, 1]);
-        let preds = fit.predict(&x);
+        let fit = LinearFit::try_fit_ridge(&x, &y, &[0, 1]).expect("ridge fit");
+        let preds = fit.try_predict(&x).expect("predict");
         for (p, t) in preds.iter().zip(&y) {
             assert!((p - t).abs() < 1e-9);
         }
@@ -360,7 +360,7 @@ mod tests {
     #[test]
     fn empty_active_set_is_intercept_only() {
         let (x, y) = exact_data();
-        let fit = LinearFit::fit(&x, &y, &[]);
+        let fit = LinearFit::try_fit_ridge(&x, &y, &[]).expect("ridge fit");
         let my = mean(&y);
         assert!((fit.intercept - my).abs() < 1e-9);
         assert!((fit.rss - fit.tss).abs() < 1e-9);

@@ -73,6 +73,22 @@ fn targets_of(y: &[f64], idx: &[usize]) -> Vec<f64> {
     idx.iter().map(|&i| y[i]).collect()
 }
 
+/// Train `net` and return its final training RMSE. A network that
+/// diverges through every retry is kept with the loss
+/// [`Error::Diverged`] reports instead of failing: the drivers rank or
+/// reject it by that loss. Every other error propagates.
+fn train_keeping_divergence(
+    net: &mut Mlp,
+    x: &Matrix,
+    y: &[f64],
+    cfg: &TrainConfig,
+) -> Result<f64> {
+    match net.try_train(x, y, cfg) {
+        Err(Error::Diverged { loss, .. }) => Ok(loss),
+        other => other,
+    }
+}
+
 /// Train one candidate topology on a split and report validation RMSE.
 fn fit_candidate(
     hidden: &[usize],
@@ -81,56 +97,52 @@ fn fit_candidate(
     xv: &Matrix,
     yv: &[f64],
     cfg: &TrainConfig,
-) -> (Mlp, f64) {
+) -> Result<(Mlp, f64)> {
     let mut net = Mlp::new(xt.cols(), hidden, cfg.seed);
-    net.train(xt, yt, cfg);
+    train_keeping_divergence(&mut net, xt, yt, cfg)?;
     let val = net.rmse(xv, yv);
-    (net, val)
+    Ok((net, val))
 }
 
 /// Final full-data training for a chosen topology, preserving pruned
 /// inputs from a prototype network. Batch training on small samples can
 /// land in poor local minima, so three restarts compete and the best
 /// training fit wins.
-fn finalize(proto: &Mlp, x: &Matrix, y: &[f64], cfg: &TrainConfig) -> Mlp {
-    (0..3u64)
-        .map(|r| {
-            let mut net = Mlp::new(
-                x.cols(),
-                &proto.hidden_sizes(),
-                child_seed(cfg.seed, 0xF1 + r),
-            );
-            for i in 0..x.cols() {
-                if proto.input_is_dead(i) {
-                    net.prune_input(i);
-                }
+fn finalize(proto: &Mlp, x: &Matrix, y: &[f64], cfg: &TrainConfig) -> Result<Mlp> {
+    let mut restarts = Vec::with_capacity(3);
+    for r in 0..3u64 {
+        let mut net = Mlp::new(
+            x.cols(),
+            &proto.hidden_sizes(),
+            child_seed(cfg.seed, 0xF1 + r),
+        );
+        for i in 0..x.cols() {
+            if proto.input_is_dead(i) {
+                net.prune_input(i);
             }
-            let mut fcfg = *cfg;
-            fcfg.seed = child_seed(cfg.seed, 0xF2 + r);
-            let rmse = net.train(x, y, &fcfg);
-            (net, rmse)
-        })
-        .min_by(|a, b| a.1.total_cmp(&b.1))
+        }
+        let mut fcfg = *cfg;
+        fcfg.seed = child_seed(cfg.seed, 0xF2 + r);
+        let rmse = train_keeping_divergence(&mut net, x, y, &fcfg)?;
+        restarts.push((net, rmse));
+    }
+    Ok(best_restart(restarts))
+}
+
+/// The restart with the lowest final training loss. A NaN loss of
+/// either sign ranks as +inf, so a diverged restart never beats a
+/// converged one.
+fn best_restart(restarts: Vec<(Mlp, f64)>) -> Mlp {
+    let rank = |loss: f64| if loss.is_nan() { f64::INFINITY } else { loss };
+    restarts
+        .into_iter()
+        .min_by(|a, b| rank(a.1).total_cmp(&rank(b.1)))
         .expect("three restarts")
         .0
 }
 
 /// Train a network on `(x, y01)` — the design matrix and 0–1 scaled
 /// targets — with the chosen method. Deterministic per seed.
-///
-/// Infallible-signature wrapper over [`try_train_nn`]; panics on its
-/// error paths (degenerate data, divergence surviving all retries).
-/// Pipeline code uses [`try_train_nn`]; the method-level tests below
-/// are this wrapper's remaining callers.
-#[cfg_attr(not(test), allow(dead_code))]
-pub fn train_nn(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Mlp {
-    match try_train_nn(method, x, y01, seed) {
-        Ok(net) => net,
-        Err(e) => panic!("train_nn {}: {e}", method.abbrev()),
-    }
-}
-
-/// Fallible method-level training with divergence guards.
 ///
 /// Validates the inputs up front ([`Error::DegenerateData`] on fewer than
 /// 4 rows or non-finite values), then runs the chosen method. The
@@ -234,7 +246,7 @@ fn train_nn_inner(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Resul
                 ..Default::default()
             };
             let mut net = Mlp::new(p, &[hidden], seed);
-            net.train(x, y01, &cfg);
+            train_keeping_divergence(&mut net, x, y01, &cfg)?;
             Ok(net)
         }
         NnMethod::Quick => {
@@ -245,7 +257,7 @@ fn train_nn_inner(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Resul
                 ..Default::default()
             };
             let mut net = Mlp::new(p, &[hidden], seed);
-            net.train(x, y01, &cfg);
+            train_keeping_divergence(&mut net, x, y01, &cfg)?;
             Ok(net)
         }
         NnMethod::Dynamic => {
@@ -262,7 +274,7 @@ fn train_nn_inner(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Resul
             while h <= cap {
                 let mut c = cfg;
                 c.seed = child_seed(seed, h as u64);
-                let (net, val) = fit_candidate(&[h], &xt, &yt, &xv, &yv, &c);
+                let (net, val) = fit_candidate(&[h], &xt, &yt, &xv, &yv, &c)?;
                 let improved = best.as_ref().is_none_or(|(_, bv, _)| val < bv * 0.98);
                 telemetry::point!(
                     "grow/hidden",
@@ -290,7 +302,7 @@ fn train_nn_inner(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Resul
             // Retrain under the *winning candidate's* seed: the topology
             // was selected for how it trained under that seed, so the
             // final fit must descend from it, not from the base seed.
-            Ok(finalize(
+            finalize(
                 &proto,
                 x,
                 y01,
@@ -299,7 +311,7 @@ fn train_nn_inner(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Resul
                     seed: cseed,
                     ..Default::default()
                 },
-            ))
+            )
         }
         NnMethod::Multiple => {
             // Parallel multi-start across topologies.
@@ -312,19 +324,20 @@ fn train_nn_inner(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Resul
                 seed,
                 ..Default::default()
             };
-            let cands: Vec<(Mlp, f64, u64)> = topologies
+            let cands: Vec<Result<(Mlp, f64, u64)>> = topologies
                 .par_iter()
                 .enumerate()
                 .map(|(k, h)| {
                     let mut c = cfg;
                     c.seed = child_seed(seed, k as u64);
-                    let (net, val) = fit_candidate(h, &xt, &yt, &xv, &yv, &c);
-                    (net, val, c.seed)
+                    let (net, val) = fit_candidate(h, &xt, &yt, &xv, &yv, &c)?;
+                    Ok((net, val, c.seed))
                 })
                 .collect();
             let mut best: Option<(Mlp, f64, u64)> = None;
             let mut reasons: Vec<(String, String)> = Vec::new();
-            for (k, (net, val, cseed)) in cands.into_iter().enumerate() {
+            for (k, cand) in cands.into_iter().enumerate() {
+                let (net, val, cseed) = cand?;
                 if val.is_finite() {
                     if best.as_ref().is_none_or(|(_, bv, _)| val < *bv) {
                         best = Some((net, val, cseed));
@@ -337,7 +350,7 @@ fn train_nn_inner(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Resul
                 }
             }
             let (proto, _, cseed) = best.ok_or(Error::NoViableModel { reasons })?;
-            Ok(finalize(
+            finalize(
                 &proto,
                 x,
                 y01,
@@ -346,7 +359,7 @@ fn train_nn_inner(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Resul
                     seed: cseed,
                     ..Default::default()
                 },
-            ))
+            )
         }
         NnMethod::Prune => prune_driver(x, y01, &xt, &yt, &xv, &yv, seed, false),
         NnMethod::ExhaustivePrune => prune_driver(x, y01, &xt, &yt, &xv, &yv, seed, true),
@@ -372,7 +385,7 @@ fn prune_driver(
         (p.clamp(6, 24), 350, 80, 1, 1.01)
     };
 
-    let attempts: Vec<(u64, Option<Mlp>)> = (0..restarts)
+    let attempts: Vec<Result<(u64, Option<Mlp>)>> = (0..restarts)
         .into_par_iter()
         .map(|r| {
             let rseed = restart_seed(seed, r as u64);
@@ -395,13 +408,13 @@ fn prune_driver(
             for &h in &starts {
                 let mut c = cfg;
                 c.seed = child_seed(rseed, h as u64);
-                let (net, val) = fit_candidate(&[h], xt, yt, xv, yv, &c);
+                let (net, val) = fit_candidate(&[h], xt, yt, xv, yv, &c)?;
                 if val.is_finite() && seeded.as_ref().is_none_or(|(_, bv)| val < *bv) {
                     seeded = Some((net, val));
                 }
             }
             let Some((mut net, mut best_val)) = seeded else {
-                return (rseed, None);
+                return Ok((rseed, None));
             };
             let retrain_cfg = TrainConfig {
                 epochs: retrain_epochs,
@@ -424,7 +437,7 @@ fn prune_driver(
                     for &(u, _) in units.iter().take(lookahead) {
                         let mut trial = net.clone();
                         trial.prune_hidden_unit(0, u);
-                        trial.train(xt, yt, &retrain_cfg);
+                        train_keeping_divergence(&mut trial, xt, yt, &retrain_cfg)?;
                         let val = trial.rmse(xv, yv);
                         if best_trial.as_ref().is_none_or(|(_, bv)| val < *bv) {
                             best_trial = Some((trial, val));
@@ -451,7 +464,7 @@ fn prune_driver(
                         .expect("live inputs remain");
                     let mut trial = net.clone();
                     trial.prune_input(weakest);
-                    trial.train(xt, yt, &retrain_cfg);
+                    train_keeping_divergence(&mut trial, xt, yt, &retrain_cfg)?;
                     let val = trial.rmse(xv, yv);
                     if val <= best_val * tolerance {
                         telemetry::point!(
@@ -478,7 +491,7 @@ fn prune_driver(
                     break;
                 }
             }
-            (rseed, Some(net))
+            Ok((rseed, Some(net)))
         })
         .collect();
 
@@ -487,7 +500,8 @@ fn prune_driver(
     // that seed's trajectory, so the final fit descends from it.
     let mut best: Option<(Mlp, f64, u64)> = None;
     let mut reasons: Vec<(String, String)> = Vec::new();
-    for (r, (rseed, attempt)) in attempts.into_iter().enumerate() {
+    for (r, attempt) in attempts.into_iter().enumerate() {
+        let (rseed, attempt) = attempt?;
         match attempt {
             Some(net) => {
                 let val = net.rmse(xv, yv);
@@ -507,7 +521,7 @@ fn prune_driver(
     }
     let (proto, _, rseed) = best.ok_or(Error::NoViableModel { reasons })?;
     let final_epochs = if exhaustive { 600 } else { 400 };
-    Ok(finalize(
+    finalize(
         &proto,
         x,
         y01,
@@ -516,7 +530,7 @@ fn prune_driver(
             seed: rseed,
             ..Default::default()
         },
-    ))
+    )
 }
 
 #[cfg(test)]
@@ -551,7 +565,7 @@ mod tests {
             NnMethod::ExhaustivePrune,
             NnMethod::Single,
         ] {
-            let net = train_nn(m, &x, &y, 42);
+            let net = try_train_nn(m, &x, &y, 42).expect("train_nn");
             let rmse = net.rmse(&x, &y);
             assert!(rmse < 0.12, "{}: rmse {rmse}", m.abbrev());
         }
@@ -560,16 +574,16 @@ mod tests {
     #[test]
     fn methods_are_deterministic() {
         let (x, y) = data();
-        let a = train_nn(NnMethod::Multiple, &x, &y, 7);
-        let b = train_nn(NnMethod::Multiple, &x, &y, 7);
+        let a = try_train_nn(NnMethod::Multiple, &x, &y, 7).expect("train_nn");
+        let b = try_train_nn(NnMethod::Multiple, &x, &y, 7).expect("train_nn");
         assert_eq!(a.forward(x.row(0)), b.forward(x.row(0)));
     }
 
     #[test]
     fn exhaustive_prune_beats_or_matches_single_on_nonlinear_data() {
         let (x, y) = data();
-        let e = train_nn(NnMethod::ExhaustivePrune, &x, &y, 11);
-        let s = train_nn(NnMethod::Single, &x, &y, 11);
+        let e = try_train_nn(NnMethod::ExhaustivePrune, &x, &y, 11).expect("train_nn");
+        let s = try_train_nn(NnMethod::Single, &x, &y, 11).expect("train_nn");
         let re = e.rmse(&x, &y);
         let rs = s.rmse(&x, &y);
         // NN-E prunes capacity to generalize, so its *training* RMSE may
@@ -583,14 +597,14 @@ mod tests {
     #[test]
     fn dynamic_grows_past_minimum() {
         let (x, y) = data();
-        let net = train_nn(NnMethod::Dynamic, &x, &y, 13);
+        let net = try_train_nn(NnMethod::Dynamic, &x, &y, 13).expect("train_nn");
         assert!(net.hidden_sizes()[0] >= 2);
     }
 
     #[test]
     fn prune_may_silence_irrelevant_input() {
         let (x, y) = data();
-        let net = train_nn(NnMethod::ExhaustivePrune, &x, &y, 17);
+        let net = try_train_nn(NnMethod::ExhaustivePrune, &x, &y, 17).expect("train_nn");
         // Not guaranteed, but the network must keep at least the two real
         // inputs live.
         assert!(net.live_inputs() >= 2);
@@ -600,7 +614,7 @@ mod tests {
     fn finalize_descends_from_winning_candidate_seed() {
         let (x, y) = data();
         let seed = 23;
-        let trained = train_nn(NnMethod::Multiple, &x, &y, seed);
+        let trained = try_train_nn(NnMethod::Multiple, &x, &y, seed).expect("train_nn");
         // Replay the NN-M driver by hand to recover the winning candidate
         // and its child seed; the shipped model must be the finalize of
         // that (topology, seed) pair, not a base-seed finalize.
@@ -622,7 +636,7 @@ mod tests {
         for (k, h) in topologies.iter().enumerate() {
             let mut c = cfg;
             c.seed = child_seed(seed, k as u64);
-            let (net, val) = fit_candidate(h, &xt, &yt, &xv, &yv, &c);
+            let (net, val) = fit_candidate(h, &xt, &yt, &xv, &yv, &c).expect("candidate");
             if val.is_finite() && best.as_ref().is_none_or(|(_, bv, _)| val < *bv) {
                 best = Some((net, val, c.seed));
             }
@@ -634,8 +648,8 @@ mod tests {
             seed: s,
             ..Default::default()
         };
-        let expected = finalize(&proto, &x, &y, &fcfg(cseed));
-        let wrong = finalize(&proto, &x, &y, &fcfg(seed));
+        let expected = finalize(&proto, &x, &y, &fcfg(cseed)).expect("finalize");
+        let wrong = finalize(&proto, &x, &y, &fcfg(seed)).expect("finalize");
         let probe = x.row(0);
         assert_eq!(trained.forward(probe), expected.forward(probe));
         assert_ne!(
@@ -643,6 +657,47 @@ mod tests {
             wrong.forward(probe),
             "regression: finalize ran under the base seed, not the winner's"
         );
+    }
+
+    /// A network whose training diverges through every retry keeps the
+    /// loss `Error::Diverged` reports instead of aborting the driver, and
+    /// that loss — or a NaN of either sign — loses `finalize`'s restart
+    /// pick to a converged network.
+    #[test]
+    fn diverged_training_keeps_its_loss_and_loses_the_restart_pick() {
+        let (x, y) = data();
+        let divergent = TrainConfig {
+            algo: TrainAlgo::Sgd,
+            learning_rate: 1e12,
+            momentum: 0.99,
+            epochs: 20,
+            lr_decay: 1.0,
+            weight_decay: 0.0,
+            seed: 1,
+        };
+        let reported = match Mlp::new(x.cols(), &[4], 1).try_train(&x, &y, &divergent) {
+            Err(Error::Diverged { loss, .. }) => loss,
+            other => panic!("a 1e12 learning rate must diverge, got {other:?}"),
+        };
+        let mut diverged = Mlp::new(x.cols(), &[4], 1);
+        let bad = train_keeping_divergence(&mut diverged, &x, &y, &divergent)
+            .expect("divergence is a loss, not an error");
+        assert_eq!(bad.to_bits(), reported.to_bits());
+        let mut converged = Mlp::new(x.cols(), &[4], 1);
+        let good = train_keeping_divergence(&mut converged, &x, &y, &TrainConfig::default())
+            .expect("clean data trains");
+        assert!(good.is_finite(), "loss {good}");
+        let probe = x.row(0);
+        let want = converged.forward(probe).to_bits();
+        for loss in [bad, f64::NAN, -f64::NAN, f64::INFINITY] {
+            for restarts in [
+                vec![(diverged.clone(), loss), (converged.clone(), good)],
+                vec![(converged.clone(), good), (diverged.clone(), loss)],
+            ] {
+                let picked = best_restart(restarts).forward(probe).to_bits();
+                assert_eq!(picked, want, "diverged loss {loss}");
+            }
+        }
     }
 
     #[test]

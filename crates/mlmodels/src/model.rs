@@ -1,6 +1,6 @@
 //! Unified model interface: the paper's nine models plus NN-S.
 //!
-//! [`train`] dispatches a [`ModelKind`] to the linear-regression or
+//! [`try_train`] dispatches a [`ModelKind`] to the linear-regression or
 //! neural-network pipeline, handling the §3.4 preparation differences
 //! (numeric coding for LR, one-hot + target scaling for NN). The returned
 //! [`TrainedModel`] carries its preprocessor, so prediction takes raw
@@ -165,17 +165,6 @@ impl TrainedModel {
         }
     }
 
-    /// Predict the target for every row of a raw table.
-    ///
-    /// Panics when the table does not match the model's preprocessing
-    /// plan; use [`Self::try_predict`] on untrusted tables.
-    pub fn predict(&self, table: &Table) -> Vec<f64> {
-        match self.try_predict(table) {
-            Ok(y) => y,
-            Err(e) => panic!("predict {}: {e}", self.kind.abbrev()),
-        }
-    }
-
     /// The linear fit, when this is a regression model.
     pub fn linear_fit(&self) -> Option<&LinearFit> {
         match &self.estimator {
@@ -194,20 +183,7 @@ impl TrainedModel {
 }
 
 /// Train `kind` on a table. Deterministic per `(kind, table, seed)`.
-///
-/// Infallible-signature wrapper over [`try_train`]; panics on its error
-/// paths (degenerate tables, singular designs, divergence surviving all
-/// retries). Pipeline code uses [`try_train`].
-pub fn train(kind: ModelKind, table: &Table, seed: u64) -> TrainedModel {
-    match try_train(kind, table, seed) {
-        Ok(m) => m,
-        Err(e) => panic!("train {}: {e}", kind.abbrev()),
-    }
-}
-
-/// Fallible training. Deterministic per `(kind, table, seed)`; on the
-/// no-fault path it produces bit-identical models to the historical
-/// [`train`]. Failures surface as typed [`fault::Error`]s:
+/// Failures surface as typed [`fault::Error`]s:
 /// `DegenerateData` for unusable tables, `SingularSystem` for
 /// unsalvageable designs, `Diverged` when NN retries are exhausted.
 pub fn try_train(kind: ModelKind, table: &Table, seed: u64) -> Result<TrainedModel> {
@@ -230,9 +206,8 @@ pub(crate) fn try_train_cached(
 ) -> Result<TrainedModel> {
     let _span = telemetry::span!("train", model = kind.abbrev(), rows = table.n_rows());
     telemetry::counter_add("train/fits", 1);
-    table.try_validate()?;
     if let Some(selection) = kind.selection() {
-        let prep = Preprocessor::fit(table, Encoding::NumericCoded);
+        let prep = Preprocessor::try_fit(table, Encoding::NumericCoded)?;
         let x = prep.transform(table);
         let ne = cache.and_then(|c| c.normal_eq_for(&prep, held_out));
         let fit = try_select_with(
@@ -249,7 +224,7 @@ pub(crate) fn try_train_cached(
         })
     } else {
         let method = kind.nn_method().expect("model is LR or NN");
-        let prep = Preprocessor::fit(table, Encoding::OneHot);
+        let prep = Preprocessor::try_fit(table, Encoding::OneHot)?;
         let x = prep.transform(table);
         let y01 = prep.scaled_targets(table);
         let net = try_train_nn(method, &x, &y01, seed)?;
@@ -290,8 +265,8 @@ mod tests {
     fn all_kinds_train_and_predict_reasonably() {
         let t = table(120);
         for kind in ModelKind::ALL {
-            let m = train(kind, &t, 3);
-            let preds = m.predict(&t);
+            let m = try_train(kind, &t, 3).expect("train");
+            let preds = m.try_predict(&t).expect("predict");
             let (mape, _) = linalg::stats::mape(&preds, t.target());
             assert!(mape < 8.0, "{}: training MAPE {mape}", kind.abbrev());
         }
@@ -300,10 +275,10 @@ mod tests {
     #[test]
     fn linear_models_expose_fits_and_nn_models_networks() {
         let t = table(60);
-        let lr = train(ModelKind::LrB, &t, 1);
+        let lr = try_train(ModelKind::LrB, &t, 1).expect("train");
         assert!(lr.linear_fit().is_some());
         assert!(lr.network().is_none());
-        let nn = train(ModelKind::NnS, &t, 1);
+        let nn = try_train(ModelKind::NnS, &t, 1).expect("train");
         assert!(nn.network().is_some());
         assert!(nn.linear_fit().is_none());
     }
@@ -317,7 +292,7 @@ mod tests {
     fn try_predict_rejects_mismatched_and_column_less_tables() {
         let t = table(60);
         for kind in [ModelKind::LrE, ModelKind::NnQ] {
-            let m = train(kind, &t, 3);
+            let m = try_train(kind, &t, 3).expect("train");
             // Fewer columns than the plan reads.
             let mut narrow = Table::new();
             narrow
@@ -338,8 +313,6 @@ mod tests {
             // Column-less table: previously a silent empty Vec.
             let e = m.try_predict(&Table::new()).expect_err("column-less table");
             assert_eq!(e.kind(), "degenerate", "{}", kind.abbrev());
-            // The happy path agrees with the panicking surface.
-            assert_eq!(m.try_predict(&t).expect("matching table"), m.predict(&t));
         }
     }
 
@@ -364,9 +337,12 @@ mod tests {
     #[test]
     fn training_is_deterministic() {
         let t = table(80);
-        let a = train(ModelKind::NnE, &t, 5);
-        let b = train(ModelKind::NnE, &t, 5);
-        assert_eq!(a.predict(&t), b.predict(&t));
+        let a = try_train(ModelKind::NnE, &t, 5).expect("train");
+        let b = try_train(ModelKind::NnE, &t, 5).expect("train");
+        assert_eq!(
+            a.try_predict(&t).expect("predict"),
+            b.try_predict(&t).expect("predict")
+        );
     }
 
     #[test]
@@ -379,8 +355,8 @@ mod tests {
         // LR must nail the (nearly linear) surface; the pruned network is
         // allowed a looser bound — architecture search on 80 rows is noisy.
         for (kind, bound) in [(ModelKind::LrE, 5.0), (ModelKind::NnE, 20.0)] {
-            let m = train(kind, &tr, 9);
-            let preds = m.predict(&te);
+            let m = try_train(kind, &tr, 9).expect("train");
+            let preds = m.try_predict(&te).expect("predict");
             let (mape, _) = linalg::stats::mape(&preds, te.target());
             assert!(mape < bound, "{}: held-out MAPE {mape}", kind.abbrev());
         }

@@ -196,11 +196,9 @@ impl Mlp {
         Ok(self.forward(x))
     }
 
-    /// Forward pass; returns the (scaled) prediction.
-    ///
-    /// The row width must match [`Self::inputs`]; use
-    /// [`Self::try_forward`] on untrusted widths.
-    pub fn forward(&self, x: &[f64]) -> f64 {
+    /// Unchecked core of [`Self::try_forward`]: the row width must
+    /// match [`Self::inputs`].
+    pub(crate) fn forward(&self, x: &[f64]) -> f64 {
         debug_assert_eq!(x.len(), self.inputs());
         let mut act: Vec<f64> = x.to_vec();
         for (d, a) in self.dead_inputs.iter().zip(act.iter_mut()) {
@@ -269,30 +267,26 @@ impl Mlp {
                 x.cols()
             )));
         }
+        Ok(self.predict_rows(x))
+    }
+
+    /// Unchecked core of [`Self::try_predict`]: `x` must have
+    /// [`Self::inputs`] columns.
+    fn predict_rows(&self, x: &Matrix) -> Vec<f64> {
         if scalar_oracle() {
-            return Ok((0..x.rows()).map(|i| self.forward(x.row(i))).collect());
+            return (0..x.rows()).map(|i| self.forward(x.row(i))).collect();
         }
         let out = self.forward_batch(x).pop().expect("output layer");
-        Ok(out.as_slice().to_vec())
+        out.as_slice().to_vec()
     }
 
-    /// Predict every row of a design matrix.
-    ///
-    /// Panics on a feature-width mismatch; use [`Self::try_predict`] on
-    /// untrusted widths.
-    pub fn predict(&self, x: &Matrix) -> Vec<f64> {
-        match self.try_predict(x) {
-            Ok(y) => y,
-            Err(e) => panic!("Mlp::predict: {e}"),
-        }
-    }
-
-    /// Root-mean-square error on (x, y).
-    pub fn rmse(&self, x: &Matrix, y: &[f64]) -> f64 {
+    /// Root-mean-square error on (x, y); `x` must have [`Self::inputs`]
+    /// columns.
+    pub(crate) fn rmse(&self, x: &Matrix, y: &[f64]) -> f64 {
         let n = x.rows();
         assert_eq!(n, y.len(), "rmse: design/target length mismatch");
         let se: f64 = self
-            .predict(x)
+            .predict_rows(x)
             .iter()
             .zip(y)
             .map(|(p, t)| {
@@ -591,22 +585,8 @@ impl Mlp {
         }
     }
 
-    /// Train with the configured algorithm. Returns the final training
-    /// RMSE.
-    ///
-    /// Infallible-signature wrapper over [`Mlp::try_train`]: divergence
-    /// after all retries yields the (non-finite) final loss, matching the
-    /// historical contract; degenerate input panics. Pipeline code uses
-    /// [`Mlp::try_train`].
-    pub fn train(&mut self, x: &Matrix, y: &[f64], cfg: &TrainConfig) -> f64 {
-        match self.try_train(x, y, cfg) {
-            Ok(rmse) => rmse,
-            Err(Error::Diverged { loss, .. }) => loss,
-            Err(e) => panic!("Mlp::train: {e}"),
-        }
-    }
-
-    /// Fallible training with divergence guards.
+    /// Train with the configured algorithm and divergence guards.
+    /// Returns the final training RMSE.
     ///
     /// Non-finite inputs or targets are rejected up front with
     /// [`Error::DegenerateData`] — they would otherwise poison every
@@ -832,14 +812,16 @@ mod tests {
         let y: Vec<f64> = rows.iter().map(|r| 0.2 + 0.5 * r[0] - 0.3 * r[1]).collect();
         let x = Matrix::from_rows(&rows);
         let mut net = Mlp::new(2, &[4], 7);
-        let rmse = net.train(
-            &x,
-            &y,
-            &TrainConfig {
-                epochs: 300,
-                ..Default::default()
-            },
-        );
+        let rmse = net
+            .try_train(
+                &x,
+                &y,
+                &TrainConfig {
+                    epochs: 300,
+                    ..Default::default()
+                },
+            )
+            .expect("train");
         assert!(rmse < 0.02, "rmse {rmse}");
     }
 
@@ -876,8 +858,8 @@ mod tests {
             epochs: 400,
             ..Default::default()
         };
-        let rmse_small = small.train(&x, &y, &cfg);
-        let rmse_big = big.train(&x, &y, &cfg);
+        let rmse_small = small.try_train(&x, &y, &cfg).expect("train");
+        let rmse_big = big.try_train(&x, &y, &cfg).expect("train");
         assert!(
             rmse_big < rmse_small,
             "12 hidden ({rmse_big}) should beat 1 hidden ({rmse_small})"
@@ -894,8 +876,8 @@ mod tests {
         };
         let mut a = Mlp::new(2, &[6], 9);
         let mut b = Mlp::new(2, &[6], 9);
-        let ra = a.train(&x, &y, &cfg);
-        let rb = b.train(&x, &y, &cfg);
+        let ra = a.try_train(&x, &y, &cfg).expect("train");
+        let rb = b.try_train(&x, &y, &cfg).expect("train");
         assert_eq!(ra, rb);
         assert_eq!(a.forward(&[0.3, 0.7]), b.forward(&[0.3, 0.7]));
     }
@@ -914,14 +896,15 @@ mod tests {
     fn pruned_input_is_ignored() {
         let (x, y) = nonlinear_data(60);
         let mut net = Mlp::new(2, &[6], 13);
-        net.train(
+        net.try_train(
             &x,
             &y,
             &TrainConfig {
                 epochs: 100,
                 ..Default::default()
             },
-        );
+        )
+        .expect("train");
         net.prune_input(1);
         let p1 = net.forward(&[0.4, 0.0]);
         let p2 = net.forward(&[0.4, 0.9]);
@@ -935,14 +918,15 @@ mod tests {
         let (x, y) = nonlinear_data(60);
         let mut net = Mlp::new(2, &[6], 17);
         net.prune_input(0);
-        net.train(
+        net.try_train(
             &x,
             &y,
             &TrainConfig {
                 epochs: 50,
                 ..Default::default()
             },
-        );
+        )
+        .expect("train");
         let p1 = net.forward(&[0.0, 0.5]);
         let p2 = net.forward(&[1.0, 0.5]);
         assert_eq!(p1, p2);
@@ -999,20 +983,24 @@ mod tests {
     fn batched_predict_matches_scalar_forward_bitwise() {
         let (x, y) = nonlinear_data(70);
         let mut net = Mlp::new(2, &[7, 3], 31);
-        net.train(
+        net.try_train(
             &x,
             &y,
             &TrainConfig {
                 epochs: 40,
                 ..Default::default()
             },
-        );
-        let batched = net.predict(&x);
+        )
+        .expect("train");
+        let batched = net.try_predict(&x).expect("predict");
         for (i, &p) in batched.iter().enumerate() {
             let s = net.forward(x.row(i));
             assert!(p.to_bits() == s.to_bits(), "row {i}: {p} vs {s}");
         }
-        assert_eq!(net.predict(&Matrix::zeros(0, 2)), Vec::<f64>::new());
+        assert_eq!(
+            net.try_predict(&Matrix::zeros(0, 2)).expect("empty design"),
+            Vec::<f64>::new()
+        );
     }
 
     #[test]
@@ -1026,14 +1014,16 @@ mod tests {
     fn two_hidden_layers_work() {
         let (x, y) = nonlinear_data(100);
         let mut net = Mlp::new(2, &[8, 4], 5);
-        let rmse = net.train(
-            &x,
-            &y,
-            &TrainConfig {
-                epochs: 300,
-                ..Default::default()
-            },
-        );
+        let rmse = net
+            .try_train(
+                &x,
+                &y,
+                &TrainConfig {
+                    epochs: 300,
+                    ..Default::default()
+                },
+            )
+            .expect("train");
         assert!(rmse < 0.08, "deep rmse {rmse}");
         assert_eq!(net.hidden_sizes(), vec![8, 4]);
     }

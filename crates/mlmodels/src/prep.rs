@@ -90,9 +90,10 @@ pub enum FeaturePlan {
 }
 
 impl Preprocessor {
-    /// Fit the preprocessing plan on a training table.
-    pub fn fit(table: &Table, encoding: Encoding) -> Self {
-        table.validate();
+    /// Fit the preprocessing plan on a training table, rejecting a table
+    /// that fails [`Table::try_validate`].
+    pub fn try_fit(table: &Table, encoding: Encoding) -> Result<Self> {
+        table.try_validate()?;
         let mut plan = Vec::new();
         let mut features = Vec::new();
         let mut dropped = Vec::new();
@@ -183,7 +184,7 @@ impl Preprocessor {
         let (tlo, thi) = linalg::stats::min_max(table.target());
         pp.target_min = tlo;
         pp.target_max = if thi > tlo { thi } else { tlo + 1.0 };
-        pp
+        Ok(pp)
     }
 
     /// Encoded feature metadata.
@@ -361,21 +362,21 @@ mod tests {
 
     #[test]
     fn constant_columns_are_dropped() {
-        let pp = Preprocessor::fit(&sample(), Encoding::NumericCoded);
+        let pp = Preprocessor::try_fit(&sample(), Encoding::NumericCoded).expect("valid table");
         assert_eq!(pp.dropped(), &["constant".to_string()]);
         assert!(pp.features().iter().all(|f| f.name != "constant"));
     }
 
     #[test]
     fn numeric_coded_has_one_column_per_kept_field() {
-        let pp = Preprocessor::fit(&sample(), Encoding::NumericCoded);
+        let pp = Preprocessor::try_fit(&sample(), Encoding::NumericCoded).expect("valid table");
         let names: Vec<_> = pp.features().iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["speed", "smt", "bpred"]);
     }
 
     #[test]
     fn one_hot_expands_categories() {
-        let pp = Preprocessor::fit(&sample(), Encoding::OneHot);
+        let pp = Preprocessor::try_fit(&sample(), Encoding::OneHot).expect("valid table");
         let names: Vec<_> = pp.features().iter().map(|f| f.name.as_str()).collect();
         assert_eq!(
             names,
@@ -401,7 +402,7 @@ mod tests {
     #[test]
     fn scaling_maps_training_data_to_unit_interval() {
         let t = sample();
-        let pp = Preprocessor::fit(&t, Encoding::NumericCoded);
+        let pp = Preprocessor::try_fit(&t, Encoding::NumericCoded).expect("valid table");
         let m = pp.transform(&t);
         for i in 0..m.rows() {
             for j in 0..m.cols() {
@@ -416,7 +417,7 @@ mod tests {
     #[test]
     fn out_of_hull_rows_scale_past_one() {
         let train = sample();
-        let pp = Preprocessor::fit(&train, Encoding::NumericCoded);
+        let pp = Preprocessor::try_fit(&train, Encoding::NumericCoded).expect("valid table");
         let mut future = Table::new();
         future
             .add_numeric("speed", vec![6000.0])
@@ -435,7 +436,7 @@ mod tests {
     #[test]
     fn target_scaling_roundtrips() {
         let t = sample();
-        let pp = Preprocessor::fit(&t, Encoding::OneHot);
+        let pp = Preprocessor::try_fit(&t, Encoding::OneHot).expect("valid table");
         for &y in t.target() {
             let s = pp.scale_target(y);
             assert!((0.0..=1.0).contains(&s));
@@ -450,7 +451,7 @@ mod tests {
         t.add_categorical("system_name", (0..40).collect(), levels)
             .add_numeric("speed", (0..40).map(|i| i as f64).collect())
             .set_target((0..40).map(|i| i as f64).collect());
-        let pp = Preprocessor::fit(&t, Encoding::NumericCoded);
+        let pp = Preprocessor::try_fit(&t, Encoding::NumericCoded).expect("valid table");
         assert!(pp.dropped().contains(&"system_name".to_string()));
         assert_eq!(pp.features().len(), 1);
     }

@@ -80,19 +80,8 @@ fn step_p_value(big: &LinearFit, small: &LinearFit) -> f64 {
     f_sf(f, 1.0, big.df_residual())
 }
 
-/// Run the selection strategy; returns the final fit.
-///
-/// Infallible-signature wrapper over [`try_select`]; panics on its error
-/// paths (degenerate data, unsalvageably singular designs). Pipeline code
-/// uses [`try_select`].
-pub fn select(x: &Matrix, y: &[f64], method: SelectionMethod, thresholds: Thresholds) -> LinearFit {
-    match try_select(x, y, method, thresholds) {
-        Ok(fit) => fit,
-        Err(e) => panic!("select: {e}"),
-    }
-}
-
-/// Fallible selection. Degrades gracefully on collinear predictors:
+/// Run the selection strategy and return the final fit. Degrades
+/// gracefully on collinear predictors:
 ///
 /// * **Forward/Stepwise** skip a candidate column whose trial fit is
 ///   singular (telemetry point `select/skip_candidate`), considering the
@@ -556,14 +545,16 @@ mod tests {
     #[test]
     fn enter_uses_all_predictors() {
         let (x, y) = data();
-        let fit = select(&x, &y, SelectionMethod::Enter, Thresholds::default());
+        let fit =
+            try_select(&x, &y, SelectionMethod::Enter, Thresholds::default()).expect("selects");
         assert_eq!(fit.active.len(), 6);
     }
 
     #[test]
     fn forward_finds_the_true_predictors() {
         let (x, y) = data();
-        let fit = select(&x, &y, SelectionMethod::Forward, Thresholds::default());
+        let fit =
+            try_select(&x, &y, SelectionMethod::Forward, Thresholds::default()).expect("selects");
         assert!(fit.active.contains(&0), "active: {:?}", fit.active);
         assert!(fit.active.contains(&1), "active: {:?}", fit.active);
         assert!(
@@ -576,7 +567,8 @@ mod tests {
     #[test]
     fn backward_eliminates_noise() {
         let (x, y) = data();
-        let fit = select(&x, &y, SelectionMethod::Backward, Thresholds::default());
+        let fit =
+            try_select(&x, &y, SelectionMethod::Backward, Thresholds::default()).expect("selects");
         assert!(fit.active.contains(&0));
         assert!(fit.active.contains(&1));
         assert!(fit.active.len() <= 4, "active: {:?}", fit.active);
@@ -585,8 +577,10 @@ mod tests {
     #[test]
     fn stepwise_matches_forward_on_clean_data() {
         let (x, y) = data();
-        let f = select(&x, &y, SelectionMethod::Forward, Thresholds::default());
-        let s = select(&x, &y, SelectionMethod::Stepwise, Thresholds::default());
+        let f =
+            try_select(&x, &y, SelectionMethod::Forward, Thresholds::default()).expect("selects");
+        let s =
+            try_select(&x, &y, SelectionMethod::Stepwise, Thresholds::default()).expect("selects");
         // Both must find the true support; stepwise may trim extras.
         for want in [0usize, 1] {
             assert!(f.active.contains(&want));
@@ -604,7 +598,7 @@ mod tests {
             SelectionMethod::Backward,
             SelectionMethod::Stepwise,
         ] {
-            let fit = select(&x, &y, m, Thresholds::default());
+            let fit = try_select(&x, &y, m, Thresholds::default()).expect("selects");
             assert!(fit.r2() > 0.99, "{m:?}: r2 {}", fit.r2());
         }
     }
@@ -673,7 +667,8 @@ mod tests {
             .collect();
         let y = vec![1.0, 2.0, 3.0, 4.0];
         let x = Matrix::from_rows(&rows);
-        let fit = select(&x, &y, SelectionMethod::Enter, Thresholds::default());
+        let fit =
+            try_select(&x, &y, SelectionMethod::Enter, Thresholds::default()).expect("selects");
         assert!(fit.active.len() <= 2);
     }
 
@@ -711,7 +706,7 @@ mod tests {
     #[test]
     fn precomputed_normal_eq_changes_nothing() {
         let (x, y) = data();
-        let ne = NormalEq::from_design(&x, &y);
+        let ne = NormalEq::try_from_design(&x, &y).expect("finite design");
         for m in [SelectionMethod::Forward, SelectionMethod::Stepwise] {
             let direct = try_select(&x, &y, m, Thresholds::default()).expect("direct");
             let shared =

@@ -146,6 +146,9 @@ impl Table {
     /// loops but silently masks a degenerate table from callers that
     /// require rows. Those callers (the predict surfaces) go through
     /// [`Table::try_n_rows`] instead.
+    ///
+    /// Kept public beside `try_n_rows` because the frozen perfbench
+    /// sources (`crates/bench/examples/perfbench`) call it.
     pub fn n_rows(&self) -> usize {
         self.n_rows_opt().unwrap_or(0)
     }
@@ -198,14 +201,6 @@ impl Table {
             names: self.names.clone(),
             columns: self.columns.iter().map(|c| c.select(rows)).collect(),
             target: rows.iter().map(|&i| self.target[i]).collect(),
-        }
-    }
-
-    /// Validate internal consistency (equal lengths, target present).
-    /// Panicking wrapper over [`Table::try_validate`].
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
         }
     }
 
@@ -273,7 +268,7 @@ mod tests {
     #[test]
     fn build_and_validate() {
         let t = sample();
-        t.validate();
+        t.try_validate().expect("consistent table");
         assert_eq!(t.n_rows(), 4);
         assert_eq!(t.n_cols(), 3);
     }

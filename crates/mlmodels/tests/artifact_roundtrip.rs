@@ -52,8 +52,8 @@ proptest! {
             let back = ModelArtifact::from_bytes("<roundtrip>", &bytes).expect("deserialize");
             prop_assert_eq!(back.model.kind, kind);
             prop_assert_eq!(back.schema.columns.len(), artifact.schema.columns.len());
-            let before = artifact.model.predict(&t);
-            let after = back.model.predict(&t);
+            let before = artifact.model.try_predict(&t).expect("predict");
+            let after = back.model.try_predict(&t).expect("predict");
             prop_assert_eq!(before.len(), after.len());
             for (b, a) in before.iter().zip(&after) {
                 prop_assert_eq!(b.to_bits(), a.to_bits(), "kind {}", kind.abbrev());

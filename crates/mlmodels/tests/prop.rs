@@ -4,7 +4,7 @@ use linalg::Matrix;
 use mlmodels::linreg::LinearFit;
 use mlmodels::nn::{Mlp, TrainConfig};
 use mlmodels::prep::{Encoding, Preprocessor};
-use mlmodels::select::{select, SelectionMethod, Thresholds};
+use mlmodels::select::{try_select, SelectionMethod, Thresholds};
 use mlmodels::table::Table;
 use mlmodels::{try_train, ModelKind};
 use proptest::prelude::*;
@@ -42,7 +42,7 @@ proptest! {
     #[test]
     fn preprocessing_bounds_and_roundtrip(t in arb_table()) {
         for enc in [Encoding::NumericCoded, Encoding::OneHot] {
-            let pp = Preprocessor::fit(&t, enc);
+            let pp = Preprocessor::try_fit(&t, enc).expect("valid table");
             let m = pp.transform(&t);
             for i in 0..m.rows() {
                 for j in 0..m.cols() {
@@ -59,7 +59,7 @@ proptest! {
     /// equals the subset of the transform.
     #[test]
     fn transform_commutes_with_row_selection(t in arb_table()) {
-        let pp = Preprocessor::fit(&t, Encoding::OneHot);
+        let pp = Preprocessor::try_fit(&t, Encoding::OneHot).expect("valid table");
         let full = pp.transform(&t);
         let rows: Vec<usize> = (0..t.n_rows()).step_by(2).collect();
         let sub = pp.transform(&t.select_rows(&rows));
@@ -77,9 +77,9 @@ proptest! {
         y in prop::collection::vec(-10.0f64..10.0, 20),
     ) {
         let x = Matrix::from_vec(20, 3, data);
-        let f1 = LinearFit::fit(&x, &y, &[0]);
-        let f2 = LinearFit::fit(&x, &y, &[0, 1]);
-        let f3 = LinearFit::fit(&x, &y, &[0, 1, 2]);
+        let f1 = LinearFit::try_fit_ridge(&x, &y, &[0]).expect("ridge fit");
+        let f2 = LinearFit::try_fit_ridge(&x, &y, &[0, 1]).expect("ridge fit");
+        let f3 = LinearFit::try_fit_ridge(&x, &y, &[0, 1, 2]).expect("ridge fit");
         prop_assert!(f2.rss <= f1.rss + 1e-6);
         prop_assert!(f3.rss <= f2.rss + 1e-6);
     }
@@ -92,16 +92,16 @@ proptest! {
         y in prop::collection::vec(-10.0f64..10.0, 24),
     ) {
         let x = Matrix::from_vec(24, 4, data);
-        let base = LinearFit::fit(&x, &y, &[]);
+        let base = LinearFit::try_fit_ridge(&x, &y, &[]).expect("ridge fit");
         for m in [
             SelectionMethod::Enter,
             SelectionMethod::Forward,
             SelectionMethod::Backward,
             SelectionMethod::Stepwise,
         ] {
-            let fit = select(&x, &y, m, Thresholds::default());
+            let fit = try_select(&x, &y, m, Thresholds::default()).expect("selects");
             prop_assert!(fit.rss <= base.rss + 1e-6, "{m:?}");
-            prop_assert!(fit.predict(&x).iter().all(|p| p.is_finite()));
+            prop_assert!(fit.try_predict(&x).expect("predict").iter().all(|p| p.is_finite()));
         }
     }
 
@@ -133,7 +133,7 @@ proptest! {
         let y: Vec<f64> = (0..n)
             .map(|i| 2.0 + data[i * 5] - 0.5 * data[i * 5 + 1] + 0.3 * noise2[i])
             .collect();
-        let ne = NormalEq::from_design(&x, &y);
+        let ne = NormalEq::try_from_design(&x, &y).expect("finite design");
         let mut eng = ActiveCholesky::new(&ne).expect("statistics cover rows");
         let mut active: Vec<usize> = Vec::new();
         for (add, j) in ops {
@@ -213,10 +213,12 @@ proptest! {
     ) {
         let x = Matrix::from_vec(16, 2, data);
         let mut net = Mlp::new(2, &[hidden], seed);
-        let rmse = net.train(&x, &y, &TrainConfig { epochs: 60, seed, ..Default::default() });
+        let rmse = net
+            .try_train(&x, &y, &TrainConfig { epochs: 60, seed, ..Default::default() })
+            .expect("train");
         prop_assert!(rmse.is_finite());
         for i in 0..x.rows() {
-            prop_assert!(net.forward(x.row(i)).is_finite());
+            prop_assert!(net.try_forward(x.row(i)).expect("forward").is_finite());
         }
     }
 
@@ -237,7 +239,7 @@ proptest! {
         for kind in [ModelKind::LrE, ModelKind::LrB, ModelKind::NnQ, ModelKind::NnS] {
             match try_train(kind, &t, seed) {
                 Ok(m) => {
-                    for p in m.predict(&t) {
+                    for p in m.try_predict(&t).expect("predict") {
                         prop_assert!(p.is_finite(), "{}: non-finite prediction", kind.abbrev());
                         prop_assert!(
                             (p - c).abs() <= c.abs() * 0.5 + 10.0,
@@ -292,7 +294,8 @@ proptest! {
         }
         let x = Matrix::from_fn(20, 4, |i, j| ((i * 3 + j) % 7) as f64 / 7.0);
         let y: Vec<f64> = (0..20).map(|i| (i % 5) as f64 / 5.0).collect();
-        net.train(&x, &y, &TrainConfig { epochs: 30, seed, ..Default::default() });
+        net.try_train(&x, &y, &TrainConfig { epochs: 30, seed, ..Default::default() })
+            .expect("train");
         for i in 0..4 {
             prop_assert_eq!(net.input_is_dead(i), expected_dead.contains(&i));
         }

@@ -19,7 +19,7 @@
 //!
 //! Both are **bit-identical** to the interpreted path: every arithmetic
 //! step keeps the same operand order and grouping as `transform` +
-//! `LinearFit::predict_row` / `Mlp::forward_batch`. The interpreted path
+//! `LinearFit::try_predict_row` / `Mlp::forward_batch`. The interpreted path
 //! is the oracle in tests only: `tests/compiled_prop.rs` compares the
 //! two bit for bit across every model kind.
 
@@ -83,7 +83,7 @@ impl FeatureExtract {
 #[derive(Debug)]
 enum Predictor {
     /// `intercept + Σ coef · scaled(feature)`, active terms only, in
-    /// the fit's active order — the same fold as `predict_row`.
+    /// the fit's active order — the same fold as `try_predict_row`.
     Linear {
         intercept: f64,
         terms: Vec<(FeatureExtract, f64)>,
@@ -270,7 +270,7 @@ fn predict(p: &Predictor, requests: &[&Request]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::request::parse_request_line;
-    use mlmodels::{train, ModelKind, Table};
+    use mlmodels::{try_train, ModelKind, Table};
 
     fn training_table(n: usize) -> Table {
         let speeds: Vec<f64> = (0..n).map(|i| 1000.0 + (i % 12) as f64 * 250.0).collect();
@@ -301,7 +301,7 @@ mod tests {
 
     fn artifact(kind: ModelKind) -> ModelArtifact {
         let t = training_table(96);
-        ModelArtifact::from_training(train(kind, &t, 7), &t)
+        ModelArtifact::from_training(try_train(kind, &t, 7).expect("train"), &t)
     }
 
     fn requests(art: &ModelArtifact, n: usize) -> Vec<Request> {
@@ -337,7 +337,7 @@ mod tests {
             let reqs = requests(&art, 40);
             let refs: Vec<&Request> = reqs.iter().collect();
             let table = crate::request::batch_table(&art.schema, &refs);
-            let interpreted = art.model.predict(&table);
+            let interpreted = art.model.try_predict(&table).expect("predict");
             let compiled = compile_with(art, Precision::F64).expect("compiles");
             let fast = compiled.predict_requests(&refs);
             assert_eq!(interpreted.len(), fast.len());

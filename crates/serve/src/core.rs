@@ -131,7 +131,7 @@ pub(crate) fn predict_window(
 mod tests {
     use super::*;
     use crate::compiled::{compile_with, Precision};
-    use mlmodels::{train, ModelArtifact, ModelKind, Table};
+    use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
 
     fn artifact() -> ModelArtifact {
         let n = 48;
@@ -139,7 +139,7 @@ mod tests {
         let y: Vec<f64> = xs.iter().map(|x| 3.0 * x + 7.0).collect();
         let mut t = Table::new();
         t.add_numeric("x", xs).set_target(y);
-        ModelArtifact::from_training(train(ModelKind::LrE, &t, 5), &t)
+        ModelArtifact::from_training(try_train(ModelKind::LrE, &t, 5).expect("train"), &t)
     }
 
     fn compiled() -> CompiledModel {

@@ -920,7 +920,7 @@ impl Daemon {
 mod tests {
     use super::*;
     use crate::registry::RegistryConfig;
-    use mlmodels::{train, ModelArtifact, ModelKind, Table};
+    use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
 
     fn write_artifact(dir: &std::path::Path, file: &str) -> String {
         let n = 40;
@@ -928,7 +928,8 @@ mod tests {
         let y: Vec<f64> = xs.iter().map(|x| 2.0 * x + 3.0).collect();
         let mut t = Table::new();
         t.add_numeric("x", xs).set_target(y);
-        let art = ModelArtifact::from_training(train(ModelKind::LrE, &t, 3), &t);
+        let art =
+            ModelArtifact::from_training(try_train(ModelKind::LrE, &t, 3).expect("train"), &t);
         let path = dir.join(file).to_string_lossy().into_owned();
         art.save(&path).expect("save artifact");
         path

@@ -302,7 +302,7 @@ pub fn serve_jsonl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlmodels::{train, ModelKind, Table};
+    use mlmodels::{try_train, ModelKind, Table};
 
     fn artifact(kind: ModelKind) -> ModelArtifact {
         let n = 96;
@@ -321,7 +321,7 @@ mod tests {
                 vec!["perfect".into(), "bimodal".into(), "gshare".into()],
             )
             .set_target(y);
-        ModelArtifact::from_training(train(kind, &t, 11), &t)
+        ModelArtifact::from_training(try_train(kind, &t, 11).expect("train"), &t)
     }
 
     fn requests(n: usize, distinct: usize) -> String {
@@ -387,7 +387,7 @@ mod tests {
                 vec!["perfect".into(), "bimodal".into(), "gshare".into()],
             )
             .set_target(vec![0.0]);
-        let direct = art.model.predict(&t)[0];
+        let direct = art.model.try_predict(&t).expect("predict")[0];
         let input = "{\"speed\":1400,\"smt\":true,\"bpred\":\"gshare\"}\n";
         let (out, _) = serve_jsonl(art, cfg(1), input).expect("serve");
         assert!(

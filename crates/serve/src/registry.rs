@@ -480,7 +480,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlmodels::{train, ModelKind, Table};
+    use mlmodels::{try_train, ModelKind, Table};
 
     fn write_artifact(dir: &std::path::Path, file: &str) -> String {
         let n = 32;
@@ -488,7 +488,8 @@ mod tests {
         let y: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
         let mut t = Table::new();
         t.add_numeric("x", xs).set_target(y);
-        let art = ModelArtifact::from_training(train(ModelKind::LrE, &t, 3), &t);
+        let art =
+            ModelArtifact::from_training(try_train(ModelKind::LrE, &t, 3).expect("train"), &t);
         let path = dir.join(file).to_string_lossy().into_owned();
         art.save(&path).expect("save artifact");
         path

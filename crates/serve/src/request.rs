@@ -347,6 +347,6 @@ mod tests {
         let t = batch_table(&s, &[&r1, &r2]);
         assert_eq!(t.n_rows(), 2);
         assert_eq!(t.names(), ["speed", "smt", "bpred"]);
-        t.validate();
+        t.try_validate().expect("consistent table");
     }
 }

@@ -84,7 +84,7 @@ pub fn generate_requests(
 mod tests {
     use super::*;
     use crate::engine::{serve_jsonl, ServeConfig};
-    use mlmodels::{train, ModelArtifact, ModelKind, Table};
+    use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
 
     fn schema() -> TableSchema {
         TableSchema {
@@ -159,7 +159,8 @@ mod tests {
         t.add_numeric("speed", speeds)
             .add_flag("smt", smt)
             .set_target(y);
-        let art = ModelArtifact::from_training(train(ModelKind::LrE, &t, 1), &t);
+        let art =
+            ModelArtifact::from_training(try_train(ModelKind::LrE, &t, 1).expect("train"), &t);
         let input = generate_requests(&art.schema, 300, 6, 4).expect("generate");
         let (out, stats) = serve_jsonl(art, ServeConfig::default(), &input).expect("serve");
         assert_eq!(out.lines().count(), 300);

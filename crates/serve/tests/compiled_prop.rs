@@ -1,6 +1,6 @@
 //! Property tests for the compiled predictors: for **every**
 //! [`ModelKind`], `compile_with(..)?.predict_requests` is bit-identical
-//! to the interpreted `model.predict(&table)` on a table built from the
+//! to the interpreted `model.try_predict(&table)` on a table built from the
 //! same configuration values. Configurations are drawn both on the
 //! training grid and between its points (off-grid, slightly overhanging
 //! the training domain), in batches, so the network path's batched
@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use serve::{compile_with, CompiledModel, Precision, Request};
 
-use mlmodels::{train, ModelArtifact, ModelKind, Table};
+use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
 use std::sync::OnceLock;
 
 const SPEEDS: [f64; 12] = [
@@ -56,7 +56,7 @@ fn models() -> &'static Vec<(ModelKind, CompiledModel)> {
         ModelKind::ALL
             .iter()
             .map(|&kind| {
-                let art = ModelArtifact::from_training(train(kind, &t, 13), &t);
+                let art = ModelArtifact::from_training(try_train(kind, &t, 13).expect("train"), &t);
                 let compiled = compile_with(art, Precision::F64)
                     .unwrap_or_else(|e| panic!("{} fails to compile: {e}", kind.abbrev()));
                 (kind, compiled)
@@ -99,7 +99,7 @@ fn assert_bit_identical(configs: &[Config]) {
         let reqs = requests_of(model, configs);
         let refs: Vec<&Request> = reqs.iter().collect();
         let compiled = model.predict_requests(&refs);
-        let interpreted = model.artifact.model.predict(&table);
+        let interpreted = model.artifact.model.try_predict(&table).expect("predict");
         prop_assert_eq!(compiled.len(), interpreted.len());
         for (i, (a, b)) in interpreted.iter().zip(&compiled).enumerate() {
             prop_assert_eq!(

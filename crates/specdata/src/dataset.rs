@@ -40,19 +40,7 @@ impl AnnouncementSet {
     }
 
     /// The chronological split the paper uses: train on `train_year`,
-    /// predict `train_year + 1`. Panicking wrapper over
-    /// [`AnnouncementSet::try_chronological_split`].
-    pub fn chronological_split(&self, train_year: u32) -> (Vec<&Announcement>, Vec<&Announcement>) {
-        match self.try_chronological_split(train_year) {
-            Ok(split) => split,
-            Err(e) => panic!(
-                "{}: empty chronological split at {train_year}: {e}",
-                self.family.name()
-            ),
-        }
-    }
-
-    /// Fallible chronological split: either side being empty is
+    /// predict `train_year + 1`. Either side being empty is
     /// [`fault::Error::DegenerateData`] naming the missing year.
     pub fn try_chronological_split(
         &self,
@@ -93,7 +81,7 @@ mod tests {
     fn chronological_split_2005_2006_exists_for_all_families() {
         for f in ProcessorFamily::ALL {
             let set = AnnouncementSet::generate(f, 42);
-            let (train, test) = set.chronological_split(2005);
+            let (train, test) = set.try_chronological_split(2005).expect("2005/2006 split");
             assert!(train.len() >= 10, "{}: train {}", f.name(), train.len());
             assert!(test.len() >= 10, "{}: test {}", f.name(), test.len());
             assert!(train.iter().all(|r| r.year == 2005));
@@ -120,9 +108,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty chronological split")]
-    fn split_outside_span_panics() {
+    fn split_outside_span_is_degenerate() {
         let set = AnnouncementSet::generate(ProcessorFamily::PentiumD, 42);
-        let _ = set.chronological_split(1999);
+        let e = set
+            .try_chronological_split(1999)
+            .expect_err("no 1999 announcements");
+        assert_eq!(e.kind(), "degenerate");
+        assert!(e.to_string().contains("1999"), "{e}");
     }
 }

@@ -75,7 +75,7 @@ proptest! {
         let set = AnnouncementSet::generate(fam, seed);
         let (y0, y1) = fam.year_span();
         for train_year in y0..y1 {
-            let (train, test) = set.chronological_split(train_year);
+            let (train, test) = set.try_chronological_split(train_year).expect("in-span split");
             prop_assert_eq!(
                 train.len() + test.len(),
                 set.records

@@ -6,17 +6,18 @@
 //! (default: "Opteron 2"; families: Xeon, "Pentium 4", "Pentium D",
 //! Opteron, "Opteron 2", "Opteron 4", "Opteron 8")
 
-use perfpredict::dse::chrono::{run_chronological, ChronoConfig};
-use perfpredict::dse::report::{f, render_table};
+use perfpredict::dse::chrono::{try_run_chronological, ChronoConfig};
+use perfpredict::dse::report::{f, try_render_table};
+use perfpredict::error::{Error, Result};
 use perfpredict::mlmodels::ModelKind;
 use perfpredict::specdata::ProcessorFamily;
 
-fn main() {
+fn main() -> Result<()> {
     let name = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "Opteron 2".into());
-    let family =
-        ProcessorFamily::from_name(&name).unwrap_or_else(|| panic!("unknown family '{name}'"));
+    let family = ProcessorFamily::from_name(&name)
+        .ok_or_else(|| Error::invalid(format!("unknown family '{name}'")))?;
 
     let cfg = ChronoConfig {
         train_year: 2005,
@@ -30,7 +31,7 @@ fn main() {
         "chronological prediction for {} (2005 -> 2006)…\n",
         family.name()
     );
-    let r = run_chronological(family, &cfg);
+    let r = try_run_chronological(family, &cfg)?;
     println!(
         "training records (2005): {}   test records (2006): {}\n",
         r.n_train, r.n_test
@@ -50,7 +51,7 @@ fn main() {
         .collect();
     print!(
         "{}",
-        render_table(
+        try_render_table(
             &[
                 "model".into(),
                 "2006 err %".into(),
@@ -58,10 +59,10 @@ fn main() {
                 "est (2005, max) %".into(),
             ],
             &rows,
-        )
+        )?
     );
 
-    let (best, err) = r.best();
+    let (best, err) = r.try_best()?;
     println!(
         "\nbest model: {} at {err:.2}% mean error",
         best.model.abbrev()
@@ -74,4 +75,5 @@ fn main() {
         "\npaper's finding: linear regression beats neural networks here — networks \
          over-fit the training year and extrapolate poorly into the next."
     );
+    Ok(())
 }

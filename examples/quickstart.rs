@@ -4,11 +4,11 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use perfpredict::cpusim::{sweep_design_space, Benchmark, DesignSpace, SimOptions};
-use perfpredict::dse::data::table_from_sweep;
-use perfpredict::mlmodels::{train, ModelKind};
+use perfpredict::cpusim::{try_sweep_design_space, Benchmark, DesignSpace, SimOptions};
+use perfpredict::dse::data::try_table_from_sweep;
+use perfpredict::mlmodels::{try_train, ModelKind};
 
-fn main() {
+fn main() -> perfpredict::error::Result<()> {
     // 1. A design space: every 8th point of the paper's 4608-point lattice
     //    keeps this example fast (576 configurations).
     let full = DesignSpace::table1();
@@ -23,17 +23,18 @@ fn main() {
     let sample_configs: Vec<_> = space.configs().iter().copied().step_by(20).collect(); // 5% systematic sample
     let sample_space = DesignSpace::from_configs(sample_configs);
     println!("simulating {} sampled configurations…", sample_space.len());
-    let sample_results = sweep_design_space(&sample_space, Benchmark::Gcc, &sim);
-    let sample_table = table_from_sweep(&sample_results);
+    let sample_results = try_sweep_design_space(&sample_space, Benchmark::Gcc, &sim, None)?.results;
+    let sample_table = try_table_from_sweep(&sample_results)?;
 
     // 3. Train the paper's best model (NN-E, exhaustive-prune network).
     println!("training NN-E on the sample…");
-    let model = train(ModelKind::NnE, &sample_table, 42);
+    let model = try_train(ModelKind::NnE, &sample_table, 42)?;
 
     // 4. Predict the whole space and rank configurations — no simulation.
-    let all_results = sweep_design_space(&space, Benchmark::Gcc, &sim); // ground truth for the demo
-    let full_table = table_from_sweep(&all_results);
-    let predictions = model.predict(&full_table);
+    // Ground truth for the demo.
+    let all_results = try_sweep_design_space(&space, Benchmark::Gcc, &sim, None)?.results;
+    let full_table = try_table_from_sweep(&all_results)?;
+    let predictions = model.try_predict(&full_table)?;
 
     let mut ranked: Vec<(usize, f64)> = predictions.iter().copied().enumerate().collect();
     ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
@@ -67,4 +68,5 @@ fn main() {
         space.len() - sample_space.len(),
         space.len()
     );
+    Ok(())
 }

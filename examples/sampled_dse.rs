@@ -5,15 +5,19 @@
 //! (default benchmark: mesa)
 
 use perfpredict::cpusim::{Benchmark, DesignSpace, SimOptions};
-use perfpredict::dse::report::{pct, render_table};
-use perfpredict::dse::sampled::{run_sampled_dse, SampledConfig, SamplingStrategy};
+use perfpredict::dse::report::{pct, try_render_table};
+use perfpredict::dse::sampled::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
 use perfpredict::dse::selectbest::select_method_series;
+use perfpredict::error::{Error, Result};
 use perfpredict::mlmodels::ModelKind;
 
-fn main() {
+fn main() -> Result<()> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "mesa".into());
-    let benchmark = Benchmark::from_name(&name)
-        .unwrap_or_else(|| panic!("unknown benchmark '{name}' (try applu/equake/gcc/mesa/mcf)"));
+    let benchmark = Benchmark::from_name(&name).ok_or_else(|| {
+        Error::invalid(format!(
+            "unknown benchmark '{name}' (try applu/equake/gcc/mesa/mcf)"
+        ))
+    })?;
 
     // Every 4th configuration keeps the example minutes-fast while
     // preserving the lattice structure.
@@ -38,7 +42,7 @@ fn main() {
         benchmark.name(),
         space.len()
     );
-    let run = run_sampled_dse(benchmark, &space, &cfg, None);
+    let run = try_run_sampled_dse(benchmark, &space, &cfg, None, None)?;
     println!(
         "cycle range over the space: {:.2}x, variation {:.3}\n",
         run.range, run.variation
@@ -62,20 +66,20 @@ fn main() {
         });
         print!(
             "{}",
-            render_table(
+            try_render_table(
                 &[
                     "model".into(),
                     "true err %".into(),
                     "estimated (max) %".into()
                 ],
                 &rows,
-            )
+            )?
         );
         println!();
     }
 
     println!("select method (best estimated error wins):");
-    for s in select_method_series(&run) {
+    for s in select_method_series(&run)? {
         println!(
             "  at {:.0}% sampling -> picks {} (true error {:.2}%)",
             s.rate * 100.0,
@@ -83,4 +87,5 @@ fn main() {
             s.true_error
         );
     }
+    Ok(())
 }

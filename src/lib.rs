@@ -27,7 +27,7 @@
 //!
 //! ```no_run
 //! use perfpredict::cpusim::{Benchmark, DesignSpace, SimOptions};
-//! use perfpredict::dse::sampled::{run_sampled_dse, SampledConfig, SamplingStrategy};
+//! use perfpredict::dse::sampled::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
 //! use perfpredict::mlmodels::ModelKind;
 //!
 //! // Simulate the full 4608-point space once, train NN-E on a 1% sample,
@@ -42,9 +42,10 @@
 //!     estimate_errors: true,
 //!     export_models: None,
 //! };
-//! let run = run_sampled_dse(Benchmark::Mcf, &space, &cfg, None);
+//! let run = try_run_sampled_dse(Benchmark::Mcf, &space, &cfg, None, None)?;
 //! let point = run.point(ModelKind::NnE, 0.01).unwrap();
 //! println!("NN-E true error at 1% sampling: {:.2}%", point.true_error);
+//! # Ok::<(), perfpredict::error::Error>(())
 //! ```
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for

@@ -51,7 +51,7 @@ use perfpredict::cpusim::{
 use perfpredict::dse::adaptive::{try_run_adaptive, AdaptiveConfig, EvalMode};
 use perfpredict::dse::chrono::{try_run_chronological, ChronoConfig};
 use perfpredict::dse::data::try_table_from_sweep;
-use perfpredict::dse::report::{f, render_table, render_trajectory};
+use perfpredict::dse::report::{f, render_trajectory, try_render_table};
 use perfpredict::dse::sampled::{
     draw_sample, try_run_sampled_dse, SampledConfig, SamplingStrategy,
 };
@@ -550,10 +550,10 @@ fn cli() -> Result<()> {
                     .collect();
                 print!(
                     "{}",
-                    render_table(
+                    try_render_table(
                         &["model".into(), "true err %".into(), "estimated %".into()],
                         &rows,
-                    )
+                    )?
                 );
             }
         }
@@ -623,7 +623,7 @@ fn cli() -> Result<()> {
                     .collect();
                 print!(
                     "{}",
-                    render_table(&["model".into(), "err %".into(), "std".into()], &rows)
+                    try_render_table(&["model".into(), "err %".into(), "std".into()], &rows)?
                 );
             }
         }

@@ -2,13 +2,13 @@
 //! experiments run, at reduced scale.
 
 use perfpredict::cpusim::{
-    simulate, sweep_design_space, Benchmark, CpuConfig, DesignSpace, SimOptions,
+    simulate, try_sweep_design_space, Benchmark, CpuConfig, DesignSpace, SimOptions,
 };
-use perfpredict::dse::chrono::{run_chronological, ChronoConfig};
-use perfpredict::dse::data::{table_from_announcements, table_from_sweep};
-use perfpredict::dse::sampled::{run_sampled_dse, SampledConfig, SamplingStrategy};
+use perfpredict::dse::chrono::{try_run_chronological, ChronoConfig};
+use perfpredict::dse::data::{try_table_from_announcements, try_table_from_sweep};
+use perfpredict::dse::sampled::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
 use perfpredict::dse::selectbest::select_method_series;
-use perfpredict::mlmodels::{train, ModelKind};
+use perfpredict::mlmodels::{try_train, ModelKind};
 use perfpredict::specdata::{AnnouncementSet, ProcessorFamily};
 
 fn small_space(step: usize) -> DesignSpace {
@@ -37,7 +37,7 @@ fn sampled_dse_pipeline_end_to_end() {
         estimate_errors: true,
         export_models: None,
     };
-    let run = run_sampled_dse(Benchmark::Mesa, &space, &cfg, None);
+    let run = try_run_sampled_dse(Benchmark::Mesa, &space, &cfg, None, None).expect("sampled run");
     assert_eq!(run.space_size, 192);
     assert_eq!(run.points.len(), 2);
     for p in &run.points {
@@ -49,7 +49,7 @@ fn sampled_dse_pipeline_end_to_end() {
             p.true_error
         );
     }
-    let select = select_method_series(&run);
+    let select = select_method_series(&run).expect("every rate selects");
     assert_eq!(select.len(), 1);
     assert!(
         run.points.iter().any(|p| p.model == select[0].chosen),
@@ -67,7 +67,7 @@ fn chronological_pipeline_end_to_end() {
         estimate_errors: true,
         export_models: None,
     };
-    let r = run_chronological(ProcessorFamily::PentiumD, &cfg);
+    let r = try_run_chronological(ProcessorFamily::PentiumD, &cfg).expect("chronological run");
     assert_eq!(r.points.len(), 3);
     // Paper: "for Pentium D all the models perform about the same and
     // produce roughly 2% error" — we allow a loose band.
@@ -94,7 +94,7 @@ fn linear_regression_beats_networks_chronologically() {
             estimate_errors: false,
             export_models: None,
         };
-        let r = run_chronological(fam, &cfg);
+        let r = try_run_chronological(fam, &cfg).expect("chronological run");
         let lr = r.points.iter().find(|p| p.model == ModelKind::LrE).unwrap();
         let best_nn = r
             .points
@@ -120,10 +120,12 @@ fn simulator_to_model_roundtrip() {
         instructions: 8_000,
         ..Default::default()
     };
-    let results = sweep_design_space(&space, Benchmark::Applu, &sim);
-    let table = table_from_sweep(&results);
-    let model = train(ModelKind::NnM, &table, 11);
-    let preds = model.predict(&table);
+    let results = try_sweep_design_space(&space, Benchmark::Applu, &sim, None)
+        .expect("sweep")
+        .results;
+    let table = try_table_from_sweep(&results).expect("sweep table");
+    let model = try_train(ModelKind::NnM, &table, 11).expect("NN-M trains");
+    let preds = model.try_predict(&table).expect("predict");
     let (mape, _) = perfpredict::linalg::stats::mape(&preds, table.target());
     assert!(mape < 10.0, "training-set MAPE {mape}");
 }
@@ -132,9 +134,9 @@ fn simulator_to_model_roundtrip() {
 fn announcements_to_model_roundtrip() {
     let set = AnnouncementSet::generate(ProcessorFamily::Opteron4, 42);
     let refs: Vec<_> = set.records.iter().collect();
-    let table = table_from_announcements(&refs);
-    let model = train(ModelKind::LrE, &table, 1);
-    let preds = model.predict(&table);
+    let table = try_table_from_announcements(&refs).expect("announcement table");
+    let model = try_train(ModelKind::LrE, &table, 1).expect("LR-E trains");
+    let preds = model.try_predict(&table).expect("predict");
     let (mape, _) = perfpredict::linalg::stats::mape(&preds, table.target());
     assert!(mape < 5.0, "LR-E in-sample MAPE {mape}");
 }
@@ -150,7 +152,9 @@ fn single_simulation_is_deterministic_across_apis() {
     let b = simulate(Benchmark::Equake, cfg, &opts);
     assert_eq!(a.cycles, b.cycles);
     let space = DesignSpace::from_configs(vec![cfg]);
-    let sweep = sweep_design_space(&space, Benchmark::Equake, &opts);
+    let sweep = try_sweep_design_space(&space, Benchmark::Equake, &opts, None)
+        .expect("sweep")
+        .results;
     assert_eq!(sweep[0].cycles, a.cycles, "sweep and single-run agree");
 }
 
