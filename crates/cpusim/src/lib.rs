@@ -25,7 +25,9 @@
 //! * [`prefetch`] — next-line and stride prefetchers (a library extension
 //!   past Table 1; see the `ablation_prefetch` harness).
 //! * [`runner`] — the high-level `(benchmark, config) -> cycles` entry point
-//!   and the Rayon-parallel full-design-space sweep.
+//!   and the full-design-space sweep.
+//! * [`shard`] — the one sweep executor (workers claiming indices from a
+//!   shared cursor) and its resumable JSONL ledger.
 //!
 //! The simulator is *mechanistic*: cycles emerge from queue occupancy, cache
 //! misses, and mispredict flushes — not from a closed-form formula — so the
@@ -45,8 +47,6 @@ pub mod trace;
 pub mod workload;
 
 pub use config::{BranchPredictorKind, CpuConfig, DesignSpace, SpaceSpec};
-pub use runner::{simulate, try_sweep_design_space, SimOptions, SimResult, SweepOutcome};
-pub use shard::{
-    merged_jsonl, try_simulate_indices, try_sweep_sharded, BatchOutcome, ShardOptions, ShardOutcome,
-};
+pub use runner::{simulate, try_sweep_design_space, SimOptions, SimResult};
+pub use shard::{merged_jsonl, try_simulate_indices, try_sweep_sharded, SweepOutcome};
 pub use workload::{Benchmark, WorkloadProfile};

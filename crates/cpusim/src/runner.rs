@@ -1,21 +1,20 @@
 //! High-level simulation drivers.
 //!
 //! [`simulate`] produces the cycle count of one `(benchmark, config)` pair;
-//! [`try_sweep_design_space`] evaluates a whole [`DesignSpace`] in parallel with
-//! Rayon, replaying one materialized trace so every configuration sees
-//! byte-identical instructions. The sweep is the substitute for the paper's
-//! "4608 simulations per benchmark" SimpleScalar campaign.
+//! [`try_sweep_design_space`] evaluates a whole [`DesignSpace`] through the
+//! sweep executor in [`crate::shard`], replaying one materialized trace so
+//! every configuration sees byte-identical instructions. The sweep is the
+//! substitute for the paper's "4608 simulations per benchmark" SimpleScalar
+//! campaign.
 
 use crate::config::{CpuConfig, DesignSpace};
 use crate::core::{Core, PipelineStats};
+use crate::shard::{self, SweepOutcome};
 use crate::simpoint::{analyze, SimPointAnalysis};
 use crate::trace::{Inst, ReplaySource, TraceGenerator};
 use crate::workload::Benchmark;
-use fault::checkpoint::{self, CheckpointWriter};
-use fault::{Error, Result};
+use fault::Result;
 use linalg::dist::child_seed;
-use rayon::prelude::*;
-use telemetry::json::JsonObject;
 
 /// Options controlling a simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -84,7 +83,7 @@ impl SimResult {
 ///
 /// Returns the interval traces and their weights. Without SimPoints this is
 /// a single full-weight window from the trace start. Crate-visible so the
-/// sharded driver ([`crate::shard`]) can share one materialization across
+/// sweep executor ([`crate::shard`]) can share one materialization across
 /// its workers.
 pub(crate) fn materialize(
     benchmark: Benchmark,
@@ -192,189 +191,29 @@ pub fn simulate(benchmark: Benchmark, config: CpuConfig, opts: &SimOptions) -> S
     run_windows(config, benchmark, &traces, &weights, opts.seed)
 }
 
-/// Outcome of a checkpointed sweep: the full result set plus how much of
-/// it was restored versus freshly simulated.
-#[derive(Debug, Clone)]
-pub struct SweepOutcome {
-    /// Per-configuration results, in design-space order.
-    pub results: Vec<SimResult>,
-    /// Configurations restored from the checkpoint.
-    pub restored: usize,
-    /// Configurations simulated in this process.
-    pub simulated: usize,
-}
-
-/// Checkpoint line identifying the run a sweep checkpoint belongs to.
+/// Simulate every configuration of a design space on every available
+/// core, with an optional checkpoint for resume.
 ///
-/// Public so pipeline layers (e.g. sampled DSE) can create a compatible
-/// header when they own the checkpoint file but skip the sweep itself.
-/// Alongside the point count, the header pins the space's content hash,
-/// so a ledger can never be resumed against a *different* space that
-/// happens to have the same size.
-pub fn sweep_header(benchmark: Benchmark, space: &DesignSpace, opts: &SimOptions) -> String {
-    JsonObject::new()
-        .str("type", "header")
-        .str("benchmark", benchmark.name())
-        .uint("space", space.len() as u64)
-        .str("space_hash", &format!("{:016x}", space.content_hash()))
-        .uint("instructions", opts.instructions)
-        .uint("seed", opts.seed)
-        .uint("simpoints", opts.use_simpoints as u64)
-        .finish()
-}
-
-/// The fields of [`sweep_header`] that must match on resume.
-///
-/// `space_hash` is part of the contract: checkpoints written before the
-/// space generator existed lack the field and are rejected with a typed
-/// [`Error::Checkpoint`] (re-run the sweep to rebuild them).
-pub fn sweep_header_expectations(
-    benchmark: Benchmark,
-    space: &DesignSpace,
-    opts: &SimOptions,
-) -> Vec<(&'static str, String)> {
-    vec![
-        ("benchmark", benchmark.name().to_string()),
-        ("space", space.len().to_string()),
-        ("space_hash", format!("{:016x}", space.content_hash())),
-        ("instructions", opts.instructions.to_string()),
-        ("seed", opts.seed.to_string()),
-        ("simpoints", (opts.use_simpoints as u64).to_string()),
-    ]
-}
-
-/// The canonical checkpoint line for one simulated configuration. Shared
-/// by the sequential and sharded drivers so their ledgers (and merged
-/// outputs) are byte-compatible.
-pub(crate) fn sim_record(idx: usize, result: &SimResult) -> String {
-    JsonObject::new()
-        .str("type", "sim")
-        .uint("idx", idx as u64)
-        .num("cycles", result.cycles)
-        .uint("stat_cycles", result.stats.cycles)
-        .uint("stat_instructions", result.stats.instructions)
-        .finish()
-}
-
-/// Simulate every configuration of a design space in parallel, with an
-/// optional checkpoint for resume.
-///
-/// The trace is materialized once and replayed per configuration, so the
-/// whole sweep is embarrassingly parallel and deterministic. Results are
-/// returned in design-space order. Without a checkpoint the sweep has no
-/// failure modes.
+/// This is [`crate::shard::try_sweep_sharded`] at
+/// [`crate::shard::default_workers`]: results come back in design-space
+/// order, byte-identical under [`crate::shard::merged_jsonl`] to any other
+/// worker count. Without a checkpoint the sweep has no failure modes.
 ///
 /// With `checkpoint: Some(path)`, every completed configuration is
-/// appended to `path` as a JSON line and flushed, so a killed sweep loses
-/// at most the configuration in flight. On restart with the same path,
-/// completed configurations are restored from the file (their pipeline
-/// stat details beyond cycles/instructions are not persisted) and only
-/// the remaining ones are simulated. A checkpoint written by a different
-/// run — other benchmark, space size, instruction budget, or seed — is
-/// rejected with [`Error::Checkpoint`]; a truncated final line (killed
-/// mid-write) is tolerated. Other record types in the file (e.g. the
-/// model-fit records a sampled-DSE run appends) are ignored, so one file
-/// can checkpoint a whole pipeline.
+/// appended to `path` as a flushed JSON line, so a killed sweep loses at
+/// most the configurations in flight; on restart only the remaining ones
+/// are simulated. A checkpoint written by a different run is rejected
+/// with [`fault::Error::Checkpoint`]; a truncated final line is tolerated;
+/// records of other families (e.g. a sampled-DSE run's model fits) are
+/// kept apart, so one file can checkpoint a whole pipeline. See
+/// [`crate::shard::open_ledger`].
 pub fn try_sweep_design_space(
     space: &DesignSpace,
     benchmark: Benchmark,
     opts: &SimOptions,
     checkpoint: Option<&str>,
 ) -> Result<SweepOutcome> {
-    let n_configs = space.len();
-    let _span = telemetry::span!("sweep", benchmark = benchmark.name(), configs = n_configs,);
-
-    let mut done: Vec<Option<SimResult>> = vec![None; n_configs];
-    let mut writer: Option<CheckpointWriter> = None;
-    let mut restored = 0usize;
-    if let Some(path) = checkpoint {
-        let records = checkpoint::load_records(path)?;
-        if let Some(header) = records.first() {
-            checkpoint::check_header(
-                path,
-                header,
-                &sweep_header_expectations(benchmark, space, opts),
-            )?;
-            for rec in &records[1..] {
-                if checkpoint::str_field(path, rec, "type")? != "sim" {
-                    continue;
-                }
-                let idx = checkpoint::u64_field(path, rec, "idx")? as usize;
-                if idx >= n_configs {
-                    return Err(Error::checkpoint(
-                        path,
-                        format!("sim record idx {idx} outside design space of {n_configs}"),
-                    ));
-                }
-                let cycles = checkpoint::f64_field(path, rec, "cycles")?;
-                let stats = PipelineStats {
-                    cycles: checkpoint::u64_field(path, rec, "stat_cycles")?,
-                    instructions: checkpoint::u64_field(path, rec, "stat_instructions")?,
-                    ..Default::default()
-                };
-                if done[idx].is_none() {
-                    restored += 1;
-                }
-                done[idx] = Some(SimResult {
-                    config: space.config_at(idx),
-                    benchmark,
-                    cycles,
-                    stats,
-                });
-            }
-            telemetry::point!("sweep/resume", restored = restored, total = n_configs);
-        }
-        let w = CheckpointWriter::append(path)?;
-        if records.is_empty() {
-            w.append_record(&sweep_header(benchmark, space, opts))?;
-        }
-        writer = Some(w);
-    }
-
-    if restored == n_configs {
-        let results = done.into_iter().flatten().collect();
-        return Ok(SweepOutcome {
-            results,
-            restored,
-            simulated: 0,
-        });
-    }
-
-    let (traces, weights, _) = materialize(benchmark, opts);
-    let progress = telemetry::Progress::new("sweep", (n_configs - restored) as u64);
-    let writer = &writer;
-    let done = &done;
-    let results: Vec<Result<SimResult>> = (0..n_configs)
-        .into_par_iter()
-        .map(|idx| {
-            if let Some(prior) = &done[idx] {
-                return Ok(prior.clone());
-            }
-            let config = space.config_at(idx);
-            let t_sim = telemetry::enabled().then(std::time::Instant::now);
-            let result = run_windows(config, benchmark, &traces, &weights, opts.seed);
-            if let Some(t) = t_sim {
-                telemetry::hist_observe_ns("sim/config_ns", t.elapsed());
-            }
-            if let Some(w) = writer {
-                if result.cycles.is_finite() {
-                    w.append_record(&sim_record(idx, &result))?;
-                } else {
-                    // Non-finite cycles round-trip as JSON null, which
-                    // would corrupt resume; re-simulate instead.
-                    telemetry::point!("sweep/skip_checkpoint", idx);
-                }
-            }
-            progress.inc();
-            Ok(result)
-        })
-        .collect();
-    let results = results.into_iter().collect::<Result<Vec<SimResult>>>()?;
-    Ok(SweepOutcome {
-        simulated: n_configs - restored,
-        restored,
-        results,
-    })
+    shard::try_sweep_sharded(space, benchmark, opts, shard::default_workers(), checkpoint)
 }
 
 /// Per-benchmark summary line of a sweep, matching §4.1's

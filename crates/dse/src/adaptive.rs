@@ -11,7 +11,7 @@
 //! equal simulation budget, with the paper's one-shot random sample.
 //!
 //! The loop is *lazy*: configurations are decoded from the space on demand
-//! and labels are produced through [`cpusim::shard::try_simulate_indices`],
+//! and labels are produced through [`cpusim::try_simulate_indices`],
 //! so on a generator-defined space of millions of points the explorer
 //! simulates only the configurations it actually acquires (plus whatever
 //! the chosen [`EvalMode`] needs) and never materializes the lattice.
@@ -177,7 +177,7 @@ pub struct AdaptiveResult {
 }
 
 /// Label source for the explorer: a precomputed sweep (labels are revealed
-/// as configurations are acquired) or the sharded lazy simulator. Counts
+/// as configurations are acquired) or the lazy simulator. Counts
 /// distinct label productions so tests can pin the simulation budget.
 struct Oracle<'a> {
     space: &'a DesignSpace,
@@ -209,7 +209,7 @@ impl<'a> Oracle<'a> {
                     self.simulated += missing.len();
                 }
                 None => {
-                    let batch = cpusim::shard::try_simulate_indices(
+                    let batch = cpusim::try_simulate_indices(
                         self.space,
                         self.benchmark,
                         &self.sim,

@@ -10,11 +10,10 @@
 use std::collections::HashMap;
 
 use crate::data::try_table_from_sweep;
-use cpusim::runner::{
-    sweep_header, sweep_header_expectations, try_sweep_design_space, SimOptions, SimResult,
-};
+use cpusim::runner::{try_sweep_design_space, SimOptions, SimResult};
+use cpusim::shard::open_ledger;
 use cpusim::{Benchmark, DesignSpace};
-use fault::checkpoint::{self, CheckpointWriter};
+use fault::checkpoint;
 use fault::{Error, Result};
 use linalg::dist::{child_seed, permutation, sample_indices, seeded_rng};
 use linalg::stats::mape;
@@ -339,51 +338,30 @@ pub fn try_run_sampled_dse(
         }
     }
 
-    // Restore prior fit records before the sweep appends to the file.
-    let mut restored = HashMap::new();
-    let mut prior_records = 0usize;
-    if let Some(path) = checkpoint {
-        let records = checkpoint::load_records(path)?;
-        if let Some(header) = records.first() {
-            checkpoint::check_header(
-                path,
-                header,
-                &sweep_header_expectations(benchmark, space, &cfg.sim),
-            )?;
-            restored = restore_fits(path, &records[1..], cfg)?;
-            if !restored.is_empty() {
-                telemetry::point!("sampled/resume", fits = restored.len());
-            }
-        }
-        prior_records = records.len();
-    }
-
-    let had_precomputed = precomputed.is_some();
     let results = match precomputed {
-        Some(r) => {
-            if r.len() != space.len() {
-                return Err(Error::invalid(format!(
-                    "precomputed sweep has {} results for a {}-point space",
-                    r.len(),
-                    space.len()
-                )));
-            }
-            r
+        Some(r) if r.len() != space.len() => {
+            return Err(Error::invalid(format!(
+                "precomputed sweep has {} results for a {}-point space",
+                r.len(),
+                space.len()
+            )));
         }
+        Some(r) => r,
         None => try_sweep_design_space(space, benchmark, &cfg.sim, checkpoint)?.results,
     };
-    let writer = match checkpoint {
-        Some(path) => {
-            let w = CheckpointWriter::append(path)?;
-            // The sweep writes the header when it owns an empty file; with
-            // precomputed results nobody has yet, so the fit records need one.
-            if prior_records == 0 && had_precomputed {
-                w.append_record(&sweep_header(benchmark, space, &cfg.sim))?;
-            }
-            Some(w)
-        }
-        None => None,
+    // The sweep's ledger doubles as the fit checkpoint: restore prior fit
+    // records and append new ones through the same file.
+    let ledger = checkpoint
+        .map(|path| open_ledger(path, space, benchmark, &cfg.sim))
+        .transpose()?;
+    let restored = match &ledger {
+        Some(l) => restore_fits(l.writer.path(), &l.records, cfg)?,
+        None => HashMap::new(),
     };
+    if !restored.is_empty() {
+        telemetry::point!("sampled/resume", fits = restored.len());
+    }
+    let writer = ledger.as_ref().map(|l| &l.writer);
 
     let bad_rows = results.iter().filter(|r| !r.cycles.is_finite()).count();
     if bad_rows > 0 {
@@ -452,7 +430,7 @@ pub fn try_run_sampled_dse(
                         reason: e.kind().to_string(),
                         detail: e.to_string(),
                     };
-                    if let Some(w) = &writer {
+                    if let Some(w) = writer {
                         w.append_record(&drop_line(ri, &d))?;
                     }
                     dropped.push(d);
@@ -490,7 +468,7 @@ pub fn try_run_sampled_dse(
                         true_error_std: te_std,
                         estimated,
                     };
-                    if let Some(w) = &writer {
+                    if let Some(w) = writer {
                         // A non-finite error would round-trip as JSON null;
                         // re-fit on resume instead of checkpointing it.
                         if te.is_finite() && te_std.is_finite() {

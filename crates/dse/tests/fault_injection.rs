@@ -268,44 +268,32 @@ fn killed_sampled_dse_resumes_and_matches_fresh_run() {
 }
 
 #[test]
-fn killed_shard_worker_mid_unit_preserves_merged_identity() {
-    // A shard worker dies mid-unit: its `claim` record has no matching
-    // `unit_done`, and the ledger tail is torn mid-line. Resume must
-    // re-claim the orphaned unit and the merged output must stay
-    // byte-identical to a sequential single-driver sweep.
+fn killed_shard_worker_preserves_merged_identity() {
+    // A 2-worker sweep is killed: the ledger keeps its first 10 `sim`
+    // lines and a torn half of the next. Resume must restore exactly those
+    // 10, simulate the rest, and merge byte-identically to a sweep that
+    // never died.
     let space = small_space();
     let opts = SimOptions::quick();
-    let shard = cpusim::ShardOptions {
-        shards: 2,
-        unit_size: 4,
-    };
 
     let sequential = try_sweep_design_space(&space, Benchmark::Gcc, &opts, None).expect("oracle");
     let oracle = cpusim::merged_jsonl(&sequential.results);
 
     let path = tmp("killed-shard-worker.jsonl");
-    cpusim::try_sweep_sharded(&space, Benchmark::Gcc, &opts, &shard, &path)
+    cpusim::try_sweep_sharded(&space, Benchmark::Gcc, &opts, 2, Some(&path))
         .expect("seed sharded run");
 
-    // Kill: keep everything up to (and including) the last claim line,
-    // then a torn half of the following line.
     let text = std::fs::read_to_string(&path).expect("read ledger");
     let lines: Vec<&str> = text.lines().collect();
-    let last_claim = lines
-        .iter()
-        .rposition(|l| l.contains("\"type\":\"claim\""))
-        .expect("ledger has claim records");
-    let torn = &lines[last_claim + 1][..lines[last_claim + 1].len() / 2];
-    let keep = format!("{}\n{}", lines[..=last_claim].join("\n"), torn);
+    assert!(lines[1..].iter().all(|l| l.contains("\"type\":\"sim\"")));
+    let torn = &lines[11][..lines[11].len() / 2];
+    let keep = format!("{}\n{}", lines[..11].join("\n"), torn);
     std::fs::write(&path, keep).expect("simulate worker kill");
 
-    let resumed = cpusim::try_sweep_sharded(&space, Benchmark::Gcc, &opts, &shard, &path)
+    let resumed = cpusim::try_sweep_sharded(&space, Benchmark::Gcc, &opts, 2, Some(&path))
         .expect("resume after worker kill");
-    assert!(
-        resumed.reclaimed >= 1,
-        "the orphaned unit must be re-claimed"
-    );
-    assert!(resumed.restored > 0 && resumed.simulated > 0);
+    assert_eq!(resumed.restored, 10);
+    assert_eq!(resumed.simulated, space.len() - 10);
     assert_eq!(
         cpusim::merged_jsonl(&resumed.results),
         oracle,

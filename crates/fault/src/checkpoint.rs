@@ -183,19 +183,6 @@ pub fn f64_field(path: &str, record: &Value, key: &str) -> Result<f64> {
         .ok_or_else(|| Error::checkpoint(path, format!("record missing numeric field '{key}'")))
 }
 
-/// Iterate the records whose `"type"` field equals `ty`.
-///
-/// A ledger may interleave record families from several layers — sweep
-/// `sim` lines, shard `claim`/`unit_done` lines, sampled-DSE `fit` lines —
-/// so consumers filter for their own family and skip the rest. Records
-/// without a string `type` are skipped rather than erroring; writers
-/// always stamp one, so an untyped record can only be another layer's.
-pub fn records_of_type<'a>(records: &'a [Value], ty: &'a str) -> impl Iterator<Item = &'a Value> {
-    records
-        .iter()
-        .filter(move |r| r.get("type").and_then(Value::as_str) == Some(ty))
-}
-
 /// Verify that a header record's fields match the current run; any
 /// mismatch is a `Checkpoint` error naming the divergent field.
 ///
@@ -339,30 +326,6 @@ mod tests {
         assert!(err.to_string().contains("benchmark"), "{err}");
         let err = check_header("p", &recs[0], &[("seed", "42".to_string())]).expect_err("missing");
         assert!(err.to_string().contains("seed"), "{err}");
-    }
-
-    #[test]
-    fn records_of_type_filters_mixed_ledgers() {
-        let text = format!(
-            "{}\n{}\n{}\n{}\n",
-            header_line(),
-            JsonObject::new()
-                .str("type", "claim")
-                .uint("unit", 0)
-                .finish(),
-            JsonObject::new().str("type", "sim").uint("idx", 7).finish(),
-            JsonObject::new()
-                .str("type", "unit_done")
-                .uint("unit", 0)
-                .finish(),
-        );
-        let recs = parse_records("p", &text).expect("parse");
-        assert_eq!(records_of_type(&recs, "sim").count(), 1);
-        assert_eq!(records_of_type(&recs, "claim").count(), 1);
-        assert_eq!(records_of_type(&recs, "header").count(), 1);
-        assert_eq!(records_of_type(&recs, "fit").count(), 0);
-        let sim = records_of_type(&recs, "sim").next().expect("sim record");
-        assert_eq!(u64_field("p", sim, "idx").expect("idx"), 7);
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! perfpredict simulate  <benchmark>                 one configuration, full stats
-//! perfpredict sweep     <benchmark> [--step N]      design-space sweep summary
-//!                       [--space S] [--shards N]    (sharded work-stealing sweep over a
-//!                       [--unit N] [--merged-out F]  named space: table1, smoke, mega)
+//! perfpredict sweep     <benchmark> [--step N]      design-space sweep summary over a
+//!                       [--space S] [--shards N]    named space (table1, smoke, mega)
+//!                       [--merged-out F]            on N workers
 //! perfpredict adaptive  <benchmark> [--initial N]   query-by-committee active learning
 //!                       [--batch N] [--rounds N]    with lazy simulation
 //! perfpredict sampled   <benchmark> [--rate pct]    sampled-DSE experiment
@@ -32,7 +32,7 @@
 //!   chrono).
 //! * `--checkpoint <path>` — (sweep / sampled) append completed work to a
 //!   JSONL checkpoint and resume from it on restart; a killed run loses at
-//!   most the unit in flight.
+//!   most the work in flight.
 //! * `--export-models <dir>` — (sampled / chrono) save every freshly
 //!   trained model into `<dir>` as a versioned `.ppmodel` artifact.
 //!
@@ -44,9 +44,10 @@
 //! exceeded (typed per-request rejections in daemon mode), `8` every
 //! model version quarantined — the daemon's fail-closed termination.
 
+use perfpredict::cpusim::shard::default_workers;
 use perfpredict::cpusim::{
     merged_jsonl, simulate, try_sweep_design_space, try_sweep_sharded, Benchmark, CpuConfig,
-    DesignSpace, ShardOptions, SimOptions, SpaceSpec,
+    DesignSpace, SimOptions, SpaceSpec,
 };
 use perfpredict::dse::adaptive::{try_run_adaptive, AdaptiveConfig, EvalMode};
 use perfpredict::dse::chrono::{try_run_chronological, ChronoConfig};
@@ -70,13 +71,13 @@ fn usage() -> ! {
          commands:\n\
            simulate  <benchmark>              simulate one baseline configuration\n\
            sweep     <benchmark> [--step N] [--space S]\n\
-                     [--shards N] [--unit N] [--merged-out F]\n\
+                     [--shards N] [--merged-out F]\n\
                                               sweep a design space (default: Table-1 at\n\
                                               step 16; --space table1|smoke|mega picks a\n\
                                               named space, --step applies to table1 only).\n\
-                                              --shards > 1 runs a work-stealing sharded\n\
-                                              sweep over the --checkpoint ledger; \n\
-                                              --merged-out writes canonical merged JSONL\n\
+                                              --shards N sets the worker count (default:\n\
+                                              every core); --merged-out writes canonical\n\
+                                              merged JSONL\n\
            adaptive  <benchmark> [--space S] [--initial N] [--batch N]\n\
                      [--rounds N] [--committee N] [--pool N]\n\
                      [--eval full|none|holdout=N] [--seed S]\n\
@@ -339,47 +340,23 @@ fn cli() -> Result<()> {
         "sweep" => {
             let b = benchmark_arg(rest)?;
             let space = space_arg(rest)?;
-            let shards: usize = parse_number(rest, "--shards", 1)?;
-            let unit: usize = parse_number(rest, "--unit", 64)?;
+            let workers: usize = parse_number(rest, "--shards", default_workers())?;
             let merged_out = parse_flag(rest, "--merged-out");
             eprintln!("sweeping {} configurations…", space.len());
-            let results = if shards > 1 {
-                let ledger = checkpoint.as_deref().ok_or_else(|| {
-                    Error::invalid(
-                        "--shards requires --checkpoint <path> (the work-stealing ledger)",
-                    )
-                })?;
-                let outcome = try_sweep_sharded(
-                    &space,
-                    b,
-                    &SimOptions::default(),
-                    &ShardOptions {
-                        shards,
-                        unit_size: unit,
-                    },
-                    ledger,
-                )?;
+            let outcome = try_sweep_sharded(
+                &space,
+                b,
+                &SimOptions::default(),
+                workers,
+                checkpoint.as_deref(),
+            )?;
+            if checkpoint.is_some() {
                 eprintln!(
-                    "shards: {} workers over {} units ({} reclaimed), \
-                     {} restored, {} simulated",
-                    shards, outcome.units, outcome.reclaimed, outcome.restored, outcome.simulated
+                    "checkpoint: {} restored, {} simulated",
+                    outcome.restored, outcome.simulated
                 );
-                outcome.results
-            } else {
-                let outcome = try_sweep_design_space(
-                    &space,
-                    b,
-                    &SimOptions::default(),
-                    checkpoint.as_deref(),
-                )?;
-                if checkpoint.is_some() {
-                    eprintln!(
-                        "checkpoint: {} restored, {} simulated",
-                        outcome.restored, outcome.simulated
-                    );
-                }
-                outcome.results
-            };
+            }
+            let results = outcome.results;
             if let Some(path) = &merged_out {
                 std::fs::write(path, merged_jsonl(&results)).map_err(|e| Error::io(path, e))?;
                 eprintln!("merged results written to {path}");
@@ -595,7 +572,7 @@ fn cli() -> Result<()> {
                     "{}",
                     JsonObject::new()
                         .str("family", fam.name())
-                        .uint("train_year", year as u64)
+                        .uint("train_year", u64::from(year))
                         .uint("n_train", r.n_train as u64)
                         .uint("n_test", r.n_test as u64)
                         .raw("points", &format!("[{}]", points.join(",")))
