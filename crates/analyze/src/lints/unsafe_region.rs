@@ -1,12 +1,11 @@
 //! `unsafe-region` — every `unsafe` region is a reviewed, waived site.
 //!
-//! The workspace is safe Rust except for the explicit SIMD kernels in
-//! `crates/compat/simd`, where `std::arch` intrinsics force `unsafe`.
-//! This pass flags **every** `unsafe` token in non-test code — there is
-//! no way to write an unflagged `unsafe` — so each accepted site must
-//! carry an `analyze.toml` waiver with a per-site safety argument, and
-//! the content hash makes the waiver go stale the moment the region's
-//! first line changes.
+//! The analyzed workspace code has no `unsafe` site; this pass keeps a
+//! new one from landing unreviewed. It flags **every** `unsafe` token
+//! in non-test code — there is no way to write an unflagged `unsafe` —
+//! so each accepted site must carry an `analyze.toml` waiver with a
+//! per-site safety argument, and the content hash makes the waiver go
+//! stale the moment the region's first line changes.
 //!
 //! The message distinguishes two cases so review effort lands where it
 //! matters:

@@ -3,9 +3,6 @@
 //! The analyzer polices *library* source: the root `src/` tree plus
 //! every `crates/*/src` tree except `crates/compat` (vendored
 //! API-compatible subsets of external crates — not ours to lint).
-//! One compat member IS ours and is scanned: `crates/compat/simd`,
-//! the first-party SIMD kernel crate, whose `unsafe` intrinsic
-//! regions are exactly what the `unsafe-region` policy exists for.
 //! Integration tests, benches, and examples are harness code and are
 //! not scanned; `#[cfg(test)]` regions inside scanned files are
 //! exempted by the region tracker instead.
@@ -28,13 +25,6 @@ pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>> {
     if crates_dir.is_dir() {
         let mut crate_dirs: Vec<PathBuf> = read_dir_sorted(&crates_dir)?;
         crate_dirs.retain(|p| p.is_dir() && p.file_name().map(|n| n != "compat").unwrap_or(false));
-        // First-party compat member: the SIMD kernels are workspace
-        // code (not a vendored stand-in) and must pass every policy,
-        // unsafe-region above all.
-        let simd = crates_dir.join("compat").join("simd");
-        if simd.is_dir() {
-            crate_dirs.push(simd);
-        }
         for dir in crate_dirs {
             let src = dir.join("src");
             if src.is_dir() {
@@ -58,11 +48,11 @@ pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>> {
 /// All `.rs` files under the workspace's *reference* roots, sorted:
 /// integration tests, benches, and examples — the root `tests/`,
 /// `benches/`, `examples/` trees plus each crate's (compat excluded,
-/// `compat/simd` included, mirroring [`workspace_files`]). Reference
-/// files are never linted, but the `dead-pub-api` pass reads their
-/// identifier uses as external-consumer evidence: an API a bench or
-/// integration test exercises is alive. An empty result is fine here —
-/// a workspace without tests is lint-worthy, not an I/O error.
+/// mirroring [`workspace_files`]). Reference files are never linted,
+/// but the `dead-pub-api` pass reads their identifier uses as
+/// external-consumer evidence: an API a bench or integration test
+/// exercises is alive. An empty result is fine here — a workspace
+/// without tests is lint-worthy, not an I/O error.
 pub(crate) fn reference_files(root: &Path) -> Result<Vec<PathBuf>> {
     const REF_DIRS: &[&str] = &["tests", "benches", "examples"];
     let mut files = Vec::new();
@@ -71,10 +61,6 @@ pub(crate) fn reference_files(root: &Path) -> Result<Vec<PathBuf>> {
     if crates_dir.is_dir() {
         let mut crate_dirs = read_dir_sorted(&crates_dir)?;
         crate_dirs.retain(|p| p.is_dir() && p.file_name().map(|n| n != "compat").unwrap_or(false));
-        let simd = crates_dir.join("compat").join("simd");
-        if simd.is_dir() {
-            crate_dirs.push(simd);
-        }
         roots.extend(crate_dirs);
     }
     for base in roots {

@@ -148,7 +148,7 @@ impl BranchPredictor for TwoLevel {
     fn update(&mut self, id: u32, taken: bool) {
         let idx = self.index(id);
         counter_update(&mut self.pht[idx], taken);
-        self.history = (self.history << 1) | taken as u32;
+        self.history = (self.history << 1) | u32::from(taken);
     }
     fn stats(&self) -> (u64, u64) {
         (self.lookups, self.mispredicts)

@@ -255,7 +255,7 @@ impl Fnv {
 
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            self.0 ^= b as u64;
+            self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
@@ -524,11 +524,11 @@ impl SpaceSpec {
         let mut h = Fnv::new();
         h.write_str("spacespec.v1");
         for &v in &self.l1d_size_kb {
-            h.write_u64(v as u64);
+            h.write_u64(u64::from(v));
         }
         h.write_str("l1i");
         for &v in &self.l1i_size_kb {
-            h.write_u64(v as u64);
+            h.write_u64(u64::from(v));
         }
         h.write_str("bpred");
         for &b in &self.bpred {
@@ -536,13 +536,13 @@ impl SpaceSpec {
         }
         h.write_str("line");
         for &v in &self.l1_line_b {
-            h.write_u64(v as u64);
+            h.write_u64(u64::from(v));
         }
         h.write_str("l2");
         for g in &self.l2 {
-            h.write_u64(g.size_kb as u64);
-            h.write_u64(g.line_b as u64);
-            h.write_u64(g.assoc as u64);
+            h.write_u64(u64::from(g.size_kb));
+            h.write_u64(u64::from(g.line_b));
+            h.write_u64(u64::from(g.assoc));
         }
         h.write_str("l3");
         for g in &self.l3 {
@@ -550,29 +550,29 @@ impl SpaceSpec {
                 None => h.write_u64(0),
                 Some(g) => {
                     h.write_u64(1);
-                    h.write_u64(g.size_kb as u64);
-                    h.write_u64(g.line_b as u64);
-                    h.write_u64(g.assoc as u64);
+                    h.write_u64(u64::from(g.size_kb));
+                    h.write_u64(u64::from(g.line_b));
+                    h.write_u64(u64::from(g.assoc));
                 }
             }
         }
         h.write_str("width");
         for &v in &self.width {
-            h.write_u64(v as u64);
+            h.write_u64(u64::from(v));
         }
         h.write_str("wrong");
         for &v in &self.wrong_path {
-            h.write_u64(v as u64);
+            h.write_u64(u64::from(v));
         }
         h.write_str("window");
         for &(r, l) in &self.window {
-            h.write_u64(r as u64);
-            h.write_u64(l as u64);
+            h.write_u64(u64::from(r));
+            h.write_u64(u64::from(l));
         }
         h.write_str("tlb");
         for &(i, d) in &self.tlb {
-            h.write_u64(i as u64);
-            h.write_u64(d as u64);
+            h.write_u64(u64::from(i));
+            h.write_u64(u64::from(d));
         }
         h.finish()
     }

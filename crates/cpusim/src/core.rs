@@ -325,7 +325,7 @@ impl Core {
     /// cycle.
     fn commit(&mut self) {
         let mut retired = 0;
-        while retired < self.config.width as usize {
+        while retired < usize::from(self.config.width) {
             match self.ruu.front() {
                 Some(e) if e.issued && e.done_at <= self.cycle => {
                     if e.is_mem {
@@ -360,7 +360,7 @@ impl Core {
     fn issue(&mut self, fu: &mut FuBusy) {
         let mut issued = 0;
         let mut scanned = 0;
-        let width = self.config.width as usize;
+        let width = usize::from(self.config.width);
         for idx in 0..self.ruu.len() {
             if issued >= width || scanned >= ISSUE_SCAN {
                 break;
@@ -403,7 +403,7 @@ impl Core {
                 }
                 let _ = self.dcache.access(e.addr, &mut self.l2, self.l3.as_mut());
             }
-            let done = self.cycle + lat as u64;
+            let done = self.cycle + u64::from(lat);
             let entry = &mut self.ruu[idx];
             entry.issued = true;
             entry.done_at = done;
@@ -431,13 +431,13 @@ impl Core {
         self.last_fetch_line = line;
         let mut stall = 0u64;
         if !self.itlb.access(code_addr) {
-            stall += self.latency.tlb_miss as u64;
+            stall += u64::from(self.latency.tlb_miss);
         }
         let level = self
             .icache
             .access(code_addr, &mut self.l2, self.l3.as_mut());
         if level != crate::cache::HierLevel::L1 {
-            stall += self.latency.for_level(level) as u64;
+            stall += u64::from(self.latency.for_level(level));
         }
         stall
     }
@@ -515,7 +515,7 @@ impl Core {
                 if d == 0 {
                     u64::MAX
                 } else {
-                    seq.checked_sub(d as u64).unwrap_or(u64::MAX)
+                    seq.checked_sub(u64::from(d)).unwrap_or(u64::MAX)
                 }
             };
             // Mark as not-done until issued.

@@ -63,7 +63,7 @@ fn header_line(benchmark: Benchmark, space: &DesignSpace, opts: &SimOptions) -> 
     JsonObject::new()
         .str("type", "header")
         .str("benchmark", benchmark.name())
-        .uint("space", space.len() as u64)
+        .usize("space", space.len())
         .str("space_hash", &format!("{:016x}", space.content_hash()))
         .uint("instructions", opts.instructions)
         .uint("seed", opts.seed)
@@ -93,7 +93,7 @@ fn header_expectations(
 fn sim_record(idx: usize, result: &SimResult) -> String {
     JsonObject::new()
         .str("type", "sim")
-        .uint("idx", idx as u64)
+        .usize("idx", idx)
         .num("cycles", result.cycles)
         .uint("stat_cycles", result.stats.cycles)
         .uint("stat_instructions", result.stats.instructions)

@@ -23,7 +23,7 @@ impl Tlb {
     /// Entries = reach / page size; organized 4-way set associative (or
     /// fully associative when fewer than 4 entries).
     pub fn new(reach_kb: u32) -> Self {
-        let entries = ((reach_kb as u64 * 1024) / PAGE_BYTES).max(1) as u32;
+        let entries = ((u64::from(reach_kb) * 1024) / PAGE_BYTES).max(1) as u32;
         assert!(
             entries.is_power_of_two(),
             "TLB entries must be a power of two: {entries}"

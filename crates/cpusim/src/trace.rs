@@ -62,7 +62,7 @@ impl Inst {
     /// Instruction-fetch byte address. Blocks occupy disjoint 256-byte code
     /// regions, so total code footprint is `code_blocks * 256` bytes.
     pub(crate) fn code_addr(&self) -> u64 {
-        self.block as u64 * CODE_BLOCK_BYTES + (self.code_offset as u64 % CODE_BLOCK_BYTES)
+        u64::from(self.block) * CODE_BLOCK_BYTES + (u64::from(self.code_offset) % CODE_BLOCK_BYTES)
     }
 }
 
@@ -390,7 +390,7 @@ impl TraceGenerator {
                         }
                     }
                     BranchClass::Patterned { period, inverted } => {
-                        let body = (occ % period as u32) != (period as u32 - 1);
+                        let body = (occ % u32::from(period)) != (u32::from(period) - 1);
                         body != inverted
                     }
                     BranchClass::Random { taken_p } => self.rng.random::<f64>() < taken_p,

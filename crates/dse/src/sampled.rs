@@ -274,10 +274,10 @@ fn restore_fits(
 fn fit_line(ri: usize, p: &SampledPoint) -> String {
     let mut obj = JsonObject::new()
         .str("type", "fit")
-        .uint("rate_idx", ri as u64)
+        .usize("rate_idx", ri)
         .str("model", p.model.abbrev())
         .num("rate", p.rate)
-        .uint("sample_size", p.sample_size as u64)
+        .usize("sample_size", p.sample_size)
         .num("true_error", p.true_error)
         .num("true_error_std", p.true_error_std);
     if let Some(est) = &p.estimated {
@@ -290,7 +290,7 @@ fn fit_line(ri: usize, p: &SampledPoint) -> String {
 fn drop_line(ri: usize, d: &DroppedFit) -> String {
     JsonObject::new()
         .str("type", "drop")
-        .uint("rate_idx", ri as u64)
+        .usize("rate_idx", ri)
         .str("model", d.model.abbrev())
         .num("rate", d.rate)
         .str("reason", &d.reason)

@@ -142,22 +142,14 @@ impl Matrix {
     /// split into independent row tiles evaluated on rayon workers; each
     /// output element accumulates in the same k-ascending order either
     /// way, so the result is bit-identical to the serial loop.
-    ///
-    /// The inner row update dispatches through [`simd::axpy`], whose AVX2
-    /// backend vectorizes across output columns while keeping every
-    /// element's mul-then-add order identical to the scalar oracle
-    /// (`PERFPREDICT_KERNEL=scalar`). The backend is resolved once here,
-    /// on the calling thread, so a `simd::with_backend` override survives
-    /// the rayon fan-out.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul: inner dimensions differ ({}x{} * {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        let be = simd::backend();
         let flops = self.rows * self.cols * other.cols;
-        row_tiled(self.rows, other.cols, flops, move |r0, buf| {
+        row_tiled(self.rows, other.cols, flops, |r0, buf| {
             let out_cols = other.cols;
             for (ti, i) in (r0..).zip(0..buf.len() / out_cols) {
                 let a_row = self.row(ti);
@@ -166,7 +158,7 @@ impl Matrix {
                     if a_ik == 0.0 {
                         continue;
                     }
-                    simd::axpy(be, a_ik, other.row(k), o_row);
+                    axpy(a_ik, other.row(k), o_row);
                 }
             }
         })
@@ -176,16 +168,15 @@ impl Matrix {
     /// are streamed row by row, accumulating rank-one contributions in
     /// row-index-ascending order — the exact order a per-sample gradient
     /// loop accumulates, which keeps batched backprop bit-identical to the
-    /// scalar oracle. Tiled over *output* rows for parallelism.
+    /// per-sample reference. Tiled over *output* rows for parallelism.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn: row counts differ ({}x{} vs {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        let be = simd::backend();
         let flops = self.rows * self.cols * other.cols;
-        row_tiled(self.cols, other.cols, flops, move |r0, buf| {
+        row_tiled(self.cols, other.cols, flops, |r0, buf| {
             let out_cols = other.cols;
             let tile_rows = buf.len() / out_cols;
             for i in 0..self.rows {
@@ -194,7 +185,7 @@ impl Matrix {
                 for t in 0..tile_rows {
                     let a_io = a_row[r0 + t];
                     let o_row = &mut buf[t * out_cols..(t + 1) * out_cols];
-                    simd::axpy(be, a_io, b_row, o_row);
+                    axpy(a_io, b_row, o_row);
                 }
             }
         })
@@ -213,42 +204,18 @@ impl Matrix {
             self.rows, self.cols, w.rows, w.cols
         );
         assert_eq!(w.rows, bias.len(), "affine_nt: bias length mismatch");
-        let be = simd::backend();
         let flops = self.rows * self.cols * w.rows;
-        if be == simd::Backend::Scalar {
-            // The original per-output scalar loop, verbatim — the
-            // bit-exactness oracle for the SIMD path below.
-            return row_tiled(self.rows, w.rows, flops, |r0, buf| {
-                let out_cols = w.rows;
-                for (ti, i) in (r0..).zip(0..buf.len() / out_cols) {
-                    let a_row = self.row(ti);
-                    let o_row = &mut buf[i * out_cols..(i + 1) * out_cols];
-                    for (o, out) in o_row.iter_mut().enumerate() {
-                        let mut s = bias[o];
-                        for (&a, &wv) in a_row.iter().zip(w.row(o)) {
-                            s += wv * a;
-                        }
-                        *out = s;
-                    }
-                }
-            });
-        }
-        // SIMD arm: seed each output row with the bias, then fold the
-        // k-ascending rank-one updates through the vectorized axpy over a
-        // once-per-call transposed weight matrix. Element `o` still
-        // computes `bias[o] + Σ_k a[k] * w[o][k]` with the sum grouped
-        // bias-first in k-ascending order; `a * w` commutes with
-        // identical rounding, so the result is bit-identical to the
-        // scalar oracle above.
-        let wt = w.transpose();
-        row_tiled(self.rows, w.rows, flops, move |r0, buf| {
+        row_tiled(self.rows, w.rows, flops, |r0, buf| {
             let out_cols = w.rows;
             for (ti, i) in (r0..).zip(0..buf.len() / out_cols) {
                 let a_row = self.row(ti);
                 let o_row = &mut buf[i * out_cols..(i + 1) * out_cols];
-                o_row.copy_from_slice(bias);
-                for (k, &a_ik) in a_row.iter().enumerate() {
-                    simd::axpy(be, a_ik, wt.row(k), o_row);
+                for (o, out) in o_row.iter_mut().enumerate() {
+                    let mut s = bias[o];
+                    for (&a, &wv) in a_row.iter().zip(w.row(o)) {
+                        s += wv * a;
+                    }
+                    *out = s;
                 }
             }
         })
@@ -257,10 +224,7 @@ impl Matrix {
     /// Matrix–vector product `self * v`.
     pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(self.cols, v.len(), "matvec: dimension mismatch");
-        let be = simd::backend();
-        (0..self.rows)
-            .map(|i| simd::dot(be, self.row(i), v))
-            .collect()
+        (0..self.rows).map(|i| dot(self.row(i), v)).collect()
     }
 
     /// Gram matrix `selfᵀ * self` (symmetric; only the upper triangle is
@@ -428,15 +392,12 @@ fn row_tiled(
     Matrix::from_vec(out_rows, out_cols, data)
 }
 
-/// Dot product of two equal-length slices, summed left to right.
-///
-/// Dispatches through [`simd::dot`]; every backend reduces the products
-/// in the same sequential order, so the result is bit-identical to the
-/// scalar `sum()` chain.
+/// Dot product of two equal-length slices, summed left to right from
+/// `-0.0` (the fold std's `Sum` for `f64` uses).
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    simd::dot(simd::backend(), a, b)
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Euclidean norm of a slice.
@@ -445,13 +406,14 @@ pub fn norm2(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// `out += s * a`, the axpy kernel. Dispatches through [`simd::axpy`];
-/// each element sees one mul then one add in both backends, so the
-/// result is bit-identical regardless of backend.
+/// `out += s * a`, the axpy kernel: the inner row update of `matmul`
+/// and `matmul_tn`.
 #[inline]
-pub fn axpy(s: f64, a: &[f64], out: &mut [f64]) {
+fn axpy(s: f64, a: &[f64], out: &mut [f64]) {
     debug_assert_eq!(a.len(), out.len());
-    simd::axpy(simd::backend(), s, a, out)
+    for (o, &x) in out.iter_mut().zip(a) {
+        *o += s * x;
+    }
 }
 
 #[cfg(test)]
@@ -552,93 +514,5 @@ mod tests {
         let a = Matrix::zeros(2, 3);
         let b = Matrix::zeros(2, 3);
         let _ = a.matmul(&b);
-    }
-
-    /// Serial reference for `matmul` with the identical ikj accumulation
-    /// order, used to pin the tiled kernels bit-for-bit.
-    fn matmul_serial(a: &Matrix, b: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(a.rows(), b.cols());
-        for i in 0..a.rows() {
-            for (k, &a_ik) in a.row(i).iter().enumerate() {
-                if a_ik == 0.0 {
-                    continue;
-                }
-                for j in 0..b.cols() {
-                    out[(i, j)] += a_ik * b[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn tiled_matmul_is_bit_identical_to_serial() {
-        // 200x80 * 80x70 = 1.12M flops: crosses PAR_MIN_FLOPS and
-        // TILE_ROWS, so the rayon path actually runs.
-        let a = Matrix::from_fn(200, 80, |i, j| ((i * 31 + j * 7) as f64).sin());
-        let b = Matrix::from_fn(80, 70, |i, j| ((i * 13 + j * 3) as f64).cos());
-        let fast = a.matmul(&b);
-        let slow = matmul_serial(&a, &b);
-        assert_eq!(fast.as_slice(), slow.as_slice());
-    }
-
-    #[test]
-    fn matmul_tn_matches_explicit_transpose_bitwise() {
-        let a = Matrix::from_fn(150, 90, |i, j| ((i * 17 + j * 5) as f64).sin());
-        let b = Matrix::from_fn(150, 60, |i, j| ((i * 11 + j * 2) as f64).cos());
-        let fast = a.matmul_tn(&b);
-        // Row-ascending rank-one reference: the order a per-sample
-        // gradient loop uses.
-        let mut slow = Matrix::zeros(90, 60);
-        for i in 0..150 {
-            for o in 0..90 {
-                let a_io = a[(i, o)];
-                for j in 0..60 {
-                    slow[(o, j)] += a_io * b[(i, j)];
-                }
-            }
-        }
-        assert_eq!(fast.as_slice(), slow.as_slice());
-        // And numerically it is selfᵀ·other.
-        let direct = a.transpose().matmul(&b);
-        for i in 0..90 {
-            for j in 0..60 {
-                assert!((fast[(i, j)] - direct[(i, j)]).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn affine_nt_matches_scalar_forward_bitwise() {
-        let x = Matrix::from_fn(130, 40, |i, j| ((i * 3 + j * 19) as f64).sin());
-        let w = Matrix::from_fn(25, 40, |i, j| ((i * 7 + j) as f64).cos() * 0.3);
-        let bias: Vec<f64> = (0..25).map(|o| (o as f64) * 0.01 - 0.1).collect();
-        let fast = x.affine_nt(&w, &bias);
-        for i in 0..130 {
-            for o in 0..25 {
-                // The scalar network forward: start at the bias, add
-                // weight·activation terms in input order.
-                let mut s = bias[o];
-                for k in 0..40 {
-                    s += w[(o, k)] * x[(i, k)];
-                }
-                assert!(
-                    fast[(i, o)].to_bits() == s.to_bits(),
-                    "({i},{o}): {} vs {s}",
-                    fast[(i, o)]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn new_kernels_handle_empty_operands() {
-        let a = Matrix::zeros(0, 5);
-        let b = Matrix::zeros(0, 3);
-        assert_eq!(a.matmul_tn(&b).rows(), 5);
-        assert_eq!(a.matmul_tn(&b).cols(), 3);
-        let w = Matrix::zeros(4, 5);
-        let out = a.affine_nt(&w, &[0.0; 4]);
-        assert_eq!((out.rows(), out.cols()), (0, 4));
     }
 }

@@ -58,7 +58,7 @@ pub(crate) const DOMAIN_CAP: usize = 64;
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
-        h ^= b as u64;
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
@@ -229,7 +229,7 @@ fn encode_prep(label: &str, prep: &Preprocessor) -> Result<String> {
             out.push(
                 JsonObject::new()
                     .str("name", &f.name)
-                    .uint("source_column", f.source_column as u64)
+                    .usize("source_column", f.source_column)
                     .raw("min", &num(label, f.min, "feature min")?)
                     .raw("max", &num(label, f.max, "feature max")?)
                     .finish(),
@@ -243,20 +243,20 @@ fn encode_prep(label: &str, prep: &Preprocessor) -> Result<String> {
         .map(|p| match *p {
             FeaturePlan::Numeric { col } => JsonObject::new()
                 .str("op", "numeric")
-                .uint("col", col as u64)
+                .usize("col", col)
                 .finish(),
             FeaturePlan::Flag { col } => JsonObject::new()
                 .str("op", "flag")
-                .uint("col", col as u64)
+                .usize("col", col)
                 .finish(),
             FeaturePlan::Code { col } => JsonObject::new()
                 .str("op", "code")
-                .uint("col", col as u64)
+                .usize("col", col)
                 .finish(),
             FeaturePlan::Indicator { col, level } => JsonObject::new()
                 .str("op", "indicator")
-                .uint("col", col as u64)
-                .uint("level", level as u64)
+                .usize("col", col)
+                .uint("level", u64::from(level))
                 .finish(),
         })
         .collect();
@@ -285,7 +285,7 @@ fn encode_estimator(label: &str, est: &Estimator) -> Result<String> {
             .raw("coefs", &num_array(label, &fit.coefs, "coefficients")?)
             .raw("rss", &num(label, fit.rss, "rss")?)
             .raw("tss", &num(label, fit.tss, "tss")?)
-            .uint("n", fit.n as u64)
+            .usize("n", fit.n)
             .raw("std_betas", &num_array(label, &fit.std_betas, "std_betas")?)
             .raw("p_values", &num_array(label, &fit.p_values, "p_values")?)
             .finish()),
@@ -589,7 +589,7 @@ impl ModelArtifact {
             .str("type", "perfpredict-model")
             .uint("format_version", FORMAT_VERSION)
             .str("kind", self.model.kind.abbrev())
-            .uint("payload_bytes", payload.len() as u64)
+            .usize("payload_bytes", payload.len())
             .str(
                 "checksum",
                 &format!("fnv1a64:{:016x}", fnv1a64(payload.as_bytes())),

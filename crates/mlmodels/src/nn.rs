@@ -15,15 +15,6 @@ use linalg::Matrix;
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
-/// When `PERFPREDICT_NN_SCALAR=1`, prediction and the full-batch gradient
-/// run the historical per-sample scalar loops instead of the batched
-/// matrix kernels. The two paths are bit-identical by construction (tests
-/// pin this); the flag exists as the equivalence oracle and as the
-/// baseline side of the NN benchmarks.
-fn scalar_oracle() -> bool {
-    std::env::var_os("PERFPREDICT_NN_SCALAR").is_some_and(|v| v == "1")
-}
-
 /// Training algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TrainAlgo {
@@ -256,9 +247,8 @@ impl Mlp {
     }
 
     /// Predict every row of a design matrix, rejecting width mismatches
-    /// with a typed error instead of panicking (batched kernels; the
-    /// scalar per-row path behind `PERFPREDICT_NN_SCALAR=1` is
-    /// bit-identical).
+    /// with a typed error instead of panicking (batched kernels,
+    /// bit-identical to the per-row [`Self::forward`]).
     pub fn try_predict(&self, x: &Matrix) -> Result<Vec<f64>> {
         if x.cols() != self.inputs() {
             return Err(Error::invalid(format!(
@@ -273,9 +263,6 @@ impl Mlp {
     /// Unchecked core of [`Self::try_predict`]: `x` must have
     /// [`Self::inputs`] columns.
     fn predict_rows(&self, x: &Matrix) -> Vec<f64> {
-        if scalar_oracle() {
-            return (0..x.rows()).map(|i| self.forward(x.row(i))).collect();
-        }
         let out = self.forward_batch(x).pop().expect("output layer");
         out.as_slice().to_vec()
     }
@@ -375,24 +362,15 @@ impl Mlp {
     }
 
     /// Accumulate the full-batch squared-error gradient. Returns
-    /// per-layer (dW, db) in the same shapes as the weights. Dispatches
-    /// to the batched matrix-kernel path unless the scalar oracle flag is
-    /// set; both produce bit-identical gradients.
+    /// per-layer (dW, db) in the same shapes as the weights.
+    ///
+    /// Matrix form: one batched forward, then per layer a
+    /// `deltaᵀ·activations` product ([`Matrix::matmul_tn`]) for dW, a
+    /// column sum for db, and a `delta·W` product for the upstream delta.
+    /// Every kernel accumulates in row-ascending order — exactly the
+    /// order the per-sample reference loop in the tests adds its
+    /// contributions — so the two match bit for bit.
     fn batch_gradient(&self, x: &Matrix, y: &[f64]) -> Vec<(Vec<Vec<f64>>, Vec<f64>)> {
-        if scalar_oracle() {
-            self.batch_gradient_scalar(x, y)
-        } else {
-            self.batch_gradient_batched(x, y)
-        }
-    }
-
-    /// Matrix-form full-batch gradient: one batched forward, then per
-    /// layer a `deltaᵀ·activations` product ([`Matrix::matmul_tn`]) for
-    /// dW, a column sum for db, and a `delta·W` product for the upstream
-    /// delta. Every kernel accumulates in row-ascending order — exactly
-    /// the order [`Mlp::batch_gradient_scalar`] adds per-sample
-    /// contributions — so the results match the oracle bit for bit.
-    fn batch_gradient_batched(&self, x: &Matrix, y: &[f64]) -> Vec<(Vec<Vec<f64>>, Vec<f64>)> {
         let n = x.rows() as f64;
         let acts = self.forward_batch(x);
         let y_hat = acts.last().expect("output layer");
@@ -435,7 +413,8 @@ impl Mlp {
     }
 
     /// Per-sample scalar gradient accumulation — the historical hot loop,
-    /// kept verbatim as the equivalence oracle for the batched path.
+    /// kept verbatim as the reference the batched path is tested against.
+    #[cfg(test)]
     fn batch_gradient_scalar(&self, x: &Matrix, y: &[f64]) -> Vec<(Vec<Vec<f64>>, Vec<f64>)> {
         let mut grads: Vec<(Vec<Vec<f64>>, Vec<f64>)> = self
             .layers
@@ -963,7 +942,7 @@ mod tests {
         for hidden in [vec![6], vec![8, 4]] {
             let mut net = Mlp::new(2, &hidden, 21);
             net.prune_input(1); // exercise the dead-input mask too
-            let fast = net.batch_gradient_batched(&x, &y);
+            let fast = net.batch_gradient(&x, &y);
             let slow = net.batch_gradient_scalar(&x, &y);
             assert_eq!(fast.len(), slow.len());
             for (li, ((fw, fb), (sw, sb))) in fast.iter().zip(&slow).enumerate() {

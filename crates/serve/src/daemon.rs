@@ -462,10 +462,13 @@ fn reader_loop<R: BufRead, W: Write>(
         let Some(line) = read_frame(input, max_frame)? else {
             return Ok(()); // EOF
         };
+        // Every line counts, blank ones included, so a frame's default
+        // id and error messages name its 1-based line in the stream,
+        // exactly as one-shot `serve` numbers them.
+        frame_no += 1;
         if line.trim().is_empty() {
             continue;
         }
-        frame_no += 1;
         let item = classify_frame(line.trim(), frame_no);
         match item {
             WorkItem::Control(job) => {

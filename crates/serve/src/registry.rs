@@ -464,11 +464,11 @@ impl Registry {
                     VersionState::Ready(m) => obj
                         .str("state", "ready")
                         .str("kind", m.compiled.artifact.model.kind.abbrev())
-                        .uint("cache_entries", m.cache.len() as u64),
+                        .usize("cache_entries", m.cache.len()),
                     VersionState::Quarantined { reason, cache, .. } => obj
                         .str("state", "quarantined")
                         .str("reason", reason)
-                        .uint("cache_entries", cache.len() as u64),
+                        .usize("cache_entries", cache.len()),
                 };
                 out.push(obj.finish());
             }

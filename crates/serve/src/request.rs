@@ -52,8 +52,8 @@ impl Request {
             .iter()
             .map(|c| match *c {
                 Cell::Num(x) => (if x == 0.0 { 0.0f64 } else { x }).to_bits(),
-                Cell::Flag(b) => b as u64,
-                Cell::Code(code) => code as u64,
+                Cell::Flag(b) => u64::from(b),
+                Cell::Code(code) => u64::from(code),
             })
             .collect()
     }

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use dse::faultinject;
 use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
-use serve::{Daemon, DaemonConfig, Registry, RegistryConfig};
+use serve::{Daemon, DaemonConfig, Registry, RegistryConfig, ServeConfig};
 
 fn write_artifact(dir: &std::path::Path, file: &str) -> String {
     let n = 40;
@@ -100,6 +100,34 @@ fn injected_garbage_and_torn_tail_get_typed_responses_then_clean_eof() {
     assert!(lines[3].contains("\"error\":\"invalid\""), "{}", lines[3]);
     assert_eq!(stats.requests, 2, "two well-formed predicts served");
     assert_eq!(stats.invalid, 2, "garbage + torn tail each counted");
+}
+
+/// Blank lines count toward a frame's line number in the daemon exactly
+/// as in one-shot `serve`: an id-less request on line 2 is answered as
+/// `"id":"2"` by both, and a bad field there is reported on line 2.
+#[test]
+fn blank_lines_count_toward_frame_numbers_like_one_shot_serve() {
+    let dir = tmpdir("frame-numbers");
+    let (reg, path) = reg_with_model(&dir);
+    let (result, lines) = run_daemon(cfg(), reg, b"\n{\"x\":150}\n".to_vec());
+    result.expect("clean EOF");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].starts_with("{\"id\":\"2\""), "{}", lines[0]);
+    let artifact = ModelArtifact::load(&path).expect("load artifact");
+    let (one_shot, _) =
+        serve::serve_jsonl(artifact.clone(), ServeConfig::default(), "\n{\"x\":150}\n")
+            .expect("one-shot serve");
+    assert_eq!(one_shot.lines().collect::<Vec<_>>(), lines);
+
+    let (reg, _) = reg_with_model(&dir);
+    let (result, lines) = run_daemon(cfg(), reg, b"\n{\"x\":\"wide\"}\n".to_vec());
+    result.expect("an invalid frame never kills the daemon");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].contains("\"id\":\"2\""), "{}", lines[0]);
+    assert!(lines[0].contains("request line 2"), "{}", lines[0]);
+    let err = serve::serve_jsonl(artifact, ServeConfig::default(), "\n{\"x\":\"wide\"}\n")
+        .expect_err("one-shot serve rejects the stream");
+    assert!(err.to_string().contains("request line 2"), "{err}");
 }
 
 /// Corrupting the artifact on disk then reloading quarantines the sole

@@ -249,7 +249,7 @@ pub fn generate_family(family: ProcessorFamily, seed: u64) -> Vec<Announcement> 
     let weights = year_weights(y0, y1);
     let mut rng = seeded_rng(child_seed(
         seed,
-        family.chips() as u64 * 131 + family.name().len() as u64,
+        u64::from(family.chips()) * 131 + family.name().len() as u64,
     ));
 
     // Integer record counts per year that sum exactly to the target, with

@@ -65,7 +65,7 @@ fn bucket_index(v: u64) -> usize {
     // `top` is `v` reduced to SUB_BUCKET_BITS+1 significant bits, in
     // [SUB_BUCKETS, 2*SUB_BUCKETS).
     let top = v >> shift;
-    ((msb - SUB_BUCKET_BITS) as u64 * SUB_BUCKETS + top) as usize
+    (u64::from(msb - SUB_BUCKET_BITS) * SUB_BUCKETS + top) as usize
 }
 
 /// Largest value that maps to bucket `idx` (the quantile representative).

@@ -306,8 +306,8 @@ impl Report {
         JsonObject::new()
             .str("type", "perf_report")
             .num("threshold", self.threshold)
-            .uint("compared", self.compared() as u64)
-            .uint("regressed", self.regressions().len() as u64)
+            .usize("compared", self.compared())
+            .usize("regressed", self.regressions().len())
             .bool("passed", self.passed())
             .raw("rows", &format!("[{}]", rows.join(",")))
             .finish()

@@ -296,7 +296,7 @@ impl Sink for JsonlSink {
                 .str("type", "span")
                 .num("t_ms", t_ms)
                 .str("path", path)
-                .uint("depth", *depth as u64)
+                .usize("depth", *depth)
                 .num("wall_ms", *wall_ns as f64 / 1e6)
                 .raw("attrs", &attrs_json(attrs))
                 .finish(),

@@ -15,11 +15,11 @@
 # Each BENCH_*.json is a JSON document:
 #   { "mode": "quick"|"full", "results": [ {bench, mean_ns, ...}, ... ] }
 # The per-bench records come verbatim from the compat criterion harness
-# (CRITERION_JSON_LINES); equivalence between the incremental/batched and
-# reference/scalar paths is asserted inside the bench binaries themselves
-# — nn additionally pins the AVX2 linalg kernels to the scalar oracle,
-# and serve pins its replay output across 1, 2 and 4 workers — so a
-# completed run certifies bit-identical answers, not just speed.
+# (CRITERION_JSON_LINES). selection asserts its incremental drivers match
+# the from-scratch reference and serve pins its replay output across 1, 2
+# and 4 workers inside the bench binaries, so a completed run certifies
+# those answers, not just speed. nn only measures: its batched paths are
+# pinned to the per-sample reference by mlmodels::nn's unit tests.
 # The dse bench also times the adaptive (query-by-committee) explorer
 # against its equal-budget random baseline (dse/adaptive_vs_random_quick),
 # so acquisition-loop regressions land in BENCH_dse.json.

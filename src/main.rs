@@ -10,8 +10,7 @@
 //! perfpredict sampled   <benchmark> [--rate pct]    sampled-DSE experiment
 //! perfpredict chrono    <family>    [--year Y]      chronological prediction
 //! perfpredict export-model <benchmark> [--model K]  train + save a .ppmodel artifact
-//! perfpredict predict   <model.ppmodel>             one-shot JSONL replay on stdin
-//! perfpredict serve     <model.ppmodel>             batched prediction service
+//! perfpredict serve     <model.ppmodel>             batched JSONL replay (stdin or --input)
 //! perfpredict serve     --daemon [--preload n=p]…   long-lived multi-model daemon
 //! perfpredict gen-requests <model.ppmodel>          synthetic JSONL workload
 //! perfpredict perf-report --current <file>          compare metrics vs baselines
@@ -59,8 +58,7 @@ use perfpredict::dse::sampled::{
 use perfpredict::error::{Error, Result};
 use perfpredict::mlmodels::{self, ModelArtifact, ModelKind};
 use perfpredict::serve::{
-    generate_requests, serve_jsonl, Daemon, DaemonConfig, Engine, Registry, RegistryConfig,
-    ServeConfig,
+    generate_requests, Daemon, DaemonConfig, Engine, Registry, RegistryConfig, ServeConfig,
 };
 use perfpredict::specdata::ProcessorFamily;
 use perfpredict::telemetry::{self, json::JsonObject, ConsoleLevel, TelemetryConfig};
@@ -87,11 +85,11 @@ fn usage() -> ! {
            chrono    <family> [--year Y]      train year Y (default 2005), predict Y+1\n\
            export-model <benchmark> [--model K] [--rate P] [--out F]\n\
                                               train one model on a P%% sample, save .ppmodel\n\
-           predict   <model.ppmodel> [--input F]\n\
-                                              one-shot replay: JSONL requests -> predictions\n\
            serve     <model.ppmodel> [--input F] [--workers N] [--window N]\n\
                      [--queue-cap N] [--cache-cap N]\n\
-                                              batched service with LRU cache; stats on stderr\n\
+                                              batched one-shot replay of JSONL requests\n\
+                                              (stdin unless --input) with LRU cache; stats\n\
+                                              on stderr\n\
            serve     --daemon [model.ppmodel] [--preload name=path]...\n\
                      [--socket P] [--input F] [--deadline-ms N]\n\
                      [--max-frame-bytes N] [--default-model NAME]\n\
@@ -424,7 +422,7 @@ fn cli() -> Result<()> {
                     .trajectory
                     .iter()
                     .map(|p| {
-                        let mut obj = JsonObject::new().uint("budget", p.budget as u64);
+                        let mut obj = JsonObject::new().usize("budget", p.budget);
                         if p.adaptive_error.is_finite() {
                             obj = obj.num("adaptive_error", p.adaptive_error);
                         }
@@ -438,8 +436,8 @@ fn cli() -> Result<()> {
                     "{}",
                     JsonObject::new()
                         .str("benchmark", b.name())
-                        .uint("space_size", space.len() as u64)
-                        .uint("simulated", r.simulated as u64)
+                        .usize("space_size", space.len())
+                        .usize("simulated", r.simulated)
                         .raw("trajectory", &format!("[{}]", points.join(",")))
                         .finish()
                 );
@@ -490,7 +488,7 @@ fn cli() -> Result<()> {
                         let mut obj = JsonObject::new()
                             .str("model", p.model.abbrev())
                             .num("rate", p.rate)
-                            .uint("sample_size", p.sample_size as u64)
+                            .usize("sample_size", p.sample_size)
                             .num("true_error", p.true_error)
                             .num("true_error_std", p.true_error_std);
                         if let Some(est) = &p.estimated {
@@ -505,7 +503,7 @@ fn cli() -> Result<()> {
                     "{}",
                     JsonObject::new()
                         .str("benchmark", b.name())
-                        .uint("space_size", run.space_size as u64)
+                        .usize("space_size", run.space_size)
                         .num("range", run.range)
                         .num("variation", run.variation)
                         .raw("points", &format!("[{}]", points.join(",")))
@@ -573,8 +571,8 @@ fn cli() -> Result<()> {
                     JsonObject::new()
                         .str("family", fam.name())
                         .uint("train_year", u64::from(year))
-                        .uint("n_train", r.n_train as u64)
-                        .uint("n_test", r.n_test as u64)
+                        .usize("n_train", r.n_train)
+                        .usize("n_test", r.n_test)
                         .raw("points", &format!("[{}]", points.join(",")))
                         .finish()
                 );
@@ -655,8 +653,8 @@ fn cli() -> Result<()> {
                     JsonObject::new()
                         .str("benchmark", b.name())
                         .str("model", kind.abbrev())
-                        .uint("sample_size", sample.n_rows() as u64)
-                        .uint("space_size", n as u64)
+                        .usize("sample_size", sample.n_rows())
+                        .usize("space_size", n)
                         .str("path", &out)
                         .finish()
                 );
@@ -669,29 +667,6 @@ fn cli() -> Result<()> {
                     b.name()
                 );
             }
-        }
-        "predict" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| Error::invalid("missing model-artifact argument"))?;
-            let artifact = ModelArtifact::load(path)?;
-            let input = match parse_flag(rest, "--input") {
-                Some(p) => std::fs::read_to_string(&p).map_err(|e| Error::io(&p, e))?,
-                None => {
-                    use std::io::Read as _;
-                    let mut buf = String::new();
-                    std::io::stdin()
-                        .read_to_string(&mut buf)
-                        .map_err(|e| Error::io("<stdin>", e))?;
-                    buf
-                }
-            };
-            let (responses, stats) = serve_jsonl(artifact, ServeConfig::default(), &input)?;
-            print!("{responses}");
-            eprintln!(
-                "predict: {} requests, {} predictions, {} cache hits",
-                stats.requests, stats.predictions, stats.cache_hits
-            );
         }
         "serve" if rest.iter().any(|a| a == "--daemon") => {
             let daemon_defaults = DaemonConfig::default();
