@@ -1,7 +1,8 @@
-//! Design-space sweep scaling: wall time of a Rayon-parallel sweep at
-//! different space sizes. Together with `simulator.rs` this quantifies why
-//! sampled DSE matters: full-space cost grows linearly in the number of
-//! configurations, while the surrogate needs only the sampled fraction.
+//! Design-space sweep scaling: wall time of a parallel sweep (the
+//! `cpusim::shard` executor) at different space sizes. Together with
+//! `simulator.rs` this quantifies why sampled DSE matters: full-space cost
+//! grows linearly in the number of configurations, while the surrogate
+//! needs only the sampled fraction.
 
 use cpusim::{try_sweep_design_space, Benchmark, DesignSpace, SimOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

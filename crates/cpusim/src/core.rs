@@ -15,6 +15,12 @@
 //! refill penalty applies; meanwhile the front end chews through wrong-path
 //! instructions, polluting the I-cache (and, when `issue_wrong_path` is
 //! set, the data hierarchy too — SimpleScalar's wrong-path issue mode).
+//!
+//! [`Core::run`] does not tick cycles in which no stage can act: it jumps
+//! to the next event, and while only the wrong-path front end can act it
+//! runs that stage alone. Readiness compares fixed completion cycles with
+//! the current one, so a skipped cycle is a no-op and the statistics equal
+//! the every-cycle loop's, which the unit tests keep as the oracle.
 
 use crate::bpred::{self, BranchPredictor};
 use crate::cache::{Cache, Hierarchy, LatencyModel};
@@ -36,6 +42,11 @@ fn op_latency(op: OpClass) -> u32 {
     }
 }
 
+/// Whether `op` occupies a load/store-queue slot.
+fn is_mem(op: OpClass) -> bool {
+    matches!(op, OpClass::Load | OpClass::Store)
+}
+
 /// Per-cycle functional-unit availability tracker.
 #[derive(Debug, Default)]
 struct FuBusy {
@@ -47,10 +58,6 @@ struct FuBusy {
 }
 
 impl FuBusy {
-    fn reset(&mut self) {
-        *self = FuBusy::default();
-    }
-
     /// Try to claim a unit for `op`; returns false if the class is saturated
     /// this cycle.
     fn try_claim(&mut self, op: OpClass, fu: &crate::config::FuConfig) -> bool {
@@ -115,7 +122,7 @@ struct RuuEntry {
 }
 
 /// Counters reported by one simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Total simulated cycles.
     pub cycles: u64,
@@ -216,10 +223,17 @@ pub struct Core {
     /// Optional data-side prefetcher (library extension; None reproduces
     /// the paper's configuration).
     dpref: Option<Box<dyn Prefetcher + Send>>,
+    /// Cycles jumped over because no stage could act in them.
+    skipped: u64,
 }
 
 /// Size of the completion ring. Must exceed RUU size + max dep distance.
 const RING: usize = 1024;
+/// Slot of sequence number `seq` in the completion ring.
+fn ring_slot(seq: u64) -> usize {
+    (seq % RING as u64) as usize
+}
+
 /// Front-end refill penalty after a mispredict resolves, in cycles.
 const REFILL_PENALTY: u64 = 3;
 /// Maximum unissued RUU entries the scheduler examines per cycle.
@@ -247,6 +261,7 @@ impl Core {
             fetch_resume_at: 0,
             last_fetch_line: u64::MAX,
             dpref: None,
+            skipped: 0,
             config,
         }
     }
@@ -263,26 +278,113 @@ impl Core {
         self.dpref.as_ref().map_or(0, |p| p.issued())
     }
 
+    /// Simulated cycles so far that no stage acted in, jumped over by
+    /// [`Core::run`]'s next-event skip instead of being ticked.
+    pub(crate) fn cycles_skipped(&self) -> u64 {
+        self.skipped
+    }
+
     /// Run `n_insts` architectural instructions from any instruction
     /// source and drain the pipeline. Returns the collected statistics.
     pub fn run<S: InstSource>(&mut self, gen: &mut S, n_insts: u64) -> PipelineStats {
         let mut remaining = n_insts;
         let mut pending: Option<Inst> = None;
-        let mut fu = FuBusy::default();
-        // Hard safety valve: no realistic config needs more than ~1000
-        // cycles per instruction.
-        let max_cycles = n_insts.saturating_mul(1000).max(10_000);
-
-        while (remaining > 0 || pending.is_some() || !self.ruu.is_empty())
-            && self.cycle < max_cycles
-        {
-            fu.reset();
-            self.commit();
-            self.issue(&mut fu);
-            self.fetch_dispatch(gen, &mut remaining, &mut pending, &mut fu);
-            self.cycle += 1;
+        let limit = self.cycle_limit(n_insts);
+        while (remaining > 0 || pending.is_some() || !self.ruu.is_empty()) && self.cycle < limit {
+            let front = self.front_end_event(remaining, pending.as_ref());
+            if front > self.cycle {
+                // The front end is idle: jump to the first cycle any stage
+                // can act in.
+                let next = self.back_end_event().min(front).min(limit);
+                if next > self.cycle {
+                    self.skipped += next - self.cycle;
+                    self.cycle = next;
+                    continue;
+                }
+            } else if self.blocked_on_branch.is_some() {
+                // Only the wrong-path front end acts before the back end's
+                // next event: run it alone until then or until it stalls.
+                let back = self.back_end_event().min(limit);
+                if back > self.cycle {
+                    while self.cycle < back && self.cycle >= self.fetch_resume_at {
+                        self.fetch_wrong_path(gen);
+                        self.cycle += 1;
+                    }
+                    continue;
+                }
+            }
+            self.tick(gen, &mut remaining, &mut pending);
         }
         self.stats()
+    }
+
+    /// Hard safety valve for one `run` call: no realistic config needs
+    /// more than ~1000 cycles per instruction. The budget counts from the
+    /// cycle the call starts at, so a warmed core gets its full budget.
+    fn cycle_limit(&self, n_insts: u64) -> u64 {
+        self.cycle
+            .saturating_add(n_insts.saturating_mul(1000).max(10_000))
+    }
+
+    /// Simulate one cycle: commit, issue, then fetch/dispatch.
+    fn tick<S: InstSource>(
+        &mut self,
+        gen: &mut S,
+        remaining: &mut u64,
+        pending: &mut Option<Inst>,
+    ) {
+        self.commit();
+        self.issue();
+        self.fetch_dispatch(gen, remaining, pending);
+        self.cycle += 1;
+    }
+
+    /// Earliest cycle, not before now, at which commit or issue can act or
+    /// the blocked branch resolves (`u64::MAX`: none is scheduled). The
+    /// candidates are the issued RUU head's completion, the completion of
+    /// the blocked branch, and, for the first [`ISSUE_SCAN`] unissued
+    /// entries — the ones the scheduler examines — the later of their
+    /// producers' completions. An entry with an unissued producer waits
+    /// on that producer's issue, itself an earlier candidate.
+    fn back_end_event(&self) -> u64 {
+        let now = self.cycle;
+        let mut next = u64::MAX;
+        if let Some(head) = self.ruu.front().filter(|e| e.issued) {
+            next = head.done_at;
+        }
+        if let Some(bseq) = self.blocked_on_branch {
+            next = next.min(self.done_ring[ring_slot(bseq)]);
+        }
+        if next <= now {
+            return now;
+        }
+        for e in self.ruu.iter().filter(|e| !e.issued).take(ISSUE_SCAN) {
+            let ready = self.operands_ready_at(e);
+            if ready <= now {
+                return now;
+            }
+            next = next.min(ready);
+        }
+        next
+    }
+
+    /// Earliest cycle, not before now, at which fetch/dispatch can act
+    /// (`u64::MAX`: it waits on commit to free RUU or LSQ space). The
+    /// wrong-path front end acts in every cycle it is not stalled.
+    fn front_end_event(&self, remaining: u64, pending: Option<&Inst>) -> u64 {
+        if self.cycle < self.fetch_resume_at {
+            return self.fetch_resume_at;
+        }
+        let acts = self.blocked_on_branch.is_some()
+            || match pending {
+                Some(inst) => self.has_room(inst),
+                None => remaining > 0,
+            };
+        if acts {
+            self.cycle
+        } else {
+            u64::MAX
+        }
     }
 
     /// Run `warmup` instructions (warming caches, TLBs, and predictor
@@ -340,16 +442,19 @@ impl Core {
         }
     }
 
-    /// True when the producer with sequence number `prod` has completed.
-    fn producer_done(&self, prod: u64) -> bool {
-        if prod == u64::MAX {
-            return true;
-        }
-        // Committed producers left the RUU; their slot in the ring holds the
-        // completion cycle. In-flight producers are found in the ring too —
-        // entries are written at issue time. Unissued producers hold
-        // u64::MAX.
-        self.done_ring[(prod % RING as u64) as usize] <= self.cycle
+    /// Cycle at which both source operands of `e` are ready.
+    fn operands_ready_at(&self, e: &RuuEntry) -> u64 {
+        let done_at = |prod: u64| {
+            if prod == u64::MAX {
+                return 0;
+            }
+            // Committed producers left the RUU; their slot in the ring holds
+            // the completion cycle. In-flight producers are found in the ring
+            // too — entries are written at issue time. Unissued producers
+            // hold u64::MAX.
+            self.done_ring[ring_slot(prod)]
+        };
+        done_at(e.prod1).max(done_at(e.prod2))
     }
 
     /// Wake and issue ready instructions (oldest first), bounded by issue
@@ -357,7 +462,8 @@ impl Core {
     /// most [`ISSUE_SCAN`] not-yet-issued entries per cycle — real wakeup
     /// logic has bounded fan-in, and this keeps per-cycle work O(window)
     /// instead of O(RUU).
-    fn issue(&mut self, fu: &mut FuBusy) {
+    fn issue(&mut self) {
+        let mut fu = FuBusy::default();
         let mut issued = 0;
         let mut scanned = 0;
         let width = usize::from(self.config.width);
@@ -370,7 +476,7 @@ impl Core {
                 continue;
             }
             scanned += 1;
-            if !(self.producer_done(e.prod1) && self.producer_done(e.prod2)) {
+            if self.operands_ready_at(&e) > self.cycle {
                 continue;
             }
             if !fu.try_claim(e.op, &self.config.fu) {
@@ -407,13 +513,13 @@ impl Core {
             let entry = &mut self.ruu[idx];
             entry.issued = true;
             entry.done_at = done;
-            self.done_ring[(e.seq % RING as u64) as usize] = done;
+            self.done_ring[ring_slot(e.seq)] = done;
             issued += 1;
         }
         // If fetch is blocked on a mispredicted branch that has now
         // executed, schedule the front-end restart.
         if let Some(bseq) = self.blocked_on_branch {
-            let done = self.done_ring[(bseq % RING as u64) as usize];
+            let done = self.done_ring[ring_slot(bseq)];
             if done <= self.cycle {
                 self.blocked_on_branch = None;
                 self.fetch_resume_at = self.fetch_resume_at.max(done + REFILL_PENALTY);
@@ -442,34 +548,43 @@ impl Core {
         stall
     }
 
+    /// Whether the RUU (and, for a memory op, the LSQ) has room for `inst`.
+    fn has_room(&self, inst: &Inst) -> bool {
+        self.ruu.len() < self.config.ruu_size as usize
+            && !(is_mem(inst.op) && self.lsq_used >= self.config.lsq_size)
+    }
+
+    /// One wrong-path fetch cycle while a mispredicted branch blocks the
+    /// correct path. The front end always speculates down the (wrong)
+    /// predicted path — one fetch group (a single I-cache line) per cycle,
+    /// polluting the I-side. SimpleScalar's wrong-path *issue* flag
+    /// additionally lets those instructions execute, which we model as
+    /// wrong-path loads touching the data hierarchy.
+    fn fetch_wrong_path<S: InstSource>(&mut self, gen: &mut S) {
+        let wp = gen.fetch_wrong_path();
+        let stall = self.ifetch_access(wp.code_addr());
+        if stall > 0 {
+            self.fetch_resume_at = self.cycle + stall;
+            return;
+        }
+        if self.config.issue_wrong_path && wp.op == OpClass::Load {
+            let _ = self.dtlb.access(wp.addr);
+            let _ = self.dcache.access(wp.addr, &mut self.l2, self.l3.as_mut());
+        }
+    }
+
     /// Fetch up to `width` instructions and dispatch them into the RUU.
     fn fetch_dispatch<S: InstSource>(
         &mut self,
         gen: &mut S,
         remaining: &mut u64,
         pending: &mut Option<Inst>,
-        fu: &mut FuBusy,
     ) {
-        let _ = fu;
         if self.cycle < self.fetch_resume_at {
             return;
         }
         if self.blocked_on_branch.is_some() {
-            // The front end always speculates down the (wrong) predicted
-            // path — one fetch group (a single I-cache line) per cycle,
-            // polluting the I-side. SimpleScalar's wrong-path *issue* flag
-            // additionally lets those instructions execute, which we model
-            // as wrong-path loads touching the data hierarchy.
-            let wp = gen.fetch_wrong_path();
-            let stall = self.ifetch_access(wp.code_addr());
-            if stall > 0 {
-                self.fetch_resume_at = self.cycle + stall;
-                return;
-            }
-            if self.config.issue_wrong_path && wp.op == OpClass::Load {
-                let _ = self.dtlb.access(wp.addr);
-                let _ = self.dcache.access(wp.addr, &mut self.l2, self.l3.as_mut());
-            }
+            self.fetch_wrong_path(gen);
             return;
         }
 
@@ -487,10 +602,7 @@ impl Core {
             };
 
             // Structural hazards: RUU and LSQ occupancy.
-            let is_mem = matches!(inst.op, OpClass::Load | OpClass::Store);
-            if self.ruu.len() >= self.config.ruu_size as usize
-                || (is_mem && self.lsq_used >= self.config.lsq_size)
-            {
+            if !self.has_room(&inst) {
                 *pending = Some(inst);
                 return;
             }
@@ -505,6 +617,7 @@ impl Core {
                 return;
             }
 
+            let is_mem = is_mem(inst.op);
             let seq = self.next_seq;
             self.next_seq += 1;
             // Producers must still be "recent" enough to resolve through the
@@ -519,7 +632,7 @@ impl Core {
                 }
             };
             // Mark as not-done until issued.
-            self.done_ring[(seq % RING as u64) as usize] = u64::MAX;
+            self.done_ring[ring_slot(seq)] = u64::MAX;
             self.ruu.push_back(RuuEntry {
                 seq,
                 op: inst.op,
@@ -550,9 +663,114 @@ impl Core {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BranchPredictorKind, CpuConfig};
+    use crate::config::{BranchPredictorKind, CpuConfig, DesignSpace, SpaceSpec};
     use crate::trace::TraceGenerator;
     use crate::workload::Benchmark;
+    use proptest::prelude::*;
+
+    impl Core {
+        /// The oracle for [`Core::run`]: ticks all three stages through
+        /// every cycle, idle or not.
+        fn run_ticking<S: InstSource>(&mut self, gen: &mut S, n_insts: u64) -> PipelineStats {
+            let mut remaining = n_insts;
+            let mut pending: Option<Inst> = None;
+            let limit = self.cycle_limit(n_insts);
+            while (remaining > 0 || pending.is_some() || !self.ruu.is_empty()) && self.cycle < limit
+            {
+                self.tick(gen, &mut remaining, &mut pending);
+            }
+            self.stats()
+        }
+    }
+
+    /// Statistics and prefetch count of one skipping run and one ticking
+    /// run of `n` instructions, after `warmup` more when it is nonzero.
+    fn skipping_and_ticking(
+        b: Benchmark,
+        cfg: CpuConfig,
+        kind: PrefetcherKind,
+        seed: u64,
+        warmup: u64,
+        n: u64,
+    ) -> [(PipelineStats, u64); 2] {
+        let mut gen = TraceGenerator::for_benchmark(b, seed);
+        let mut fast = Core::with_prefetcher(cfg, kind);
+        let s_fast = if warmup > 0 {
+            fast.run_with_warmup(&mut gen, warmup, n)
+        } else {
+            fast.run(&mut gen, n)
+        };
+        let mut gen = TraceGenerator::for_benchmark(b, seed);
+        let mut slow = Core::with_prefetcher(cfg, kind);
+        let s_slow = if warmup > 0 {
+            let _ = slow.run_ticking(&mut gen, warmup);
+            let before = slow.stats();
+            slow.run_ticking(&mut gen, n).delta(&before)
+        } else {
+            slow.run_ticking(&mut gen, n)
+        };
+        [
+            (s_fast, fast.prefetches_issued()),
+            (s_slow, slow.prefetches_issued()),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Skipping idle cycles changes no statistic: random generated-space
+        /// configurations on every benchmark, with and without a stride
+        /// prefetcher, through `run` and `run_with_warmup`.
+        #[test]
+        fn skipping_core_matches_ticking_oracle(
+            idx in 0usize..2_211_840,
+            b in prop::sample::select(Benchmark::ALL12.to_vec()),
+            stride in any::<bool>(),
+            warm in any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let space = DesignSpace::try_generate(&SpaceSpec::mega()).expect("mega spec");
+            let cfg = space.config_at(idx % space.len());
+            let kind = if stride { PrefetcherKind::Stride } else { PrefetcherKind::None };
+            let warmup = if warm { 1_000 } else { 0 };
+            let [fast, slow] = skipping_and_ticking(b, cfg, kind, seed, warmup, 1_500);
+            prop_assert_eq!(fast, slow);
+        }
+    }
+
+    #[test]
+    fn memory_bound_run_skips_most_cycles_exactly() {
+        let n = 5_000;
+        let mut gen = TraceGenerator::for_benchmark(Benchmark::Mcf, 12);
+        let mut core = Core::new(CpuConfig::baseline());
+        let s = core.run(&mut gen, n);
+        assert!(
+            core.cycles_skipped() * 2 > s.cycles,
+            "mcf skipped only {} of {} cycles",
+            core.cycles_skipped(),
+            s.cycles
+        );
+        let [fast, slow] = skipping_and_ticking(
+            Benchmark::Mcf,
+            CpuConfig::baseline(),
+            PrefetcherKind::None,
+            12,
+            0,
+            n,
+        );
+        assert_eq!(fast, slow);
+    }
+
+    /// Regression: the safety valve compared the absolute cycle with a
+    /// per-call budget, so a second `run` on a core warmed past that budget
+    /// stopped at once and measured nothing.
+    #[test]
+    fn warmed_core_gets_its_full_cycle_budget() {
+        let mut gen = TraceGenerator::for_benchmark(Benchmark::Mcf, 3);
+        let s = Core::new(CpuConfig::baseline()).run_with_warmup(&mut gen, 100_000, 1_000);
+        assert_eq!(s.instructions, 1_000);
+        assert!(s.cycles > 0);
+    }
 
     fn run_config(b: Benchmark, cfg: CpuConfig, n: u64, seed: u64) -> PipelineStats {
         let mut gen = TraceGenerator::for_benchmark(b, seed);

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Run the kernel-level criterion benchmarks and assemble their JSON-lines
 # output into BENCH_selection.json / BENCH_nn.json / BENCH_dse.json /
-# BENCH_serve.json at the repo root (or under --out-dir).
+# BENCH_serve.json / BENCH_sim.json at the repo root (or under --out-dir).
+# BENCH_sim.json holds two benches: `simulator` (one configuration per
+# benchmark through `Core::run`, plus trace generation) and
+# `sweep_scaling` (parallel Table-1 sweeps of 16, 64 and 256 points).
 #
 # Usage:
 #   scripts/bench.sh                  # full timing budgets (minutes)
@@ -48,15 +51,21 @@ while [ $# -gt 0 ]; do
 done
 mkdir -p "$out_dir"
 
-for bench in selection nn dse serve; do
+# Each entry is "<BENCH file stem> <bench>...": the named benches append
+# their records to one BENCH_<stem>.json.
+for group in "selection selection" "nn nn" "dse dse" "serve serve" \
+             "sim simulator sweep_scaling"; do
+    read -r name benches <<< "$group"
     lines=$(mktemp)
     trap 'rm -f "$lines"' EXIT
-    CRITERION_JSON_LINES="$lines" cargo bench -p bench --bench "$bench"
+    for bench in $benches; do
+        CRITERION_JSON_LINES="$lines" cargo bench -p bench --bench "$bench"
+    done
     if [ ! -s "$lines" ]; then
-        echo "error: bench '$bench' emitted no results" >&2
+        echo "error: benches '$benches' emitted no results" >&2
         exit 1
     fi
-    out="$out_dir/BENCH_${bench}.json"
+    out="$out_dir/BENCH_${name}.json"
     {
         printf '{"mode":"%s","results":[\n' "$mode"
         # JSON-lines -> comma-separated array elements.

@@ -834,7 +834,7 @@ fn cli() -> Result<()> {
             let mut baselines = collect_values(rest, "--baseline")?;
             if baselines.is_empty() {
                 // Default to the committed bench baselines that exist.
-                baselines = ["selection", "nn", "dse", "serve"]
+                baselines = ["selection", "nn", "dse", "serve", "sim"]
                     .iter()
                     .map(|b| format!("BENCH_{b}.json"))
                     .filter(|p| Path::new(p).exists())
