@@ -1,5 +1,8 @@
 //! Neural-network hot-loop cost: the batched matrix-form RProp training
 //! loop and forward pass, plus the two linalg kernels they are built on.
+//! `rprop_small_30ep` trains at the shape the sampled-DSE drivers fit
+//! (a couple of dozen rows, about 300 weights), where the per-weight
+//! iRProp− update rather than the matrix kernels dominates an epoch.
 //!
 //! The batched paths are pinned bit for bit to the per-sample reference
 //! loops by `mlmodels::nn`'s unit tests, and every `linalg` kernel to a
@@ -15,12 +18,16 @@ const ROWS: usize = 150;
 const COLS: usize = 24;
 const HIDDEN: [usize; 1] = [16];
 const EPOCHS: usize = 30;
+/// Rows and hidden units of the small case: 24 inputs into 12 hidden
+/// units is 313 weights, trained on 23 rows.
+const SMALL_ROWS: usize = 23;
+const SMALL_HIDDEN: [usize; 1] = [12];
 
-fn design() -> (Matrix, Vec<f64>) {
-    let x = Matrix::from_fn(ROWS, COLS, |i, j| {
+fn design(rows: usize) -> (Matrix, Vec<f64>) {
+    let x = Matrix::from_fn(rows, COLS, |i, j| {
         (((i * 7 + j * 13 + 5) % 29) as f64) / 29.0
     });
-    let y: Vec<f64> = (0..ROWS)
+    let y: Vec<f64> = (0..rows)
         .map(|i| 0.2 + 0.5 * x[(i, 0)] + 0.25 * x[(i, 3)] * x[(i, 9)] - 0.15 * x[(i, 17)])
         .collect();
     (x, y)
@@ -36,7 +43,8 @@ fn rprop_config() -> TrainConfig {
 }
 
 fn bench_nn(c: &mut Criterion) {
-    let (x, y) = design();
+    let (x, y) = design(ROWS);
+    let (x_small, y_small) = design(SMALL_ROWS);
     let cfg = rprop_config();
 
     let mut group = c.benchmark_group("nn");
@@ -47,6 +55,13 @@ fn bench_nn(c: &mut Criterion) {
         b.iter_batched(
             || Mlp::new(COLS, &HIDDEN, cfg.seed),
             |mut net| black_box(net.try_train(&x, &y, &cfg)),
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function(format!("rprop_small_{EPOCHS}ep"), |b| {
+        b.iter_batched(
+            || Mlp::new(COLS, &SMALL_HIDDEN, cfg.seed),
+            |mut net| black_box(net.try_train(&x_small, &y_small, &cfg)),
             BatchSize::LargeInput,
         )
     });

@@ -41,6 +41,7 @@ use crate::nn::{Layer, Mlp};
 use crate::prep::{Encoding, FeatureInfo, FeaturePlan, Preprocessor};
 use crate::table::{Column, Table};
 use fault::{Error, Result};
+use linalg::Matrix;
 use telemetry::json::{self, JsonObject, Value};
 
 /// Current artifact format version. Readers accept this version only;
@@ -292,9 +293,13 @@ fn encode_estimator(label: &str, est: &Estimator) -> Result<String> {
         Estimator::Network(net) => {
             let mut layers = Vec::with_capacity(net.layers.len());
             for (li, layer) in net.layers.iter().enumerate() {
-                let mut rows = Vec::with_capacity(layer.w.len());
-                for ws in &layer.w {
-                    rows.push(num_array(label, ws, &format!("layer {li} weights"))?);
+                let mut rows = Vec::with_capacity(layer.outputs());
+                for o in 0..layer.outputs() {
+                    rows.push(num_array(
+                        label,
+                        layer.w.row(o),
+                        &format!("layer {li} weights"),
+                    )?);
                 }
                 layers.push(
                     JsonObject::new()
@@ -521,7 +526,7 @@ fn decode_estimator(label: &str, v: &Value) -> Result<Estimator> {
                     return Err(bad(label, format!("layer {li}: ragged weight rows")));
                 }
                 let expected = match layers.last() {
-                    Some(prev) => prev.w.len(),
+                    Some(prev) => prev.outputs(),
                     None => dead_inputs.len(),
                 };
                 if inputs != expected {
@@ -530,14 +535,15 @@ fn decode_estimator(label: &str, v: &Value) -> Result<Estimator> {
                         format!("layer {li}: expects {expected} inputs, weights have {inputs}"),
                     ));
                 }
-                let vw = vec![vec![0.0; inputs]; w.len()];
-                let vb = vec![0.0; b.len()];
-                layers.push(Layer { w, b, vw, vb });
+                layers.push(Layer {
+                    w: Matrix::from_rows(&w),
+                    b,
+                });
             }
             if layers.is_empty() {
                 return Err(bad(label, "network has no layers"));
             }
-            if layers.last().map(|l| l.w.len()) != Some(1) {
+            if layers.last().map(Layer::outputs) != Some(1) {
                 return Err(bad(
                     label,
                     "network output layer must have exactly one unit",

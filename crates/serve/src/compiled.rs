@@ -206,7 +206,9 @@ fn build(artifact: &ModelArtifact, extracts: &[FeatureExtract]) -> Result<Predic
             Ok(Predictor::Network {
                 features: extracts.to_vec(),
                 dead: net.dead_inputs().to_vec(),
-                weights: (0..net.n_layers()).map(|l| net.layer_weights(l)).collect(),
+                weights: (0..net.n_layers())
+                    .map(|l| net.layer_weights(l).clone())
+                    .collect(),
                 biases: (0..net.n_layers())
                     .map(|l| net.layer_bias(l).to_vec())
                     .collect(),
