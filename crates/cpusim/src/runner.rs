@@ -10,7 +10,7 @@
 use crate::config::{CpuConfig, DesignSpace};
 use crate::core::{Core, PipelineStats};
 use crate::shard::{self, SweepOutcome};
-use crate::simpoint::{analyze, SimPointAnalysis};
+use crate::simpoint::analyze_checkpointed;
 use crate::trace::{Inst, ReplaySource, TraceGenerator};
 use crate::workload::Benchmark;
 use fault::Result;
@@ -82,51 +82,41 @@ impl SimResult {
 /// Materialize the instruction window(s) a run will replay.
 ///
 /// Returns the interval traces and their weights. Without SimPoints this is
-/// a single full-weight window from the trace start. Crate-visible so the
-/// sweep executor ([`crate::shard`]) can share one materialization across
-/// its workers.
-pub(crate) fn materialize(
-    benchmark: Benchmark,
-    opts: &SimOptions,
-) -> (Vec<Vec<Inst>>, Vec<f64>, Option<SimPointAnalysis>) {
+/// a single full-weight window from the trace start. With SimPoints, the
+/// phase analysis makes the one pass over the trace and checkpoints the
+/// generator at every interval start; each selected interval is then
+/// regenerated from its checkpoint. The sweep executor ([`crate::shard`])
+/// shares one materialization across its workers; benches time it alone.
+///
+/// # Panics
+///
+/// With SimPoints on and `opts.n_intervals == 0` (the sweep entry points
+/// reject such options with [`fault::Error::InvalidInput`] instead).
+pub fn materialize(benchmark: Benchmark, opts: &SimOptions) -> (Vec<Vec<Inst>>, Vec<f64>) {
     let _span = telemetry::span!(
         "materialize",
         benchmark = benchmark.name(),
         simpoints = opts.use_simpoints,
     );
-    if !opts.use_simpoints {
-        let mut gen = TraceGenerator::for_benchmark(benchmark, opts.seed);
-        return (
-            vec![gen.take_vec(opts.instructions as usize)],
-            vec![1.0],
-            None,
+    let (traces, weights) = if opts.use_simpoints {
+        let run = analyze_checkpointed(
+            benchmark,
+            opts.seed,
+            opts.n_intervals,
+            opts.instructions,
+            opts.max_k,
         );
-    }
-    let analysis = analyze(
-        benchmark,
-        opts.seed,
-        opts.n_intervals,
-        opts.instructions,
-        opts.max_k,
+        let weights = run.analysis.points.iter().map(|p| p.weight).collect();
+        (run.windows(), weights)
+    } else {
+        let mut gen = TraceGenerator::for_benchmark(benchmark, opts.seed);
+        (vec![gen.take_vec(opts.instructions as usize)], vec![1.0])
+    };
+    telemetry::counter_add(
+        "trace/insts_generated",
+        traces.len() as u64 * opts.instructions,
     );
-    // Selected intervals are materialized in trace order with one pass.
-    let mut gen = TraceGenerator::for_benchmark(benchmark, opts.seed);
-    let mut traces = Vec::with_capacity(analysis.points.len());
-    let mut weights = Vec::with_capacity(analysis.points.len());
-    let mut cursor = 0usize;
-    for p in &analysis.points {
-        while cursor < p.interval {
-            // Skip intervals between representatives.
-            for _ in 0..opts.instructions {
-                let _ = gen.next_inst();
-            }
-            cursor += 1;
-        }
-        traces.push(gen.take_vec(opts.instructions as usize));
-        cursor += 1;
-        weights.push(p.weight);
-    }
-    (traces, weights, Some(analysis))
+    (traces, weights)
 }
 
 /// Simulate one configuration on the materialized windows.
@@ -190,7 +180,7 @@ fn record_stats(stats: &PipelineStats, skipped: u64) {
 /// Simulate a single `(benchmark, config)` pair.
 pub fn simulate(benchmark: Benchmark, config: CpuConfig, opts: &SimOptions) -> SimResult {
     let _span = telemetry::span!("simulate", benchmark = benchmark.name());
-    let (traces, weights, _) = materialize(benchmark, opts);
+    let (traces, weights) = materialize(benchmark, opts);
     run_windows(config, benchmark, &traces, &weights, opts.seed)
 }
 
@@ -411,6 +401,69 @@ mod tests {
         let r = simulate(Benchmark::Gcc, CpuConfig::baseline(), &opts);
         assert!(r.cycles > 0.0);
         assert!(r.stats.instructions > 0);
+    }
+
+    /// The SimPoint windows as they were first materialized: regenerate
+    /// the trace from instruction 0, skipping the intervals between
+    /// representatives. The oracle for checkpoint-resumed windows.
+    fn windows_by_skipping(benchmark: Benchmark, opts: &SimOptions) -> (Vec<Vec<Inst>>, Vec<f64>) {
+        let analysis = crate::simpoint::analyze(
+            benchmark,
+            opts.seed,
+            opts.n_intervals,
+            opts.instructions,
+            opts.max_k,
+        );
+        let mut gen = TraceGenerator::for_benchmark(benchmark, opts.seed);
+        let (mut traces, mut weights, mut cursor) = (Vec::new(), Vec::new(), 0);
+        for p in &analysis.points {
+            while cursor < p.interval {
+                for _ in 0..opts.instructions {
+                    let _ = gen.next_inst();
+                }
+                cursor += 1;
+            }
+            traces.push(gen.take_vec(opts.instructions as usize));
+            cursor += 1;
+            weights.push(p.weight);
+        }
+        (traces, weights)
+    }
+
+    #[test]
+    fn checkpoint_windows_match_skip_and_take_windows() {
+        for (benchmark, seed, n_intervals, instructions) in [
+            (Benchmark::Gcc, 1, 10, 3_000),
+            (Benchmark::Gzip, 42, 8, 2_000),
+            (Benchmark::Bzip2, 0xC0FFEE, 6, 4_000),
+        ] {
+            let opts = SimOptions {
+                instructions,
+                seed,
+                use_simpoints: true,
+                n_intervals,
+                max_k: 4,
+            };
+            let (traces, weights) = materialize(benchmark, &opts);
+            let (want_traces, want_weights) = windows_by_skipping(benchmark, &opts);
+            assert_eq!(weights, want_weights);
+            assert_eq!(traces.len(), want_traces.len());
+            assert!(
+                traces.len() > 1,
+                "{benchmark:?}: want several windows to compare"
+            );
+            for (w, (got, want)) in traces.iter().zip(&want_traces).enumerate() {
+                assert_eq!(got.len(), want.len());
+                for (i, (g, x)) in got.iter().zip(want).enumerate() {
+                    let at = format!("{benchmark:?} window {w} inst {i}");
+                    assert_eq!(g.op, x.op, "{at}");
+                    assert_eq!((g.dep1, g.dep2), (x.dep1, x.dep2), "{at}");
+                    assert_eq!(g.addr, x.addr, "{at}");
+                    assert_eq!((g.block, g.code_offset), (x.block, x.code_offset), "{at}");
+                    assert_eq!((g.branch_id, g.taken), (x.branch_id, x.taken), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

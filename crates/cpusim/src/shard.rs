@@ -184,7 +184,8 @@ pub fn default_workers() -> usize {
 ///
 /// Results come back in design-space order and are byte-identical under
 /// [`merged_jsonl`] for any worker count and any kill/resume sequence. An
-/// empty space is an empty `Ok`; zero workers is [`Error::InvalidInput`].
+/// empty space is an empty `Ok`; zero workers, zero instructions per
+/// window, or SimPoints over zero intervals is [`Error::InvalidInput`].
 pub fn try_sweep_sharded(
     space: &DesignSpace,
     benchmark: Benchmark,
@@ -214,9 +215,9 @@ pub fn try_simulate_indices(
     sweep(space, benchmark, opts, indices, default_workers(), ledger)
 }
 
-/// The one sweep path behind every entry point: validate the request,
-/// open the ledger, simulate the distinct indices it does not hold, and
-/// answer in request order.
+/// The one sweep path behind every entry point: validate the request
+/// (before the ledger is touched), open the ledger, simulate the distinct
+/// indices it does not hold, and answer in request order.
 fn sweep(
     space: &DesignSpace,
     benchmark: Benchmark,
@@ -233,6 +234,16 @@ fn sweep(
     }
     if workers == 0 {
         return Err(Error::invalid("a sweep needs at least one worker"));
+    }
+    if opts.instructions == 0 {
+        return Err(Error::invalid(
+            "a sweep needs at least one instruction per window",
+        ));
+    }
+    if opts.use_simpoints && opts.n_intervals == 0 {
+        return Err(Error::invalid(
+            "a SimPoint sweep needs at least one candidate interval",
+        ));
     }
     let _span = telemetry::span!(
         "sweep",
@@ -282,7 +293,7 @@ fn execute(
     workers: usize,
     writer: Option<&CheckpointWriter>,
 ) -> Result<Vec<SimResult>> {
-    let (traces, weights, _) = runner::materialize(benchmark, opts);
+    let (traces, weights) = runner::materialize(benchmark, opts);
     let progress = telemetry::Progress::new("sweep", todo.len() as u64);
     let cursor = AtomicUsize::new(0);
     let work = || -> Result<Vec<(usize, SimResult)>> {
@@ -598,5 +609,46 @@ mod tests {
         let e = try_sweep_sharded(&space, Benchmark::Mcf, &SimOptions::quick(), 0, None)
             .expect_err("zero workers");
         assert_eq!(e.kind(), "invalid");
+    }
+
+    /// `opts` is rejected as invalid input by both entry points, before a
+    /// ledger file is created.
+    fn assert_invalid_before_ledger(opts: &SimOptions, ledger: &str) {
+        let space = smoke_space();
+        let ledger = tmp_ledger(ledger);
+        let e = try_sweep_design_space(&space, Benchmark::Gcc, opts, Some(&ledger))
+            .expect_err("degenerate sweep");
+        assert_eq!(e.kind(), "invalid", "{e}");
+        assert!(!std::path::Path::new(&ledger).exists(), "ledger created");
+        let e = try_simulate_indices(&space, Benchmark::Gcc, opts, &[0], None)
+            .expect_err("degenerate batch");
+        assert_eq!(e.kind(), "invalid", "{e}");
+    }
+
+    /// Regression: SimPoints over zero intervals used to panic inside the
+    /// phase analysis.
+    #[test]
+    fn simpoints_over_zero_intervals_is_invalid() {
+        assert_invalid_before_ledger(
+            &SimOptions {
+                use_simpoints: true,
+                n_intervals: 0,
+                ..short()
+            },
+            "zero-intervals.jsonl",
+        );
+    }
+
+    /// Regression: zero instructions per window used to return 0-cycle
+    /// results that later divided error metrics by zero.
+    #[test]
+    fn zero_instructions_is_invalid() {
+        assert_invalid_before_ledger(
+            &SimOptions {
+                instructions: 0,
+                ..short()
+            },
+            "zero-instructions.jsonl",
+        );
     }
 }

@@ -9,7 +9,7 @@
 //! k-means (k chosen by a BIC-style score), and return one representative
 //! interval per cluster weighted by cluster population.
 
-use crate::trace::{InstSource, TraceGenerator};
+use crate::trace::{Checkpoint, Inst, TraceGenerator};
 use crate::workload::Benchmark;
 use linalg::dist::{child_seed, seeded_rng};
 use rand::Rng;
@@ -40,44 +40,84 @@ pub struct SimPointAnalysis {
     pub interval_len: u64,
 }
 
-/// Collect per-interval basic-block vectors, already random-projected to
-/// [`PROJECTED_DIMS`] dimensions and L1-normalized.
-pub(crate) fn collect_bbvs(
-    benchmark: Benchmark,
+/// A phase analysis plus what it takes to regenerate its representative
+/// intervals without replaying the trace up to them: a generator over the
+/// analysed trace's tables and its state at the start of each
+/// representative.
+pub(crate) struct Checkpointed {
+    pub(crate) analysis: SimPointAnalysis,
+    gen: TraceGenerator,
+    /// One checkpoint per entry of `analysis.points`, in that order.
+    starts: Vec<Checkpoint>,
+}
+
+impl Checkpointed {
+    /// The instructions of every representative interval, in
+    /// `analysis.points` order: interval `i` is instructions
+    /// `[i*len, (i+1)*len)` of the trace.
+    pub(crate) fn windows(&self) -> Vec<Vec<Inst>> {
+        let len = self.analysis.interval_len as usize;
+        self.starts
+            .iter()
+            .map(|at| self.gen.resume(at).take_vec(len))
+            .collect()
+    }
+}
+
+/// Sign (±1) of the random projection of `block` onto `dim`, derived by
+/// hashing so the projection matrix never materializes.
+fn projection(salt: u64, block: u32, dim: usize) -> f64 {
+    let h = child_seed(salt, (u64::from(block) << 5) | dim as u64);
+    if h & 1 == 0 {
+        1.0
+    } else {
+        -1.0
+    }
+}
+
+/// Collect per-interval basic-block vectors from `gen`, already
+/// random-projected to [`PROJECTED_DIMS`] dimensions and L1-normalized,
+/// together with a checkpoint of `gen` at the start of every interval.
+///
+/// Each interval counts its blocks' occurrences, then projects each
+/// distinct block once. Every term and partial sum is an integer of
+/// magnitude at most `interval_len`, so the sums are exact in `f64` and
+/// equal, bit for bit, to adding ±1 per instruction in trace order.
+fn collect_bbvs(
+    gen: &mut TraceGenerator,
     seed: u64,
     n_intervals: usize,
     interval_len: u64,
-) -> Vec<[f64; PROJECTED_DIMS]> {
-    let mut gen = TraceGenerator::for_benchmark(benchmark, seed);
-    // Random ±1 projection per (block, dim), derived on the fly by hashing
-    // so the matrix never materializes.
+) -> (Vec<[f64; PROJECTED_DIMS]>, Vec<Checkpoint>) {
     let salt = child_seed(seed, 0x9b9b);
-    let proj = |block: u32, dim: usize| -> f64 {
-        let h = child_seed(salt, ((block as u64) << 5) | dim as u64);
-        if h & 1 == 0 {
-            1.0
-        } else {
-            -1.0
-        }
-    };
+    let mut counts = vec![0u64; gen.block_count()];
+    let mut touched: Vec<u32> = Vec::new();
     let mut bbvs = Vec::with_capacity(n_intervals);
+    let mut starts = Vec::with_capacity(n_intervals);
     for _ in 0..n_intervals {
-        let mut v = [0.0f64; PROJECTED_DIMS];
-        let mut count = 0u64;
+        starts.push(gen.checkpoint());
         for _ in 0..interval_len {
-            let inst = gen.fetch();
-            for (d, slot) in v.iter_mut().enumerate() {
-                *slot += proj(inst.block, d);
+            let block = gen.next_inst().block;
+            let c = &mut counts[block as usize];
+            if *c == 0 {
+                touched.push(block);
             }
-            count += 1;
+            *c += 1;
+        }
+        let mut v = [0.0f64; PROJECTED_DIMS];
+        for block in touched.drain(..) {
+            let c = std::mem::take(&mut counts[block as usize]) as f64;
+            for (d, slot) in v.iter_mut().enumerate() {
+                *slot += c * projection(salt, block, d);
+            }
         }
         // Normalize by interval length so vectors are comparable.
         for slot in &mut v {
-            *slot /= count as f64;
+            *slot /= interval_len as f64;
         }
         bbvs.push(v);
     }
-    bbvs
+    (bbvs, starts)
 }
 
 /// Squared Euclidean distance between projected BBVs.
@@ -199,8 +239,27 @@ pub fn analyze(
     interval_len: u64,
     max_k: usize,
 ) -> SimPointAnalysis {
+    analyze_checkpointed(benchmark, seed, n_intervals, interval_len, max_k).analysis
+}
+
+/// [`analyze`], keeping the checkpoints its one pass over the trace took,
+/// so the selected intervals can be regenerated on their own.
+pub(crate) fn analyze_checkpointed(
+    benchmark: Benchmark,
+    seed: u64,
+    n_intervals: usize,
+    interval_len: u64,
+    max_k: usize,
+) -> Checkpointed {
     assert!(n_intervals >= 1, "need at least one interval");
-    let bbvs = collect_bbvs(benchmark, seed, n_intervals, interval_len);
+    let _span = telemetry::span!(
+        "simpoint",
+        benchmark = benchmark.name(),
+        intervals = n_intervals,
+    );
+    let mut gen = TraceGenerator::for_benchmark(benchmark, seed);
+    let (bbvs, starts) = collect_bbvs(&mut gen, seed, n_intervals, interval_len);
+    telemetry::counter_add("trace/insts_generated", n_intervals as u64 * interval_len);
     let max_k = max_k.min(n_intervals).max(1);
 
     type Clustering = (f64, usize, Vec<usize>, Vec<[f64; PROJECTED_DIMS]>);
@@ -235,11 +294,23 @@ pub fn analyze(
         });
     }
     points.sort_by_key(|p| p.interval);
-    SimPointAnalysis {
-        points,
-        assignments,
-        k,
-        interval_len,
+    // Keep only the representatives' checkpoints (points are in interval
+    // order, so this walk lines them up with `points`).
+    let mut selected = points.iter().map(|p| p.interval).peekable();
+    let starts = starts
+        .into_iter()
+        .enumerate()
+        .filter_map(|(i, at)| selected.next_if_eq(&i).map(|_| at))
+        .collect();
+    Checkpointed {
+        analysis: SimPointAnalysis {
+            points,
+            assignments,
+            k,
+            interval_len,
+        },
+        gen,
+        starts,
     }
 }
 
@@ -265,6 +336,55 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The projection as it was first written: ±1 added per instruction,
+    /// in trace order, from a fresh generator. The oracle for
+    /// [`collect_bbvs`]'s per-block projection.
+    fn bbvs_per_instruction(
+        benchmark: Benchmark,
+        seed: u64,
+        n_intervals: usize,
+        interval_len: u64,
+    ) -> Vec<[f64; PROJECTED_DIMS]> {
+        let mut gen = TraceGenerator::for_benchmark(benchmark, seed);
+        let salt = child_seed(seed, 0x9b9b);
+        (0..n_intervals)
+            .map(|_| {
+                let mut v = [0.0f64; PROJECTED_DIMS];
+                for _ in 0..interval_len {
+                    let block = gen.next_inst().block;
+                    for (d, slot) in v.iter_mut().enumerate() {
+                        *slot += projection(salt, block, d);
+                    }
+                }
+                for slot in &mut v {
+                    *slot /= interval_len as f64;
+                }
+                v
+            })
+            .collect()
+    }
+
+    #[test]
+    fn per_block_projection_is_bitwise_the_per_instruction_one() {
+        for (b, seed, n, len) in [
+            (Benchmark::Gcc, 3, 6, 4_000),
+            (Benchmark::Bzip2, 11, 5, 2_500),
+            (Benchmark::Mcf, 0xC0FFEE, 3, 1),
+            (Benchmark::Gzip, 5, 4, 7_001),
+        ] {
+            let mut gen = TraceGenerator::for_benchmark(b, seed);
+            let (got, starts) = collect_bbvs(&mut gen, seed, n, len);
+            let want = bbvs_per_instruction(b, seed, n, len);
+            assert_eq!(starts.len(), n);
+            assert_eq!(gen.index(), n as u64 * len);
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                for d in 0..PROJECTED_DIMS {
+                    assert_eq!(g[d].to_bits(), w[d].to_bits(), "{b:?} interval {i} dim {d}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::workload::{Phase, WorkloadProfile};
 use linalg::dist::{child_seed, seeded_rng, Zipf};
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::sync::Arc;
 
 /// Instruction class, mirroring SimpleScalar's functional-unit classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -193,39 +194,77 @@ struct PhaseState {
     data_lines: u64,
     /// Effective random-access fraction.
     randomness: f64,
-    /// Zipf sampler over basic blocks.
-    block_zipf: Zipf,
 }
 
-/// Deterministic instruction stream for one (benchmark, seed) pair.
-pub struct TraceGenerator {
+/// The immutable tables a generator samples from, built once per
+/// (profile, seed) and shared by every generator resumed from one of its
+/// checkpoints.
+struct Tables {
     profile: WorkloadProfile,
+    phases: Vec<PhaseState>,
+    /// Zipf sampler over basic blocks (every phase draws from it, offset
+    /// into its own code region).
+    block_zipf: Zipf,
+    /// Total instructions per phase superperiod.
+    superperiod: u64,
+    /// Cumulative phase segment boundaries within a superperiod.
+    seg_bounds: Vec<u64>,
+    /// Class of each static branch, indexed by raw branch id.
+    branch_class: Vec<BranchClass>,
+    /// Scatter multiplier mixing Zipf ranks onto footprint lines.
+    scatter_salt: u64,
+    /// `ln(1 − 1/mean_dep_distance)`, the denominator of the geometric
+    /// inverse CDF the dependency distances are drawn from.
+    dep_ln_q: f64,
+}
+
+impl Tables {
+    /// Index of the phase active at dynamic instruction `index`.
+    fn phase_index(&self, index: u64) -> usize {
+        let pos = index % self.superperiod;
+        match self.seg_bounds.binary_search(&pos) {
+            Ok(i) => (i + 1).min(self.phases.len() - 1),
+            Err(i) => i.min(self.phases.len() - 1),
+        }
+    }
+
+    /// Scatter a Zipf rank across the phase footprint so hot lines are not
+    /// clustered at low addresses (multiplicative hashing, bijective mod
+    /// 2^64 because the salt is odd).
+    fn rank_to_line(&self, rank: u64, lines: u64) -> u64 {
+        rank.wrapping_mul(self.scatter_salt) % lines
+    }
+}
+
+/// Everything [`TraceGenerator::next_inst`] advances: the RNG streams, the
+/// counters and the per-branch occurrence counts. A clone taken at
+/// instruction `i` resumes the stream at exactly instruction `i`
+/// ([`TraceGenerator::resume`]).
+#[derive(Clone)]
+pub(crate) struct Checkpoint {
     rng: StdRng,
     /// Independent stream for wrong-path (squashed) instructions so that
     /// config-dependent wrong-path fetch cannot perturb the architectural
     /// stream.
     wp_rng: StdRng,
-    phases: Vec<PhaseState>,
-    /// Total instructions per phase superperiod.
-    superperiod: u64,
-    /// Cumulative phase segment boundaries within a superperiod.
-    seg_bounds: Vec<u64>,
     /// Dynamic instruction index.
     index: u64,
     /// Current basic block (includes phase offset).
     block: u32,
     /// Instruction offset within the current block.
     block_offset: u32,
-    /// Class of each static branch, indexed by raw branch id.
-    branch_class: Vec<BranchClass>,
     /// Per-branch dynamic occurrence counters (for pattern phase).
     branch_occ: Vec<u32>,
     /// Sequential-walker position in bytes.
     seq_pos: u64,
     /// Distance since the last load (for dependent-load chains).
     since_last_load: u16,
-    /// Scatter multiplier mixing Zipf ranks onto footprint lines.
-    scatter_salt: u64,
+}
+
+/// Deterministic instruction stream for one (benchmark, seed) pair.
+pub struct TraceGenerator {
+    tables: Arc<Tables>,
+    state: Checkpoint,
 }
 
 impl TraceGenerator {
@@ -249,7 +288,6 @@ impl TraceGenerator {
             // are scattered across the full footprint below.
             let zipf_n = data_lines.min(1 << 20) as usize;
             let data_zipf = Zipf::new(zipf_n, profile.data_zipf_s);
-            let block_zipf = Zipf::new(profile.code_blocks as usize, profile.code_zipf_s);
             let seg_len = ((superperiod as f64) * ph.weight).round().max(1.0) as u64;
             acc += seg_len;
             seg_bounds.push(acc);
@@ -258,7 +296,6 @@ impl TraceGenerator {
                 data_zipf,
                 data_lines,
                 randomness: (profile.data_randomness * ph.randomness_scale).clamp(0.0, 1.0),
-                block_zipf,
             });
         }
 
@@ -295,22 +332,31 @@ impl TraceGenerator {
             })
             .collect();
 
+        let block_zipf = Zipf::new(profile.code_blocks as usize, profile.code_zipf_s);
         let scatter_salt = child_seed(seed, 0x5ca7) | 1;
+        let p = 1.0 / profile.mean_dep_distance;
+        let dep_ln_q = (1.0 - p).ln();
         TraceGenerator {
-            profile,
-            rng,
-            wp_rng,
-            phases,
-            superperiod: acc,
-            seg_bounds,
-            index: 0,
-            block: 0,
-            block_offset: 0,
-            branch_class,
-            branch_occ: vec![0; n_branches],
-            seq_pos: 0,
-            since_last_load: 0,
-            scatter_salt,
+            tables: Arc::new(Tables {
+                profile,
+                phases,
+                block_zipf,
+                superperiod: acc,
+                seg_bounds,
+                branch_class,
+                scatter_salt,
+                dep_ln_q,
+            }),
+            state: Checkpoint {
+                rng,
+                wp_rng,
+                index: 0,
+                block: 0,
+                block_offset: 0,
+                branch_occ: vec![0; n_branches],
+                seq_pos: 0,
+                since_last_load: 0,
+            },
         }
     }
 
@@ -319,27 +365,34 @@ impl TraceGenerator {
         Self::new(b.profile(), seed)
     }
 
-    /// Index of the phase active at the current instruction.
-    fn phase_index(&self) -> usize {
-        let pos = self.index % self.superperiod;
-        match self.seg_bounds.binary_search(&pos) {
-            Ok(i) => (i + 1).min(self.phases.len() - 1),
-            Err(i) => i.min(self.phases.len() - 1),
+    /// The generator's state at the current instruction.
+    pub(crate) fn checkpoint(&self) -> Checkpoint {
+        self.state.clone()
+    }
+
+    /// A generator over the same tables that continues from `at`: its
+    /// instructions are exactly those this generator produced (or would
+    /// produce) from the instruction where `at` was taken.
+    pub(crate) fn resume(&self, at: &Checkpoint) -> TraceGenerator {
+        TraceGenerator {
+            tables: Arc::clone(&self.tables),
+            state: at.clone(),
         }
     }
 
-    /// Scatter a Zipf rank across the phase footprint so hot lines are not
-    /// clustered at low addresses (multiplicative hashing, bijective mod
-    /// 2^64 because the salt is odd).
-    fn rank_to_line(&self, rank: u64, lines: u64) -> u64 {
-        rank.wrapping_mul(self.scatter_salt) % lines
+    /// Number of distinct block ids the stream can produce (ids are
+    /// `0..block_count()`).
+    pub(crate) fn block_count(&self) -> usize {
+        self.tables.branch_class.len()
     }
 
     /// Generate the next architectural instruction.
     pub fn next_inst(&mut self) -> Inst {
-        let pi = self.phase_index();
-        let mix = self.profile.op_mix;
-        let u: f64 = self.rng.random();
+        let t = &*self.tables;
+        let s = &mut self.state;
+        let pi = t.phase_index(s.index);
+        let mix = t.profile.op_mix;
+        let u: f64 = s.rng.random();
         // Walk the mix CDF; the branch class absorbs the tail so the mix
         // always resolves even under floating-point rounding.
         let classes = [
@@ -350,39 +403,39 @@ impl TraceGenerator {
             (mix.load, OpClass::Load),
             (mix.store, OpClass::Store),
         ];
-        let mut t = u;
+        let mut acc = u;
         let mut op = OpClass::Branch;
         for (frac, cls) in classes {
-            t -= frac;
-            if t < 0.0 {
+            acc -= frac;
+            if acc < 0.0 {
                 op = cls;
                 break;
             }
         }
 
-        let (dep1, dep2) = self.sample_deps(op);
+        let (dep1, dep2) = sample_deps(t, s, op);
         let mut inst = Inst {
             op,
             dep1,
             dep2,
             addr: 0,
-            block: self.block,
-            code_offset: self.block_offset * 4,
+            block: s.block,
+            code_offset: s.block_offset * 4,
             branch_id: 0,
             taken: false,
         };
 
         match op {
             OpClass::Load | OpClass::Store => {
-                inst.addr = self.sample_data_addr(pi, op == OpClass::Load, &mut inst);
+                inst.addr = sample_data_addr(t, s, pi, op == OpClass::Load, &mut inst);
             }
             OpClass::Branch => {
-                let raw_id = (self.block % self.branch_class.len() as u32) as usize;
-                let occ = self.branch_occ[raw_id];
-                self.branch_occ[raw_id] = occ.wrapping_add(1);
-                let taken = match self.branch_class[raw_id] {
+                let raw_id = (s.block % t.branch_class.len() as u32) as usize;
+                let occ = s.branch_occ[raw_id];
+                s.branch_occ[raw_id] = occ.wrapping_add(1);
+                let taken = match t.branch_class[raw_id] {
                     BranchClass::Biased { taken_mostly } => {
-                        let flip: f64 = self.rng.random();
+                        let flip: f64 = s.rng.random();
                         if taken_mostly {
                             flip < 0.95
                         } else {
@@ -393,82 +446,38 @@ impl TraceGenerator {
                         let body = (occ % u32::from(period)) != (u32::from(period) - 1);
                         body != inverted
                     }
-                    BranchClass::Random { taken_p } => self.rng.random::<f64>() < taken_p,
+                    BranchClass::Random { taken_p } => s.rng.random::<f64>() < taken_p,
                 };
                 inst.branch_id = raw_id as u32;
                 inst.taken = taken;
                 // Control transfer: next block from the phase's code-locality
                 // distribution, offset into the phase's code region.
-                let ph = &self.phases[pi];
-                let next = ph.block_zipf.sample(&mut self.rng) as u32 + ph.phase.block_offset;
-                self.block = next % self.branch_class.len() as u32;
-                self.block_offset = 0;
+                let next = t.block_zipf.sample(&mut s.rng) as u32 + t.phases[pi].phase.block_offset;
+                s.block = next % t.branch_class.len() as u32;
+                s.block_offset = 0;
             }
             _ => {}
         }
 
         if op != OpClass::Branch {
-            self.block_offset += 1;
+            s.block_offset += 1;
         }
         if op == OpClass::Load {
-            self.since_last_load = 0;
+            s.since_last_load = 0;
         }
-        self.since_last_load = self.since_last_load.saturating_add(1);
-        self.index += 1;
+        s.since_last_load = s.since_last_load.saturating_add(1);
+        s.index += 1;
         inst
-    }
-
-    /// Dependency distances: geometric-ish with the profile's mean,
-    /// clamped to the scheduler-visible window.
-    fn sample_deps(&mut self, op: OpClass) -> (u16, u16) {
-        let mean = self.profile.mean_dep_distance;
-        let draw = |rng: &mut StdRng| -> u16 {
-            let u: f64 = rng.random();
-            // Inverse-CDF of geometric with success prob 1/mean.
-            let p = 1.0 / mean;
-            let d = ((1.0 - u).ln() / (1.0 - p).ln()).ceil();
-            (d.max(1.0) as u16).min(64)
-        };
-        let d1 = draw(&mut self.rng);
-        let d2 = if op != OpClass::Branch && self.rng.random::<f64>() < 0.5 {
-            draw(&mut self.rng)
-        } else {
-            0
-        };
-        (d1, d2)
-    }
-
-    /// Data address: sequential walker or scattered Zipf, with
-    /// pointer-chasing loads forced onto the random component and made
-    /// dependent on the previous load.
-    fn sample_data_addr(&mut self, pi: usize, is_load: bool, inst: &mut Inst) -> u64 {
-        let ph = &self.phases[pi];
-        let chasing = is_load && self.rng.random::<f64>() < self.profile.dependent_load_frac;
-        if chasing {
-            // Address comes from the previous load's value: serialize on it.
-            inst.dep1 = self.since_last_load.clamp(1, 64);
-            let rank = ph.data_zipf.sample(&mut self.rng) as u64;
-            let line = self.rank_to_line(rank, ph.data_lines);
-            return line * 64 + self.rng.random_range(0..8u64) * 8;
-        }
-        if self.rng.random::<f64>() < ph.randomness {
-            let rank = ph.data_zipf.sample(&mut self.rng) as u64;
-            let line = self.rank_to_line(rank, ph.data_lines);
-            line * 64 + self.rng.random_range(0..8u64) * 8
-        } else {
-            let footprint = ph.data_lines * 64;
-            self.seq_pos = (self.seq_pos + self.profile.stride_b) % footprint;
-            self.seq_pos
-        }
     }
 
     /// Generate one *wrong-path* instruction (fetched past a mispredicted
     /// branch, later squashed). Uses an independent RNG stream so the
     /// architectural trace is identical across configurations.
     pub(crate) fn wrong_path_inst(&mut self) -> Inst {
-        let pi = self.phase_index();
-        let ph = &self.phases[pi];
-        let u: f64 = self.wp_rng.random();
+        let t = &*self.tables;
+        let s = &mut self.state;
+        let ph = &t.phases[t.phase_index(s.index)];
+        let u: f64 = s.wp_rng.random();
         let op = if u < 0.5 {
             OpClass::IAlu
         } else if u < 0.75 {
@@ -478,10 +487,10 @@ impl TraceGenerator {
         };
         let mut addr = 0;
         if op == OpClass::Load {
-            let rank = ph.data_zipf.sample(&mut self.wp_rng) as u64;
-            addr = self.rank_to_line(rank, ph.data_lines) * 64;
+            let rank = ph.data_zipf.sample(&mut s.wp_rng) as u64;
+            addr = t.rank_to_line(rank, ph.data_lines) * 64;
         }
-        let block = self.wp_rng.random_range(0..self.branch_class.len() as u32);
+        let block = s.wp_rng.random_range(0..t.branch_class.len() as u32);
         Inst {
             op,
             dep1: 1,
@@ -501,12 +510,69 @@ impl TraceGenerator {
 
     /// Dynamic instruction index (number generated so far).
     pub fn index(&self) -> u64 {
-        self.index
+        self.state.index
     }
 
     /// The profile driving this generator.
     pub fn profile(&self) -> &WorkloadProfile {
-        &self.profile
+        &self.tables.profile
+    }
+}
+
+/// Dependency distances: geometric-ish with the profile's mean,
+/// clamped to the scheduler-visible window.
+fn sample_deps(t: &Tables, s: &mut Checkpoint, op: OpClass) -> (u16, u16) {
+    let draw = |rng: &mut StdRng| -> u16 {
+        let u: f64 = rng.random();
+        // Inverse-CDF of geometric with success prob 1/mean.
+        ceil_clamped((1.0 - u).ln() / t.dep_ln_q)
+    };
+    let d1 = draw(&mut s.rng);
+    let d2 = if op != OpClass::Branch && s.rng.random::<f64>() < 0.5 {
+        draw(&mut s.rng)
+    } else {
+        0
+    };
+    (d1, d2)
+}
+
+/// `x` rounded up and clamped to `1..=64`: the value of
+/// `(x.ceil().max(1.0) as u16).min(64)` for every `x`, NaN and the
+/// infinities included, without a call to libm's `ceil` (baseline x86-64
+/// has no rounding instruction).
+fn ceil_clamped(x: f64) -> u16 {
+    let k = if x >= 64.0 { 64 } else { x as u16 };
+    let d = if f64::from(k) < x { k + 1 } else { k };
+    d.clamp(1, 64)
+}
+
+/// Data address: sequential walker or scattered Zipf, with
+/// pointer-chasing loads forced onto the random component and made
+/// dependent on the previous load.
+fn sample_data_addr(
+    t: &Tables,
+    s: &mut Checkpoint,
+    pi: usize,
+    is_load: bool,
+    inst: &mut Inst,
+) -> u64 {
+    let ph = &t.phases[pi];
+    let chasing = is_load && s.rng.random::<f64>() < t.profile.dependent_load_frac;
+    if chasing {
+        // Address comes from the previous load's value: serialize on it.
+        inst.dep1 = s.since_last_load.clamp(1, 64);
+        let rank = ph.data_zipf.sample(&mut s.rng) as u64;
+        let line = t.rank_to_line(rank, ph.data_lines);
+        return line * 64 + s.rng.random_range(0..8u64) * 8;
+    }
+    if s.rng.random::<f64>() < ph.randomness {
+        let rank = ph.data_zipf.sample(&mut s.rng) as u64;
+        let line = t.rank_to_line(rank, ph.data_lines);
+        line * 64 + s.rng.random_range(0..8u64) * 8
+    } else {
+        let footprint = ph.data_lines * 64;
+        s.seq_pos = (s.seq_pos + t.profile.stride_b) % footprint;
+        s.seq_pos
     }
 }
 
@@ -527,6 +593,20 @@ mod tests {
             assert_eq!(x.taken, y.taken);
             assert_eq!(x.op, y.op);
         }
+    }
+
+    #[test]
+    fn resumed_checkpoint_continues_the_stream() {
+        let mut g = TraceGenerator::for_benchmark(Benchmark::Gcc, 3);
+        let _ = g.take_vec(7_777);
+        let at = g.checkpoint();
+        let tail = g.take_vec(5_000);
+        let mut r = g.resume(&at);
+        assert_eq!(r.index(), 7_777);
+        for (x, y) in tail.iter().zip(r.take_vec(5_000)) {
+            assert_eq!(format!("{x:?}"), format!("{y:?}"));
+        }
+        assert_eq!(r.index(), g.index());
     }
 
     #[test]
@@ -560,6 +640,32 @@ mod tests {
         for (x, y) in va.iter().zip(&vb) {
             assert_eq!(x.addr, y.addr);
             assert_eq!(x.taken, y.taken);
+        }
+    }
+
+    #[test]
+    fn ceil_clamped_matches_the_libm_expression() {
+        let oracle = |x: f64| (x.ceil().max(1.0) as u16).min(64);
+        let mut xs = vec![
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+            f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            1e300,
+            -1e300,
+        ];
+        for k in -3..=70 {
+            let k = f64::from(k);
+            xs.extend([k.next_down(), k, k.next_up(), k + 0.5]);
+        }
+        let mut rng = seeded_rng(5);
+        xs.extend((0..100_000).map(|_| rng.random::<f64>() * 80.0 - 5.0));
+        for x in xs {
+            assert_eq!(ceil_clamped(x), oracle(x), "x = {x:e}");
         }
     }
 

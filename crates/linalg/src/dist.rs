@@ -69,10 +69,20 @@ pub fn sample_weighted(rng: &mut impl Rng, weights: &[f64]) -> usize {
 /// Drives the memory-reference locality model: a small number of hot
 /// addresses absorb most references, the defining property of cache-friendly
 /// program behaviour.
+///
+/// A draw `u` is mapped to the first rank whose CDF entry is at least `u`.
+/// A guide table over `n` equal-width buckets of `[0, 1]` narrows that
+/// search to the ranks whose CDF falls in `u`'s bucket, so a draw costs a
+/// couple of comparisons instead of a binary search over all `n` entries,
+/// and returns exactly the rank the binary search would.
 #[derive(Debug, Clone)]
 pub struct Zipf {
     /// Cumulative probabilities, len = n.
     cdf: Vec<f64>,
+    /// `guide[b]` is the first rank whose CDF entry falls in bucket `b` or
+    /// later, for `b` in `0..=n`; every rank before it has a CDF entry in
+    /// an earlier bucket. Len = n + 1.
+    guide: Vec<u32>,
 }
 
 impl Zipf {
@@ -80,6 +90,7 @@ impl Zipf {
     pub fn new(n: usize, s: f64) -> Self {
         assert!(n > 0, "Zipf: n must be positive");
         assert!(s > 0.0, "Zipf: exponent must be positive");
+        assert!(u32::try_from(n).is_ok(), "Zipf: n must fit in u32");
         let mut cdf = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
@@ -90,18 +101,51 @@ impl Zipf {
         for c in &mut cdf {
             *c /= total;
         }
-        Zipf { cdf }
+        Self::with_cdf(cdf)
+    }
+
+    /// Wrap a non-empty, non-decreasing CDF ending at 1 and build its
+    /// guide table.
+    fn with_cdf(cdf: Vec<f64>) -> Self {
+        let n = cdf.len();
+        let mut guide = Vec::with_capacity(n + 1);
+        let mut rank = 0;
+        for b in 0..=n {
+            while rank < n && bucket(cdf[rank], n) < b {
+                rank += 1;
+            }
+            guide.push(rank as u32);
+        }
+        Zipf { cdf, guide }
     }
 
     /// Draw a rank in `0..n` (rank 0 is the hottest).
     pub fn sample(&self, rng: &mut impl Rng) -> usize {
-        let u = rng.random::<f64>();
-        // Binary search the CDF.
+        self.rank_of(rng.random::<f64>())
+    }
+
+    /// The rank a uniform draw `u` in `[0, 1)` maps to.
+    ///
+    /// `bucket` is monotone, so every rank before `guide[b]` has a CDF
+    /// entry below `u` and, when `guide[b + 1]` is a rank, its entry lies
+    /// above `u`: the first entry `>= u` is in `guide[b]..=guide[b + 1]`.
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let n = self.cdf.len();
+        let b = bucket(u, n).min(n);
+        let lo = self.guide[b] as usize;
+        let hi = self.guide.get(b + 1).map_or(n, |&h| h as usize);
         // The CDF is finite by construction (normalised partial sums of
         // positive weights); total_cmp keeps the search total regardless.
-        match self.cdf.binary_search_by(|c| c.total_cmp(&u)) {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        let i = lo + self.cdf[lo..hi].partition_point(|c| c.total_cmp(&u).is_lt());
+        match self.cdf.get(i) {
+            // `u` equals a CDF entry. Among equal entries the binary search
+            // may land on any one, so ask it which (a tie has probability
+            // about 2^-53 per entry).
+            Some(c) if c.total_cmp(&u).is_eq() => {
+                self.cdf.binary_search_by(|c| c.total_cmp(&u)).unwrap_or(i)
+            }
+            _ => i.min(n - 1),
         }
     }
 
@@ -114,6 +158,12 @@ impl Zipf {
     pub fn is_empty(&self) -> bool {
         self.cdf.is_empty()
     }
+}
+
+/// Guide-table bucket of a probability `x` in `[0, 1]` over `n` buckets
+/// (`n` only for `x = 1`). Monotone in `x`.
+fn bucket(x: f64, n: usize) -> usize {
+    (x * n as f64) as usize
 }
 
 /// Fisher–Yates shuffle of indices `0..n`, returning the permutation.
@@ -202,6 +252,119 @@ mod tests {
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[0] > counts[99] * 5);
+    }
+
+    /// The binary search `Zipf::sample` ran before the guide table: the
+    /// oracle the table must agree with on every draw.
+    fn rank_by_binary_search(z: &Zipf, u: f64) -> usize {
+        match z.cdf.binary_search_by(|c| c.total_cmp(&u)) {
+            Ok(i) => i,
+            Err(i) => i.min(z.cdf.len() - 1),
+        }
+    }
+
+    /// `u` itself and, for every probed CDF entry, the entry and its two
+    /// neighbouring floats: the draws where an off-by-one would show.
+    fn probes(z: &Zipf, u: f64, stride: usize) -> Vec<f64> {
+        let mut out = vec![u, 0.0, 1.0 - f64::EPSILON / 2.0];
+        for i in (0..z.len()).step_by(stride.max(1)).chain([z.len() - 1]) {
+            let c = z.cdf[i];
+            out.extend([c.next_down(), c, c.next_up()]);
+        }
+        out.retain(|x| (0.0..1.0).contains(x));
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn zipf_guide_table_matches_binary_search(
+            small in 1usize..9,
+            large in 1usize..20_000,
+            use_small in proptest::prelude::any::<bool>(),
+            s in 0.05f64..6.0,
+            u in 0.0f64..1.0,
+        ) {
+            let n = if use_small { small } else { large };
+            let z = Zipf::new(n, s);
+            for x in probes(&z, u, n / 97) {
+                proptest::prop_assert_eq!(
+                    z.rank_of(x),
+                    rank_by_binary_search(&z, x),
+                    "n={} s={} u={:e}", n, s, x
+                );
+            }
+        }
+
+        #[test]
+        fn guide_table_matches_binary_search_on_tied_cdfs(
+            weights in proptest::collection::vec(
+                proptest::sample::select(vec![0.0, 0.0, 0.0, 0.25, 1.0, 3.0]),
+                1..40,
+            ),
+            u in 0.0f64..1.0,
+        ) {
+            let mut weights = weights;
+            weights.push(1.0);
+            let z = tied(&weights);
+            for x in probes(&z, u, 1) {
+                proptest::prop_assert_eq!(
+                    z.rank_of(x),
+                    rank_by_binary_search(&z, x),
+                    "weights={:?} u={:e}", weights, x
+                );
+            }
+        }
+    }
+
+    /// A distribution over `weights` (some zero), whose CDF therefore has
+    /// runs of exactly equal entries below 1.
+    fn tied(weights: &[f64]) -> Zipf {
+        let total: f64 = weights.iter().sum();
+        let mut acc = 0.0;
+        Zipf::with_cdf(
+            weights
+                .iter()
+                .map(|w| {
+                    acc += w;
+                    acc / total
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn zipf_guide_table_matches_binary_search_on_ties() {
+        // Among equal entries the result is whichever one the binary
+        // search lands on; the guide table must give the same one.
+        for weights in [
+            &[1.0, 0.0, 0.0, 0.0, 2.0][..],
+            &[0.0, 0.0, 1.0],
+            &[3.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 4.0, 0.0, 2.0],
+            &[1.0],
+        ] {
+            let z = tied(weights);
+            for x in probes(&z, 0.5, 1) {
+                assert_eq!(
+                    z.rank_of(x),
+                    rank_by_binary_search(&z, x),
+                    "{weights:?} u={x:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zipf_samples_match_binary_search_draw_for_draw() {
+        let z = Zipf::new(2_200, 0.95);
+        let (mut a, mut b) = (seeded_rng(13), seeded_rng(13));
+        for _ in 0..20_000 {
+            assert_eq!(
+                z.sample(&mut a),
+                rank_by_binary_search(&z, b.random::<f64>())
+            );
+        }
     }
 
     #[test]

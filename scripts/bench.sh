@@ -3,8 +3,11 @@
 # output into BENCH_selection.json / BENCH_nn.json / BENCH_dse.json /
 # BENCH_serve.json / BENCH_sim.json at the repo root (or under --out-dir).
 # BENCH_sim.json holds two benches: `simulator` (one configuration per
-# benchmark through `Core::run`, plus trace generation) and
-# `sweep_scaling` (parallel Table-1 sweeps of 16, 64 and 256 points).
+# benchmark through `Core::run`; trace generation for applu, mcf and gcc;
+# and `simpoint/gcc`, a SimPoint sweep's serial prologue — phase analysis
+# over 10 intervals of 30k instructions, max_k 4, plus regenerating the
+# representative windows from their checkpoints) and `sweep_scaling`
+# (parallel Table-1 sweeps of 16, 64 and 256 points).
 #
 # Usage:
 #   scripts/bench.sh                  # full timing budgets (minutes)
