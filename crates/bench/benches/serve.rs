@@ -1,12 +1,12 @@
-//! Serving-layer throughput: JSONL replay through the batched prediction
-//! engine (DESIGN.md §9) against pre-trained artifacts.
+//! Serving-layer throughput: one-shot JSONL replay through
+//! `Daemon::replay` (DESIGN.md §9) against pre-trained artifacts.
 //!
-//! Training and workload synthesis happen once outside the timed region,
-//! so the numbers are pure serve cost — parse, cache probe, batch
-//! assembly, matrix-form predict, ordered emit. Two stream shapes per
-//! model: `cached` (2 000 requests over 32 distinct configs, the
-//! steady-state surrogate-query case) and `cold` (cache disabled, every
-//! request pays a prediction). Before timing, the harness asserts the
+//! Training, workload synthesis and registry loading happen outside the
+//! timed region, so the numbers are pure serve cost — parse, validate,
+//! cache probe, batch assembly, matrix-form predict, ordered emit. Two
+//! stream shapes per model: `cached` (2 000 requests over 32 distinct
+//! configs, the steady-state surrogate-query case) and `cold` (cache
+//! disabled, every request pays a prediction). Before timing, the harness asserts the
 //! replay is byte-identical across 1, 2 and 4 worker threads. The
 //! compiled predictors' bit-identity to the interpreted model is a
 //! property test (`crates/serve/tests/compiled_prop.rs`), not a bench
@@ -15,9 +15,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use mlmodels::table::Table;
 use mlmodels::{try_train, ModelArtifact, ModelKind};
-use serve::{
-    generate_requests, serve_jsonl, Daemon, DaemonConfig, Registry, RegistryConfig, ServeConfig,
-};
+use serve::{generate_requests, Daemon, DaemonConfig, DaemonStats, Registry, RegistryConfig};
 use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -58,20 +56,36 @@ fn training_table() -> Table {
     t
 }
 
-fn config(cache_cap: usize, workers: usize) -> ServeConfig {
-    ServeConfig {
+/// A registry holding just the artifact at `path`, with an LRU cache of
+/// `cache_cap` configurations (0 disables it).
+fn registry(path: &str, cache_cap: usize) -> Registry {
+    let mut registry = Registry::new(RegistryConfig {
         cache_cap,
-        workers,
-        ..ServeConfig::default()
-    }
+        ..RegistryConfig::default()
+    });
+    registry.load("m", path).expect("registry load");
+    registry
 }
 
-/// Replay `stream` through a fresh daemon instance (framed protocol,
-/// admission queue, reader thread) over in-memory transport. Saves the
-/// artifact once outside the timed region; each iteration pays daemon
-/// construction + registry routing + the full request loop, i.e. the
-/// daemon's overhead over the bare engine replay above.
-fn daemon_replay(artifact_path: &str, stream: &str) -> serve::DaemonStats {
+/// One-shot replay of `stream` at the one-shot default window: the
+/// response bytes and the stats.
+fn replay(registry: Registry, workers: usize, stream: &str) -> (Vec<u8>, DaemonStats) {
+    let config = DaemonConfig {
+        window: 256,
+        workers,
+        ..DaemonConfig::default()
+    };
+    let mut daemon = Daemon::new(config, registry).expect("daemon config");
+    let mut out = Vec::new();
+    let stats = daemon.replay(stream.as_bytes(), &mut out).expect("replay");
+    (out, stats)
+}
+
+/// Replay `stream` through a fresh long-lived daemon instance (reader
+/// thread, admission queue, variable windows) over in-memory transport.
+/// Each iteration pays artifact load, daemon construction and the full
+/// request loop, i.e. the daemon's overhead over the one-shot replay.
+fn daemon_replay(artifact_path: &str, stream: &str) -> DaemonStats {
     let mut registry = Registry::new(RegistryConfig::default());
     registry.load("m", artifact_path).expect("registry load");
     let config = DaemonConfig {
@@ -95,9 +109,9 @@ fn daemon_replay(artifact_path: &str, stream: &str) -> serve::DaemonStats {
 /// Replay once per worker count and assert byte-identical output across
 /// worker counts, then record one representative timing into telemetry
 /// counters.
-fn assert_equivalence_and_record(artifact: &ModelArtifact, stream: &str, tag: &str) {
+fn assert_equivalence_and_record(path: &str, stream: &str, tag: &str) {
     let t0 = Instant::now();
-    let (base, stats) = serve_jsonl(artifact.clone(), config(4096, 1), stream).expect("replay");
+    let (base, stats) = replay(registry(path, 4096), 1, stream);
     telemetry::counter_add(
         &format!("bench/serve_{tag}_2k_ns"),
         t0.elapsed().as_nanos() as u64,
@@ -105,45 +119,53 @@ fn assert_equivalence_and_record(artifact: &ModelArtifact, stream: &str, tag: &s
     assert_eq!(stats.requests as usize, REQUESTS, "every request answered");
     assert!(stats.cache_hits > 0, "cache-heavy stream must hit");
     for workers in [2, 4] {
-        let (out, _) = serve_jsonl(artifact.clone(), config(4096, workers), stream)
-            .expect("multi-worker replay");
+        let (out, _) = replay(registry(path, 4096), workers, stream);
         assert_eq!(base, out, "{tag}: output differs at {workers} workers");
     }
 }
 
 fn bench_serve(c: &mut Criterion) {
     let table = training_table();
-    let artifacts: Vec<(&str, ModelArtifact)> = [("lrb", ModelKind::LrB), ("nnq", ModelKind::NnQ)]
-        .into_iter()
-        .map(|(tag, kind)| {
-            let model = try_train(kind, &table, 0x5E2).expect("training");
-            (tag, ModelArtifact::from_training(model, &table))
-        })
-        .collect();
+    let dir = std::env::temp_dir().join(format!("perfpredict-bench-serve-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("tmp dir");
+    let artifacts: Vec<(&str, ModelArtifact, String)> =
+        [("lrb", ModelKind::LrB), ("nnq", ModelKind::NnQ)]
+            .into_iter()
+            .map(|(tag, kind)| {
+                let model = try_train(kind, &table, 0x5E2).expect("training");
+                let artifact = ModelArtifact::from_training(model, &table);
+                let path = dir
+                    .join(format!("{tag}.ppmodel"))
+                    .to_string_lossy()
+                    .into_owned();
+                artifact.save(&path).expect("save artifact");
+                (tag, artifact, path)
+            })
+            .collect();
     let stream =
         generate_requests(&artifacts[0].1.schema, REQUESTS, DISTINCT, 0x5E2).expect("workload");
-    for (tag, artifact) in &artifacts {
-        assert_equivalence_and_record(artifact, &stream, tag);
+    for (tag, _, path) in &artifacts {
+        assert_equivalence_and_record(path, &stream, tag);
     }
 
     let mut group = c.benchmark_group("serve");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(5));
-    for (tag, artifact) in &artifacts {
+    for (tag, _, path) in &artifacts {
         // Steady state: 32 distinct configs, ~98% of requests hit the LRU.
         group.bench_function(format!("replay_cached_{tag}"), |b| {
             b.iter_batched(
-                || artifact.clone(),
-                |a| black_box(serve_jsonl(a, config(4096, 2), &stream)),
+                || registry(path, 4096),
+                |r| black_box(replay(r, 2, &stream)),
                 BatchSize::LargeInput,
             )
         });
         // Cache disabled: every request pays parse + batch + predict.
         group.bench_function(format!("replay_cold_{tag}"), |b| {
             b.iter_batched(
-                || artifact.clone(),
-                |a| black_box(serve_jsonl(a, config(0, 2), &stream)),
+                || registry(path, 0),
+                |r| black_box(replay(r, 2, &stream)),
                 BatchSize::LargeInput,
             )
         });
@@ -155,21 +177,18 @@ fn bench_serve(c: &mut Criterion) {
         b.iter(|| black_box(ModelArtifact::from_bytes("<bench>", black_box(&bytes))))
     });
 
-    // Daemon mode: the same cached replay through the persistent
-    // request loop — framed protocol parse, admission queue, registry
-    // routing — measuring the daemon's overhead over the bare engine.
-    let dir = std::env::temp_dir().join(format!("perfpredict-bench-daemon-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("tmp dir");
-    let lrb_path = dir.join("lrb.ppmodel").to_string_lossy().into_owned();
-    artifacts[0].1.save(&lrb_path).expect("save artifact");
-    let warm = daemon_replay(&lrb_path, &stream);
+    // Daemon mode: the same cached replay through the long-lived request
+    // loop — reader thread, admission queue, variable windows —
+    // measuring the daemon's overhead over the one-shot replay.
+    let lrb_path = &artifacts[0].2;
+    let warm = daemon_replay(lrb_path, &stream);
     assert_eq!(
         warm.requests as usize, REQUESTS,
         "daemon answers every request"
     );
     assert_eq!(warm.shed, 0, "uncontended replay must not shed");
     group.bench_function("daemon_replay_cached_lrb", |b| {
-        b.iter(|| black_box(daemon_replay(&lrb_path, &stream)))
+        b.iter(|| black_box(daemon_replay(lrb_path, &stream)))
     });
     group.finish();
     let _ = std::fs::remove_dir_all(&dir);

@@ -195,6 +195,9 @@ impl LinearFit {
 
     /// Partial-F statistic for adding this (larger) model over a smaller
     /// nested one: `F = ((RSS_small - RSS_big)/q) / (RSS_big/(n-p-1))`.
+    /// The incremental selection drivers compute it from sufficient
+    /// statistics; this form serves the from-scratch oracle.
+    #[cfg(any(test, feature = "oracle"))]
     pub(crate) fn partial_f_vs(&self, smaller: &LinearFit) -> f64 {
         assert!(
             self.active.len() > smaller.active.len(),
@@ -207,6 +210,7 @@ impl LinearFit {
     }
 
     /// Residual degrees of freedom.
+    #[cfg(any(test, feature = "oracle"))]
     pub(crate) fn df_residual(&self) -> f64 {
         (self.n - self.active.len() - 1).max(1) as f64
     }

@@ -16,8 +16,9 @@
 //! the n-row design (O(n·k²)). Ambiguous pivots (near-collinear
 //! candidates) and near-exact fits defer to the from-scratch oracle so
 //! the selected active sets are identical to the pre-incremental
-//! implementation, which survives in [`reference`] as the equivalence
-//! oracle for tests and benchmarks.
+//! implementation, which survives as `reference`, the equivalence oracle
+//! for tests and benchmarks. It is not shipped: only this crate's tests
+//! and builds with the `oracle` feature (the selection benchmark) have it.
 
 use crate::linreg::LinearFit;
 use fault::{Error, Result};
@@ -72,12 +73,6 @@ fn partial_p(n: usize, k_big: usize, rss_big: f64, rss_small: f64) -> f64 {
     let denom = (rss_big / df).max(1e-30);
     let f = ((rss_small - rss_big) / denom).max(0.0);
     f_sf(f, 1.0, df)
-}
-
-/// p-value for adding/removing exactly one predictor between nested fits.
-fn step_p_value(big: &LinearFit, small: &LinearFit) -> f64 {
-    let f = big.partial_f_vs(small);
-    f_sf(f, 1.0, big.df_residual())
 }
 
 /// Run the selection strategy and return the final fit. Degrades
@@ -394,8 +389,16 @@ fn backward(
 /// equivalence oracle — proptests and the selection benchmark compare
 /// [`try_select`] against this module — and exercised nowhere on the hot
 /// path.
+#[cfg(any(test, feature = "oracle"))]
 pub mod reference {
     use super::*;
+
+    /// p-value for adding/removing exactly one predictor between nested
+    /// fits.
+    fn step_p_value(big: &LinearFit, small: &LinearFit) -> f64 {
+        let f = big.partial_f_vs(small);
+        f_sf(f, 1.0, big.df_residual())
+    }
 
     /// From-scratch selection with semantics identical to
     /// [`super::try_select`].

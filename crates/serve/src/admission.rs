@@ -1,11 +1,10 @@
 //! Bounded admission with explicit, typed load-shedding.
 //!
-//! The one-shot replay engine gets backpressure for free: its reader
-//! only pulls from the input when the queue has room, so the producer
-//! stalls on an unread pipe. A long-lived daemon cannot do that — the
-//! reader must keep draining the transport to *see* a burst, which
-//! means admission has to be an explicit decision with an explicit
-//! rejection. [`AdmissionQueue`] is that decision point:
+//! The one-shot replay needs no queue: it reads one window at a time on
+//! the serving thread, so the producer simply stalls on an unread pipe.
+//! A long-lived daemon cannot do that — its reader must keep draining
+//! the transport to *see* a burst, which means admission has to be an
+//! explicit decision with an explicit rejection. [`AdmissionQueue`] is that decision point:
 //!
 //! * [`AdmissionQueue::try_admit`] — data-plane admission. When the
 //!   queue is at capacity it returns [`fault::Error::Overloaded`]

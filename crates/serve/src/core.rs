@@ -1,19 +1,16 @@
-//! The reusable window-predict core shared by the one-shot replay
-//! engine ([`crate::engine`]) and the long-lived daemon
-//! ([`crate::daemon`]).
+//! The window-predict core of the serving loop ([`crate::daemon`]).
 //!
 //! One call to [`predict_window`] is the whole hot path of the serving
 //! layer: probe the LRU surrogate cache, deduplicate the misses by
 //! canonical key, run one matrix-form prediction sharded across scoped
 //! worker threads, and fill every window slot. Row `i`'s arithmetic
 //! never reads any other row, so the outcome is bit-identical for any
-//! worker count — the property both the replay equivalence tests and
-//! the soak harness's 1-vs-N comparison rely on.
+//! worker count — the property both the replay golden test and the soak
+//! harness's 1-vs-N comparison rely on.
 //!
-//! Keeping this a pure function of `(artifact, cache, requests)` is
-//! what lets the daemon reuse it per model group while the one-shot
-//! engine reuses it per admission window, with neither knowing about
-//! the other's framing, deadlines, or degraded-mode policy.
+//! Keeping this a pure function of `(artifact, cache, requests)` keeps
+//! the daemon's framing, deadlines and degraded-mode policy out of it:
+//! the daemon calls it once per route group of each window.
 
 use crate::cache::LruCache;
 use crate::compiled::CompiledModel;

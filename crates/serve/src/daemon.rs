@@ -1,11 +1,9 @@
-//! The long-lived serving daemon.
+//! The serving daemon: one request loop for every `serve` mode.
 //!
-//! Where [`crate::engine`] replays one request file against one artifact
-//! and exits, the daemon holds a [`Registry`] of many models and serves
-//! a framed JSONL protocol until told to stop. Each frame is one JSON
-//! object; predict frames look exactly like one-shot replay requests
-//! plus an optional envelope (`"model"` route, `"deadline_ms"`), and
-//! control frames carry an `"op"`:
+//! A [`Daemon`] holds a [`Registry`] of models and serves a framed JSONL
+//! protocol. Each frame is one JSON object: a predict frame is a
+//! configuration plus an optional envelope (`"id"`, `"model"` route,
+//! `"deadline_ms"`); a control frame carries an `"op"`:
 //!
 //! ```text
 //! {"op":"load","model":"mcf","path":"mcf.ppmodel"}
@@ -14,13 +12,24 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! Robustness contract (the reason this module exists):
+//! Each window's predicts are validated against their routed model's
+//! schema and predicted one batch per route (`core::predict_window`);
+//! its responses are written in frame order with one write and one
+//! flush, byte-identical for any worker count. Two entry points share
+//! that window path, the frame grammar and [`DaemonStats`]:
+//! [`Daemon::replay`] (one-shot `serve`: see its docs) and
+//! [`Daemon::run`] / [`Daemon::run_socket`], the long-lived daemon, whose
+//! reader thread feeds an [`AdmissionQueue`].
 //!
-//! * **Bounded admission, explicit shedding.** A reader thread drains
-//!   the transport and admits work into an [`AdmissionQueue`]. When the
-//!   queue is full the frame is answered immediately with a typed
+//! Robustness contract of the long-lived daemon:
+//!
+//! * **Bounded admission, explicit shedding.** When the queue is full
+//!   the frame is answered immediately with a typed
 //!   `{"error":"overloaded"}` line — never a silent drop, never
 //!   unbounded memory.
+//! * **Invalid frames are answered, not fatal.** A malformed or invalid
+//!   frame gets a typed `{"error":"invalid"}` line naming its line; the
+//!   daemon outlives its worst client.
 //! * **Per-request deadlines, fail closed.** An admitted request whose
 //!   deadline expires before the predict path reaches it gets a typed
 //!   `{"error":"deadline"}` response and *no* late prediction.
@@ -43,23 +52,26 @@
 use crate::admission::AdmissionQueue;
 use crate::core::predict_window;
 use crate::registry::{Registry, Route};
-use crate::request::{request_from_fields, Request};
+use crate::request::{
+    canonical_key, cells_from_members, invalid, member, parse_object, request_id, Request,
+};
 use fault::{Error, Result};
-use std::collections::BTreeMap;
+use std::borrow::Cow;
 use std::io::{BufRead, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use telemetry::json::{self, JsonObject, Value};
+use telemetry::json::{self, JsonObject, Members, Scalar};
 use telemetry::Histogram;
 
-/// Daemon tuning knobs. The CLI maps `serve --daemon` flags onto them.
+/// Daemon tuning knobs. The CLI maps the `serve` flags onto them.
 #[derive(Debug, Clone)]
 pub struct DaemonConfig {
-    /// Requests predicted per batch window.
+    /// Frames served per window.
     pub window: usize,
     /// Admission-queue capacity; frames beyond it are shed with a typed
-    /// `overloaded` response.
+    /// `overloaded` response. [`Daemon::replay`] holds one window and
+    /// never reads it.
     pub queue_cap: usize,
     /// Worker threads for batch prediction (1 = in-line).
     pub workers: usize,
@@ -92,26 +104,32 @@ impl Default for DaemonConfig {
 impl DaemonConfig {
     fn validated(&self) -> Result<()> {
         if self.window == 0 {
-            return Err(Error::invalid("daemon window must be at least 1"));
-        }
-        if self.queue_cap < self.window {
-            return Err(Error::invalid(format!(
-                "daemon queue capacity {} is smaller than the window {}",
-                self.queue_cap, self.window
-            )));
+            return Err(Error::invalid("serve window must be at least 1"));
         }
         if self.workers == 0 {
-            return Err(Error::invalid("daemon worker count must be at least 1"));
+            return Err(Error::invalid("serve worker count must be at least 1"));
         }
         if self.max_frame_bytes < 16 {
-            return Err(Error::invalid("daemon max frame bytes must be at least 16"));
+            return Err(Error::invalid("serve max frame bytes must be at least 16"));
         }
         Ok(())
     }
+
+    /// The long-lived daemon's admission queue, which must hold a full
+    /// window.
+    fn admission_queue(&self) -> Result<AdmissionQueue<Frame>> {
+        if self.queue_cap < self.window {
+            return Err(Error::invalid(format!(
+                "serve queue capacity {} is smaller than the window {}",
+                self.queue_cap, self.window
+            )));
+        }
+        Ok(AdmissionQueue::new(self.queue_cap))
+    }
 }
 
-/// Counters and latency summary for one daemon run (the stderr summary
-/// line and the soak gate's input).
+/// Counters and latency summary for one run (the CLI's `--json` stats
+/// line, and the input of the soak gate and perfbench).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DaemonStats {
     /// Predict frames answered with a prediction (including cache hits).
@@ -120,13 +138,15 @@ pub struct DaemonStats {
     pub cache_hits: u64,
     /// Predictions that missed the cache.
     pub cache_misses: u64,
-    /// Distinct configurations actually predicted.
+    /// Distinct configurations actually predicted (misses after
+    /// in-window dedup).
     pub predictions: u64,
     /// Prediction batches run.
     pub batches: u64,
-    /// Admission windows processed.
+    /// Windows served.
     pub windows: u64,
-    /// Queue-depth high-water mark.
+    /// Queue-depth high-water mark (for [`Daemon::replay`], the largest
+    /// window held).
     pub max_queue_depth: u64,
     /// Frames shed at admission with a typed `overloaded` response.
     pub shed: u64,
@@ -205,32 +225,89 @@ struct ControlJob {
     op: Op,
 }
 
-/// A predict frame waiting for service. Fields are kept raw (envelope
-/// already stripped) because schema validation needs the routed model,
-/// which is resolved at dequeue time.
-struct PredictJob {
-    id: String,
-    route: Option<String>,
-    fields: BTreeMap<String, Value>,
+/// A frame as read: its text and where it sits in the stream. It is
+/// parsed where it is served, so its keys and strings are borrowed from
+/// `text` rather than copied.
+struct Frame {
+    text: String,
+    frame_no: u64,
+    admitted_at: Instant,
+}
+
+/// A predict frame: its envelope, and the configuration members still
+/// to be validated against the schema of the model it routes to.
+struct PredictJob<'a> {
+    id: Cow<'a, str>,
+    route: Option<Cow<'a, str>>,
+    members: Members<'a>,
     frame_no: u64,
     admitted_at: Instant,
     deadline_ms: Option<u64>,
 }
 
-enum WorkItem {
-    Predict(PredictJob),
+/// What a frame asks for.
+enum Class<'a> {
+    Predict(PredictJob<'a>),
     Control(ControlJob),
-    Malformed { id: String, detail: String },
+    Malformed { id: String, error: Error },
 }
 
-impl WorkItem {
+impl Class<'_> {
     fn id(&self) -> &str {
         match self {
-            WorkItem::Predict(j) => &j.id,
-            WorkItem::Control(j) => &j.id,
-            WorkItem::Malformed { id, .. } => id,
+            Class::Predict(j) => &j.id,
+            Class::Control(j) => &j.id,
+            Class::Malformed { id, .. } => id,
         }
     }
+}
+
+/// One window slot's response, rendered when the window is written.
+enum Reply<'a> {
+    /// Not answered yet (only between a window's start and its end).
+    Pending,
+    /// A served prediction.
+    Predicted {
+        id: Cow<'a, str>,
+        prediction: f64,
+        cached: bool,
+    },
+    /// The frame was rejected as invalid; [`Daemon::replay`] aborts here.
+    Invalid { id: Cow<'a, str>, error: Error },
+    /// Any other typed response (control acks, deadline misses,
+    /// quarantined and degraded rejections), pre-rendered.
+    Line(String),
+}
+
+impl Reply<'_> {
+    fn render(&self, out: &mut String) {
+        match self {
+            Reply::Pending => debug_assert!(false, "every window slot is answered"),
+            Reply::Predicted {
+                id,
+                prediction,
+                cached,
+            } => out.push_str(
+                &JsonObject::new()
+                    .str("id", id)
+                    .raw("prediction", &json::number(*prediction))
+                    .bool("cached", *cached)
+                    .finish(),
+            ),
+            Reply::Invalid { id, error } => {
+                out.push_str(&error_line(id, error.kind(), &error.to_string()));
+            }
+            Reply::Line(line) => out.push_str(line),
+        }
+        out.push('\n');
+    }
+}
+
+/// What serving one window produced.
+struct Served<'a> {
+    replies: Vec<Reply<'a>>,
+    deadline_misses: u64,
+    shutdown: bool,
 }
 
 /// Why a stream ended cleanly.
@@ -238,14 +315,6 @@ impl WorkItem {
 enum EndReason {
     Eof,
     Shutdown,
-}
-
-fn predict_line(id: &str, prediction: f64, cached: bool) -> String {
-    JsonObject::new()
-        .str("id", id)
-        .raw("prediction", &json::number(prediction))
-        .bool("cached", cached)
-        .finish()
 }
 
 fn error_line(id: &str, kind: &str, detail: &str) -> String {
@@ -256,200 +325,186 @@ fn error_line(id: &str, kind: &str, detail: &str) -> String {
         .finish()
 }
 
-fn lock_writer<W>(writer: &Arc<Mutex<W>>) -> std::sync::MutexGuard<'_, W> {
-    match writer.lock() {
+fn lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    match mutex.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
 }
 
-fn write_lines<W: Write>(writer: &Arc<Mutex<W>>, lines: &[String]) -> Result<()> {
-    let mut w = lock_writer(writer);
-    for line in lines {
-        w.write_all(line.as_bytes())
-            .and_then(|()| w.write_all(b"\n"))
-            .map_err(|e| Error::io("<daemon output>", e))?;
-    }
-    w.flush().map_err(|e| Error::io("<daemon output>", e))
+/// Write rendered response lines with one `write_all` and one `flush`:
+/// the flush at every window boundary is the daemon's latency contract.
+fn write_out(out: &mut dyn Write, text: &str) -> Result<()> {
+    let _span = telemetry::span!("serve/write", bytes = text.len());
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .map_err(|e| Error::io("<serve output>", e))
 }
 
-/// One bounded frame read. `Ok(None)` is EOF; a partial final line
-/// (EOF with no trailing newline) is returned as a normal frame so a
-/// mid-line truncation becomes a typed `invalid` response followed by a
-/// clean EOF — never a hang. Oversized and non-UTF-8 frames are
-/// protocol violations (typed `InvalidInput`, exit code 2).
-fn read_frame<R: BufRead>(input: &mut R, max: usize) -> Result<Option<String>> {
-    let mut buf: Vec<u8> = Vec::new();
+/// Render a window's replies, in frame order, into `buf`.
+fn render_window(replies: &[Reply<'_>], buf: &mut String) {
+    let _span = telemetry::span!("serve/render", rows = replies.len());
+    buf.clear();
+    for reply in replies {
+        reply.render(buf);
+    }
+}
+
+/// The next frame that is not blank, stamped with its admission time.
+/// `Ok(None)` is EOF; a partial final line (EOF with no trailing newline)
+/// is returned as a normal frame so a mid-line truncation becomes a typed
+/// `invalid` response followed by a clean EOF — never a hang. Every line
+/// counts toward `frame_no`, blank ones included, so a frame's default id
+/// and error messages name its 1-based line in the stream. Oversized and
+/// non-UTF-8 frames are protocol violations (typed `InvalidInput`, exit
+/// code 2).
+fn next_frame<R: BufRead>(input: &mut R, max: usize, frame_no: &mut u64) -> Result<Option<Frame>> {
+    // At most one byte past a full frame and its newline is read, so an
+    // oversized frame is caught without buffering all of it.
+    let limit = u64::try_from(max).map_or(u64::MAX, |m| m.saturating_add(1));
+    let mut buf = Vec::new();
     loop {
-        let (consumed, done) = {
-            let available = match input.fill_buf() {
-                Ok(b) => b,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(Error::io("<daemon input>", e)),
-            };
-            if available.is_empty() {
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                (0, true) // partial final frame
-            } else {
-                match available.iter().position(|&b| b == b'\n') {
-                    Some(pos) => {
-                        buf.extend_from_slice(&available[..pos]);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        buf.extend_from_slice(available);
-                        (available.len(), false)
-                    }
-                }
-            }
-        };
-        input.consume(consumed);
+        buf.clear();
+        let n = std::io::Read::take(&mut *input, limit)
+            .read_until(b'\n', &mut buf)
+            .map_err(|e| Error::io("<serve input>", e))?;
+        if n == 0 {
+            return Ok(None);
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        }
         if buf.len() > max {
             return Err(Error::invalid(format!(
                 "protocol violation: frame exceeds {max} bytes"
             )));
         }
-        if done {
-            break;
+        *frame_no += 1;
+        let text = String::from_utf8(std::mem::take(&mut buf))
+            .map_err(|_| Error::invalid("protocol violation: frame is not valid UTF-8"))?;
+        if !text.trim().is_empty() {
+            return Ok(Some(Frame {
+                text,
+                frame_no: *frame_no,
+                // Latency and deadline accounting only; never shapes a
+                // prediction.
+                admitted_at: Instant::now(),
+            }));
         }
-    }
-    match String::from_utf8(buf) {
-        Ok(s) => Ok(Some(s)),
-        Err(_) => Err(Error::invalid(
-            "protocol violation: frame is not valid UTF-8",
-        )),
+        buf = text.into_bytes();
     }
 }
 
-fn field_id(
-    fields: &BTreeMap<String, Value>,
-    frame_no: u64,
-) -> std::result::Result<String, String> {
-    match fields.get("id") {
-        None => Ok(frame_no.to_string()),
-        Some(Value::Str(s)) => Ok(s.clone()),
-        Some(Value::Num(x)) => Ok(json::number(*x)),
-        Some(_) => Err("'id' must be a string or number".to_string()),
-    }
-}
-
-fn take_str(
-    fields: &mut BTreeMap<String, Value>,
+/// A string member, or an error naming it.
+fn str_member<'a>(
+    members: &[(Cow<'a, str>, Scalar<'a>)],
     key: &str,
-) -> std::result::Result<Option<String>, String> {
-    match fields.remove(key) {
+) -> std::result::Result<Option<Cow<'a, str>>, String> {
+    match member(members, key) {
         None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s)),
+        Some(Scalar::Str(s)) => Ok(Some(s.clone())),
         Some(_) => Err(format!("'{key}' must be a string")),
     }
 }
 
-/// Classify one frame into a work item. Every malformation becomes a
-/// typed `Malformed` item (answered in admission order), never an
-/// abort: the daemon outlives its worst client.
-fn classify_frame(line: &str, frame_no: u64) -> WorkItem {
-    let frame_id = frame_no.to_string();
-    let parsed = match json::parse(line) {
-        Ok(v) => v,
-        Err(e) => {
-            return WorkItem::Malformed {
-                id: frame_id,
-                detail: format!("malformed JSON: {e}"),
+/// Classify one (trimmed, non-blank) frame. Every malformation becomes
+/// a typed `Malformed` class naming the frame's line, answered in frame
+/// order.
+fn classify(line: &str, frame_no: u64, admitted_at: Instant) -> Class<'_> {
+    let mut members = match parse_object(line, frame_no) {
+        Ok(members) => members,
+        Err(error) => {
+            return Class::Malformed {
+                id: frame_no.to_string(),
+                error,
             }
         }
     };
-    let Value::Obj(mut fields) = parsed else {
-        return WorkItem::Malformed {
-            id: frame_id,
-            detail: "request must be a JSON object".to_string(),
-        };
-    };
-    let id = match field_id(&fields, frame_no) {
+    let id = match request_id(&members, frame_no) {
         Ok(id) => id,
-        Err(detail) => {
-            return WorkItem::Malformed {
-                id: frame_id,
-                detail,
+        Err(error) => {
+            return Class::Malformed {
+                id: frame_no.to_string(),
+                error,
             }
         }
     };
-    let op = match take_str(&mut fields, "op") {
-        Ok(op) => op,
-        Err(detail) => return WorkItem::Malformed { id, detail },
+    let malformed = |id: Cow<'_, str>, detail: String| Class::Malformed {
+        id: id.into_owned(),
+        error: invalid(frame_no, detail),
     };
-    let malformed = |id: String, detail: String| WorkItem::Malformed { id, detail };
+    let op = match str_member(&members, "op") {
+        Ok(op) => op,
+        Err(detail) => return malformed(id, detail),
+    };
+    let control = |op: Op| {
+        Class::Control(ControlJob {
+            id: id.to_string(),
+            op,
+        })
+    };
     match op.as_deref() {
         None | Some("predict") => {
-            let route = match take_str(&mut fields, "model") {
+            let route = match str_member(&members, "model") {
                 Ok(r) => r,
                 Err(detail) => return malformed(id, detail),
             };
-            let deadline_ms = match fields.remove("deadline_ms") {
+            let deadline_ms = match member(&members, "deadline_ms").map(Scalar::as_u64) {
                 None => None,
-                Some(v) => match v.as_u64() {
-                    Some(ms) => Some(ms),
-                    None => {
-                        return malformed(
-                            id,
-                            "'deadline_ms' must be a non-negative integer".to_string(),
-                        )
-                    }
-                },
+                Some(Some(ms)) => Some(ms),
+                Some(None) => {
+                    return malformed(
+                        id,
+                        "'deadline_ms' must be a non-negative integer".to_string(),
+                    )
+                }
             };
-            WorkItem::Predict(PredictJob {
+            // The envelope is not part of the configuration.
+            members.retain(|(k, _)| !matches!(k.as_ref(), "op" | "model" | "deadline_ms"));
+            Class::Predict(PredictJob {
                 id,
                 route,
-                fields,
+                members,
                 frame_no,
-                admitted_at: Instant::now(),
+                admitted_at,
                 deadline_ms,
             })
         }
-        Some("load") => {
-            let name = match take_str(&mut fields, "model") {
-                Ok(Some(n)) => n,
-                Ok(None) => return malformed(id, "'load' needs a 'model' name".to_string()),
-                Err(detail) => return malformed(id, detail),
-            };
-            let path = match take_str(&mut fields, "path") {
-                Ok(Some(p)) => p,
-                Ok(None) => return malformed(id, "'load' needs a 'path'".to_string()),
-                Err(detail) => return malformed(id, detail),
-            };
-            WorkItem::Control(ControlJob {
-                id,
-                op: Op::Load { name, path },
-            })
-        }
-        Some(verb @ ("reload" | "unload")) => match take_str(&mut fields, "model") {
-            Ok(Some(route)) => WorkItem::Control(ControlJob {
-                id,
-                op: if verb == "reload" {
+        Some("load") => match (str_member(&members, "model"), str_member(&members, "path")) {
+            (Err(detail), _) | (Ok(Some(_)), Err(detail)) => malformed(id, detail),
+            (Ok(None), _) => malformed(id, "'load' needs a 'model' name".to_string()),
+            (Ok(Some(_)), Ok(None)) => malformed(id, "'load' needs a 'path'".to_string()),
+            (Ok(Some(name)), Ok(Some(path))) => control(Op::Load {
+                name: name.into_owned(),
+                path: path.into_owned(),
+            }),
+        },
+        Some(verb @ ("reload" | "unload")) => match str_member(&members, "model") {
+            Ok(Some(route)) => {
+                let route = route.into_owned();
+                control(if verb == "reload" {
                     Op::Reload { route }
                 } else {
                     Op::Unload { route }
-                },
-            }),
+                })
+            }
             Ok(None) => malformed(id, format!("'{verb}' needs a 'model' route")),
             Err(detail) => malformed(id, detail),
         },
-        Some("status") => WorkItem::Control(ControlJob { id, op: Op::Status }),
-        Some("shutdown") => WorkItem::Control(ControlJob {
-            id,
-            op: Op::Shutdown,
-        }),
-        Some(other) => malformed(id, format!("unknown op '{other}'")),
+        Some("status") => control(Op::Status),
+        Some("shutdown") => control(Op::Shutdown),
+        Some(other) => malformed(id.clone(), format!("unknown op '{other}'")),
     }
 }
 
-/// The reader half: drain the transport, classify frames, admit work.
-/// Returns `Ok(())` on clean EOF or after a `shutdown` frame; a
-/// protocol or transport error is returned for the core to surface.
+/// The reader half of the long-lived daemon: drain the transport and
+/// admit frames, control frames with priority (the core parses every
+/// frame again where it serves it). Returns `Ok(())` on clean
+/// EOF or after a `shutdown` frame; a protocol or transport error is
+/// returned for the core to surface.
 fn reader_loop<R: BufRead, W: Write>(
     input: &mut R,
-    queue: &AdmissionQueue<WorkItem>,
+    queue: &AdmissionQueue<Frame>,
     writer: &Arc<Mutex<W>>,
     terminated: &AtomicBool,
     max_frame: usize,
@@ -459,40 +514,32 @@ fn reader_loop<R: BufRead, W: Write>(
         if terminated.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let Some(line) = read_frame(input, max_frame)? else {
+        let Some(frame) = next_frame(input, max_frame, &mut frame_no)? else {
             return Ok(()); // EOF
         };
-        // Every line counts, blank ones included, so a frame's default
-        // id and error messages name its 1-based line in the stream,
-        // exactly as one-shot `serve` numbers them.
-        frame_no += 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let item = classify_frame(line.trim(), frame_no);
-        match item {
-            WorkItem::Control(job) => {
-                let is_shutdown = matches!(job.op, Op::Shutdown);
-                if queue.admit_priority(WorkItem::Control(job)).is_err() {
-                    return Ok(()); // closed: the core is already terminating
-                }
-                if is_shutdown {
-                    return Ok(()); // frames after shutdown are not read
-                }
+        let (control, shutdown, id) =
+            match classify(frame.text.trim(), frame.frame_no, frame.admitted_at) {
+                Class::Control(job) => (true, matches!(job.op, Op::Shutdown), String::new()),
+                class => (false, false, class.id().to_string()),
+            };
+        if control {
+            if queue.admit_priority(frame).is_err() {
+                return Ok(()); // closed: the core is already terminating
             }
-            data => {
-                // Predict and malformed frames share the data plane so
-                // error responses keep admission order.
-                let id = data.id().to_string();
-                if let Err(e) = queue.try_admit(data) {
-                    if terminated.load(Ordering::Relaxed) {
-                        return Ok(());
-                    }
-                    // Typed shed response, written by the reader so the
-                    // core never sees the frame. Never a silent drop.
-                    write_lines(writer, &[error_line(&id, e.kind(), &e.to_string())])?;
-                }
+            if shutdown {
+                return Ok(()); // frames after shutdown are not read
             }
+        } else if let Err(e) = queue.try_admit(frame) {
+            // Predict and malformed frames share the data plane so error
+            // responses keep admission order.
+            if terminated.load(Ordering::Relaxed) {
+                return Ok(());
+            }
+            // Typed shed response, written by the reader so the core
+            // never sees the frame. Never a silent drop.
+            let mut line = error_line(&id, e.kind(), &e.to_string());
+            line.push('\n');
+            write_out(&mut *lock(writer), &line)?;
         }
     }
 }
@@ -501,18 +548,88 @@ fn reader_loop<R: BufRead, W: Write>(
 pub struct Daemon {
     config: DaemonConfig,
     registry: Registry,
+    /// Cache-hits-only service after a troubled window (see module docs).
+    degraded: bool,
 }
 
 impl Daemon {
     /// Build a daemon over a (possibly pre-loaded) registry.
     pub fn new(config: DaemonConfig, registry: Registry) -> Result<Daemon> {
         config.validated()?;
-        Ok(Daemon { config, registry })
+        Ok(Daemon {
+            config,
+            registry,
+            degraded: false,
+        })
     }
 
     /// The hosted registry (for inspection in tests and the CLI).
     pub fn registry(&self) -> &Registry {
         &self.registry
+    }
+
+    /// Replay a finite framed stream on the calling thread, writing one
+    /// ordered response line per frame to `out` (one-shot `serve`).
+    ///
+    /// Windows are cut at exactly `window` frames (fewer at EOF), so the
+    /// output is byte-identical for any worker count and any pipe timing;
+    /// there is no admission queue, nothing is shed and the replay never
+    /// degrades to cache-hits-only service. Only a frame's own nonzero
+    /// `"deadline_ms"` reads the clock (`0` always misses). The first invalid
+    /// frame aborts the replay with a typed `InvalidInput` error naming
+    /// its line (exit code 2), before its window is written. `shutdown`
+    /// ends the replay early; all-models-quarantined is exit code 8.
+    pub fn replay<R: BufRead, W: Write>(
+        &mut self,
+        mut input: R,
+        out: &mut W,
+    ) -> Result<DaemonStats> {
+        let _span = telemetry::span!("serve/replay", models = self.registry.len());
+        // A finite stream is never overloaded: full service throughout.
+        self.degraded = false;
+        let mut stats = DaemonStats::default();
+        let mut latency = Histogram::new();
+        let mut text = String::new();
+        let mut frame_no = 0u64;
+        let mut eof = false;
+        while !eof {
+            let mut window = Vec::with_capacity(self.config.window);
+            let read = telemetry::span!("serve/read");
+            while window.len() < self.config.window {
+                let max_frame = self.config.max_frame_bytes;
+                let Some(frame) = next_frame(&mut input, max_frame, &mut frame_no)? else {
+                    eof = true;
+                    break;
+                };
+                window.push(frame);
+            }
+            drop(read);
+            if window.is_empty() {
+                break;
+            }
+            stats.max_queue_depth = stats.max_queue_depth.max(window.len() as u64);
+            telemetry::gauge_max("serve/queue_depth", window.len() as f64);
+            let mut served = self.serve_window(&window, &mut stats, &mut latency);
+            let first_invalid = served
+                .replies
+                .iter()
+                .position(|r| matches!(r, Reply::Invalid { .. }));
+            if let Some(Reply::Invalid { error, .. }) =
+                first_invalid.map(|i| served.replies.swap_remove(i))
+            {
+                return Err(error);
+            }
+            render_window(&served.replies, &mut text);
+            write_out(out, &text)?;
+            if served.shutdown {
+                break;
+            }
+            if self.registry.all_quarantined() {
+                return Err(all_quarantined());
+            }
+        }
+        self.finalize(&mut stats, &latency);
+        Ok(stats)
     }
 
     /// Serve one framed stream to completion. Returns the run's stats on
@@ -537,6 +654,9 @@ impl Daemon {
     /// that connection and the daemon accepts the next one; only the
     /// listener's own failures are transport-fatal (exit code 3).
     pub fn run_socket(&mut self, path: &str) -> Result<DaemonStats> {
+        // A bad queue capacity fails before binding, not at the first
+        // connection.
+        self.config.admission_queue()?;
         let _ = std::fs::remove_file(path);
         let listener =
             std::os::unix::net::UnixListener::bind(path).map_err(|e| Error::io(path, e))?;
@@ -581,9 +701,23 @@ impl Daemon {
         stats.p95_ms = ms(latency.quantile(0.95));
         stats.p99_ms = ms(latency.quantile(0.99));
         stats.max_ms = ms(latency.max());
-        telemetry::gauge_set("serve/daemon_p99_ms", stats.p99_ms);
-        telemetry::gauge_set("serve/daemon_shed", stats.shed as f64);
-        telemetry::hist_merge("serve/daemon_latency_ns", latency);
+        telemetry::gauge_set("serve/p50_ms", stats.p50_ms);
+        telemetry::gauge_set("serve/p95_ms", stats.p95_ms);
+        telemetry::gauge_set("serve/p99_ms", stats.p99_ms);
+        telemetry::gauge_set("serve/max_ms", stats.max_ms);
+        telemetry::gauge_set("serve/shed", stats.shed as f64);
+        telemetry::hist_merge("serve/latency_ns", latency);
+    }
+
+    /// Health transition at a window boundary: any new shedding or
+    /// deadline miss enters degraded mode; the first window with neither
+    /// (degraded rejects don't count as new trouble) exits it.
+    fn end_window(&mut self, trouble: bool, stats: &mut DaemonStats) {
+        if trouble && !self.degraded {
+            stats.degraded_entries += 1;
+            telemetry::counter_add("serve/degraded_entries", 1);
+        }
+        self.degraded = trouble;
     }
 
     fn run_stream<R, W>(
@@ -598,8 +732,8 @@ impl Daemon {
         W: Write + Send + 'static,
     {
         let _span = telemetry::span!("serve/daemon", models = self.registry.len());
-        let queue: Arc<AdmissionQueue<WorkItem>> =
-            Arc::new(AdmissionQueue::new(self.config.queue_cap));
+        self.degraded = false;
+        let queue = Arc::new(self.config.admission_queue()?);
         let terminated = Arc::new(AtomicBool::new(false));
         let fatal: Arc<Mutex<Option<Error>>> = Arc::new(Mutex::new(None));
         let reader = {
@@ -611,83 +745,39 @@ impl Daemon {
             std::thread::spawn(move || {
                 let outcome = reader_loop(&mut input, &queue, &writer, &terminated, max_frame);
                 if let Err(e) = outcome {
-                    let mut slot = match fatal.lock() {
-                        Ok(g) => g,
-                        Err(poisoned) => poisoned.into_inner(),
-                    };
-                    *slot = Some(e);
+                    *lock(&fatal) = Some(e);
                 }
                 // Whatever the reason, no more work is coming.
                 queue.close();
             })
         };
         let mut end = EndReason::Eof;
-        let mut degraded = false;
-        let mut all_quarantined = false;
+        let mut all_dark = false;
         let mut last_shed = 0u64;
+        let mut text = String::new();
         while let Some(window) = queue.pop_window(self.config.window) {
-            stats.windows += 1;
             telemetry::gauge_max("serve/queue_depth", queue.depth() as f64);
-            let mut responses: Vec<Option<String>> = (0..window.len()).map(|_| None).collect();
-            let mut pending: Vec<(usize, PredictJob)> = Vec::new();
-            let mut window_deadline_misses = 0u64;
-            let mut saw_shutdown = false;
-            for (slot, item) in window.into_iter().enumerate() {
-                match item {
-                    WorkItem::Malformed { id, detail } => {
-                        stats.invalid += 1;
-                        responses[slot] = Some(error_line(&id, "invalid", &detail));
-                    }
-                    WorkItem::Predict(job) => pending.push((slot, job)),
-                    WorkItem::Control(job) => {
-                        // Flush predicts admitted before this op so a
-                        // reload cannot retroactively affect them.
-                        window_deadline_misses += self.flush_predicts(
-                            &mut pending,
-                            &mut responses,
-                            stats,
-                            latency,
-                            degraded,
-                        );
-                        let (line, is_shutdown) = self.exec_control(job, stats);
-                        responses[slot] = Some(line);
-                        saw_shutdown |= is_shutdown;
-                    }
-                }
-            }
-            window_deadline_misses +=
-                self.flush_predicts(&mut pending, &mut responses, stats, latency, degraded);
-            let lines: Vec<String> = responses.into_iter().flatten().collect();
-            write_lines(writer, &lines)?;
-            // Health transitions happen at window boundaries: any new
-            // shedding or deadline miss enters degraded mode; the first
-            // window with neither (degraded rejects don't count as new
-            // trouble) exits it.
+            let served = self.serve_window(&window, stats, latency);
+            render_window(&served.replies, &mut text);
+            write_out(&mut *lock(writer), &text)?;
             let shed_now = queue.shed_count();
-            let trouble = shed_now > last_shed || window_deadline_misses > 0;
+            self.end_window(shed_now > last_shed || served.deadline_misses > 0, stats);
             last_shed = shed_now;
-            if trouble && !degraded {
-                degraded = true;
-                stats.degraded_entries += 1;
-                telemetry::counter_add("serve/degraded_entries", 1);
-            } else if !trouble && degraded {
-                degraded = false;
-            }
-            if saw_shutdown {
+            if served.shutdown {
                 end = EndReason::Shutdown;
                 queue.close();
             }
             if self.registry.all_quarantined() {
                 // Fail closed: drain the backlog (salvaged caches still
                 // answer hits), then terminate with a typed error.
-                all_quarantined = true;
+                all_dark = true;
                 queue.close();
             }
         }
         terminated.store(true, Ordering::Relaxed);
         stats.shed += queue.shed_count();
         stats.max_queue_depth = stats.max_queue_depth.max(queue.high_water() as u64);
-        if all_quarantined {
+        if all_dark {
             // The core closed the queue while the transport may still be
             // open, so the reader could be parked in a blocking read that
             // nothing can interrupt. Detach it: the terminated flag makes
@@ -697,178 +787,221 @@ impl Daemon {
         } else if reader.join().is_err() {
             return Err(Error::invalid("daemon reader thread panicked"));
         }
-        let fatal_err = {
-            let mut slot = match fatal.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            slot.take()
-        };
-        if let Some(e) = fatal_err {
+        if let Some(e) = lock(&fatal).take() {
             return Err(e);
         }
-        if all_quarantined {
-            return Err(Error::quarantined(
-                "*",
-                "every model version is quarantined; daemon cannot serve",
-            ));
+        if all_dark {
+            return Err(all_quarantined());
         }
         Ok(end)
     }
 
-    /// Serve the pending predict jobs of one window segment. Returns the
-    /// number of deadline misses (the window's trouble signal).
-    fn flush_predicts(
+    /// Serve one window of frames, answering every slot in frame
+    /// order. A window is served in segments split at its control ops:
+    /// each segment's frames are parsed and routed in order, then its
+    /// predicts are validated and run, one batch per route; then the
+    /// control op runs. So a reload can never retroactively affect
+    /// predicts admitted before it.
+    fn serve_window<'w>(
         &mut self,
-        pending: &mut Vec<(usize, PredictJob)>,
-        responses: &mut [Option<String>],
+        window: &'w [Frame],
         stats: &mut DaemonStats,
         latency: &mut Histogram,
-        degraded: bool,
-    ) -> u64 {
-        let mut misses = 0u64;
-        let mut groups: BTreeMap<String, Vec<(usize, PredictJob)>> = BTreeMap::new();
-        for (slot, job) in pending.drain(..) {
-            // Deadline check, fail closed: an expired request gets a
-            // typed response and no late prediction.
-            let deadline = job.deadline_ms.or(self.config.deadline_ms);
-            if let Some(ms) = deadline {
-                let waited = job.admitted_at.elapsed();
-                if waited >= Duration::from_millis(ms) {
-                    let e = Error::deadline(waited.as_millis() as u64, ms);
-                    responses[slot] = Some(error_line(&job.id, e.kind(), &e.to_string()));
-                    stats.deadline_misses += 1;
-                    misses += 1;
-                    continue;
-                }
-            }
-            let route = job
-                .route
+    ) -> Served<'w> {
+        stats.windows += 1;
+        let mut served = Served {
+            replies: (0..window.len()).map(|_| Reply::Pending).collect(),
+            deadline_misses: 0,
+            shutdown: false,
+        };
+        let mut items = window.iter().enumerate();
+        loop {
+            let mut groups: Vec<(String, Vec<(usize, PredictJob<'w>)>)> = Vec::new();
+            let mut control = None;
+            // Where frames without a `"model"` go; only a control op can
+            // change it, and control ops end the segment.
+            let implicit = self
+                .config
+                .default_model
                 .clone()
-                .or_else(|| self.config.default_model.clone())
                 .or_else(|| self.registry.sole_name().map(String::from));
-            match route {
-                Some(r) => groups.entry(r).or_default().push((slot, job)),
-                None => {
-                    stats.invalid += 1;
-                    responses[slot] = Some(error_line(
-                        &job.id,
-                        "invalid",
-                        "no 'model' specified and no default route",
-                    ));
+            {
+                let _parse = telemetry::span!("serve/parse");
+                for (slot, f) in items.by_ref() {
+                    match classify(f.text.trim(), f.frame_no, f.admitted_at) {
+                        Class::Malformed { id, error } => {
+                            stats.invalid += 1;
+                            served.replies[slot] = Reply::Invalid {
+                                id: Cow::Owned(id),
+                                error,
+                            };
+                        }
+                        Class::Predict(mut job) => {
+                            if let Some(line) = self.missed_deadline(&job) {
+                                stats.deadline_misses += 1;
+                                served.deadline_misses += 1;
+                                served.replies[slot] = Reply::Line(line);
+                                continue;
+                            }
+                            let explicit = job.route.take();
+                            let Some(route) = explicit.as_deref().or(implicit.as_deref()) else {
+                                stats.invalid += 1;
+                                served.replies[slot] = Reply::Invalid {
+                                    error: invalid(
+                                        job.frame_no,
+                                        "no 'model' specified and no default route",
+                                    ),
+                                    id: job.id,
+                                };
+                                continue;
+                            };
+                            match groups.iter_mut().find(|(r, _)| r == route) {
+                                Some((_, jobs)) => jobs.push((slot, job)),
+                                None => groups.push((route.to_string(), vec![(slot, job)])),
+                            }
+                        }
+                        Class::Control(job) => {
+                            control = Some((slot, job));
+                            break;
+                        }
+                    }
                 }
             }
+            groups.sort_by(|a, b| a.0.cmp(&b.0));
+            for (route, jobs) in groups {
+                self.serve_group(&route, jobs, &mut served.replies, stats, latency);
+            }
+            let Some((slot, job)) = control else {
+                return served;
+            };
+            let (line, is_shutdown) = self.exec_control(job, stats);
+            served.replies[slot] = Reply::Line(line);
+            if is_shutdown {
+                // Frames after `shutdown` are not served.
+                served.replies.truncate(slot + 1);
+                served.shutdown = true;
+                return served;
+            }
         }
-        for (route, jobs) in groups {
-            self.serve_group(&route, jobs, responses, stats, latency, degraded);
-        }
-        misses
     }
 
-    /// Serve one route's jobs: resolve, validate, predict (or reject,
-    /// when the route is quarantined or the daemon is degraded).
-    fn serve_group(
+    /// The typed `deadline` response for a predict whose deadline expired
+    /// before service, if it did. Fail closed: it gets no late prediction.
+    fn missed_deadline(&self, job: &PredictJob<'_>) -> Option<String> {
+        let ms = job.deadline_ms.or(self.config.deadline_ms)?;
+        let waited = job.admitted_at.elapsed();
+        (waited >= Duration::from_millis(ms)).then(|| {
+            let e = Error::deadline(waited.as_millis() as u64, ms);
+            error_line(&job.id, e.kind(), &e.to_string())
+        })
+    }
+
+    /// Serve one route's predicts: resolve the route, validate each frame
+    /// against its schema, and predict the valid ones in one batch — or
+    /// answer from the cache only, when the route is quarantined or the
+    /// daemon is degraded.
+    fn serve_group<'w>(
         &mut self,
         route: &str,
-        jobs: Vec<(usize, PredictJob)>,
-        responses: &mut [Option<String>],
+        jobs: Vec<(usize, PredictJob<'w>)>,
+        replies: &mut [Reply<'w>],
         stats: &mut DaemonStats,
         latency: &mut Histogram,
-        degraded: bool,
     ) {
-        let resolved = match self.registry.resolve(route) {
-            Ok(r) => r,
-            Err(e) => {
-                for (slot, job) in jobs {
-                    stats.invalid += 1;
-                    responses[slot] = Some(error_line(&job.id, e.kind(), &e.to_string()));
-                }
-                return;
-            }
-        };
-        match resolved {
-            Route::Quarantined {
+        let (degraded, workers) = (self.degraded, self.config.workers);
+        let model = match self.registry.resolve(route) {
+            Ok(Route::Ready { model, .. }) => model,
+            Ok(Route::Quarantined {
                 label,
                 reason,
                 cache,
                 schema,
-            } => {
-                // Dark route: salvaged cache hits still serve; anything
-                // else is a typed quarantined rejection.
+            }) => {
+                // A dark route answers only salvaged cache hits, and only
+                // for frames its salvaged schema validates.
+                let dark = Error::quarantined(label.as_str(), reason.as_str());
                 for (slot, job) in jobs {
                     let hit = schema
-                        .and_then(|s| request_from_fields(s, &job.fields, job.frame_no).ok())
-                        .and_then(|req| cache.get(&req.canonical_key()));
-                    match hit {
-                        Some(p) => {
-                            responses[slot] = Some(predict_line(&job.id, p, true));
-                            stats.requests += 1;
-                            stats.cache_hits += 1;
-                            latency.observe_ns(job.admitted_at.elapsed());
-                        }
+                        .and_then(|s| cells_from_members(s, &job.members, job.frame_no).ok())
+                        .and_then(|cells| cache.get(&canonical_key(&cells)));
+                    replies[slot] = match hit {
+                        Some(prediction) => cache_hit(job, prediction, stats, latency),
                         None => {
-                            let e = Error::quarantined(label.as_str(), reason.as_str());
-                            responses[slot] = Some(error_line(&job.id, e.kind(), &e.to_string()));
                             stats.quarantined_rejects += 1;
+                            Reply::Line(error_line(&job.id, dark.kind(), &dark.to_string()))
                         }
-                    }
+                    };
                 }
+                return;
             }
-            Route::Ready { model, .. } => {
-                let mut valid: Vec<(usize, String, Instant, Request)> = Vec::new();
+            Err(e) => {
+                let detail = match e {
+                    Error::InvalidInput { detail } => detail,
+                    other => other.to_string(),
+                };
                 for (slot, job) in jobs {
-                    match request_from_fields(&model.artifact().schema, &job.fields, job.frame_no) {
-                        Err(e) => {
-                            stats.invalid += 1;
-                            responses[slot] = Some(error_line(&job.id, e.kind(), &e.to_string()));
-                        }
-                        Ok(req) => {
-                            if degraded {
-                                // Cache-hits-only service under stress.
-                                match model.cache.get(&req.canonical_key()) {
-                                    Some(p) => {
-                                        responses[slot] = Some(predict_line(&job.id, p, true));
-                                        stats.requests += 1;
-                                        stats.cache_hits += 1;
-                                        latency.observe_ns(job.admitted_at.elapsed());
-                                    }
-                                    None => {
-                                        stats.degraded_rejects += 1;
-                                        responses[slot] = Some(error_line(
-                                            &job.id,
-                                            "overloaded",
-                                            "degraded mode: cache miss rejected while \
-                                             recovering from overload",
-                                        ));
-                                    }
-                                }
-                            } else {
-                                valid.push((slot, job.id, job.admitted_at, req));
-                            }
-                        }
-                    }
+                    stats.invalid += 1;
+                    replies[slot] = Reply::Invalid {
+                        error: invalid(job.frame_no, &detail),
+                        id: job.id,
+                    };
                 }
-                if !valid.is_empty() {
-                    let refs: Vec<&Request> = valid.iter().map(|(_, _, _, r)| r).collect();
-                    let outcome = predict_window(
-                        &model.compiled,
-                        &mut model.cache,
-                        self.config.workers,
-                        &refs,
-                    );
-                    for ((slot, id, admitted_at, _), &(p, cached)) in
-                        valid.iter().zip(&outcome.results)
-                    {
-                        responses[*slot] = Some(predict_line(id, p, cached));
-                        stats.requests += 1;
-                        latency.observe_ns(admitted_at.elapsed());
-                    }
-                    stats.cache_hits += outcome.hits;
-                    stats.cache_misses += valid.len() as u64 - outcome.hits;
-                    stats.predictions += outcome.predictions;
-                    stats.batches += outcome.batches;
-                }
+                return;
             }
+        };
+        let validate = telemetry::span!("serve/validate", rows = jobs.len());
+        let mut valid = Vec::with_capacity(jobs.len());
+        for (slot, job) in jobs {
+            match cells_from_members(&model.artifact().schema, &job.members, job.frame_no) {
+                Err(error) => {
+                    stats.invalid += 1;
+                    replies[slot] = Reply::Invalid { id: job.id, error };
+                }
+                // Cache-hits-only service under stress.
+                Ok(cells) if degraded => {
+                    replies[slot] = match model.cache.get(&canonical_key(&cells)) {
+                        Some(prediction) => cache_hit(job, prediction, stats, latency),
+                        None => {
+                            stats.degraded_rejects += 1;
+                            Reply::Line(error_line(
+                                &job.id,
+                                "overloaded",
+                                "degraded mode: cache miss rejected while \
+                                 recovering from overload",
+                            ))
+                        }
+                    };
+                }
+                Ok(cells) => valid.push((
+                    slot,
+                    job,
+                    Request {
+                        // The response id stays with the job.
+                        id: String::new(),
+                        cells,
+                    },
+                )),
+            }
+        }
+        drop(validate);
+        if valid.is_empty() {
+            return;
+        }
+        let refs: Vec<&Request> = valid.iter().map(|(_, _, r)| r).collect();
+        let outcome = predict_window(&model.compiled, &mut model.cache, workers, &refs);
+        let served = refs.len() as u64;
+        stats.requests += served;
+        stats.cache_hits += outcome.hits;
+        stats.cache_misses += served - outcome.hits;
+        stats.predictions += outcome.predictions;
+        stats.batches += outcome.batches;
+        for ((slot, job, _), (prediction, cached)) in valid.into_iter().zip(outcome.results) {
+            replies[slot] = Reply::Predicted {
+                id: job.id,
+                prediction,
+                cached,
+            };
+            latency.observe_ns(job.admitted_at.elapsed());
         }
     }
 
@@ -882,26 +1015,26 @@ impl Daemon {
                 .bool("ok", true)
                 .str("op", op)
         };
-        match job.op {
-            Op::Load { name, path } => match self.registry.load(&name, &path) {
+        match &job.op {
+            Op::Load { name, path } => match self.registry.load(name, path) {
                 Ok(v) => (
-                    ack("load").str("model", &name).uint("version", v).finish(),
+                    ack("load").str("model", name).uint("version", v).finish(),
                     false,
                 ),
                 Err(e) => (error_line(&job.id, e.kind(), &e.to_string()), false),
             },
-            Op::Reload { route } => match self.registry.reload(&route) {
+            Op::Reload { route } => match self.registry.reload(route) {
                 Ok(v) => (
                     ack("reload")
-                        .str("model", &route)
+                        .str("model", route)
                         .uint("version", v)
                         .finish(),
                     false,
                 ),
                 Err(e) => (error_line(&job.id, e.kind(), &e.to_string()), false),
             },
-            Op::Unload { route } => match self.registry.unload(&route) {
-                Ok(()) => (ack("unload").str("model", &route).finish(), false),
+            Op::Unload { route } => match self.registry.unload(route) {
+                Ok(()) => (ack("unload").str("model", route).finish(), false),
                 Err(e) => (error_line(&job.id, e.kind(), &e.to_string()), false),
             },
             Op::Status => {
@@ -919,11 +1052,60 @@ impl Daemon {
     }
 }
 
+/// A predict answered from a model's cache.
+fn cache_hit<'w>(
+    job: PredictJob<'w>,
+    prediction: f64,
+    stats: &mut DaemonStats,
+    latency: &mut Histogram,
+) -> Reply<'w> {
+    stats.requests += 1;
+    stats.cache_hits += 1;
+    latency.observe_ns(job.admitted_at.elapsed());
+    Reply::Predicted {
+        id: job.id,
+        prediction,
+        cached: true,
+    }
+}
+
+fn all_quarantined() -> Error {
+    Error::quarantined(
+        "*",
+        "every model version is quarantined; daemon cannot serve",
+    )
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::registry::RegistryConfig;
     use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
+
+    /// Replay `input` through a daemon whose registry holds just `artifact`
+    /// (saved to a temporary file): the stats and the response text.
+    pub(crate) fn replay_artifact(
+        artifact: &mlmodels::ModelArtifact,
+        config: DaemonConfig,
+        input: &str,
+    ) -> (Result<DaemonStats>, String) {
+        use std::sync::atomic::AtomicUsize;
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "perfpredict-replay-{}-{}.ppmodel",
+            std::process::id(),
+            NEXT.fetch_add(1, Ordering::Relaxed)
+        ));
+        let path = path.to_string_lossy().into_owned();
+        artifact.save(&path).expect("save artifact");
+        let mut registry = Registry::new(crate::registry::RegistryConfig::default());
+        registry.load("m", &path).expect("load artifact");
+        let _ = std::fs::remove_file(&path);
+        let mut daemon = Daemon::new(config, registry).expect("daemon config");
+        let mut out = Vec::new();
+        let stats = daemon.replay(input.as_bytes(), &mut out);
+        (stats, String::from_utf8(out).expect("responses are UTF-8"))
+    }
 
     fn write_artifact(dir: &std::path::Path, file: &str) -> String {
         let n = 40;
@@ -971,13 +1153,196 @@ mod tests {
         let mut daemon = Daemon::new(config, registry).expect("daemon config");
         let out: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
         let result = daemon.run(std::io::Cursor::new(input), Arc::clone(&out));
-        let bytes = lock_writer(&out).clone();
+        let bytes = lock(&out).clone();
         let lines = String::from_utf8(bytes)
             .expect("response stream is UTF-8")
             .lines()
             .map(String::from)
             .collect();
         (result, lines)
+    }
+
+    /// The model behind [`write_artifact`]: LR-E over one column `x`.
+    fn x_artifact(kind: ModelKind) -> ModelArtifact {
+        let n = 40;
+        let xs: Vec<f64> = (0..n).map(|i| 100.0 + (i % 5) as f64 * 25.0).collect();
+        let y: Vec<f64> = xs.iter().map(|x| 2.0 * x + 3.0).collect();
+        let mut t = Table::new();
+        t.add_numeric("x", xs).set_target(y);
+        ModelArtifact::from_training(try_train(kind, &t, 3).expect("train"), &t)
+    }
+
+    #[test]
+    fn degenerate_config_is_rejected() {
+        for bad in [
+            DaemonConfig { window: 0, ..cfg() },
+            DaemonConfig {
+                workers: 0,
+                ..cfg()
+            },
+            DaemonConfig {
+                max_frame_bytes: 8,
+                ..cfg()
+            },
+        ] {
+            let err = Daemon::new(bad, Registry::new(reg_cfg()))
+                .err()
+                .expect("rejected");
+            assert_eq!(err.kind(), "invalid");
+        }
+    }
+
+    #[test]
+    fn replay_predicts_within_window_duplicates_once() {
+        let input: String = (0..16)
+            .map(|i| format!("{{\"id\":\"{i}\",\"x\":150}}\n"))
+            .collect();
+        let config = DaemonConfig {
+            window: 16,
+            ..cfg()
+        };
+        let (stats, out) = replay_artifact(&x_artifact(ModelKind::LrE), config, &input);
+        let stats = stats.expect("replay");
+        assert_eq!(out.lines().count(), 16);
+        assert_eq!(stats.predictions, 1, "{stats:?}");
+        assert_eq!(stats.cache_misses, 16);
+        assert_eq!(stats.cache_hits, 0);
+    }
+
+    #[test]
+    fn replay_predictions_match_direct_model_calls() {
+        let art = x_artifact(ModelKind::NnS);
+        let mut t = Table::new();
+        t.add_numeric("x", vec![137.5]).set_target(vec![0.0]);
+        let direct = art.model.try_predict(&t).expect("predict")[0];
+        let (stats, out) = replay_artifact(&art, cfg(), "{\"x\":137.5}\n");
+        stats.expect("replay");
+        assert_eq!(
+            out,
+            format!(
+                "{{\"id\":\"1\",\"prediction\":{},\"cached\":false}}\n",
+                json::number(direct)
+            )
+        );
+    }
+
+    #[test]
+    fn replay_aborts_on_the_first_invalid_frame_naming_its_line() {
+        // Line 2 is blank; the first bad frame is on line 4, and nothing
+        // of its window is written.
+        for (bad, needle) in [
+            ("not json", "malformed JSON"),
+            ("{\"x\":\"wide\"}", "must be a finite number"),
+            ("{\"x\":150,\"typo\":1}", "unknown field 'typo'"),
+            ("{\"model\":\"nope\",\"x\":150}", "unknown model 'nope'"),
+            ("{\"id\":[1],\"x\":150}", "'id' must be a string or number"),
+        ] {
+            let input = format!("{{\"x\":150}}\n\n{{\"x\":175}}\n{bad}\n{{\"x\":\"wide\"}}\n");
+            let (stats, out) = replay_artifact(&x_artifact(ModelKind::LrE), cfg(), &input);
+            let err = stats.expect_err(bad);
+            assert_eq!(err.kind(), "invalid", "{bad}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("request line 4") && msg.contains(needle),
+                "{bad}: {msg}"
+            );
+            assert!(out.is_empty(), "{bad}: {out}");
+        }
+    }
+
+    #[test]
+    fn replay_shares_the_control_grammar() {
+        let input =
+            "{\"x\":150}\n{\"id\":\"s\",\"op\":\"status\"}\n{\"op\":\"shutdown\"}\n{\"x\":175}\n";
+        let (stats, out) = replay_artifact(&x_artifact(ModelKind::LrE), cfg(), input);
+        let stats = stats.expect("shutdown ends the replay cleanly");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(
+            lines.len(),
+            3,
+            "frames after shutdown are not served: {out}"
+        );
+        assert!(lines[1].contains("\"op\":\"status\""), "{}", lines[1]);
+        assert!(lines[2].contains("\"op\":\"shutdown\""), "{}", lines[2]);
+        assert_eq!((stats.requests, stats.control_ops), (1, 2));
+    }
+
+    #[test]
+    fn replay_latency_summary_is_ordered_and_rendered() {
+        let input: String = (0..300)
+            .map(|i| format!("{{\"x\":{}}}\n", 100 + (i % 12) * 10))
+            .collect();
+        let (stats, out) = replay_artifact(&x_artifact(ModelKind::LrE), cfg(), &input);
+        let stats = stats.expect("replay");
+        assert_eq!(out.lines().count(), 300);
+        assert!(stats.p50_ms > 0.0, "{stats:?}");
+        assert!(stats.p95_ms >= stats.p50_ms, "{stats:?}");
+        assert!(stats.p99_ms >= stats.p95_ms, "{stats:?}");
+        assert!(stats.max_ms >= stats.p99_ms, "{stats:?}");
+        let json = stats.to_json();
+        for key in ["\"p50_ms\":", "\"p95_ms\":", "\"p99_ms\":", "\"max_ms\":"] {
+            assert!(json.contains(key), "{json}");
+        }
+    }
+
+    #[test]
+    fn replay_deadline_zero_misses_without_degrading() {
+        // The same stream as `deadline_zero_misses_and_degraded_mode_recovers`:
+        // the replay answers the miss after the deadline instead of
+        // rejecting it, so its output does not depend on timing.
+        let input = concat!(
+            "{\"id\":\"a1\",\"x\":150}\n",
+            "{\"id\":\"b\",\"x\":175,\"deadline_ms\":0}\n",
+            "{\"id\":\"c1\",\"x\":200}\n",
+        );
+        let config = DaemonConfig { window: 1, ..cfg() };
+        let art = x_artifact(ModelKind::LrE);
+        let (stats, out) = replay_artifact(&art, config, input);
+        let stats = stats.expect("a missed deadline is answered, not fatal");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 3, "{out}");
+        assert!(
+            lines[1].starts_with("{\"id\":\"b\",\"error\":\"deadline\""),
+            "{}",
+            lines[1]
+        );
+        let mut t = Table::new();
+        t.add_numeric("x", vec![200.0]).set_target(vec![0.0]);
+        let direct = art.model.try_predict(&t).expect("predict")[0];
+        assert_eq!(
+            lines[2],
+            format!(
+                "{{\"id\":\"c1\",\"prediction\":{},\"cached\":false}}",
+                json::number(direct)
+            )
+        );
+        assert_eq!(
+            (
+                stats.deadline_misses,
+                stats.degraded_entries,
+                stats.degraded_rejects
+            ),
+            (1, 0, 0)
+        );
+        assert_eq!(stats.requests, 2);
+    }
+
+    #[test]
+    fn only_the_long_lived_daemon_needs_a_queue_of_a_full_window() {
+        let config = DaemonConfig {
+            queue_cap: 4,
+            ..cfg()
+        };
+        let (stats, out) =
+            replay_artifact(&x_artifact(ModelKind::LrE), config.clone(), "{\"x\":150}\n");
+        stats.expect("the replay holds one window and has no queue");
+        assert_eq!(out.lines().count(), 1);
+        let (result, lines) =
+            run_daemon(config, Registry::new(reg_cfg()), b"{\"x\":150}\n".to_vec());
+        let err = result.expect_err("queue smaller than the window");
+        assert_eq!(err.kind(), "invalid");
+        assert!(err.to_string().contains("queue capacity 4"), "{err}");
+        assert!(lines.is_empty(), "{lines:?}");
     }
 
     #[test]
@@ -1296,7 +1661,7 @@ mod tests {
         let stats = daemon
             .run(std::io::Cursor::new(input.into_bytes()), Arc::clone(&out))
             .expect("clean EOF");
-        let bytes = lock_writer(&out).inner.clone();
+        let bytes = lock(&out).inner.clone();
         let text = String::from_utf8(bytes).expect("utf8");
         let lines: Vec<&str> = text.lines().collect();
         // Conservation: every admitted-or-shed frame produced exactly

@@ -13,25 +13,32 @@
 //! * [`cache`] — a bounded LRU surrogate cache keyed on canonicalized
 //!   configuration vectors; design-space replays are heavily repetitive,
 //!   so hot configs skip the model entirely.
-//! * [`engine`] — the batched engine: a bounded admission queue applies
-//!   backpressure to the reader, cache misses are deduplicated and
-//!   predicted in matrix form, and a scoped worker pool shards each
-//!   batch by row index so output is bit-identical whether one thread
-//!   runs or eight do. Responses come back in request order.
+//! * [`daemon`] — the one request loop. [`Daemon::replay`] is one-shot
+//!   `serve`: a finite stream read on the calling thread, cut into
+//!   windows of exactly `window` frames. [`Daemon::run`] and
+//!   [`Daemon::run_socket`] are the long-lived daemon: a reader thread
+//!   feeds a bounded admission queue. Both serve each window the same
+//!   way — cache misses are deduplicated and predicted in matrix form by
+//!   a scoped worker pool sharded by row index, so output is
+//!   bit-identical whether one thread runs or eight do, and responses
+//!   come back in request order with one write per window.
+//! * [`registry`] — the hosted models and their versions, with
+//!   quarantine of corrupt artifacts.
 //! * [`workload`] — a seeded request generator that samples the schema's
 //!   observed value domains, for smoke tests and benchmarks.
 //!
-//! Telemetry: every batch is a `serve/batch` span, and the engine
-//! maintains `serve/requests`, `serve/cache_hits`, `serve/cache_misses`,
-//! `serve/predictions`, and queue-depth / latency gauges alongside the
-//! [`engine::ServeStats`] it returns.
+//! Telemetry: each window is a `serve/read` (one-shot only),
+//! `serve/parse`, `serve/validate` and `serve/batch` (per route),
+//! `serve/render` and `serve/write` span,
+//! and the loop maintains `serve/requests`, `serve/cache_hits`,
+//! `serve/cache_misses`, `serve/predictions`, and queue-depth / latency
+//! gauges alongside the [`DaemonStats`] it returns.
 
 pub(crate) mod admission;
 pub mod cache;
 pub mod compiled;
 pub(crate) mod core;
 pub mod daemon;
-pub mod engine;
 pub mod registry;
 pub(crate) mod request;
 pub mod workload;
@@ -40,7 +47,6 @@ pub use admission::AdmissionQueue;
 pub use cache::LruCache;
 pub use compiled::{compile_with, CompiledModel, Precision};
 pub use daemon::{Daemon, DaemonConfig, DaemonStats};
-pub use engine::{serve_jsonl, Engine, ServeConfig, ServeStats};
 pub use registry::{Registry, RegistryConfig};
 pub use request::{parse_request_line, Request};
 pub use workload::generate_requests;

@@ -19,7 +19,8 @@ use fault::{Error, Result};
 use mlmodels::artifact::{ColumnSchema, TableSchema};
 #[cfg(test)]
 use mlmodels::Table;
-use telemetry::json::{self, Value};
+use std::borrow::Cow;
+use telemetry::json::{self, Members, Scalar};
 
 /// One validated configuration cell, typed like its training column.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,18 +49,24 @@ impl Request {
     /// cells use the f64 bit pattern with `-0.0` folded into `0.0`, so
     /// arithmetically identical configs share a key.
     pub(crate) fn canonical_key(&self) -> Vec<u64> {
-        self.cells
-            .iter()
-            .map(|c| match *c {
-                Cell::Num(x) => (if x == 0.0 { 0.0f64 } else { x }).to_bits(),
-                Cell::Flag(b) => u64::from(b),
-                Cell::Code(code) => u64::from(code),
-            })
-            .collect()
+        canonical_key(&self.cells)
     }
 }
 
-fn invalid(line_no: u64, detail: impl std::fmt::Display) -> Error {
+/// [`Request::canonical_key`] over bare cells.
+pub(crate) fn canonical_key(cells: &[Cell]) -> Vec<u64> {
+    cells
+        .iter()
+        .map(|c| match *c {
+            Cell::Num(x) => (if x == 0.0 { 0.0f64 } else { x }).to_bits(),
+            Cell::Flag(b) => u64::from(b),
+            Cell::Code(code) => u64::from(code),
+        })
+        .collect()
+}
+
+/// A typed `InvalidInput` naming the 1-based request line.
+pub(crate) fn invalid(line_no: u64, detail: impl std::fmt::Display) -> Error {
     Error::invalid(format!("request line {line_no}: {detail}"))
 }
 
@@ -67,96 +74,145 @@ fn invalid(line_no: u64, detail: impl std::fmt::Display) -> Error {
 /// `line_no` is 1-based and used both for error messages and as the
 /// default id.
 pub fn parse_request_line(schema: &TableSchema, line: &str, line_no: u64) -> Result<Request> {
-    let value = json::parse(line).map_err(|e| invalid(line_no, format!("malformed JSON: {e}")))?;
-    let Value::Obj(fields) = &value else {
-        return Err(invalid(line_no, "request must be a JSON object"));
-    };
-    request_from_fields(schema, fields, line_no)
+    let members = parse_object(line, line_no)?;
+    Ok(Request {
+        id: request_id(&members, line_no)?.into_owned(),
+        cells: cells_from_members(schema, &members, line_no)?,
+    })
 }
 
-/// Validate an already-parsed field map against the schema. The daemon
-/// calls this directly after stripping its envelope keys (`op`, `model`,
-/// `deadline_ms`) from the frame, so schema validation stays identical
-/// between one-shot replay and daemon mode; [`parse_request_line`]
-/// delegates here. `line_no` is the 1-based frame number, used for error
-/// messages and the default id.
-pub(crate) fn request_from_fields(
-    schema: &TableSchema,
-    fields: &std::collections::BTreeMap<String, Value>,
+/// Parse one request frame into its members, or a typed `InvalidInput`.
+pub(crate) fn parse_object(line: &str, line_no: u64) -> Result<Members<'_>> {
+    match json::parse_members(line) {
+        Ok(Some(members)) => Ok(members),
+        Ok(None) => Err(invalid(line_no, "request must be a JSON object")),
+        Err(e) => Err(invalid(line_no, format!("malformed JSON: {e}"))),
+    }
+}
+
+/// The value of `key`; the last occurrence wins, as in a JSON map.
+pub(crate) fn member<'m, 'a>(
+    members: &'m [(Cow<'a, str>, Scalar<'a>)],
+    key: &str,
+) -> Option<&'m Scalar<'a>> {
+    members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// A request's response id: its `"id"` field (a string, or a number
+/// rendered as JSON), or its 1-based line number when absent.
+pub(crate) fn request_id<'a>(
+    members: &[(Cow<'a, str>, Scalar<'a>)],
     line_no: u64,
-) -> Result<Request> {
-    for key in fields.keys() {
-        if key != "id" && schema.column(key).is_none() {
-            return Err(invalid(
-                line_no,
-                format!("unknown field '{key}' (not a schema column)"),
-            ));
+) -> Result<Cow<'a, str>> {
+    match member(members, "id") {
+        None => Ok(Cow::Owned(line_no.to_string())),
+        Some(Scalar::Str(s)) => Ok(s.clone()),
+        Some(Scalar::Num(x)) => Ok(Cow::Owned(json::number(*x))),
+        Some(_) => Err(invalid(line_no, "'id' must be a string or number")),
+    }
+}
+
+/// Validate a frame's members against the schema and return its cells in
+/// schema order. Besides `"id"`, every key must be a schema column (the
+/// daemon strips its envelope keys first), and a repeated key's last value
+/// wins. When several fields are wrong, the first unknown key in key order
+/// is reported, else the first bad column in schema order. `line_no` is
+/// the 1-based frame number.
+pub(crate) fn cells_from_members(
+    schema: &TableSchema,
+    members: &[(Cow<'_, str>, Scalar<'_>)],
+    line_no: u64,
+) -> Result<Vec<Cell>> {
+    let columns = &schema.columns;
+    let mut values = vec![None; columns.len()];
+    let mut unknown: Option<&str> = None;
+    let mut next = 0;
+    for (key, value) in members {
+        // Frames usually list the columns in schema order, so the column
+        // after the previous match is tried first.
+        let column = if columns.get(next).is_some_and(|c| c.name() == key) {
+            Some(next)
+        } else {
+            columns.iter().position(|c| c.name() == key)
+        };
+        match column {
+            Some(j) => {
+                values[j] = Some(value);
+                next = j + 1;
+            }
+            None if key != "id" && unknown.is_none_or(|u| key.as_ref() < u) => {
+                unknown = Some(key);
+            }
+            None => {}
         }
     }
-    let id = match fields.get("id") {
-        None => line_no.to_string(),
-        Some(Value::Str(s)) => s.clone(),
-        Some(Value::Num(x)) => json::number(*x),
-        Some(_) => return Err(invalid(line_no, "'id' must be a string or number")),
-    };
-    let mut cells = Vec::with_capacity(schema.columns.len());
-    for col in &schema.columns {
-        let name = col.name();
-        let v = fields
-            .get(name)
-            .ok_or_else(|| invalid(line_no, format!("missing field '{name}'")))?;
-        let cell = match col {
-            ColumnSchema::Numeric { .. } => match v.as_f64() {
-                // Canonicalize -0.0 at the boundary so every stored
-                // cell (and anything derived from it — cache keys,
-                // design rows, compiled-predictor inputs) sees one
-                // representation per arithmetic value. NaN and the
-                // infinities fail the is_finite gate with a typed
-                // error, so they can never reach the cache or dedup.
-                Some(x) if x.is_finite() => Cell::Num(if x == 0.0 { 0.0 } else { x }),
-                _ => {
-                    return Err(invalid(
-                        line_no,
-                        format!("field '{name}' must be a finite number"),
-                    ))
-                }
-            },
-            ColumnSchema::Flag { .. } => match v {
-                Value::Bool(b) => Cell::Flag(*b),
-                _ => {
-                    return Err(invalid(
-                        line_no,
-                        format!("field '{name}' must be true or false"),
-                    ))
-                }
-            },
-            ColumnSchema::Categorical { levels, .. } => {
-                let s = v.as_str().ok_or_else(|| {
-                    invalid(line_no, format!("field '{name}' must be a level name"))
-                })?;
-                let code = levels.iter().position(|l| l == s).ok_or_else(|| {
-                    invalid(
-                        line_no,
-                        format!(
-                            "field '{name}': unknown level '{s}' (training levels: {})",
-                            levels.join(", ")
-                        ),
-                    )
-                })?;
-                // Level index comes from the artifact schema, which is
-                // external input: convert checked so a pathological
-                // schema cannot wrap the code.
-                Cell::Code(u32::try_from(code).map_err(|_| {
-                    invalid(
-                        line_no,
-                        format!("field '{name}': level index {code} exceeds u32 range"),
-                    )
-                })?)
-            }
-        };
-        cells.push(cell);
+    if let Some(key) = unknown {
+        return Err(invalid(
+            line_no,
+            format!("unknown field '{key}' (not a schema column)"),
+        ));
     }
-    Ok(Request { id, cells })
+    columns
+        .iter()
+        .zip(values)
+        .map(|(col, v)| {
+            let v = v.ok_or_else(|| invalid(line_no, format!("missing field '{}'", col.name())))?;
+            cell_from_value(col, v, line_no)
+        })
+        .collect()
+}
+
+fn cell_from_value(col: &ColumnSchema, v: &Scalar<'_>, line_no: u64) -> Result<Cell> {
+    let name = col.name();
+    Ok(match col {
+        ColumnSchema::Numeric { .. } => match v.as_f64() {
+            // Canonicalize -0.0 at the boundary so every stored cell
+            // (and anything derived from it — cache keys, design rows,
+            // compiled-predictor inputs) sees one representation per
+            // arithmetic value. NaN and the infinities fail the
+            // is_finite gate with a typed error, so they can never reach
+            // the cache or dedup.
+            Some(x) if x.is_finite() => Cell::Num(if x == 0.0 { 0.0 } else { x }),
+            _ => {
+                return Err(invalid(
+                    line_no,
+                    format!("field '{name}' must be a finite number"),
+                ))
+            }
+        },
+        ColumnSchema::Flag { .. } => match v {
+            Scalar::Bool(b) => Cell::Flag(*b),
+            _ => {
+                return Err(invalid(
+                    line_no,
+                    format!("field '{name}' must be true or false"),
+                ))
+            }
+        },
+        ColumnSchema::Categorical { levels, .. } => {
+            let s = v
+                .as_str()
+                .ok_or_else(|| invalid(line_no, format!("field '{name}' must be a level name")))?;
+            let code = levels.iter().position(|l| l == s).ok_or_else(|| {
+                invalid(
+                    line_no,
+                    format!(
+                        "field '{name}': unknown level '{s}' (training levels: {})",
+                        levels.join(", ")
+                    ),
+                )
+            })?;
+            // Level index comes from the artifact schema, which is
+            // external input: convert checked so a pathological schema
+            // cannot wrap the code.
+            Cell::Code(u32::try_from(code).map_err(|_| {
+                invalid(
+                    line_no,
+                    format!("field '{name}': level index {code} exceeds u32 range"),
+                )
+            })?)
+        }
+    })
 }
 
 /// Assemble a prediction [`Table`] from validated requests, in schema
@@ -286,6 +342,25 @@ mod tests {
         }
     }
 
+    /// The members are matched as a JSON map would be: the last of a
+    /// repeated key wins, and of several unknown keys the first in key
+    /// order is reported, before any column error.
+    #[test]
+    fn repeated_and_unknown_keys_behave_like_a_map() {
+        let s = schema();
+        let r = parse_request_line(
+            &s,
+            r#"{"speed":1000,"bpred":"gshare","smt":true,"speed":1800,"id":"a","id":"b"}"#,
+            1,
+        )
+        .expect("valid");
+        assert_eq!(r.id, "b");
+        assert_eq!(r.cells[0], Cell::Num(1800.0));
+        let err = parse_request_line(&s, r#"{"zeta":1,"speed":"x","alpha":2}"#, 3)
+            .expect_err("unknown keys");
+        assert!(err.to_string().contains("unknown field 'alpha'"), "{err}");
+    }
+
     #[test]
     fn canonical_key_folds_negative_zero_and_distinguishes_configs() {
         let s = schema();
@@ -327,12 +402,16 @@ mod tests {
             assert_eq!(err.kind(), "invalid", "{line}");
             assert!(err.to_string().contains("finite number"), "{line}: {err}");
         }
-        // And via the daemon's pre-parsed field-map entry point too.
-        let mut fields = std::collections::BTreeMap::new();
-        fields.insert("speed".to_string(), Value::Num(f64::NAN));
-        fields.insert("smt".to_string(), Value::Bool(false));
-        fields.insert("bpred".to_string(), Value::Str("perfect".into()));
-        let err = request_from_fields(&s, &fields, 9).expect_err("NaN cell");
+        // And via the daemon's pre-parsed members entry point too.
+        let members = vec![
+            (Cow::Borrowed("speed"), Scalar::Num(f64::NAN)),
+            (Cow::Borrowed("smt"), Scalar::Bool(false)),
+            (
+                Cow::Borrowed("bpred"),
+                Scalar::Str(Cow::Borrowed("perfect")),
+            ),
+        ];
+        let err = cells_from_members(&s, &members, 9).expect_err("NaN cell");
         assert_eq!(err.kind(), "invalid");
         assert!(err.to_string().contains("finite number"), "{err}");
     }

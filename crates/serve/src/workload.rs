@@ -83,7 +83,8 @@ pub fn generate_requests(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{serve_jsonl, ServeConfig};
+    use crate::daemon::tests::replay_artifact;
+    use crate::daemon::DaemonConfig;
     use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
 
     fn schema() -> TableSchema {
@@ -162,7 +163,8 @@ mod tests {
         let art =
             ModelArtifact::from_training(try_train(ModelKind::LrE, &t, 1).expect("train"), &t);
         let input = generate_requests(&art.schema, 300, 6, 4).expect("generate");
-        let (out, stats) = serve_jsonl(art, ServeConfig::default(), &input).expect("serve");
+        let (stats, out) = replay_artifact(&art, DaemonConfig::default(), &input);
+        let stats = stats.expect("replay");
         assert_eq!(out.lines().count(), 300);
         assert!(stats.cache_hits > 0, "{stats:?}");
     }

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use dse::faultinject;
 use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
-use serve::{Daemon, DaemonConfig, Registry, RegistryConfig, ServeConfig};
+use serve::{Daemon, DaemonConfig, Registry, RegistryConfig};
 
 fn write_artifact(dir: &std::path::Path, file: &str) -> String {
     let n = 40;
@@ -102,9 +102,28 @@ fn injected_garbage_and_torn_tail_get_typed_responses_then_clean_eof() {
     assert_eq!(stats.invalid, 2, "garbage + torn tail each counted");
 }
 
+/// One-shot `serve`: replay `input` through a daemon with the artifact at
+/// `path` preloaded, at the one-shot default window.
+fn one_shot(path: &str, input: &str) -> (fault::Result<serve::DaemonStats>, String) {
+    let mut registry = Registry::new(RegistryConfig::default());
+    registry.load("m", path).expect("load artifact");
+    let config = DaemonConfig {
+        window: 256,
+        ..DaemonConfig::default()
+    };
+    let mut daemon = Daemon::new(config, registry).expect("daemon config");
+    let mut out = Vec::new();
+    let result = daemon.replay(input.as_bytes(), &mut out);
+    (
+        result,
+        String::from_utf8(out).expect("response stream is UTF-8"),
+    )
+}
+
 /// Blank lines count toward a frame's line number in the daemon exactly
 /// as in one-shot `serve`: an id-less request on line 2 is answered as
 /// `"id":"2"` by both, and a bad field there is reported on line 2.
+/// Blank and whitespace-only lines are skipped, never errors.
 #[test]
 fn blank_lines_count_toward_frame_numbers_like_one_shot_serve() {
     let dir = tmpdir("frame-numbers");
@@ -113,11 +132,9 @@ fn blank_lines_count_toward_frame_numbers_like_one_shot_serve() {
     result.expect("clean EOF");
     assert_eq!(lines.len(), 1, "{lines:?}");
     assert!(lines[0].starts_with("{\"id\":\"2\""), "{}", lines[0]);
-    let artifact = ModelArtifact::load(&path).expect("load artifact");
-    let (one_shot, _) =
-        serve::serve_jsonl(artifact.clone(), ServeConfig::default(), "\n{\"x\":150}\n")
-            .expect("one-shot serve");
-    assert_eq!(one_shot.lines().collect::<Vec<_>>(), lines);
+    let (one_shot_result, one_shot_out) = one_shot(&path, "\n{\"x\":150}\n  \n");
+    assert_eq!(one_shot_result.expect("one-shot serve").requests, 1);
+    assert_eq!(one_shot_out.lines().collect::<Vec<_>>(), lines);
 
     let (reg, _) = reg_with_model(&dir);
     let (result, lines) = run_daemon(cfg(), reg, b"\n{\"x\":\"wide\"}\n".to_vec());
@@ -125,7 +142,8 @@ fn blank_lines_count_toward_frame_numbers_like_one_shot_serve() {
     assert_eq!(lines.len(), 1, "{lines:?}");
     assert!(lines[0].contains("\"id\":\"2\""), "{}", lines[0]);
     assert!(lines[0].contains("request line 2"), "{}", lines[0]);
-    let err = serve::serve_jsonl(artifact, ServeConfig::default(), "\n{\"x\":\"wide\"}\n")
+    let err = one_shot(&path, "\n{\"x\":\"wide\"}\n")
+        .0
         .expect_err("one-shot serve rejects the stream");
     assert!(err.to_string().contains("request line 2"), "{err}");
 }

@@ -8,26 +8,40 @@
 //! any downstream tooling) read with [`parse`] — so every line the sink
 //! emits is round-trip checked by the test suite.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Escape a string for inclusion in a JSON document (without quotes).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", u32::from(c));
-            }
-            c => out.push(c),
-        }
-    }
+    escape_into(&mut out, s);
     out
+}
+
+/// [`escape`], appending to `out`.
+fn escape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    // Copy runs that need no escaping in one go; every escaped char is
+    // ASCII, so each run ends on a char boundary.
+    while let Some(i) = rest
+        .bytes()
+        .position(|c| c == b'"' || c == b'\\' || c < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            c => {
+                let _ = write!(out, "\\u{:04x}", c);
+            }
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
 }
 
 /// Format a float the way JSON expects (no NaN/Inf — mapped to null).
@@ -68,20 +82,28 @@ impl JsonObject {
             self.buf.push(',');
         }
         self.first = false;
-        let _ = write!(self.buf, "\"{}\":", escape(k));
+        self.buf.push('"');
+        escape_into(&mut self.buf, k);
+        self.buf.push_str("\":");
     }
 
     /// Add a string field.
     pub fn str(mut self, k: &str, v: &str) -> Self {
         self.key(k);
-        let _ = write!(self.buf, "\"{}\"", escape(v));
+        self.buf.push('"');
+        escape_into(&mut self.buf, v);
+        self.buf.push('"');
         self
     }
 
     /// Add a float field (NaN/Inf become null).
     pub fn num(mut self, k: &str, v: f64) -> Self {
         self.key(k);
-        self.buf.push_str(&number(v));
+        if v.is_finite() {
+            let _ = write!(self.buf, "{v}");
+        } else {
+            self.buf.push_str("null");
+        }
         self
     }
 
@@ -172,14 +194,98 @@ impl Value {
 
 /// Parse one JSON document. Errors carry a byte offset and description.
 pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos)?;
+    expect_end(input.as_bytes(), pos)?;
+    Ok(value)
+}
+
+/// A member value returned by [`parse_members`]: scalars borrow from the
+/// input where they can, and arrays and objects are syntax-checked but
+/// not kept.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Scalar<'a> {
+    /// `null`
+    Null,
+    /// `true` / `false`
+    Bool(bool),
+    /// Any number (parsed as f64).
+    Num(f64),
+    /// A string, borrowed unless it contained escapes.
+    Str(Cow<'a, str>),
+    /// An array or an object.
+    Nested,
+}
+
+impl Scalar<'_> {
+    /// String content, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Scalar::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Numeric content, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Scalar::Num(x) => Some(*x),
+            _ => None,
+        }
+    }
+
+    /// Numeric content as u64 (must be a non-negative integer).
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Scalar::Num(x) if *x >= 0.0 && x.fract() == 0.0 => Some(*x as u64),
+            _ => None,
+        }
+    }
+}
+
+/// An object's `(key, value)` members in document order.
+pub type Members<'a> = Vec<(Cow<'a, str>, Scalar<'a>)>;
+
+/// Parse one JSON object into its members in document order, without
+/// building a map: keys and unescaped strings borrow from `input`.
+/// Duplicate keys are all kept (a [`Value::Obj`] keeps the last). Returns
+/// `Ok(None)` for a valid JSON document that is not an object; errors are
+/// exactly those of [`parse`].
+pub fn parse_members(input: &str) -> Result<Option<Members<'_>>, String> {
+    let b = input.as_bytes();
+    let mut pos = 0usize;
+    skip_ws(b, &mut pos);
+    if b.get(pos) != Some(&b'{') {
+        return parse(input).map(|_| None);
+    }
+    // Sized for one member per eight bytes, so typical frames never regrow.
+    let mut members = Vec::with_capacity(input.len() / 8);
+    parse_object_with(input, &mut pos, |key, pos| {
+        skip_ws(b, pos);
+        let value = match b.get(*pos) {
+            Some(b'"') => Scalar::Str(parse_str(input, pos)?),
+            _ => match parse_value(input, pos)? {
+                Value::Null => Scalar::Null,
+                Value::Bool(v) => Scalar::Bool(v),
+                Value::Num(x) => Scalar::Num(x),
+                Value::Str(s) => Scalar::Str(Cow::Owned(s)),
+                Value::Arr(_) | Value::Obj(_) => Scalar::Nested,
+            },
+        };
+        members.push((key, value));
+        Ok(())
+    })?;
+    expect_end(b, pos)?;
+    Ok(Some(members))
+}
+
+/// Only whitespace may follow a document.
+fn expect_end(b: &[u8], mut pos: usize) -> Result<(), String> {
+    skip_ws(b, &mut pos);
+    if pos != b.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
-    Ok(value)
+    Ok(())
 }
 
 fn skip_ws(b: &[u8], pos: &mut usize) {
@@ -188,13 +294,21 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(input: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = input.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(b, pos)?)),
+        Some(b'{') => {
+            let mut map = BTreeMap::new();
+            parse_object_with(input, pos, |key, pos| {
+                map.insert(key.into_owned(), parse_value(input, pos)?);
+                Ok(())
+            })?;
+            Ok(Value::Obj(map))
+        }
+        Some(b'[') => parse_array(input, pos),
+        Some(b'"') => Ok(Value::Str(parse_str(input, pos)?.into_owned())),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
@@ -217,23 +331,50 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    let digits = text.strip_prefix('-').unwrap_or(text);
+    if (1..=15).contains(&digits.len()) && digits.bytes().all(|c| c.is_ascii_digit()) {
+        // Integers below 10^15 < 2^53 are exact in f64, so this is the
+        // value `parse` returns (including -0.0 for "-0"), only cheaper.
+        let n = digits
+            .bytes()
+            .fold(0u64, |n, c| n * 10 + u64::from(c - b'0')) as f64;
+        return Ok(Value::Num(if digits.len() < text.len() { -n } else { n }));
+    }
     text.parse::<f64>()
         .map(Value::Num)
         .map_err(|_| format!("invalid number '{text}' at byte {start}"))
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+/// The string at `input[*pos] == '"'`, borrowed when it has no escapes.
+fn parse_str<'a>(input: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    let b = input.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
+        // The run up to the next quote or escape. Both delimiters are
+        // ASCII, so the run ends on a char boundary.
+        let start = *pos;
+        let end = b[start..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .map_or(b.len(), |n| start + n);
+        let run = &input[start..end];
+        *pos = end;
+        match b.get(end) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                // Every escape pushes a char, so an empty `out` means
+                // there was none and the string is the run itself.
+                if out.is_empty() {
+                    return Ok(Cow::Borrowed(run));
+                }
+                out.push_str(run);
+                return Ok(Cow::Owned(out));
             }
-            Some(b'\\') => {
+            Some(_) => {
+                out.push_str(run);
                 *pos += 1;
                 match b.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -260,54 +401,51 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let Some(c) = rest.chars().next() else {
-                    return Err(format!("unterminated string at byte {}", *pos));
-                };
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
 }
 
-fn parse_object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Parse the object at `input[*pos] == '{'`, handing each member's key to
+/// `member`, which parses the value at `*pos`.
+fn parse_object_with<'a>(
+    input: &'a str,
+    pos: &mut usize,
+    mut member: impl FnMut(Cow<'a, str>, &mut usize) -> Result<(), String>,
+) -> Result<(), String> {
+    let b = input.as_bytes();
     debug_assert_eq!(b[*pos], b'{');
     *pos += 1;
-    let mut map = BTreeMap::new();
     skip_ws(b, pos);
     if b.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Value::Obj(map));
+        return Ok(());
     }
     loop {
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b'"') {
             return Err(format!("expected object key at byte {}", *pos));
         }
-        let key = parse_string(b, pos)?;
+        let key = parse_str(input, pos)?;
         skip_ws(b, pos);
         if b.get(*pos) != Some(&b':') {
             return Err(format!("expected ':' at byte {}", *pos));
         }
         *pos += 1;
-        let value = parse_value(b, pos)?;
-        map.insert(key, value);
+        member(key, pos)?;
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Value::Obj(map));
+                return Ok(());
             }
             _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
         }
     }
 }
 
-fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_array(input: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = input.as_bytes();
     debug_assert_eq!(b[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -317,7 +455,7 @@ fn parse_array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(b, pos)?);
+        items.push(parse_value(input, pos)?);
         skip_ws(b, pos);
         match b.get(*pos) {
             Some(b',') => *pos += 1,
@@ -416,6 +554,84 @@ mod tests {
                 assert_eq!(items[2].get("b"), Some(&Value::Null));
             }
             other => panic!("expected array, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn integer_fast_path_matches_float_parsing() {
+        for text in [
+            "0",
+            "-0",
+            "7",
+            "-7",
+            "007",
+            "1800",
+            "999999999999999",
+            "-999999999999999",
+            "1000000000000000",
+            "9007199254740993",
+            "1.5",
+            "-2e3",
+        ] {
+            let fast = parse(text).expect(text).as_f64().expect(text);
+            let slow: f64 = text.parse().expect(text);
+            assert_eq!(fast.to_bits(), slow.to_bits(), "{text}");
+        }
+    }
+
+    #[test]
+    fn parse_members_agrees_with_parse() {
+        let docs = [
+            r#"{"id":"q1","x":1.5,"ok":true,"n":null,"s":"a\"b\u0041"}"#,
+            r#" { "b" : [1,{"c":2}] , "a" : {"d":[]} , "b" : 3 } "#,
+            r#"{}"#,
+            r#"{"k\n":"v"}"#,
+            "[1,2]",
+            "\"top\"",
+            "7",
+            "",
+            "{",
+            r#"{"a":}"#,
+            r#"{"a":1,}"#,
+            r#"{"a" 1}"#,
+            r#"{a:1}"#,
+            r#"{"a":1} extra"#,
+            r#"{"a":"unterminated"#,
+            r#"{"a":"bad \q escape"}"#,
+            r#"{"a":[1 2]}"#,
+            r#"{"a":tru}"#,
+            r#"{"a":1e}"#,
+            r#"{"q":"\"","b":"x\\","u":"\u00e9t\u00e9","raw":"ünï","n":[{"s":"a\tb"}]}"#,
+            r#"{"a":"tr\u00"}"#,
+            r#"{"a":"ends in \"#,
+            r#"{"n":-0,"m":007,"big":12345678901234567,"f":-1.5e3}"#,
+        ];
+        for doc in docs {
+            match (parse(doc), parse_members(doc)) {
+                (Err(a), Err(b)) => assert_eq!(a, b, "{doc}"),
+                (Ok(Value::Obj(map)), Ok(Some(members))) => {
+                    // Last occurrence wins, as in the map.
+                    let mut last = BTreeMap::new();
+                    for (k, v) in &members {
+                        last.insert(k.to_string(), v.clone());
+                    }
+                    assert_eq!(last.len(), map.len(), "{doc}");
+                    for (k, v) in &map {
+                        let m = &last[k];
+                        match v {
+                            Value::Str(s) => assert_eq!(m.as_str(), Some(s.as_str()), "{doc}"),
+                            Value::Num(x) => assert_eq!(m.as_f64(), Some(*x), "{doc}"),
+                            Value::Bool(x) => assert_eq!(m, &Scalar::Bool(*x), "{doc}"),
+                            Value::Null => assert_eq!(m, &Scalar::Null, "{doc}"),
+                            Value::Arr(_) | Value::Obj(_) => {
+                                assert_eq!(m, &Scalar::Nested, "{doc}")
+                            }
+                        }
+                    }
+                }
+                (Ok(v), Ok(None)) => assert!(!matches!(v, Value::Obj(_)), "{doc}"),
+                (a, b) => panic!("{doc}: parse {a:?} vs parse_members {b:?}"),
+            }
         }
     }
 

@@ -57,9 +57,7 @@ use perfpredict::dse::sampled::{
 };
 use perfpredict::error::{Error, Result};
 use perfpredict::mlmodels::{self, ModelArtifact, ModelKind};
-use perfpredict::serve::{
-    generate_requests, Daemon, DaemonConfig, Engine, Registry, RegistryConfig, ServeConfig,
-};
+use perfpredict::serve::{generate_requests, Daemon, DaemonConfig, Registry, RegistryConfig};
 use perfpredict::specdata::ProcessorFamily;
 use perfpredict::telemetry::{self, json::JsonObject, ConsoleLevel, TelemetryConfig};
 
@@ -86,10 +84,10 @@ fn usage() -> ! {
            export-model <benchmark> [--model K] [--rate P] [--out F]\n\
                                               train one model on a P%% sample, save .ppmodel\n\
            serve     <model.ppmodel> [--input F] [--workers N] [--window N]\n\
-                     [--queue-cap N] [--cache-cap N]\n\
+                     [--cache-cap N]\n\
                                               batched one-shot replay of JSONL requests\n\
                                               (stdin unless --input) with LRU cache; stats\n\
-                                              on stderr\n\
+                                              on stderr; the first invalid line exits 2\n\
            serve     --daemon [model.ppmodel] [--preload name=path]...\n\
                      [--socket P] [--input F] [--deadline-ms N]\n\
                      [--max-frame-bytes N] [--default-model NAME]\n\
@@ -668,23 +666,44 @@ fn cli() -> Result<()> {
                 );
             }
         }
-        "serve" if rest.iter().any(|a| a == "--daemon") => {
-            let daemon_defaults = DaemonConfig::default();
+        "serve" => {
+            // One request loop for both modes: one-shot replays a finite
+            // stream through the daemon's window path with the artifact
+            // preloaded as its only model, and exits at EOF.
+            let daemon_mode = rest.iter().any(|a| a == "--daemon");
+            let daemon_only = [
+                "--preload",
+                "--socket",
+                "--deadline-ms",
+                "--max-frame-bytes",
+                "--default-model",
+                "--queue-cap",
+            ];
+            if !daemon_mode {
+                if let Some(flag) = rest.iter().find(|a| daemon_only.contains(&a.as_str())) {
+                    return Err(Error::invalid(format!(
+                        "{flag} is daemon-only (serve --daemon); one-shot serve holds one window"
+                    )));
+                }
+            }
+            let defaults = DaemonConfig::default();
+            // One-shot replay keeps its larger default window.
+            let window = parse_number(
+                rest,
+                "--window",
+                if daemon_mode { defaults.window } else { 256 },
+            )?;
             let config = DaemonConfig {
-                window: parse_number(rest, "--window", daemon_defaults.window)?,
-                queue_cap: parse_number(rest, "--queue-cap", daemon_defaults.queue_cap)?,
-                workers: parse_number(rest, "--workers", daemon_defaults.workers)?,
+                window,
+                queue_cap: parse_number(rest, "--queue-cap", defaults.queue_cap)?,
+                workers: parse_number(rest, "--workers", defaults.workers)?,
                 deadline_ms: match parse_flag(rest, "--deadline-ms") {
                     None => None,
                     Some(v) => Some(v.parse().map_err(|_| {
                         Error::invalid(format!("--deadline-ms expects a number, got '{v}'"))
                     })?),
                 },
-                max_frame_bytes: parse_number(
-                    rest,
-                    "--max-frame-bytes",
-                    daemon_defaults.max_frame_bytes,
-                )?,
+                max_frame_bytes: parse_number(rest, "--max-frame-bytes", defaults.max_frame_bytes)?,
                 default_model: parse_flag(rest, "--default-model"),
             };
             let registry_defaults = RegistryConfig::default();
@@ -702,20 +721,13 @@ fn cli() -> Result<()> {
                 let version = registry.load(name, path)?;
                 eprintln!("daemon: preloaded {name}@{version} from {path}");
             }
-            // The optional positional artifact is the first arg that is
-            // neither a flag nor the value of a value-taking flag.
+            // The positional artifact is the first arg that is neither a
+            // flag nor the value of a value-taking flag.
             let value_flags = [
-                "--preload",
-                "--socket",
-                "--input",
-                "--deadline-ms",
-                "--max-frame-bytes",
-                "--default-model",
-                "--workers",
-                "--window",
-                "--queue-cap",
-                "--cache-cap",
-            ];
+                &daemon_only[..],
+                &["--input", "--workers", "--window", "--cache-cap"],
+            ]
+            .concat();
             let mut positional = None;
             let mut args_iter = rest.iter();
             while let Some(arg) = args_iter.next() {
@@ -726,44 +738,58 @@ fn cli() -> Result<()> {
                     break;
                 }
             }
-            if let Some(path) = positional {
-                let name = std::path::Path::new(path)
-                    .file_stem()
-                    .and_then(|s| s.to_str())
-                    .unwrap_or("model")
-                    .to_string();
-                let version = registry.load(&name, path)?;
-                eprintln!("daemon: preloaded {name}@{version} from {path}");
+            match positional {
+                Some(path) => {
+                    // Routes are named after the file; a stem that is not a
+                    // valid route name falls back to "model".
+                    let name = std::path::Path::new(path)
+                        .file_stem()
+                        .and_then(|s| s.to_str())
+                        .filter(|s| !s.is_empty() && !s.contains('@'))
+                        .unwrap_or("model")
+                        .to_string();
+                    let version = registry.load(&name, path)?;
+                    if daemon_mode {
+                        eprintln!("daemon: preloaded {name}@{version} from {path}");
+                    }
+                }
+                None if !daemon_mode => {
+                    return Err(Error::invalid("missing model-artifact argument"))
+                }
+                None => {}
             }
             let mut daemon = Daemon::new(config, registry)?;
+            use std::io::BufRead;
+            let input: Box<dyn BufRead + Send> = match parse_flag(rest, "--input") {
+                Some(p) => {
+                    let file = std::fs::File::open(&p).map_err(|e| Error::io(&p, e))?;
+                    Box::new(std::io::BufReader::new(file))
+                }
+                None => Box::new(std::io::BufReader::new(std::io::stdin())),
+            };
             let stats = match parse_flag(rest, "--socket") {
                 Some(sock) => {
                     eprintln!("daemon: listening on unix socket {sock}");
                     daemon.run_socket(&sock)?
                 }
-                None => {
-                    use std::io::BufRead;
-                    let input: Box<dyn BufRead + Send> = match parse_flag(rest, "--input") {
-                        Some(p) => {
-                            let file = std::fs::File::open(&p).map_err(|e| Error::io(&p, e))?;
-                            Box::new(std::io::BufReader::new(file))
-                        }
-                        None => Box::new(std::io::BufReader::new(std::io::stdin())),
-                    };
+                None if daemon_mode => {
                     let writer = std::sync::Arc::new(std::sync::Mutex::new(std::io::stdout()));
                     daemon.run(input, writer)?
                 }
+                None => daemon.replay(input, &mut std::io::stdout().lock())?,
             };
             if json_out {
                 eprintln!("{}", stats.to_json());
             } else {
                 eprintln!(
-                    "daemon: {} requests ({} hits / {} misses), {} shed, \
-                     {} deadline misses, {} degraded rejects, {} invalid, \
+                    "serve: {} requests ({} hits / {} misses), {} predictions in {} batches, \
+                     {} shed, {} deadline misses, {} degraded rejects, {} invalid, \
                      {} control ops, p50 {:.3} ms, p99 {:.3} ms",
                     stats.requests,
                     stats.cache_hits,
                     stats.cache_misses,
+                    stats.predictions,
+                    stats.batches,
                     stats.shed,
                     stats.deadline_misses,
                     stats.degraded_rejects,
@@ -771,53 +797,6 @@ fn cli() -> Result<()> {
                     stats.control_ops,
                     stats.p50_ms,
                     stats.p99_ms
-                );
-            }
-        }
-        "serve" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| Error::invalid("missing model-artifact argument"))?;
-            let artifact = ModelArtifact::load(path)?;
-            let defaults = ServeConfig::default();
-            let config = ServeConfig {
-                window: parse_number(rest, "--window", defaults.window)?,
-                queue_cap: parse_number(rest, "--queue-cap", defaults.queue_cap)?,
-                workers: parse_number(rest, "--workers", defaults.workers)?,
-                cache_cap: parse_number(rest, "--cache-cap", defaults.cache_cap)?,
-            };
-            let mut engine = Engine::new(artifact, config)?;
-            let stdout = std::io::stdout();
-            let mut out = std::io::BufWriter::new(stdout.lock());
-            let stats = match parse_flag(rest, "--input") {
-                Some(p) => {
-                    let file = std::fs::File::open(&p).map_err(|e| Error::io(&p, e))?;
-                    engine.serve(&mut std::io::BufReader::new(file), &mut out)?
-                }
-                None => {
-                    let stdin = std::io::stdin();
-                    engine.serve(&mut stdin.lock(), &mut out)?
-                }
-            };
-            use std::io::Write as _;
-            out.flush().map_err(|e| Error::io("<stdout>", e))?;
-            if json_out {
-                eprintln!("{}", stats.to_json());
-            } else {
-                eprintln!(
-                    "serve: {} requests in {} batches, {} predictions, \
-                     {} hits / {} misses, p50 {:.3} ms, p95 {:.3} ms, \
-                     p99 {:.3} ms, max {:.3} ms, {:.0} req/s",
-                    stats.requests,
-                    stats.batches,
-                    stats.predictions,
-                    stats.cache_hits,
-                    stats.cache_misses,
-                    stats.p50_ms,
-                    stats.p95_ms,
-                    stats.p99_ms,
-                    stats.max_ms,
-                    stats.requests_per_sec
                 );
             }
         }
