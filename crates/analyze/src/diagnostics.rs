@@ -7,7 +7,7 @@ use crate::source::SourceFile;
 use telemetry::json::JsonObject;
 
 /// One lint finding, fully resolved to a source location.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct Diagnostic {
     /// Lint name (`panic-policy`, `lossy-cast`, …).
     pub lint: &'static str,
@@ -52,10 +52,9 @@ impl Diagnostic {
     }
 
     /// Build a diagnostic from already-resolved parts — the path the
-    /// cross-file passes and the diagnostic cache use, where the
-    /// original `SourceFile` may not be in memory. The content hash is
-    /// recomputed from `lint` + `excerpt`, so a cached finding pins
-    /// waivers exactly like a freshly-lexed one.
+    /// cross-file passes use, where the original `SourceFile` is not in
+    /// memory. The content hash is recomputed from `lint` + `excerpt`,
+    /// so a cross-file finding pins waivers exactly like a per-file one.
     pub(crate) fn from_parts(
         lint: &'static str,
         path: String,

@@ -26,9 +26,8 @@
 //!   shapes an output (deadlines, latency accounting).
 //!
 //! Extraction is per-file and pure ([`extract_facts`] →
-//! [`FileFacts`]), so the diagnostic cache can persist facts alongside
-//! per-file findings and warm runs skip lexing entirely; the passes
-//! ([`check_workspace`]) then run over facts alone, cached or fresh.
+//! [`FileFacts`]); the passes ([`check_workspace`]) then run over
+//! facts alone.
 
 use crate::diagnostics::Diagnostic;
 use crate::lexer::{Token, TokenKind};
@@ -37,7 +36,6 @@ use crate::source::SourceFile;
 use crate::syntax::{self, ItemKind, Vis};
 use crate::waiver::EnvDecl;
 use std::collections::{BTreeMap, BTreeSet};
-use telemetry::json::{self, JsonObject, Value};
 
 /// How a file participates in analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,9 +82,9 @@ pub(crate) fn crate_of(path: &str) -> String {
     "perfpredict".to_string()
 }
 
-/// A resolved source location, self-contained so cached facts can
-/// rebuild byte-identical diagnostics without the file text.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A resolved source location, self-contained so the workspace passes
+/// can build diagnostics without the file text.
+#[derive(Debug)]
 pub struct Site {
     pub line: usize,
     pub col: usize,
@@ -95,7 +93,7 @@ pub struct Site {
 }
 
 /// One public item eligible for `dead-pub-api`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct PubItem {
     pub name: String,
     /// Human label for the message (`fn`, `struct`, …).
@@ -110,14 +108,14 @@ pub struct PubItem {
 }
 
 /// One `env::var("PERFPREDICT_*")` read.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct EnvRead {
     pub name: String,
     pub site: Site,
 }
 
 /// One nondeterminism source reaching library code.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct NondetSite {
     /// What was called (`Instant::now`, `from_entropy`, …).
     pub what: String,
@@ -125,7 +123,7 @@ pub struct NondetSite {
 }
 
 /// Everything the workspace passes need to know about one file.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct FileFacts {
     pub path: String,
     pub crate_name: String,
@@ -584,158 +582,6 @@ fn nondet_source(facts: &[FileFacts], out: &mut Vec<Diagnostic>) {
     }
 }
 
-// ---------------------------------------------------------------------
-// JSON (de)serialization for the diagnostic cache.
-
-fn site_json(s: &Site) -> String {
-    JsonObject::new()
-        .usize("line", s.line)
-        .usize("col", s.col)
-        .usize("len", s.len)
-        .str("excerpt", &s.excerpt)
-        .finish()
-}
-
-fn json_array(items: impl Iterator<Item = String>) -> String {
-    let mut buf = String::from("[");
-    for (i, s) in items.enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        buf.push_str(&s);
-    }
-    buf.push(']');
-    buf
-}
-
-/// Render one file's facts as a single-line JSON object.
-pub(crate) fn facts_to_json(f: &FileFacts) -> String {
-    let role = match f.role {
-        FileRole::Library => "library",
-        FileRole::Binary => "binary",
-        FileRole::Reference => "reference",
-    };
-    JsonObject::new()
-        .str("role", role)
-        .raw(
-            "pub_items",
-            &json_array(f.pub_items.iter().map(|p| {
-                JsonObject::new()
-                    .str("name", &p.name)
-                    .str("kind", &p.kind)
-                    .raw("site", &site_json(&p.site))
-                    .raw(
-                        "sig_refs",
-                        &json_array(
-                            p.sig_refs
-                                .iter()
-                                .map(|r| format!("\"{}\"", json::escape(r))),
-                        ),
-                    )
-                    .finish()
-            })),
-        )
-        .raw(
-            "refs",
-            &json_array(f.refs.iter().map(|r| format!("\"{}\"", json::escape(r)))),
-        )
-        .raw(
-            "macro_refs",
-            &json_array(
-                f.macro_refs
-                    .iter()
-                    .map(|r| format!("\"{}\"", json::escape(r))),
-            ),
-        )
-        .raw(
-            "env_reads",
-            &json_array(f.env_reads.iter().map(|r| {
-                JsonObject::new()
-                    .str("name", &r.name)
-                    .raw("site", &site_json(&r.site))
-                    .finish()
-            })),
-        )
-        .raw(
-            "nondet",
-            &json_array(f.nondet.iter().map(|n| {
-                JsonObject::new()
-                    .str("what", &n.what)
-                    .raw("site", &site_json(&n.site))
-                    .finish()
-            })),
-        )
-        .finish()
-}
-
-fn site_from_json(v: &Value) -> Option<Site> {
-    Some(Site {
-        line: v.get("line")?.as_u64()? as usize,
-        col: v.get("col")?.as_u64()? as usize,
-        len: v.get("len")?.as_u64()? as usize,
-        excerpt: v.get("excerpt")?.as_str()?.to_string(),
-    })
-}
-
-fn arr(v: &Value) -> Option<&[Value]> {
-    match v {
-        Value::Arr(items) => Some(items),
-        _ => None,
-    }
-}
-
-/// Rebuild facts from [`facts_to_json`] output. `None` on any shape
-/// mismatch — the caller treats that as a cache miss.
-pub(crate) fn facts_from_json(path: &str, v: &Value) -> Option<FileFacts> {
-    let role = match v.get("role")?.as_str()? {
-        "library" => FileRole::Library,
-        "binary" => FileRole::Binary,
-        "reference" => FileRole::Reference,
-        _ => return None,
-    };
-    let mut f = FileFacts {
-        path: path.to_string(),
-        crate_name: crate_of(path),
-        role,
-        pub_items: Vec::new(),
-        refs: Vec::new(),
-        macro_refs: Vec::new(),
-        env_reads: Vec::new(),
-        nondet: Vec::new(),
-    };
-    for p in arr(v.get("pub_items")?)? {
-        let mut sig_refs = Vec::new();
-        for r in arr(p.get("sig_refs")?)? {
-            sig_refs.push(r.as_str()?.to_string());
-        }
-        f.pub_items.push(PubItem {
-            name: p.get("name")?.as_str()?.to_string(),
-            kind: p.get("kind")?.as_str()?.to_string(),
-            site: site_from_json(p.get("site")?)?,
-            sig_refs,
-        });
-    }
-    for r in arr(v.get("refs")?)? {
-        f.refs.push(r.as_str()?.to_string());
-    }
-    for r in arr(v.get("macro_refs")?)? {
-        f.macro_refs.push(r.as_str()?.to_string());
-    }
-    for r in arr(v.get("env_reads")?)? {
-        f.env_reads.push(EnvRead {
-            name: r.get("name")?.as_str()?.to_string(),
-            site: site_from_json(r.get("site")?)?,
-        });
-    }
-    for n in arr(v.get("nondet")?)? {
-        f.nondet.push(NondetSite {
-            what: n.get("what")?.as_str()?.to_string(),
-            site: site_from_json(n.get("site")?)?,
-        });
-    }
-    Some(f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -904,20 +750,5 @@ pub fn dead() {}
             .find(|d| d.message.contains("PERFPREDICT_GONE"))
             .expect("stale decl");
         assert_eq!((stale.path.as_str(), stale.line), ("analyze.toml", 12));
-    }
-
-    #[test]
-    fn facts_round_trip_through_json() {
-        let src = "\
-pub fn api(n: u64) -> f64 { n as f64 }
-pub fn clock() -> std::time::Instant { std::time::Instant::now() }
-pub fn knob() -> bool { std::env::var(\"PERFPREDICT_X\").is_ok() }
-";
-        let f = facts("crates/x/src/lib.rs", src);
-        let line = facts_to_json(&f);
-        assert!(!line.contains('\n'), "cache records are single-line");
-        let v = json::parse(&line).expect("facts JSON parses");
-        let back = facts_from_json("crates/x/src/lib.rs", &v).expect("facts deserialize");
-        assert_eq!(f, back);
     }
 }

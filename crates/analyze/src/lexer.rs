@@ -6,11 +6,10 @@
 //! lex to the end of input, and bytes that fit no rule become one-byte
 //! [`TokenKind::Punct`] tokens. Totality is what lets the lint driver
 //! run over arbitrary (even mid-edit) source without a recovery story,
-//! and it is property-tested in `tests/lexer_prop.rs`.
+//! and it is property-tested in `tests/prop.rs`.
 //!
 //! The surface covered is exactly what the lint passes need to be
-//! comment- and string-blind where `scripts/lint-unwrap.sh`'s awk was
-//! not: raw strings with any `#` count, byte and raw-byte strings,
+//! comment- and string-blind: raw strings with any `#` count, byte and raw-byte strings,
 //! char vs. lifetime disambiguation, raw identifiers (`r#match`),
 //! nested block comments, and numeric literals with suffixes.
 

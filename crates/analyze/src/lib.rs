@@ -1,15 +1,14 @@
 //! `analyze` — perfpredict's workspace-native static-analysis engine.
 //!
-//! PRs 2–4 bought three hard invariants: no panicking escape hatches in
-//! library code (everything fallible returns the typed `fault::Error`),
-//! deterministic numerics (total float orderings, byte-identical serve
-//! output for any worker count), and no silent narrowing casts. This
-//! crate is what *enforces* them. It replaces the comment-blind,
-//! single-line awk heuristic in `scripts/lint-unwrap.sh` with a real
-//! lexer ([`lexer`]: raw strings, nested block comments, char vs.
-//! lifetime disambiguation, spans that exactly tile the input) plus
-//! `#[cfg(test)]` region tracking ([`regions`]), and runs seven lint
-//! passes over the token stream ([`lints`]):
+//! The workspace holds three hard invariants: no panicking escape
+//! hatches in library code (everything fallible returns the typed
+//! `fault::Error`), deterministic numerics (total float orderings,
+//! byte-identical serve output for any worker count), and no silent
+//! narrowing casts. This crate is what *enforces* them: a real lexer
+//! ([`lexer`]: raw strings, nested block comments, char vs. lifetime
+//! disambiguation, spans that exactly tile the input) plus
+//! `#[cfg(test)]` region tracking ([`regions`]), and seven lint passes
+//! over the token stream ([`lints`]):
 //!
 //! | lint | invariant |
 //! |---|---|
@@ -29,9 +28,7 @@
 //! under it changes. The analyzer is self-hosting: CI runs it over this
 //! workspace (including this crate) with zero unwaived findings.
 
-pub mod cache;
 pub mod diagnostics;
-pub mod fix;
 pub mod index;
 pub mod lexer;
 pub mod lints;
@@ -39,23 +36,16 @@ pub mod regions;
 pub mod source;
 pub mod syntax;
 pub mod waiver;
-pub mod walk;
+mod walk;
 
-use cache::{Cache, CachedFile};
 use diagnostics::Diagnostic;
 use fault::{Error, Result};
-use index::{FileFacts, FileRole};
+use index::FileRole;
+use lexer::Token;
 use lints::{FileCx, LINTS};
 use source::SourceFile;
 use std::path::{Path, PathBuf};
 use waiver::{Config, Waiver};
-
-/// Knobs for a workspace analysis run.
-#[derive(Debug, Default)]
-pub struct AnalyzeOptions {
-    /// Diagnostic cache path (`--cache`). `None` disables caching.
-    pub cache_path: Option<PathBuf>,
-}
 
 /// Outcome of analyzing a set of files.
 pub struct Report {
@@ -69,10 +59,6 @@ pub struct Report {
     pub waived_diagnostics: Vec<Diagnostic>,
     /// Files scanned (lintable files; reference files not included).
     pub files: usize,
-    /// Files served from the diagnostic cache this run.
-    pub cache_hits: usize,
-    /// Files lexed/parsed/analyzed from scratch this run.
-    pub cache_misses: usize,
 }
 
 impl Report {
@@ -85,8 +71,13 @@ impl Report {
 /// Run every lint pass over one in-memory file. The building block for
 /// both the driver and the fixture tests.
 pub fn analyze_source(file: &SourceFile, is_main: bool) -> Vec<Diagnostic> {
-    let tokens = lexer::lex(&file.text);
-    let cx = FileCx::new(file, &tokens, is_main);
+    lint_tokens(file, &lexer::lex(&file.text), is_main)
+}
+
+/// The per-file pass loop: every lint over one lexed file, findings in
+/// (line, col) order.
+fn lint_tokens(file: &SourceFile, tokens: &[Token], is_main: bool) -> Vec<Diagnostic> {
+    let cx = FileCx::new(file, tokens, is_main);
     let mut out = Vec::new();
     for (_, pass) in LINTS {
         pass(&cx, &mut out);
@@ -97,8 +88,7 @@ pub fn analyze_source(file: &SourceFile, is_main: bool) -> Vec<Diagnostic> {
 
 /// Analyze `files` (paths under `root`), applying `waivers`. Explicit
 /// file lists run the seven per-file passes only — the three workspace
-/// passes need the whole file set and run in
-/// [`analyze_workspace_with`].
+/// passes need the whole file set and run in [`analyze_workspace`].
 ///
 /// Waiver semantics: a waiver matches every finding with the same
 /// `(lint, path, line)` whose content hash agrees. A hash mismatch or
@@ -108,13 +98,8 @@ pub fn analyze_source(file: &SourceFile, is_main: bool) -> Vec<Diagnostic> {
 pub fn analyze_files(root: &Path, files: &[PathBuf], waivers: &[Waiver]) -> Result<Report> {
     let mut findings = Vec::new();
     for path in files {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| Error::io(path.display().to_string(), e))?;
-        let rel = relative_path(root, path);
-        // Binary entry points (src/main.rs and src/bin/*.rs) own their
-        // process and may call `std::process::exit`.
-        let is_main = rel.ends_with("src/main.rs") || rel.contains("src/bin/");
-        let file = SourceFile::new(rel, text);
+        let file = read_source(root, path)?;
+        let is_main = index::role_of(&file.path) == FileRole::Binary;
         findings.extend(analyze_source(&file, is_main));
     }
     let mut report = apply_waivers(findings, waivers);
@@ -122,101 +107,38 @@ pub fn analyze_files(root: &Path, files: &[PathBuf], waivers: &[Waiver]) -> Resu
     Ok(report)
 }
 
-/// Convenience: discover the workspace's lint roots under `root`, load
-/// `<root>/analyze.toml` if present, and analyze everything — all ten
-/// passes, no cache.
+/// The full workspace pipeline: discover the lint roots under `root`,
+/// load `<root>/analyze.toml` if present, run the per-file lints and
+/// fact extraction over the lintable set, fact-only extraction over
+/// the reference set (tests/benches/examples), the three cross-file
+/// passes, and waiver matching.
 pub fn analyze_workspace(root: &Path) -> Result<Report> {
-    analyze_workspace_with(root, &AnalyzeOptions::default())
-}
-
-/// The full workspace pipeline: per-file lints + fact extraction over
-/// the lintable set, fact-only extraction over the reference set
-/// (tests/benches/examples), the three cross-file passes, waiver
-/// matching, and — when [`AnalyzeOptions::cache_path`] is set — the
-/// incremental diagnostic cache.
-///
-/// The cache stores *pre-waiver* findings and facts keyed by file
-/// content hash; waiver matching and the workspace passes re-run from
-/// facts every time. That split is what guarantees a warm run's output
-/// is byte-identical to a cold run: cached or not, the reporting
-/// pipeline sees the same inputs.
-pub fn analyze_workspace_with(root: &Path, options: &AnalyzeOptions) -> Result<Report> {
     let files = walk::workspace_files(root)?;
     let ref_files = walk::reference_files(root)?;
     let config = load_config(root)?;
 
-    let mut cache = match &options.cache_path {
-        Some(p) => Cache::load(p),
-        None => Cache::default(),
-    };
-    let (mut hits, mut misses) = (0usize, 0usize);
-    let mut findings: Vec<Diagnostic> = Vec::new();
-    let mut facts: Vec<FileFacts> = Vec::new();
-    let mut live_paths: Vec<String> = Vec::new();
-
+    let mut findings = Vec::new();
+    let mut facts = Vec::new();
     for path in files.iter().chain(ref_files.iter()) {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| Error::io(path.display().to_string(), e))?;
-        let rel = relative_path(root, path);
-        let role = index::role_of(&rel);
-        let content_hash = cache::file_hash(&text);
-        live_paths.push(rel.clone());
-        if let Some(entry) = cache.lookup(&rel, &content_hash) {
-            hits += 1;
-            findings.extend(entry.findings.iter().cloned());
-            facts.push(entry.facts.clone());
-            continue;
-        }
-        misses += 1;
-        let file = SourceFile::new(rel.clone(), text);
+        let file = read_source(root, path)?;
+        let role = index::role_of(&file.path);
         let tokens = lexer::lex(&file.text);
         // Reference files feed the index only; lint passes never see
         // them (harness code plays by looser rules).
-        let file_findings = if role == FileRole::Reference {
-            Vec::new()
-        } else {
-            let cx = FileCx::new(&file, &tokens, role == FileRole::Binary);
-            let mut out = Vec::new();
-            for (_, pass) in LINTS {
-                pass(&cx, &mut out);
-            }
-            out.sort_by_key(|d| (d.line, d.col));
-            out
-        };
-        let file_facts = index::extract_facts(&file, &tokens, role);
-        findings.extend(file_findings.iter().cloned());
-        facts.push(file_facts.clone());
-        cache.insert(
-            rel,
-            CachedFile {
-                content_hash,
-                findings: file_findings,
-                facts: file_facts,
-            },
-        );
+        if role != FileRole::Reference {
+            findings.extend(lint_tokens(&file, &tokens, role == FileRole::Binary));
+        }
+        facts.push(index::extract_facts(&file, &tokens, role));
     }
 
     findings.extend(index::check_workspace(&facts, &config.envs, "analyze.toml"));
-    // One deterministic global order before waiver matching, so cold
-    // and warm runs (and any cache state in between) render
-    // byte-identically.
+    // One deterministic global order before waiver matching, so the
+    // rendered output is byte-stable run over run.
     findings
         .sort_by(|a, b| (&a.path, a.line, a.col, a.lint).cmp(&(&b.path, b.line, b.col, b.lint)));
 
-    if let Some(p) = &options.cache_path {
-        cache.retain_paths(&|path| live_paths.iter().any(|l| l == path));
-        cache.save(p)?;
-    }
-    telemetry::counter_add("analyze.cache.hit", u64::try_from(hits).unwrap_or(u64::MAX));
-    telemetry::counter_add(
-        "analyze.cache.miss",
-        u64::try_from(misses).unwrap_or(u64::MAX),
-    );
-
     let mut report = apply_waivers(findings, &config.waivers);
     report.files = files.len();
-    report.cache_hits = hits;
-    report.cache_misses = misses;
     Ok(report)
 }
 
@@ -277,8 +199,6 @@ fn apply_waivers(findings: Vec<Diagnostic>, waivers: &[Waiver]) -> Report {
         waived: waived_diagnostics.len(),
         waived_diagnostics,
         files: 0,
-        cache_hits: 0,
-        cache_misses: 0,
     }
 }
 
@@ -312,6 +232,13 @@ fn stale_waiver_diag(w: &Waiver, message: String) -> Diagnostic {
         excerpt: "[[waiver]]".into(),
         hash: w.hash.clone(),
     }
+}
+
+/// Read `path` as a [`SourceFile`] named by its workspace-relative path.
+fn read_source(root: &Path, path: &Path) -> Result<SourceFile> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| Error::io(path.display().to_string(), e))?;
+    Ok(SourceFile::new(relative_path(root, path), text))
 }
 
 /// Workspace-relative path with `/` separators.

@@ -43,17 +43,6 @@ pub const LINTS: &[(&str, LintFn)] = &[
 /// machinery and count toward the full lint set in `--list-lints`.
 pub const WORKSPACE_PASSES: &[&str] = &["dead-pub-api", "env-registry", "nondet-source"];
 
-/// Map a lint name parsed back out of JSON (diagnostic cache records)
-/// to its `'static` registry string. `None` means the cache was
-/// written by a different lint set and must be treated as a miss.
-pub(crate) fn static_lint_name(name: &str) -> Option<&'static str> {
-    LINTS
-        .iter()
-        .map(|(n, _)| *n)
-        .chain(WORKSPACE_PASSES.iter().copied())
-        .find(|n| *n == name)
-}
-
 /// Everything a pass needs to inspect one file.
 pub struct FileCx<'a> {
     /// The file (path, text, line index).

@@ -77,13 +77,6 @@ pub struct Config {
     pub envs: Vec<EnvDecl>,
 }
 
-/// Parse the waiver file text into waivers only — the historical
-/// surface, kept for callers that lint ad-hoc file lists where the env
-/// registry does not apply.
-pub fn parse(text: &str, source_name: &str) -> Result<Vec<Waiver>> {
-    parse_config(text, source_name).map(|c| c.waivers)
-}
-
 /// Parse the full config: `[[waiver]]` and `[[env]]` tables. Strict:
 /// unknown keys, missing keys, empty/TODO reasons and docs, and
 /// malformed lines are `Error::InvalidInput`.
@@ -327,7 +320,9 @@ reason = "k is a column index, bounded by Table::width() <= 64"
 
     #[test]
     fn parses_a_valid_entry() {
-        let w = parse(GOOD, "analyze.toml").expect("fixture parses");
+        let w = parse_config(GOOD, "analyze.toml")
+            .expect("fixture parses")
+            .waivers;
         assert_eq!(w.len(), 1);
         assert_eq!(w[0].lint, "lossy-cast");
         assert_eq!(w[0].line, 42);
@@ -340,25 +335,34 @@ reason = "k is a column index, bounded by Table::width() <= 64"
             "reason = \"k is a column index, bounded by Table::width() <= 64\"",
             "",
         );
-        assert!(parse(&no_reason, "t").is_err(), "missing reason must fail");
+        assert!(
+            parse_config(&no_reason, "t").is_err(),
+            "missing reason must fail"
+        );
         let todo = GOOD.replace(
             "k is a column index, bounded by Table::width() <= 64",
             "TODO",
         );
-        assert!(parse(&todo, "t").is_err(), "TODO reason must fail");
+        assert!(parse_config(&todo, "t").is_err(), "TODO reason must fail");
     }
 
     #[test]
     fn rejects_bad_hash_and_unknown_keys() {
         let bad_hash = GOOD.replace("0123456789abcdef", "xyz");
-        assert!(parse(&bad_hash, "t").is_err(), "non-hex hash must fail");
+        assert!(
+            parse_config(&bad_hash, "t").is_err(),
+            "non-hex hash must fail"
+        );
         let unknown = GOOD.replace("line = 42", "spam = 42");
-        assert!(parse(&unknown, "t").is_err(), "unknown key must fail");
+        assert!(
+            parse_config(&unknown, "t").is_err(),
+            "unknown key must fail"
+        );
     }
 
     #[test]
     fn rejects_keys_outside_a_table() {
-        assert!(parse("lint = \"x\"\n", "t").is_err());
+        assert!(parse_config("lint = \"x\"\n", "t").is_err());
     }
 
     #[test]
@@ -420,7 +424,9 @@ reason = "k is a column index, bounded by Table::width() <= 64"
     fn escaped_backslash_reason_round_trips() {
         let text = "[[waiver]]\nlint = \"lossy-cast\"\npath = \"c/x.rs\"\nline = 1\n\
                     hash = \"0123456789abcdef\"\nreason = \"ends with \\\\\" # cmt\n";
-        let w = parse(text, "t").expect("escaped backslash before closing quote parses");
+        let w = parse_config(text, "t")
+            .expect("escaped backslash before closing quote parses")
+            .waivers;
         assert_eq!(w[0].reason, "ends with \\");
     }
 }

@@ -15,7 +15,7 @@ use fault::{Error, Result};
 use std::path::{Path, PathBuf};
 
 /// All `.rs` files under the default lint roots of `root`, sorted.
-pub fn workspace_files(root: &Path) -> Result<Vec<PathBuf>> {
+pub(crate) fn workspace_files(root: &Path) -> Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let root_src = root.join("src");
     if root_src.is_dir() {

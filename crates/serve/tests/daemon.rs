@@ -6,6 +6,8 @@
 //! slow consumers — and pin the *termination contract*: every exit path
 //! maps to its documented exit code, and every admitted frame gets
 //! exactly one typed response no matter what the injector does.
+//! Two property tests extend the contract to arbitrary byte and fragment
+//! soup through `Daemon::replay`.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::{Arc, Mutex};
@@ -13,6 +15,7 @@ use std::time::Duration;
 
 use dse::faultinject;
 use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
+use proptest::prelude::*;
 use serve::{Daemon, DaemonConfig, Registry, RegistryConfig};
 
 fn write_artifact(dir: &std::path::Path, file: &str) -> String {
@@ -102,18 +105,29 @@ fn injected_garbage_and_torn_tail_get_typed_responses_then_clean_eof() {
     assert_eq!(stats.invalid, 2, "garbage + torn tail each counted");
 }
 
+/// `Daemon::replay` of raw `input` bytes under `config`, with the artifact
+/// at `path` preloaded as the only model.
+fn replay(
+    path: &str,
+    config: DaemonConfig,
+    input: &[u8],
+) -> (fault::Result<serve::DaemonStats>, Vec<u8>) {
+    let mut registry = Registry::new(RegistryConfig::default());
+    registry.load("m", path).expect("load artifact");
+    let mut daemon = Daemon::new(config, registry).expect("daemon config");
+    let mut out = Vec::new();
+    let result = daemon.replay(input, &mut out);
+    (result, out)
+}
+
 /// One-shot `serve`: replay `input` through a daemon with the artifact at
 /// `path` preloaded, at the one-shot default window.
 fn one_shot(path: &str, input: &str) -> (fault::Result<serve::DaemonStats>, String) {
-    let mut registry = Registry::new(RegistryConfig::default());
-    registry.load("m", path).expect("load artifact");
     let config = DaemonConfig {
         window: 256,
         ..DaemonConfig::default()
     };
-    let mut daemon = Daemon::new(config, registry).expect("daemon config");
-    let mut out = Vec::new();
-    let result = daemon.replay(input.as_bytes(), &mut out);
+    let (result, out) = replay(path, config, input.as_bytes());
     (
         result,
         String::from_utf8(out).expect("response stream is UTF-8"),
@@ -319,4 +333,112 @@ fn slow_consumer_sheds_typed_overloaded_responses() {
         "queue bound respected: {stats:?}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Whole frames a clean replay answers: predicts (routed, unrouted,
+/// numeric id), status, and a zero deadline. None unloads, reloads or
+/// shuts down the model, so a clean replay answers every frame.
+const WHOLE_FRAMES: &[&[u8]] = &[
+    b"{\"x\":150}\n",
+    b"{\"id\":\"q\",\"x\":175}\n",
+    b"{\"op\":\"predict\",\"model\":\"m\",\"x\":200}\n",
+    b"{\"op\":\"status\"}\n",
+    b"{\"x\":125,\"deadline_ms\":0}\n",
+    b"{\"id\":7,\"x\":100}\n",
+];
+
+/// Fragments spliced between whole frames: JSON pieces that glue into
+/// malformed or half-formed frames, line breaks and blanks, multi-byte
+/// and invalid UTF-8, and a run long enough to overflow the soup's
+/// 64-byte frame limit.
+const FRAGMENTS: &[&[u8]] = &[
+    b"{\"model\":\"nope\",\"x\":1}",
+    b"{\"op\":\"bogus\"}",
+    b"{\"x\":\"wide\"}",
+    b"{\"deadline_ms\":-1}",
+    b"{",
+    b"}",
+    b"\"x\"",
+    b":",
+    b",",
+    b"150",
+    b"-2.5e3",
+    b"1e999",
+    b"null",
+    b"[",
+    b"]",
+    b"\"",
+    b"\\",
+    b"\n",
+    b"\n\n",
+    b"\r\n",
+    b" ",
+    b"\t",
+    "\u{e9}".as_bytes(),
+    "\u{1F980}".as_bytes(),
+    b"\xff",
+    b"\xc3",
+    b"\0",
+    &[b'x'; 80],
+];
+
+/// The frames `input` holds, as `Daemon::replay` cuts them: newline-split,
+/// blank and whitespace-only lines skipped.
+fn frame_count(input: &[u8]) -> usize {
+    String::from_utf8_lossy(input)
+        .split('\n')
+        .filter(|line| !line.trim().is_empty())
+        .count()
+}
+
+/// The replay termination contract for one input: `Ok` with exactly one
+/// response line per frame, or a typed error with exit code 2.
+fn assert_replay_contract(input: &[u8]) {
+    static ARTIFACT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+    let path = ARTIFACT.get_or_init(|| write_artifact(&tmpdir("frame-soup"), "m.ppmodel"));
+    let config = DaemonConfig {
+        max_frame_bytes: 64,
+        ..cfg()
+    };
+    match replay(path, config, input) {
+        (Ok(_), out) => {
+            let out = String::from_utf8(out).expect("response stream is UTF-8");
+            let lines: Vec<&str> = out.lines().collect();
+            assert_eq!(
+                lines.len(),
+                frame_count(input),
+                "one response line per frame for {input:?}: {lines:?}"
+            );
+            assert!(
+                lines.iter().all(|l| l.starts_with("{\"id\":\"")),
+                "{lines:?}"
+            );
+        }
+        (Err(e), _) => assert_eq!(e.exit_code(), 2, "{e} for {input:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Whole frames with a fragment soup spliced in at any frame
+    /// boundary replay to one response per frame or a typed exit-2
+    /// error, never a panic.
+    #[test]
+    fn replay_is_total_over_fragment_soup(
+        frames in prop::collection::vec(prop::sample::select(WHOLE_FRAMES.to_vec()), 0..16),
+        soup in prop::collection::vec(prop::sample::select(FRAGMENTS.to_vec()), 0..6),
+        at in 0usize..16,
+    ) {
+        let at = at.min(frames.len());
+        let input = [&frames[..at], &soup[..], &frames[at..]].concat().concat();
+        assert_replay_contract(&input);
+    }
+
+    /// The same contract over raw byte soup: no structure at all.
+    #[test]
+    fn replay_is_total_over_byte_soup(bytes in prop::collection::vec(0u32..256, 0..160)) {
+        let input: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+        assert_replay_contract(&input);
+    }
 }
