@@ -15,6 +15,7 @@ use crate::trace::{Inst, ReplaySource, TraceGenerator};
 use crate::workload::Benchmark;
 use fault::Result;
 use linalg::dist::child_seed;
+use telemetry::default_workers;
 
 /// Options controlling a simulation run.
 #[derive(Debug, Clone, Copy)]
@@ -188,7 +189,7 @@ pub fn simulate(benchmark: Benchmark, config: CpuConfig, opts: &SimOptions) -> S
 /// core, with an optional checkpoint for resume.
 ///
 /// This is [`crate::shard::try_sweep_sharded`] at
-/// [`crate::shard::default_workers`]: results come back in design-space
+/// [`telemetry::default_workers`]: results come back in design-space
 /// order, byte-identical under [`crate::shard::merged_jsonl`] to any other
 /// worker count. Without a checkpoint the sweep has no failure modes.
 ///
@@ -206,7 +207,7 @@ pub fn try_sweep_design_space(
     opts: &SimOptions,
     checkpoint: Option<&str>,
 ) -> Result<SweepOutcome> {
-    shard::try_sweep_sharded(space, benchmark, opts, shard::default_workers(), checkpoint)
+    shard::try_sweep_sharded(space, benchmark, opts, default_workers(), checkpoint)
 }
 
 /// Per-benchmark summary line of a sweep, matching §4.1's

@@ -3,8 +3,8 @@
 //! Every sweep entry point — a whole space at the default worker count
 //! ([`crate::runner::try_sweep_design_space`]), a whole space at a chosen
 //! worker count ([`try_sweep_sharded`]), or a sparse set of indices
-//! ([`try_simulate_indices`]) — runs through the same executor: N scoped
-//! workers claim design-space indices one at a time from an atomic cursor
+//! ([`try_simulate_indices`]) — runs through the same executor: N
+//! [`telemetry::par_map`] workers claim design-space indices one at a time
 //! and replay one shared materialized trace.
 //!
 //! With a ledger, [`open_ledger`] checks (or writes) the header and
@@ -21,7 +21,7 @@
 //! tests and CI can assert exactly that.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::config::DesignSpace;
 use crate::core::PipelineStats;
@@ -29,6 +29,7 @@ use crate::runner::{self, SimOptions, SimResult};
 use crate::workload::Benchmark;
 use fault::checkpoint::{self, CheckpointWriter};
 use fault::{Error, Result};
+use telemetry::default_workers;
 use telemetry::json::{JsonObject, Value};
 
 /// Outcome of a sweep: the results plus how much of the work was restored
@@ -173,12 +174,6 @@ pub fn merged_jsonl(results: &[SimResult]) -> String {
     out
 }
 
-/// Worker count of a sweep that does not choose one: every available
-/// core (the executor caps it by the amount of work).
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |p| p.get())
-}
-
 /// Sweep every configuration of `space` on `workers` threads, resuming
 /// from and appending to the ledger at `ledger` when one is given.
 ///
@@ -279,12 +274,13 @@ fn sweep(
     })
 }
 
-/// The executor: simulate the distinct indices `todo` on up to `workers`
-/// scoped threads that claim one index at a time from a shared cursor,
-/// all replaying one materialized trace. Each finished configuration is
-/// timed into `sim/config_ns`, ticks the `sweep` progress bar, and is
-/// appended to `writer` when one is given. Results come back in `todo`
-/// order.
+/// The executor: simulate the distinct indices `todo` through
+/// [`telemetry::par_map`] on up to `workers` threads, all replaying one
+/// materialized trace. Each finished configuration is timed into
+/// `sim/config_ns`, ticks the `sweep` progress bar, and is appended to
+/// `writer` when one is given; once an append fails, the configurations
+/// not yet started are skipped and the error is returned. Results come
+/// back in `todo` order.
 fn execute(
     space: &DesignSpace,
     benchmark: Benchmark,
@@ -295,49 +291,35 @@ fn execute(
 ) -> Result<Vec<SimResult>> {
     let (traces, weights) = runner::materialize(benchmark, opts);
     let progress = telemetry::Progress::new("sweep", todo.len() as u64);
-    let cursor = AtomicUsize::new(0);
-    let work = || -> Result<Vec<(usize, SimResult)>> {
-        let mut local = Vec::new();
-        loop {
-            let k = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&idx) = todo.get(k) else {
-                return Ok(local);
-            };
-            let config = space.config_at(idx);
-            let t_sim = telemetry::enabled().then(std::time::Instant::now);
-            let result = runner::run_windows(config, benchmark, &traces, &weights, opts.seed);
-            if let Some(t) = t_sim {
-                telemetry::hist_observe_ns("sim/config_ns", t.elapsed());
-            }
-            if let Some(w) = writer {
-                if result.cycles.is_finite() {
-                    w.append_record(&sim_record(idx, &result))?;
-                } else {
-                    // Non-finite cycles round-trip as JSON null, which
-                    // would corrupt resume; re-simulate instead.
-                    telemetry::point!("sweep/skip_checkpoint", idx);
-                }
-            }
-            progress.inc();
-            local.push((k, result));
+    let failed = AtomicBool::new(false);
+    let results = telemetry::par_map(todo.len(), workers, |k| -> Result<Option<SimResult>> {
+        if failed.load(Ordering::Relaxed) {
+            return Ok(None);
         }
-    };
-    let parts: Vec<Result<Vec<(usize, SimResult)>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(todo.len()))
-            .map(|_| scope.spawn(work))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+        let idx = todo[k];
+        let config = space.config_at(idx);
+        let t_sim = telemetry::enabled().then(std::time::Instant::now);
+        let result = runner::run_windows(config, benchmark, &traces, &weights, opts.seed);
+        if let Some(t) = t_sim {
+            telemetry::hist_observe_ns("sim/config_ns", t.elapsed());
+        }
+        if let Some(w) = writer {
+            if !result.cycles.is_finite() {
+                // Non-finite cycles round-trip as JSON null, which
+                // would corrupt resume; re-simulate instead.
+                telemetry::point!("sweep/skip_checkpoint", idx);
+            } else if let Err(e) = w.append_record(&sim_record(idx, &result)) {
+                failed.store(true, Ordering::Relaxed);
+                return Err(e);
+            }
+        }
+        progress.inc();
+        Ok(Some(result))
     });
-    let mut slots: Vec<Option<SimResult>> = vec![None; todo.len()];
-    for part in parts {
-        for (k, result) in part? {
-            slots[k] = Some(result);
-        }
-    }
-    Ok(slots.into_iter().flatten().collect())
+    // Only a failed append skips a configuration, so every result is
+    // present once no error is.
+    let results = results.into_iter().collect::<Result<Vec<_>>>()?;
+    Ok(results.into_iter().flatten().collect())
 }
 
 #[cfg(test)]

@@ -117,11 +117,6 @@ impl<'a> ReplaySource<'a> {
         }
     }
 
-    /// Instructions remaining.
-    pub fn remaining(&self) -> usize {
-        self.insts.len() - self.pos
-    }
-
     #[inline]
     fn next_wp_u64(&mut self) -> u64 {
         // xorshift64*.

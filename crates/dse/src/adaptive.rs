@@ -26,7 +26,6 @@ use linalg::dist::{child_seed, seeded_rng};
 use linalg::stats::{mape, std_dev};
 use mlmodels::{try_train, ModelKind, Table, TrainedModel};
 use rand::Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Largest space the explorer will score or evaluate exhaustively. Past
@@ -433,16 +432,15 @@ pub fn try_run_adaptive(
         }
 
         // Query-by-committee: train the committee on the acquired sample.
-        let committee: Vec<TrainedModel> = (0..cfg.committee)
-            .into_par_iter()
-            .map(|m| {
-                try_train(
-                    cfg.member,
-                    &train_table,
-                    child_seed(cfg.seed, streams::committee(round, m)),
-                )
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let committee = telemetry::par_map(cfg.committee, telemetry::default_workers(), |m| {
+            try_train(
+                cfg.member,
+                &train_table,
+                child_seed(cfg.seed, streams::committee(round, m)),
+            )
+        })
+        .into_iter()
+        .collect::<Result<Vec<TrainedModel>>>()?;
 
         // Candidate pool: everything unacquired, or a seeded cap of it.
         let acquired_set: HashSet<usize> = acquired.iter().copied().collect();
@@ -466,10 +464,11 @@ pub fn try_run_adaptive(
         // decoded lazily and never simulated unless selected.
         let cand_configs: Vec<CpuConfig> = candidates.iter().map(|&i| space.config_at(i)).collect();
         let cand_table = try_table_from_configs(&cand_configs)?;
-        let predictions: Vec<Vec<f64>> = committee
-            .par_iter()
-            .map(|m| m.try_predict(&cand_table))
-            .collect::<Result<Vec<_>>>()?;
+        let predictions = telemetry::par_map(committee.len(), telemetry::default_workers(), |m| {
+            committee[m].try_predict(&cand_table)
+        })
+        .into_iter()
+        .collect::<Result<Vec<Vec<f64>>>>()?;
 
         let mut disagreement: Vec<(usize, f64)> = candidates
             .iter()

@@ -14,7 +14,6 @@ use linalg::stats::mape;
 use mlmodels::crossval::{try_estimate_error, Dropped, ErrorEstimate};
 use mlmodels::importance::{importance, Importance};
 use mlmodels::{try_train, ModelKind};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use specdata::{AnnouncementSet, ProcessorFamily};
 
@@ -149,11 +148,9 @@ pub fn try_run_chronological(family: ProcessorFamily, cfg: &ChronoConfig) -> Res
 
     let progress = telemetry::Progress::new("chronological", cfg.models.len() as u64);
     type Outcome = std::result::Result<(ChronoPoint, Option<mlmodels::TrainedModel>), Dropped>;
-    let outcomes: Vec<Result<Outcome>> = cfg
-        .models
-        .par_iter()
-        .enumerate()
-        .map(|(mi, &kind)| {
+    let outcomes: Vec<Result<Outcome>> =
+        telemetry::par_map(cfg.models.len(), telemetry::default_workers(), |mi| {
+            let kind = cfg.models[mi];
             let _model_span =
                 telemetry::span!("model", model = kind.abbrev(), family = family.name());
             let seed = child_seed(cfg.seed, mi as u64);
@@ -208,8 +205,7 @@ pub fn try_run_chronological(family: ProcessorFamily, cfg: &ChronoConfig) -> Res
                 },
                 keep_model.then_some(model),
             )))
-        })
-        .collect();
+        });
 
     let mut points = Vec::new();
     let mut dropped = Vec::new();

@@ -25,7 +25,7 @@ use crate::{Error, Result};
 /// Serialized writer appending JSON lines to a checkpoint file.
 ///
 /// Clones of the underlying handle are not taken; concurrent producers
-/// (rayon workers) share one writer behind its internal mutex, and each
+/// (`par_map` workers) share one writer behind its internal mutex, and each
 /// append is written and flushed atomically with respect to the others.
 pub struct CheckpointWriter {
     path: String,

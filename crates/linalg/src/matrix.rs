@@ -5,19 +5,9 @@
 //! contiguous `Vec<f64>` storage, bounds-checked accessors, and cache-friendly
 //! `i-k-j` multiplication loops (the perf-book idiom for naive GEMM).
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
-
-/// Output rows per tile in the parallel matrix kernels. Each tile is an
-/// independent unit of work; 64 rows keeps the per-tile working set inside
-/// L2 for the design-matrix widths this workspace sees.
-const TILE_ROWS: usize = 64;
-
-/// Multiply–add count below which the tiled kernels stay serial: thread
-/// spawn costs more than the arithmetic saves on small operands.
-const PAR_MIN_FLOPS: usize = 1 << 16;
 
 /// Dense row-major matrix of `f64`.
 #[derive(Clone, PartialEq, Serialize, Deserialize)]
@@ -138,57 +128,46 @@ impl Matrix {
     }
 
     /// Matrix product `self * other` using the cache-friendly i-k-j loop
-    /// order (streams through rows of both operands). Large products are
-    /// split into independent row tiles evaluated on rayon workers; each
-    /// output element accumulates in the same k-ascending order either
-    /// way, so the result is bit-identical to the serial loop.
+    /// order (streams through rows of both operands); each output element
+    /// accumulates in k-ascending order.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul: inner dimensions differ ({}x{} * {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        let flops = self.rows * self.cols * other.cols;
-        row_tiled(self.rows, other.cols, flops, |r0, buf| {
-            let out_cols = other.cols;
-            for (ti, i) in (r0..).zip(0..buf.len() / out_cols) {
-                let a_row = self.row(ti);
-                let o_row = &mut buf[i * out_cols..(i + 1) * out_cols];
-                for (k, &a_ik) in a_row.iter().enumerate() {
-                    if a_ik == 0.0 {
-                        continue;
-                    }
-                    axpy(a_ik, other.row(k), o_row);
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        for i in 0..self.rows {
+            let o_row = out.row_mut(i);
+            for (k, &a_ik) in self.row(i).iter().enumerate() {
+                if a_ik == 0.0 {
+                    continue;
                 }
+                axpy(a_ik, other.row(k), o_row);
             }
-        })
+        }
+        out
     }
 
     /// `selfᵀ * other` without materializing the transpose: both operands
     /// are streamed row by row, accumulating rank-one contributions in
     /// row-index-ascending order — the exact order a per-sample gradient
     /// loop accumulates, which keeps batched backprop bit-identical to the
-    /// per-sample reference. Tiled over *output* rows for parallelism.
+    /// per-sample reference.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn: row counts differ ({}x{} vs {}x{})",
             self.rows, self.cols, other.rows, other.cols
         );
-        let flops = self.rows * self.cols * other.cols;
-        row_tiled(self.cols, other.cols, flops, |r0, buf| {
-            let out_cols = other.cols;
-            let tile_rows = buf.len() / out_cols;
-            for i in 0..self.rows {
-                let a_row = self.row(i);
-                let b_row = other.row(i);
-                for t in 0..tile_rows {
-                    let a_io = a_row[r0 + t];
-                    let o_row = &mut buf[t * out_cols..(t + 1) * out_cols];
-                    axpy(a_io, b_row, o_row);
-                }
+        let mut out = Matrix::zeros(self.cols, other.cols);
+        for i in 0..self.rows {
+            let b_row = other.row(i);
+            for (o, &a_io) in self.row(i).iter().enumerate() {
+                axpy(a_io, b_row, out.row_mut(o));
             }
-        })
+        }
+        out
     }
 
     /// Batched affine layer map: `out[i][o] = bias[o] + Σ_k self[i][k] *
@@ -204,21 +183,18 @@ impl Matrix {
             self.rows, self.cols, w.rows, w.cols
         );
         assert_eq!(w.rows, bias.len(), "affine_nt: bias length mismatch");
-        let flops = self.rows * self.cols * w.rows;
-        row_tiled(self.rows, w.rows, flops, |r0, buf| {
-            let out_cols = w.rows;
-            for (ti, i) in (r0..).zip(0..buf.len() / out_cols) {
-                let a_row = self.row(ti);
-                let o_row = &mut buf[i * out_cols..(i + 1) * out_cols];
-                for (o, out) in o_row.iter_mut().enumerate() {
-                    let mut s = bias[o];
-                    for (&a, &wv) in a_row.iter().zip(w.row(o)) {
-                        s += wv * a;
-                    }
-                    *out = s;
+        let mut out = Matrix::zeros(self.rows, w.rows);
+        for i in 0..self.rows {
+            let a_row = self.row(i);
+            for (o, slot) in out.row_mut(i).iter_mut().enumerate() {
+                let mut s = bias[o];
+                for (&a, &wv) in a_row.iter().zip(w.row(o)) {
+                    s += wv * a;
                 }
+                *slot = s;
             }
-        })
+        }
+        out
     }
 
     /// Matrix–vector product `self * v`.
@@ -350,46 +326,6 @@ impl fmt::Debug for Matrix {
         }
         write!(f, "]")
     }
-}
-
-/// Evaluate a matrix kernel over independent tiles of output rows.
-///
-/// `fill(r0, buf)` must write output rows `r0 .. r0 + buf.len() / out_cols`
-/// into the zero-initialized row-major `buf`. Small jobs (under
-/// [`PAR_MIN_FLOPS`] multiply–adds) run as one serial tile; large ones fan
-/// out one tile per [`TILE_ROWS`] rows across rayon workers and stitch the
-/// buffers back in order. Tiling never changes any output element's
-/// accumulation order, only which thread computes it.
-fn row_tiled(
-    out_rows: usize,
-    out_cols: usize,
-    flops: usize,
-    fill: impl Fn(usize, &mut [f64]) + Sync,
-) -> Matrix {
-    if out_rows == 0 || out_cols == 0 {
-        return Matrix::zeros(out_rows, out_cols);
-    }
-    if flops < PAR_MIN_FLOPS || out_rows <= TILE_ROWS {
-        let mut data = vec![0.0; out_rows * out_cols];
-        fill(0, &mut data);
-        return Matrix::from_vec(out_rows, out_cols, data);
-    }
-    let n_tiles = out_rows.div_ceil(TILE_ROWS);
-    let tiles: Vec<Vec<f64>> = (0..n_tiles)
-        .into_par_iter()
-        .map(|t| {
-            let r0 = t * TILE_ROWS;
-            let r1 = ((t + 1) * TILE_ROWS).min(out_rows);
-            let mut buf = vec![0.0; (r1 - r0) * out_cols];
-            fill(r0, &mut buf);
-            buf
-        })
-        .collect();
-    let mut data = Vec::with_capacity(out_rows * out_cols);
-    for tile in tiles {
-        data.extend_from_slice(&tile);
-    }
-    Matrix::from_vec(out_rows, out_cols, data)
 }
 
 /// Dot product of two equal-length slices, summed left to right from

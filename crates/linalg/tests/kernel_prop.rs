@@ -6,8 +6,8 @@
 //!
 //! Shapes cover 0, 1, and sizes either side of a 4-wide vector lane, so
 //! any future vectorized kernel must keep its remainder handling exact;
-//! one larger case crosses the parallel-tiling threshold so the rayon
-//! path is checked against the same references.
+//! one larger case checks operands of realistic training size against the
+//! same references.
 
 use linalg::matrix::{dot, Matrix};
 use proptest::prelude::*;
@@ -175,25 +175,24 @@ fn one_by_one_and_empty_shapes_match_reference() {
     }
 }
 
-/// A case above the tiled kernels' parallel threshold (2^16 multiply-adds)
-/// with more output rows than one 64-row tile, so the rayon-tiled path
-/// runs and must still match the serial references bit for bit.
+/// A case above 2^16 multiply-adds with more than 64 output rows, which
+/// must still match the serial references bit for bit.
 #[test]
 fn tiled_shapes_match_reference() {
     let (m, k, n) = (150, 40, 30);
     assert!(m * k * n > 1 << 16 && m > 64);
     let a = Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 7) as f64).sin());
     let b = Matrix::from_fn(k, n, |i, j| ((i * 13 + j * 3) as f64).cos());
-    assert_bits_eq(&a.matmul(&b), &ref_matmul(&a, &b), "matmul(tiled)");
+    assert_bits_eq(&a.matmul(&b), &ref_matmul(&a, &b), "matmul(large)");
 
-    // matmul_tn tiles over its output rows, which are `a`'s columns.
+    // matmul_tn's output rows are `a`'s columns.
     let at = Matrix::from_fn(k, m, |i, j| ((i * 17 + j * 5) as f64).sin());
     let bt = Matrix::from_fn(k, 2 * n, |i, j| ((i * 11 + j * 2) as f64).cos());
     assert!(k * m * 2 * n > 1 << 16);
     assert_bits_eq(
         &at.matmul_tn(&bt),
         &ref_matmul_tn(&at, &bt),
-        "matmul_tn(tiled)",
+        "matmul_tn(large)",
     );
 
     let w = Matrix::from_fn(n, k, |i, j| ((i * 7 + j) as f64).cos() * 0.3);
@@ -201,6 +200,6 @@ fn tiled_shapes_match_reference() {
     assert_bits_eq(
         &a.affine_nt(&w, &bias),
         &ref_affine_nt(&a, &w, &bias),
-        "affine_nt(tiled)",
+        "affine_nt(large)",
     );
 }

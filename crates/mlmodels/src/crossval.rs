@@ -14,7 +14,6 @@ use crate::table::Table;
 use fault::{Error, Result};
 use linalg::dist::{child_seed, permutation, seeded_rng};
 use linalg::stats::mape;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Number of random splits (the paper uses five).
@@ -64,9 +63,8 @@ pub fn try_estimate_error(kind: ModelKind, table: &Table, seed: u64) -> Result<E
     } else {
         None
     };
-    let errors: Vec<Result<f64>> = (0..N_SPLITS)
-        .into_par_iter()
-        .map(|s| {
+    let errors: Vec<Result<f64>> =
+        telemetry::par_map(N_SPLITS, telemetry::default_workers(), |s| {
             let _span = telemetry::span!("fold", model = kind.abbrev(), split = s);
             let split_seed = child_seed(seed, 0xCE + s as u64);
             let mut rng = seeded_rng(split_seed);
@@ -90,8 +88,7 @@ pub fn try_estimate_error(kind: ModelKind, table: &Table, seed: u64) -> Result<E
             let preds = model.try_predict(&te)?;
             let (m, _) = mape(&preds, te.target());
             Ok(m)
-        })
-        .collect();
+        });
     let errors = errors.into_iter().collect::<Result<Vec<f64>>>()?;
     let mean = linalg::stats::mean(&errors);
     let max = errors.iter().cloned().fold(0.0f64, f64::max);
@@ -114,9 +111,9 @@ pub fn estimate_all_fallible(
     table: &Table,
     seed: u64,
 ) -> (Vec<(ModelKind, ErrorEstimate)>, Vec<Dropped>) {
-    let results: Vec<(ModelKind, Result<ErrorEstimate>)> = kinds
-        .par_iter()
-        .map(|&k| {
+    let results: Vec<(ModelKind, Result<ErrorEstimate>)> =
+        telemetry::par_map(kinds.len(), telemetry::default_workers(), |i| {
+            let k = kinds[i];
             (
                 k,
                 try_estimate_error(
@@ -125,8 +122,7 @@ pub fn estimate_all_fallible(
                     child_seed(seed, k.abbrev().len() as u64 * 31 + k as u64),
                 ),
             )
-        })
-        .collect();
+        });
     let mut estimates = Vec::new();
     let mut dropped = Vec::new();
     for (kind, r) in results {
@@ -201,39 +197,36 @@ pub fn try_kfold_error(kind: ModelKind, table: &Table, k: usize, seed: u64) -> R
     };
     let mut rng = seeded_rng(child_seed(seed, 0xF0_1D));
     let perm = permutation(&mut rng, n);
-    let errors: Vec<Result<f64>> = (0..k)
-        .into_par_iter()
-        .map(|fold| {
-            let _span = telemetry::span!("fold", model = kind.abbrev(), fold = fold, k = k);
-            let test_rows: Vec<usize> = perm
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % k == fold)
-                .map(|(_, &r)| r)
-                .collect();
-            let train_rows: Vec<usize> = perm
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| i % k != fold)
-                .map(|(_, &r)| r)
-                .collect();
-            let tr = table.select_rows(&train_rows);
-            let te = table.select_rows(&test_rows);
-            let t_fit = telemetry::enabled().then(std::time::Instant::now);
-            let model = try_train_cached(
-                kind,
-                &tr,
-                child_seed(seed, fold as u64),
-                cache.as_ref(),
-                &test_rows,
-            )?;
-            if let Some(t) = t_fit {
-                telemetry::hist_observe_ns("train/fold_fit_ns", t.elapsed());
-            }
-            let (m, _) = mape(&model.try_predict(&te)?, te.target());
-            Ok(m)
-        })
-        .collect();
+    let errors: Vec<Result<f64>> = telemetry::par_map(k, telemetry::default_workers(), |fold| {
+        let _span = telemetry::span!("fold", model = kind.abbrev(), fold = fold, k = k);
+        let test_rows: Vec<usize> = perm
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % k == fold)
+            .map(|(_, &r)| r)
+            .collect();
+        let train_rows: Vec<usize> = perm
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| i % k != fold)
+            .map(|(_, &r)| r)
+            .collect();
+        let tr = table.select_rows(&train_rows);
+        let te = table.select_rows(&test_rows);
+        let t_fit = telemetry::enabled().then(std::time::Instant::now);
+        let model = try_train_cached(
+            kind,
+            &tr,
+            child_seed(seed, fold as u64),
+            cache.as_ref(),
+            &test_rows,
+        )?;
+        if let Some(t) = t_fit {
+            telemetry::hist_observe_ns("train/fold_fit_ns", t.elapsed());
+        }
+        let (m, _) = mape(&model.try_predict(&te)?, te.target());
+        Ok(m)
+    });
     let errors = errors.into_iter().collect::<Result<Vec<f64>>>()?;
     Ok(linalg::stats::mean(&errors))
 }

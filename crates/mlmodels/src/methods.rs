@@ -23,7 +23,6 @@ use crate::nn::{restart_seed, Mlp, TrainAlgo, TrainConfig};
 use fault::{Error, Result};
 use linalg::dist::{child_seed, permutation, seeded_rng};
 use linalg::Matrix;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// Neural-network training method selector.
@@ -324,16 +323,14 @@ fn train_nn_inner(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Resul
                 seed,
                 ..Default::default()
             };
-            let cands: Vec<Result<(Mlp, f64, u64)>> = topologies
-                .par_iter()
-                .enumerate()
-                .map(|(k, h)| {
+            let cands: Vec<Result<(Mlp, f64, u64)>> =
+                telemetry::par_map(topologies.len(), telemetry::default_workers(), |k| {
+                    let h = &topologies[k];
                     let mut c = cfg;
                     c.seed = child_seed(seed, k as u64);
                     let (net, val) = fit_candidate(h, &xt, &yt, &xv, &yv, &c)?;
                     Ok((net, val, c.seed))
-                })
-                .collect();
+                });
             let mut best: Option<(Mlp, f64, u64)> = None;
             let mut reasons: Vec<(String, String)> = Vec::new();
             for (k, cand) in cands.into_iter().enumerate() {
@@ -385,9 +382,8 @@ fn prune_driver(
         (p.clamp(6, 24), 350, 80, 1, 1.01)
     };
 
-    let attempts: Vec<Result<(u64, Option<Mlp>)>> = (0..restarts)
-        .into_par_iter()
-        .map(|r| {
+    let attempts: Vec<Result<(u64, Option<Mlp>)>> =
+        telemetry::par_map(restarts, telemetry::default_workers(), |r| {
             let rseed = restart_seed(seed, r as u64);
             let cfg = TrainConfig {
                 epochs,
@@ -492,8 +488,7 @@ fn prune_driver(
                 }
             }
             Ok((rseed, Some(net)))
-        })
-        .collect();
+        });
 
     // Keep the restart with the best validation error, then retrain on all
     // rows under that restart's seed — the pruned topology was shaped by

@@ -2,11 +2,11 @@
 //!
 //! One call to [`predict_window`] is the whole hot path of the serving
 //! layer: probe the LRU surrogate cache, deduplicate the misses by
-//! canonical key, run one matrix-form prediction sharded across scoped
-//! worker threads, and fill every window slot. Row `i`'s arithmetic
-//! never reads any other row, so the outcome is bit-identical for any
-//! worker count — the property both the replay golden test and the soak
-//! harness's 1-vs-N comparison rely on.
+//! canonical key, run one matrix-form prediction sharded across
+//! [`telemetry::par_map`] workers, and fill every window slot. Row `i`'s
+//! arithmetic never reads any other row, so the outcome is bit-identical
+//! for any worker count — the property both the replay golden test and
+//! the soak harness's 1-vs-N comparison rely on.
 //!
 //! Keeping this a pure function of `(artifact, cache, requests)` keeps
 //! the daemon's framing, deadlines and degraded-mode policy out of it:
@@ -30,40 +30,16 @@ pub(crate) struct WindowOutcome {
     pub batches: u64,
 }
 
-/// Shard `requests` across `workers` scoped threads through the
-/// compiled predictor. Each request's prediction reads only its own
-/// cells (and for networks, `affine_nt` computes each output row from
-/// its own input row), so the concatenated result is bit-identical to
-/// one `predict_requests` call for every worker count.
+/// Split `requests` into at most `workers` contiguous chunks and predict
+/// them through [`telemetry::par_map`]. Each request's prediction reads
+/// only its own cells (and for networks, `affine_nt` computes each output
+/// row from its own input row), so the concatenated result is
+/// bit-identical to one `predict_requests` call for every worker count.
 fn predict_sharded(model: &CompiledModel, requests: &[&Request], workers: usize) -> Vec<f64> {
-    let n = requests.len();
-    let workers = workers.min(n).max(1);
-    if workers == 1 {
-        return model.predict_requests(requests);
-    }
-    let chunk = n.div_ceil(workers);
-    let mut out = vec![0.0; n];
-    std::thread::scope(|scope| {
-        let mut remaining: &mut [f64] = &mut out;
-        let mut start = 0;
-        let mut handles = Vec::with_capacity(workers);
-        while start < n {
-            let len = chunk.min(n - start);
-            let (slot, rest) = remaining.split_at_mut(len);
-            remaining = rest;
-            let part = &requests[start..start + len];
-            handles.push(scope.spawn(move || {
-                slot.copy_from_slice(&model.predict_requests(part));
-            }));
-            start += len;
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-    });
-    out
+    let chunks: Vec<&[&Request]> = requests
+        .chunks(requests.len().div_ceil(workers).max(1))
+        .collect();
+    telemetry::par_map(chunks.len(), workers, |c| model.predict_requests(chunks[c])).concat()
 }
 
 /// Serve one window of validated requests: cache probe, in-window

@@ -93,7 +93,7 @@ impl Default for DaemonConfig {
         DaemonConfig {
             window: 64,
             queue_cap: 256,
-            workers: std::thread::available_parallelism().map_or(1, usize::from),
+            workers: telemetry::default_workers(),
             deadline_ms: None,
             max_frame_bytes: 1 << 20,
             default_model: None,

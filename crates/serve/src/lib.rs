@@ -19,7 +19,7 @@
 //!   [`Daemon::run_socket`] are the long-lived daemon: a reader thread
 //!   feeds a bounded admission queue. Both serve each window the same
 //!   way — cache misses are deduplicated and predicted in matrix form by
-//!   a scoped worker pool sharded by row index, so output is
+//!   `telemetry::par_map` workers over contiguous row chunks, so output is
 //!   bit-identical whether one thread runs or eight do, and responses
 //!   come back in request order with one write per window.
 //! * [`registry`] — the hosted models and their versions, with

@@ -1,5 +1,5 @@
-//! Sharded counters and float gauges, correct under rayon-style
-//! fork/join parallelism.
+//! Sharded counters and float gauges, correct under fork/join
+//! parallelism such as [`par_map`](crate::par_map).
 //!
 //! A [`ShardedCounter`] spreads increments across 16 cache-line-aligned
 //! atomic shards indexed by a per-thread hash, so parallel workers rarely

@@ -21,7 +21,7 @@
 //! * [`Histogram`] — plain counts, for single-owner accumulation and
 //!   for merging worker-local results.
 //! * [`AtomicHistogram`] — relaxed atomic counts, used by the telemetry
-//!   registry so rayon-parallel callers can observe concurrently; a
+//!   registry so parallel workers can observe concurrently; a
 //!   [`AtomicHistogram::snapshot`] materializes a plain [`Histogram`].
 //!
 //! Quantiles return the *upper bound* of the bucket holding the ranked
@@ -307,7 +307,7 @@ impl Histogram {
 }
 
 /// The registry-resident histogram: identical layout, relaxed-atomic
-/// counts so rayon workers observe without locking. Addition commutes,
+/// counts so parallel workers observe without locking. Addition commutes,
 /// so a post-join [`AtomicHistogram::snapshot`] is deterministic for a
 /// deterministic set of observations regardless of thread interleaving.
 pub struct AtomicHistogram {

@@ -10,7 +10,7 @@
 //! A *run* is installed process-globally with [`install`]; while it is
 //! active, [`span!`] guards time hierarchical stages, [`counter_add`] /
 //! [`gauge_set`] / [`gauge_max`] accumulate named metrics (counters are
-//! sharded for rayon-parallel callers), [`hist_observe_ns`] /
+//! sharded across threads), [`hist_observe_ns`] /
 //! [`hist_merge`] feed bounded-memory streaming latency histograms
 //! ([`hist`]), [`point!`] records instantaneous events, and
 //! [`Progress`] throttles per-item ticks to decile updates. With
@@ -18,6 +18,8 @@
 //! per-path self/total-time profile ([`profile`]), and the
 //! [`report`] module compares a finished manifest against committed
 //! `BENCH_*.json` baselines (`perfpredict perf-report`).
+//! [`par_map`] is the workspace's one way to fan work out to threads: its
+//! workers inherit the caller's span path and report their busy time.
 //! Every event is fanned out to the configured [`Sink`]s: a console sink
 //! whose verbosity comes from `PERFPREDICT_LOG` (or the CLI `--trace`
 //! flag) and a JSON-lines manifest sink (`--metrics-out <path>`).
@@ -52,12 +54,14 @@ pub mod profile;
 pub mod report;
 
 mod counters;
+mod par;
 mod progress;
 mod sink;
 mod span;
 
 pub(crate) use counters::{Gauge, ShardedCounter};
 pub use hist::{AtomicHistogram, Histogram};
+pub use par::{default_workers, par_map};
 pub use profile::ProfileEntry;
 pub use progress::Progress;
 pub use sink::{ConsoleLevel, Event, RunSummary};

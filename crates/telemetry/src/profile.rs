@@ -7,13 +7,13 @@
 //! `sampled_dse/rate/model/fit`): call count, total wall time, and
 //! *self* time — total minus the time spent in child spans.
 //!
-//! Children close before their parent on the same thread, and a span
-//! opened on a rayon worker thread starts a fresh ancestry there, so
-//! attributing each closing span's wall time to its textual parent path
-//! is exact per thread and additive across threads. Self time is
-//! computed as a saturating subtraction: overlapping child time from
-//! concurrently-reused paths can only make a parent look *busier*,
-//! never produce negative self time.
+//! Children close before their parent, and a span opened on a
+//! [`par_map`](crate::par_map) worker closes under the path of the span
+//! that called `par_map`, so each closing span's wall time is attributed
+//! to its real parent. Children on several workers can together outlast
+//! their parent; self time is therefore a saturating subtraction, which
+//! keeps summed self time within wall time × worker count and never
+//! produces negative self time.
 //!
 //! The aggregate is emitted two ways at run end: `profile` records in
 //! the JSONL manifest (one per path) and, for humans,

@@ -2,10 +2,11 @@
 //!
 //! A [`SpanGuard`] measures the wall time between its creation and drop
 //! and emits a `span` event with its slash-joined ancestry path. Nesting
-//! is tracked per thread with a thread-local name stack, so concurrent
-//! rayon workers each get their own hierarchy. Guards are scope-bound:
-//! create them with the [`span!`](crate::span) macro, bind to a local
-//! (`let _span = span!(...)`), and let them drop in LIFO order.
+//! is tracked per thread with a thread-local name stack; a
+//! [`par_map`](crate::par_map) worker starts from a copy of its caller's
+//! stack, so its spans close under the caller's path. Guards are
+//! scope-bound: create them with the [`span!`](crate::span) macro, bind to
+//! a local (`let _span = span!(...)`), and let them drop in LIFO order.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -14,6 +15,17 @@ use crate::sink::Event;
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The calling thread's open span names, outermost first.
+pub(crate) fn stack() -> Vec<&'static str> {
+    SPAN_STACK.with(|stack| stack.borrow().clone())
+}
+
+/// Replace the calling thread's span stack (a fresh worker adopting its
+/// caller's ancestry).
+pub(crate) fn set_stack(names: Vec<&'static str>) {
+    SPAN_STACK.with(|stack| *stack.borrow_mut() = names);
 }
 
 struct ActiveSpan {

@@ -1,10 +1,8 @@
-//! Counter correctness under rayon-style parallelism.
+//! Counter correctness under `par_map` parallelism.
 //!
 //! Lives in its own integration-test binary because it installs the
 //! process-global telemetry run; sharing a process with other
 //! install/finish tests would race on the global state.
-
-use rayon::prelude::*;
 
 #[test]
 fn parallel_counter_increments_are_not_lost() {
@@ -13,17 +11,13 @@ fn parallel_counter_increments_are_not_lost() {
 
     const TASKS: usize = 64;
     const PER_TASK: u64 = 5_000;
-    let results: Vec<u64> = (0..TASKS)
-        .collect::<Vec<_>>()
-        .par_iter()
-        .map(|_| {
-            for _ in 0..PER_TASK {
-                telemetry::counter_add("merge/hits", 1);
-            }
-            telemetry::counter_add("merge/tasks", 1);
-            PER_TASK
-        })
-        .collect();
+    let results = telemetry::par_map(TASKS, telemetry::default_workers(), |_| {
+        for _ in 0..PER_TASK {
+            telemetry::counter_add("merge/hits", 1);
+        }
+        telemetry::counter_add("merge/tasks", 1);
+        PER_TASK
+    });
     assert_eq!(results.len(), TASKS);
 
     telemetry::gauge_max("merge/peak", 3.0);

@@ -20,7 +20,7 @@
 //! | [`specdata`] | synthetic SPEC CPU2000 announcement database (32 parameters, seven processor families, 1999-2006 trends) |
 //! | [`mlmodels`] | the nine Clementine models + NN-S: OLS with Enter/Forward/Backward/Stepwise selection, MLP networks with six training methods, 5×50 % cross-validation |
 //! | [`dse`] | the two workflows: sampled design-space exploration and chronological prediction, plus the *select* method |
-//! | [`telemetry`] | observability: hierarchical timed spans, rayon-safe counters, progress, console + JSON-lines run manifests |
+//! | [`telemetry`] | observability: hierarchical timed spans, thread-safe counters, the workspace's `par_map`, progress, console + JSON-lines run manifests |
 //! | [`error`] (crate `fault`) | typed error hierarchy, process exit codes, and resumable JSONL checkpoints shared by every fallible layer |
 //!
 //! ## Quickstart

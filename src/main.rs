@@ -43,7 +43,6 @@
 //! exceeded (typed per-request rejections in daemon mode), `8` every
 //! model version quarantined — the daemon's fail-closed termination.
 
-use perfpredict::cpusim::shard::default_workers;
 use perfpredict::cpusim::{
     merged_jsonl, simulate, try_sweep_design_space, try_sweep_sharded, Benchmark, CpuConfig,
     DesignSpace, SimOptions, SpaceSpec,
@@ -336,7 +335,7 @@ fn cli() -> Result<()> {
         "sweep" => {
             let b = benchmark_arg(rest)?;
             let space = space_arg(rest)?;
-            let workers: usize = parse_number(rest, "--shards", default_workers())?;
+            let workers: usize = parse_number(rest, "--shards", telemetry::default_workers())?;
             let merged_out = parse_flag(rest, "--merged-out");
             eprintln!("sweeping {} configurations…", space.len());
             let outcome = try_sweep_sharded(
