@@ -1,7 +1,7 @@
 //! Ablation: adaptive (query-by-committee) sampling vs. the paper's
 //! one-shot random sampling at equal simulation budgets.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use cpusim::runner::try_sweep_design_space;
 use cpusim::Benchmark;
 use dse::adaptive::{try_run_adaptive, AdaptiveConfig};
@@ -14,11 +14,10 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner(
+    let (scale, seed, _run) = banner(
         "ablation: adaptive sampling (query-by-committee) vs random",
-        scale,
-    );
+        &[],
+    )?;
 
     let space = scale.space();
     let mut sim = scale.sim_options();

@@ -6,7 +6,7 @@
 //! repetitions, which statistic (mean vs max of the splits) lands closer
 //! to the true error.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use cpusim::runner::try_sweep_design_space;
 use cpusim::Benchmark;
 use dse::data::try_table_from_sweep;
@@ -22,11 +22,10 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner(
+    let (scale, seed, _run) = banner(
         "ablation: estimated-error statistic (mean vs max of 5 splits)",
-        scale,
-    );
+        &[],
+    )?;
 
     let space = scale.space();
     let mut sim = scale.sim_options();

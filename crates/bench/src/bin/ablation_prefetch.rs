@@ -2,7 +2,7 @@
 //! cycles per benchmark with no / next-line / stride prefetching on the
 //! baseline configuration.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use cpusim::core::Core;
 use cpusim::prefetch::PrefetcherKind;
 use cpusim::trace::TraceGenerator;
@@ -15,8 +15,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner("ablation: data prefetchers (library extension)", scale);
+    let (scale, seed, _run) = banner("ablation: data prefetchers (library extension)", &[])?;
 
     let insts = scale.sim_options().instructions;
     let cfg = CpuConfig::baseline();

@@ -6,7 +6,7 @@
 //! compares the paper's uniform-random draw against systematic and
 //! predictor-stratified sampling at 1 % and 3 %.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use cpusim::runner::try_sweep_design_space;
 use cpusim::Benchmark;
 use dse::report::{f, try_render_table};
@@ -19,11 +19,10 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner(
+    let (scale, seed, _run) = banner(
         "ablation: sampling strategy (random vs systematic vs stratified)",
-        scale,
-    );
+        &[],
+    )?;
 
     let space = scale.space();
     let mut sim = scale.sim_options();

@@ -5,7 +5,7 @@
 //! For each benchmark: CPI of (a) a long reference run, (b) the first
 //! interval only, (c) the SimPoint-weighted representative intervals.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use cpusim::core::Core;
 use cpusim::simpoint::analyze;
 use cpusim::trace::{ReplaySource, TraceGenerator};
@@ -38,11 +38,10 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner(
+    let (scale, seed, _run) = banner(
         "ablation: SimPoint interval selection vs first-interval",
-        scale,
-    );
+        &[],
+    )?;
 
     let n_intervals = 16;
     let interval_len = match scale {

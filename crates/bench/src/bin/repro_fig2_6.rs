@@ -5,10 +5,11 @@
 //! Usage: `repro_fig2_6 [--scale quick|medium|full] [--app applu] [--all]`
 //! — `--all` runs all five presented applications (Figures 2 through 6).
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use cpusim::{Benchmark, DesignSpace};
 use dse::report::render_series;
 use dse::sampled::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
+use fault::args::Flag;
 use mlmodels::ModelKind;
 use std::process::ExitCode;
 
@@ -61,24 +62,15 @@ fn run_one(b: Benchmark, space: &DesignSpace, cfg: &SampledConfig) -> fault::Res
     Ok(())
 }
 
+/// This harness's flags besides the common ones.
+const FLAGS: &[Flag] = &[Flag::value("--app", "NAME"), Flag::switch("--all")];
+
 fn main() -> ExitCode {
     bench::exit_status(run())
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, rest) = parse_common_args();
-    let _run = banner("Figures 2–6: sampled design-space exploration", scale);
-
-    let mut app: Option<String> = None;
-    let mut all = false;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--app" => app = it.next().cloned(),
-            "--all" => all = true,
-            other => return Err(fault::Error::invalid(format!("unknown argument '{other}'"))),
-        }
-    }
+    let (scale, seed, run) = banner("Figures 2–6: sampled design-space exploration", FLAGS)?;
 
     let space = scale.space();
     let mut sim = scale.sim_options();
@@ -93,11 +85,11 @@ fn run() -> fault::Result<()> {
         export_models: None,
     };
 
-    let benches: Vec<Benchmark> = if all {
+    let benches: Vec<Benchmark> = if run.args.has("--all") {
         Benchmark::PRESENTED.to_vec()
     } else {
-        let name = app.unwrap_or_else(|| "applu".into());
-        vec![Benchmark::from_name(&name)
+        let name = run.args.value("--app").unwrap_or("applu");
+        vec![Benchmark::from_name(name)
             .ok_or_else(|| fault::Error::invalid(format!("unknown benchmark '{name}'")))?]
     };
     for b in benches {

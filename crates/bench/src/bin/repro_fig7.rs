@@ -2,7 +2,7 @@
 //! predict 2006) for (a) Xeon, (b) Pentium 4, and (c) Pentium D: mean and
 //! standard deviation of the percentage error for all nine models.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use dse::chrono::{try_run_chronological, ChronoConfig};
 use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
@@ -14,11 +14,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner(
-        "Figure 7: chronological predictions (Intel families)",
-        scale,
-    );
+    let (_, seed, _run) = banner("Figure 7: chronological predictions (Intel families)", &[])?;
 
     for (panel, fam) in [
         ("(a)", ProcessorFamily::Xeon),

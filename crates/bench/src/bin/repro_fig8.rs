@@ -1,7 +1,7 @@
 //! Reproduces **Figure 8** — chronological predictions for AMD Opteron
 //! SMP systems with (a) one, (b) two, (c) four, and (d) eight processors.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use dse::chrono::{try_run_chronological, ChronoConfig};
 use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
@@ -13,8 +13,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner("Figure 8: chronological predictions (Opteron SMPs)", scale);
+    let (_, seed, _run) = banner("Figure 8: chronological predictions (Opteron SMPs)", &[])?;
 
     for (panel, fam) in [
         ("(a)", ProcessorFamily::Opteron),

@@ -2,7 +2,7 @@
 //! paper's §4 names both rates ("SPECint2000 rate (and SPECfp2000 rate)")
 //! but presents only the integer rate in §4.3.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use dse::data::{try_table_from_announcements, try_table_from_announcements_fp};
 use dse::report::{f, try_render_table};
 use linalg::stats::mape;
@@ -15,8 +15,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner("§4.3 extension: SPECfp2000 rate prediction", scale);
+    let (_, seed, _run) = banner("§4.3 extension: SPECfp2000 rate prediction", &[])?;
 
     let mut rows = Vec::new();
     for fam in ProcessorFamily::ALL {

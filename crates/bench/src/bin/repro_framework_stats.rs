@@ -6,7 +6,7 @@
 //! * per-family SPEC record counts / rating range / variation
 //!   (paper: Opteron 138/1.40/0.08 … Xeon 216/1.34/0.09).
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use cpusim::runner::{summarize_sweep, try_sweep_design_space};
 use cpusim::Benchmark;
 use dse::report::{f, try_render_table};
@@ -18,8 +18,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner("§4.1 framework statistics", scale);
+    let (scale, seed, _run) = banner("§4.1 framework statistics", &[])?;
     let space = scale.space();
     let mut sim = scale.sim_options();
     sim.seed = seed;

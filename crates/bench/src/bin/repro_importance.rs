@@ -8,7 +8,7 @@
 //! size (0.500) and sharing flags; the regression keeps processor speed
 //! (0.733), L2 size (0.583), memory size, memory frequency, and L1 size.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use dse::chrono::{try_run_chronological, ChronoConfig};
 use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
@@ -20,8 +20,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner("§4.4: predictor importance", scale);
+    let (_, seed, _run) = banner("§4.4: predictor importance", &[])?;
 
     for fam in [ProcessorFamily::Opteron, ProcessorFamily::PentiumD] {
         let cfg = ChronoConfig {

@@ -7,7 +7,7 @@
 //! Trains LR-E and NN-E on each of the twelve SPECint2000 per-application
 //! ratios for 2005 and predicts 2006, per family.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use dse::data::try_table_from_announcements_app;
 use dse::report::{f, try_render_table};
 use linalg::stats::mape;
@@ -21,11 +21,10 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner(
+    let (_, seed, _run) = banner(
         "§4.3 extension: per-application chronological prediction",
-        scale,
-    );
+        &[],
+    )?;
 
     for fam in [ProcessorFamily::Xeon, ProcessorFamily::Opteron2] {
         let set = AnnouncementSet::generate(fam, seed);

@@ -5,7 +5,7 @@
 //! predict Y+1), showing that the LR-over-NN finding is stable over time
 //! and how error shrinks as the database accumulates records.
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use dse::chrono::{try_run_chronological, ChronoConfig};
 use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
@@ -17,11 +17,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner(
-        "§4.3 extension: rolling-year chronological evaluation",
-        scale,
-    );
+    let (_, seed, _run) = banner("§4.3 extension: rolling-year chronological evaluation", &[])?;
 
     for fam in [ProcessorFamily::Xeon, ProcessorFamily::Opteron2] {
         let (y0, y1) = fam.year_span();

@@ -12,11 +12,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, _seed, _rest) = bench::parse_common_args();
-    let _run = bench::banner(
-        "Table 1: configurations used in microprocessor study",
-        scale,
-    );
+    let (_, _, _run) = bench::banner("Table 1: configurations used in microprocessor study", &[])?;
     let rows: Vec<Vec<String>> = vec![
         vec!["L1 Data Cache Size".into(), "16, 32, 64 KB".into()],
         vec!["L1 Data Cache Line Size".into(), "32, 64 B".into()],

@@ -5,7 +5,7 @@
 //! Opteron 2.1 (LR-B/LR-S), Opteron 2 3.1, Opteron 4 3.2, Opteron 8 3.5
 //! (all LR-B/LR-S).
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use dse::chrono::{try_run_chronological, ChronoConfig};
 use dse::report::{f, try_render_table};
 use mlmodels::ModelKind;
@@ -17,8 +17,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner("Table 2: best chronological accuracy per family", scale);
+    let (_, seed, _run) = banner("Table 2: best chronological accuracy per family", &[])?;
 
     let paper: &[(&str, f64, &str)] = &[
         ("Xeon", 2.1, "LR-E"),

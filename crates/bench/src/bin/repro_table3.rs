@@ -12,7 +12,7 @@
 //! Select  3.40  2.60  1.14  0.94  0.88
 //! ```
 
-use bench::{banner, parse_common_args};
+use bench::banner;
 use cpusim::Benchmark;
 use dse::report::{f, try_render_table};
 use dse::sampled::{try_run_sampled_dse, SampledConfig, SamplingStrategy};
@@ -25,8 +25,7 @@ fn main() -> ExitCode {
 }
 
 fn run() -> fault::Result<()> {
-    let (scale, seed, _) = parse_common_args();
-    let _run = banner("Table 3: average sampled-DSE accuracy", scale);
+    let (scale, seed, _run) = banner("Table 3: average sampled-DSE accuracy", &[])?;
 
     let rates = [0.01, 0.02, 0.03, 0.04, 0.05];
     let space = scale.space();

@@ -37,6 +37,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dse::faultinject;
+use fault::args::{Flag, Spec};
 use fault::{Error, Result};
 use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
 use serve::{generate_requests, Daemon, DaemonConfig, DaemonStats, Registry, RegistryConfig};
@@ -430,20 +431,18 @@ fn worker_determinism_pass(path_a: &str, schema_stream: &str) -> Result<bool> {
     Ok(outputs.iter().all(|o| *o == outputs[0]))
 }
 
+/// A duration, and no scale, seed or telemetry.
+const SPEC: Spec<'static> = Spec {
+    usage: "soak_serve",
+    about: "fault-injected soak of the serve daemon",
+    flags: &[&[Flag::value("--secs", "N"), Flag::switch("--quick")]],
+};
+
 fn run() -> Result<()> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut secs: u64 = 150;
-    if args.iter().any(|a| a == "--quick") {
-        secs = 20;
-    }
-    if let Some(i) = args.iter().position(|a| a == "--secs") {
-        let v = args
-            .get(i + 1)
-            .ok_or_else(|| Error::invalid("--secs requires a value"))?;
-        secs = v
-            .parse()
-            .map_err(|_| Error::invalid(format!("--secs expects a number, got '{v}'")))?;
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = fault::args::parse(&SPEC, &argv)?;
+    let quick = if args.has("--quick") { 20 } else { 150 };
+    let secs: u64 = args.num("--secs")?.unwrap_or(quick);
     println!("soak_serve: {secs}s fault-injected soak (p99 SLO {P99_SLO_MS} ms)");
 
     // ── Setup: train two artifacts, save to disk, start the daemon. ──

@@ -11,20 +11,25 @@
 //! * `--scale quick`  — every 16th configuration (288), 30 000 instructions
 //!   (default for smoke runs).
 //!
-//! Every harness also understands the observability flags: `--trace` for
-//! verbose span logging on stderr, `--profile` for a span-tree hot-path
-//! table, and `--metrics-out <path>` for a JSON-lines run manifest.
-//! [`banner`] installs the telemetry run and returns a [`RunGuard`] that
-//! prints a one-line wall-time/counter summary (with latency-histogram
-//! tails) when the harness finishes.
+//! Every harness also understands the observability flags
+//! ([`fault::args::OBSERVE`]): `--trace` for verbose span logging on
+//! stderr, `--profile` for a span-tree hot-path table, and
+//! `--metrics-out <path>` for a JSON-lines run manifest.
 //!
-//! Harness bodies return [`fault::Result`]; [`exit_status`] turns an
-//! error into the same exit status the `perfpredict` CLI uses.
+//! A harness starts with [`banner`]: it checks argv against one table
+//! (`--scale`, `--seed`, the harness's own flags and the observability
+//! flags; anything else is an invalid-input error, exit 2), prints the
+//! header, installs the telemetry run and returns a [`RunGuard`] that
+//! prints a one-line wall-time/counter summary (with latency-histogram
+//! tails) when the harness finishes. Harness bodies return
+//! [`fault::Result`]; [`exit_status`] turns an error into the same exit
+//! status the `perfpredict` CLI uses.
 
 use cpusim::runner::SimOptions;
 use cpusim::DesignSpace;
+use fault::args::{self, Args, Flag, Spec, OBSERVE};
 use std::process::ExitCode;
-use telemetry::{ConsoleLevel, TelemetryConfig};
+use telemetry::TelemetryConfig;
 
 /// Experiment scale presets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,38 +82,31 @@ impl Scale {
     }
 }
 
-/// Parse `--scale <value>` (and `--seed <n>`) from argv; defaults to
-/// `Quick` so casual runs stay fast. Returns (scale, seed, leftover args).
-/// The observability flags (`--trace`, `--metrics-out <path>`) are consumed
-/// here too so they never leak into the leftovers; [`banner`] re-reads them
-/// from argv when installing telemetry.
-pub fn parse_common_args() -> (Scale, u64, Vec<String>) {
-    let mut scale = Scale::Quick;
-    let mut seed = 42u64;
-    let mut rest = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                let v = args.next().expect("--scale needs a value");
-                scale = Scale::parse(&v)
-                    .unwrap_or_else(|| panic!("unknown scale '{v}' (full|medium|quick)"));
-            }
-            "--seed" => {
-                seed = args
-                    .next()
-                    .expect("--seed needs a value")
-                    .parse()
-                    .expect("--seed must be an integer");
-            }
-            "--trace" | "--profile" => {}
-            "--metrics-out" => {
-                let _ = args.next().expect("--metrics-out needs a path");
-            }
-            other => rest.push(other.to_string()),
-        }
-    }
-    (scale, seed, rest)
+/// Flags every harness accepts besides its own and [`OBSERVE`].
+const COMMON: &[Flag] = &[
+    Flag::value("--scale", "full|medium|quick"),
+    Flag::value("--seed", "N"),
+];
+
+/// Check `argv` for harness `name` against `--scale`, `--seed`, `extra`
+/// and [`OBSERVE`]. Returns the scale (default quick, so casual runs stay
+/// fast), the seed, and the parsed arguments.
+fn parse_common_args(
+    name: &str,
+    extra: &'static [Flag],
+    argv: &[String],
+) -> fault::Result<(Scale, u64, Args)> {
+    let spec = Spec {
+        usage: name,
+        about: "",
+        flags: &[COMMON, extra, OBSERVE],
+    };
+    let args = args::parse(&spec, argv)?;
+    let v = args.value("--scale").unwrap_or("quick");
+    let scale = Scale::parse(v)
+        .ok_or_else(|| fault::Error::invalid(format!("unknown scale '{v}' (full|medium|quick)")))?;
+    let seed = args.num("--seed")?.unwrap_or(42);
+    Ok((scale, seed, args))
 }
 
 /// The process exit status for a harness result, mapped the way the
@@ -131,6 +129,8 @@ pub fn exit_status(result: fault::Result<()>) -> ExitCode {
 #[must_use = "bind the guard so the run summary prints when main ends"]
 pub struct RunGuard {
     handle: Option<telemetry::RunHandle>,
+    /// The harness's parsed arguments, for its own flags.
+    pub args: Args,
 }
 
 impl Drop for RunGuard {
@@ -145,42 +145,30 @@ impl Drop for RunGuard {
     }
 }
 
-/// Banner header for every harness. Also installs the telemetry run for
-/// the process — console verbosity from `PERFPREDICT_LOG` or `--trace`, a
-/// JSON-lines manifest when `--metrics-out <path>` is given — and returns
-/// the [`RunGuard`] that finishes it.
-pub fn banner(title: &str, scale: Scale) -> RunGuard {
+/// Start a harness run: check the process argv with
+/// `parse_common_args`, print the banner header, and install the
+/// telemetry run — console verbosity from `PERFPREDICT_LOG` or `--trace`,
+/// a JSON-lines manifest when `--metrics-out <path>` is given (an I/O
+/// error, exit 3, if it cannot be created). Returns the scale, the seed
+/// and the [`RunGuard`] that finishes the run.
+pub fn banner(title: &str, extra: &'static [Flag]) -> fault::Result<(Scale, u64, RunGuard)> {
+    let name = std::env::current_exe()
+        .ok()
+        .and_then(|p| Some(p.file_name()?.to_string_lossy().into_owned()))
+        .unwrap_or_else(|| "bench".to_string());
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (scale, seed, args) = parse_common_args(&name, extra, &argv)?;
     println!("perfpredict reproduction — {title}");
     println!("scale: {scale:?} (use --scale full for the paper-fidelity run)\n");
 
-    let label = std::env::current_exe()
-        .ok()
-        .and_then(|p| p.file_name().map(|n| n.to_string_lossy().into_owned()))
-        .unwrap_or_else(|| "bench".to_string());
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut cfg = TelemetryConfig::new(label)
-        .meta("title", title)
-        .meta("scale", format!("{scale:?}"))
-        .meta("args", args.join(" "));
-    if args.iter().any(|a| a == "--trace") {
-        cfg = cfg.console(ConsoleLevel::Debug);
-    }
-    if args.iter().any(|a| a == "--profile") {
-        cfg = cfg.profile(true);
-    }
-    if let Some(i) = args.iter().position(|a| a == "--metrics-out") {
-        if let Some(path) = args.get(i + 1) {
-            cfg = cfg.jsonl(path);
-        }
-    }
-    let handle = match telemetry::install(cfg) {
-        Ok(h) => Some(h),
-        Err(e) => {
-            eprintln!("cannot open metrics file: {e}");
-            std::process::exit(2);
-        }
-    };
-    RunGuard { handle }
+    let cfg = args.telemetry(
+        TelemetryConfig::new(name)
+            .meta("title", title)
+            .meta("scale", format!("{scale:?}"))
+            .meta("args", argv.join(" ")),
+    );
+    let handle = Some(args::install(cfg)?);
+    Ok((scale, seed, RunGuard { handle, args }))
 }
 
 #[cfg(test)]
@@ -205,5 +193,31 @@ mod tests {
     #[test]
     fn sim_options_scale_instructions() {
         assert!(Scale::Full.sim_options().instructions > Scale::Quick.sim_options().instructions);
+    }
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn harness_args_default_to_quick_and_reject_misuse() {
+        let (scale, seed, _) = parse_common_args("h", &[], &[]).expect("empty argv");
+        assert_eq!((scale, seed), (Scale::Quick, 42));
+        const ALL: &[Flag] = &[Flag::switch("--all")];
+        let (scale, seed, args) =
+            parse_common_args("h", ALL, &argv("--all --scale full --seed 7 --trace"))
+                .expect("valid argv");
+        assert_eq!((scale, seed), (Scale::Full, 7));
+        assert!(args.has("--all") && args.has("--trace"));
+        for bad in [
+            "--scael full",
+            "--scale",
+            "--scale huge",
+            "--seed x",
+            "--all",
+        ] {
+            let e = parse_common_args("h", &[], &argv(bad)).expect_err(bad);
+            assert_eq!(e.exit_code(), 2, "{bad}: {e}");
+        }
     }
 }

@@ -19,7 +19,10 @@
 //! * [`checkpoint`] — append-only JSONL checkpoint files shared by the
 //!   simulator sweep and the sampled-DSE model fits, tolerant of a
 //!   truncated final line (the signature a `kill -9` leaves behind).
+//! * [`args`] — the table-driven argv parser of the CLI verbs and the
+//!   harnesses: any misuse is [`Error::InvalidInput`], exit 2.
 
+pub mod args;
 pub mod checkpoint;
 
 use std::fmt;

@@ -59,3 +59,5 @@ pub use mlmodels;
 pub use serve;
 pub use specdata;
 pub use telemetry;
+
+pub mod cli;

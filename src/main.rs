@@ -1,48 +1,9 @@
-//! `perfpredict` — command-line front end for the library.
-//!
-//! ```text
-//! perfpredict simulate  <benchmark>                 one configuration, full stats
-//! perfpredict sweep     <benchmark> [--step N]      design-space sweep summary over a
-//!                       [--space S] [--shards N]    named space (table1, smoke, mega)
-//!                       [--merged-out F]            on N workers
-//! perfpredict adaptive  <benchmark> [--initial N]   query-by-committee active learning
-//!                       [--batch N] [--rounds N]    with lazy simulation
-//! perfpredict sampled   <benchmark> [--rate pct]    sampled-DSE experiment
-//! perfpredict chrono    <family>    [--year Y]      chronological prediction
-//! perfpredict export-model <benchmark> [--model K]  train + save a .ppmodel artifact
-//! perfpredict serve     <model.ppmodel>             batched JSONL replay (stdin or --input)
-//! perfpredict serve     --daemon [--preload n=p]…   long-lived multi-model daemon
-//! perfpredict gen-requests <model.ppmodel>          synthetic JSONL workload
-//! perfpredict perf-report --current <file>          compare metrics vs baselines
-//! perfpredict families                              list SPEC populations
-//! perfpredict benchmarks                            list workloads
-//! ```
-//!
-//! Observability flags (any command):
-//!
-//! * `--trace` — verbose span/point logging to stderr (same as
-//!   `PERFPREDICT_LOG=debug`).
-//! * `--profile` — aggregate the span tree into a per-path self/total
-//!   hot-path table on stderr at exit.
-//! * `--metrics-out <path>` — write a JSON-lines run manifest with per-stage
-//!   wall times, per-model train/predict timings, latency histograms, and
-//!   cache/bpred counter rollups.
-//! * `--json` — machine-readable result on stdout (simulate / sampled /
-//!   chrono).
-//! * `--checkpoint <path>` — (sweep / sampled) append completed work to a
-//!   JSONL checkpoint and resume from it on restart; a killed run loses at
-//!   most the work in flight.
-//! * `--export-models <dir>` — (sampled / chrono) save every freshly
-//!   trained model into `<dir>` as a versioned `.ppmodel` artifact.
-//!
-//! Exit codes: `0` success, `2` invalid usage/input (including daemon
-//! protocol violations: oversized or non-UTF-8 frames), `3` I/O failure,
-//! `4` corrupt checkpoint or model artifact, `5` numerical failure
-//! (singular system, divergence, degenerate data, no viable model),
-//! `6` perf-report regression verdict, `7` overloaded / deadline
-//! exceeded (typed per-request rejections in daemon mode), `8` every
-//! model version quarantined — the daemon's fail-closed termination.
+//! `perfpredict` — command-line front end for the library. Each verb's
+//! positionals and flags are one table in [`perfpredict::cli`]; run it
+//! without arguments for the usage text rendered from those tables.
+//! Exit codes are the `fault::Error::exit_code` table (DESIGN.md §7).
 
+use perfpredict::cli::{self, DAEMON_ONLY};
 use perfpredict::cpusim::{
     merged_jsonl, simulate, try_sweep_design_space, try_sweep_sharded, Benchmark, CpuConfig,
     DesignSpace, SimOptions, SpaceSpec,
@@ -54,6 +15,7 @@ use perfpredict::dse::report::{f, render_trajectory, try_render_table};
 use perfpredict::dse::sampled::{
     draw_sample, try_run_sampled_dse, SampledConfig, SamplingStrategy,
 };
+use perfpredict::error::args::{self, Args};
 use perfpredict::error::{Error, Result};
 use perfpredict::mlmodels::{self, ModelArtifact, ModelKind};
 use perfpredict::serve::{generate_requests, Daemon, DaemonConfig, Registry, RegistryConfig};
@@ -61,119 +23,17 @@ use perfpredict::specdata::ProcessorFamily;
 use perfpredict::telemetry::{self, json::JsonObject, ConsoleLevel, TelemetryConfig};
 
 fn usage() -> ! {
-    eprintln!(
-        "usage: perfpredict <command> [args]\n\
-         commands:\n\
-           simulate  <benchmark>              simulate one baseline configuration\n\
-           sweep     <benchmark> [--step N] [--space S]\n\
-                     [--shards N] [--merged-out F]\n\
-                                              sweep a design space (default: Table-1 at\n\
-                                              step 16; --space table1|smoke|mega picks a\n\
-                                              named space, --step applies to table1 only).\n\
-                                              --shards N sets the worker count (default:\n\
-                                              every core); --merged-out writes canonical\n\
-                                              merged JSONL\n\
-           adaptive  <benchmark> [--space S] [--initial N] [--batch N]\n\
-                     [--rounds N] [--committee N] [--pool N]\n\
-                     [--eval full|none|holdout=N] [--seed S]\n\
-                                              active-learning DSE: simulate only the\n\
-                                              committee-selected configurations\n\
-           sampled   <benchmark> [--rate P]   sampled DSE at P%% (default 2)\n\
-           chrono    <family> [--year Y]      train year Y (default 2005), predict Y+1\n\
-           export-model <benchmark> [--model K] [--rate P] [--out F]\n\
-                                              train one model on a P%% sample, save .ppmodel\n\
-           serve     <model.ppmodel> [--input F] [--workers N] [--window N]\n\
-                     [--cache-cap N]\n\
-                                              batched one-shot replay of JSONL requests\n\
-                                              (stdin unless --input) with LRU cache; stats\n\
-                                              on stderr; the first invalid line exits 2\n\
-           serve     --daemon [model.ppmodel] [--preload name=path]...\n\
-                     [--socket P] [--input F] [--deadline-ms N]\n\
-                     [--max-frame-bytes N] [--default-model NAME]\n\
-                     [--workers N] [--window N] [--queue-cap N] [--cache-cap N]\n\
-                                              long-lived multi-model daemon: framed JSONL\n\
-                                              protocol (predict/load/reload/unload/status/\n\
-                                              shutdown ops) on stdin or a unix socket\n\
-           gen-requests <model.ppmodel> [--n N] [--distinct D] [--seed S]\n\
-                                              emit a synthetic JSONL workload on stdout\n\
-           perf-report [--current F]... [--baseline F]... [--threshold X]\n\
-                                              compare bench/manifest metrics against\n\
-                                              baselines; exit 6 on regression\n\
-           families                           list SPEC processor populations\n\
-           benchmarks                         list synthetic workloads\n\
-         options (any command):\n\
-           --trace                            verbose telemetry on stderr\n\
-           --profile                          span-tree hot-path table on stderr at exit\n\
-           --metrics-out <path>               write a JSON-lines run manifest\n\
-           --json                             machine-readable result on stdout\n\
-           --checkpoint <path>                (sweep/sampled) resumable JSONL checkpoint\n\
-           --export-models <dir>              (sampled/chrono) save trained models as .ppmodel"
-    );
+    eprint!("{}", cli::usage());
     std::process::exit(2);
-}
-
-fn parse_flag(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// Parse `--flag N` with a default, rejecting unparseable values instead
-/// of silently falling back.
-fn parse_number<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T> {
-    match parse_flag(args, flag) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| Error::invalid(format!("{flag} expects a number, got '{v}'"))),
-    }
-}
-
-/// Remove a boolean flag from `args`, returning whether it was present.
-fn take_switch(args: &mut Vec<String>, flag: &str) -> bool {
-    let before = args.len();
-    args.retain(|a| a != flag);
-    args.len() != before
-}
-
-/// Collect every value of a repeatable `--flag value` pair, in order.
-fn collect_values(args: &[String], flag: &str) -> Result<Vec<String>> {
-    let mut values = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        if args[i] == flag {
-            match args.get(i + 1) {
-                Some(v) => values.push(v.clone()),
-                None => return Err(Error::invalid(format!("{flag} requires a value"))),
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    Ok(values)
-}
-
-/// Remove a `--flag value` pair from `args`, returning the value.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>> {
-    let Some(i) = args.iter().position(|a| a == flag) else {
-        return Ok(None);
-    };
-    if i + 1 >= args.len() {
-        return Err(Error::invalid(format!("{flag} requires a value")));
-    }
-    let v = args.remove(i + 1);
-    args.remove(i);
-    Ok(Some(v))
 }
 
 /// Build a design space from `--space` (table1 | smoke | mega) and
 /// `--step` (a Table-1 decimation, meaningless for generated spaces).
-fn space_arg(args: &[String]) -> Result<DesignSpace> {
-    let name = parse_flag(args, "--space").unwrap_or_else(|| "table1".to_string());
-    match name.as_str() {
+fn space_arg(args: &Args) -> Result<DesignSpace> {
+    let name = args.value("--space").unwrap_or("table1");
+    match name {
         "table1" => {
-            let step: usize = parse_number(args, "--step", 16)?;
+            let step: usize = args.num("--step")?.unwrap_or(16);
             if step == 0 {
                 return Err(Error::invalid("--step must be at least 1"));
             }
@@ -187,7 +47,7 @@ fn space_arg(args: &[String]) -> Result<DesignSpace> {
             ))
         }
         "smoke" | "mega" => {
-            if parse_flag(args, "--step").is_some() {
+            if args.has("--step") {
                 return Err(Error::invalid("--step applies only to --space table1"));
             }
             let spec = if name == "smoke" {
@@ -203,10 +63,8 @@ fn space_arg(args: &[String]) -> Result<DesignSpace> {
     }
 }
 
-fn benchmark_arg(args: &[String]) -> Result<Benchmark> {
-    let name = args
-        .first()
-        .ok_or_else(|| Error::invalid("missing benchmark argument"))?;
+fn benchmark_arg(args: &Args) -> Result<Benchmark> {
+    let name = args.positional(0).unwrap_or_default();
     Benchmark::from_name(name).ok_or_else(|| {
         Error::invalid(format!(
             "unknown benchmark '{name}' — try `perfpredict benchmarks`"
@@ -225,46 +83,29 @@ fn main() {
 }
 
 fn cli() -> Result<()> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let trace = take_switch(&mut args, "--trace");
-    let profile = take_switch(&mut args, "--profile");
-    let json_out = take_switch(&mut args, "--json");
-    let metrics_out = take_value(&mut args, "--metrics-out")?;
-    let checkpoint = take_value(&mut args, "--checkpoint")?;
-    let export_models = take_value(&mut args, "--export-models")?;
-    let Some(cmd) = args.first().cloned() else {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = argv.split_first() else {
         usage()
     };
-    let rest = &args[1..];
+    let Some(spec) = cli::verb(cmd) else { usage() };
+    let args = args::parse(spec, rest)?;
+    let json_out = args.has("--json");
+    let checkpoint = args.value("--checkpoint");
+    let export_models = args.value("--export-models").map(String::from);
 
     // Install telemetry only when some sink will consume it, so plain CLI
     // runs keep the disabled fast path.
-    let mut tcfg = TelemetryConfig::new(cmd.as_str())
-        .meta("command", args.join(" "))
-        .meta("seed", 42);
-    if trace {
-        tcfg = tcfg.console(ConsoleLevel::Debug);
-    }
-    if profile {
-        tcfg = tcfg.profile(true);
-    }
-    if let Some(path) = &metrics_out {
-        tcfg = tcfg.jsonl(path);
-    }
-    let run_handle = if tcfg.console > ConsoleLevel::Off || tcfg.jsonl_path.is_some() || profile {
-        match telemetry::install(tcfg) {
-            Ok(h) => Some(h),
-            Err(e) => {
-                let path = metrics_out.as_deref().unwrap_or("<none>");
-                return Err(Error::io(
-                    path,
-                    std::io::Error::other(format!("cannot open metrics file: {e}")),
-                ));
-            }
-        }
-    } else {
-        None
-    };
+    let tcfg = args.telemetry(
+        TelemetryConfig::new(cmd.as_str())
+            .meta("command", argv.join(" "))
+            .meta("seed", 42),
+    );
+    let run_handle =
+        if tcfg.console > ConsoleLevel::Off || tcfg.jsonl_path.is_some() || tcfg.profile {
+            Some(args::install(tcfg)?)
+        } else {
+            None
+        };
 
     match cmd.as_str() {
         "benchmarks" => {
@@ -294,7 +135,7 @@ fn cli() -> Result<()> {
             }
         }
         "simulate" => {
-            let b = benchmark_arg(rest)?;
+            let b = benchmark_arg(&args)?;
             let r = simulate(b, CpuConfig::baseline(), &SimOptions::default());
             let s = &r.stats;
             if json_out {
@@ -333,18 +174,15 @@ fn cli() -> Result<()> {
             }
         }
         "sweep" => {
-            let b = benchmark_arg(rest)?;
-            let space = space_arg(rest)?;
-            let workers: usize = parse_number(rest, "--shards", telemetry::default_workers())?;
-            let merged_out = parse_flag(rest, "--merged-out");
+            let b = benchmark_arg(&args)?;
+            let space = space_arg(&args)?;
+            let workers = args
+                .num("--shards")?
+                .unwrap_or_else(telemetry::default_workers);
+            let merged_out = args.value("--merged-out");
             eprintln!("sweeping {} configurations…", space.len());
-            let outcome = try_sweep_sharded(
-                &space,
-                b,
-                &SimOptions::default(),
-                workers,
-                checkpoint.as_deref(),
-            )?;
+            let outcome =
+                try_sweep_sharded(&space, b, &SimOptions::default(), workers, checkpoint)?;
             if checkpoint.is_some() {
                 eprintln!(
                     "checkpoint: {} restored, {} simulated",
@@ -352,7 +190,7 @@ fn cli() -> Result<()> {
                 );
             }
             let results = outcome.results;
-            if let Some(path) = &merged_out {
+            if let Some(path) = merged_out {
                 std::fs::write(path, merged_jsonl(&results)).map_err(|e| Error::io(path, e))?;
                 eprintln!("merged results written to {path}");
             }
@@ -381,13 +219,13 @@ fn cli() -> Result<()> {
             }
         }
         "adaptive" => {
-            let b = benchmark_arg(rest)?;
-            let space = space_arg(rest)?;
+            let b = benchmark_arg(&args)?;
+            let space = space_arg(&args)?;
             let defaults = AdaptiveConfig::default();
-            let eval = match parse_flag(rest, "--eval").as_deref() {
-                None | Some("full") => EvalMode::FullSpace,
-                Some("none") => EvalMode::AcquisitionOnly,
-                Some(v) => match v.strip_prefix("holdout=").and_then(|k| k.parse().ok()) {
+            let eval = match args.value("--eval").unwrap_or("full") {
+                "full" => EvalMode::FullSpace,
+                "none" => EvalMode::AcquisitionOnly,
+                v => match v.strip_prefix("holdout=").and_then(|k| k.parse().ok()) {
                     Some(k) => EvalMode::Holdout(k),
                     None => {
                         return Err(Error::invalid(format!(
@@ -397,13 +235,13 @@ fn cli() -> Result<()> {
                 },
             };
             let cfg = AdaptiveConfig {
-                initial: parse_number(rest, "--initial", defaults.initial)?,
-                batch: parse_number(rest, "--batch", defaults.batch)?,
-                rounds: parse_number(rest, "--rounds", defaults.rounds)?,
-                committee: parse_number(rest, "--committee", defaults.committee)?,
-                pool: parse_number(rest, "--pool", defaults.pool)?,
+                initial: args.num("--initial")?.unwrap_or(defaults.initial),
+                batch: args.num("--batch")?.unwrap_or(defaults.batch),
+                rounds: args.num("--rounds")?.unwrap_or(defaults.rounds),
+                committee: args.num("--committee")?.unwrap_or(defaults.committee),
+                pool: args.num("--pool")?.unwrap_or(defaults.pool),
                 eval,
-                seed: parse_number(rest, "--seed", defaults.seed)?,
+                seed: args.num("--seed")?.unwrap_or(defaults.seed),
                 ..defaults
             };
             eprintln!(
@@ -412,7 +250,7 @@ fn cli() -> Result<()> {
                 space.len(),
                 cfg.initial + cfg.batch * cfg.rounds
             );
-            let r = try_run_adaptive(b, &space, &cfg, None, checkpoint.as_deref())?;
+            let r = try_run_adaptive(b, &space, &cfg, None, checkpoint)?;
             eprintln!("simulated {} configurations", r.simulated);
             if json_out {
                 let points: Vec<String> = r
@@ -443,8 +281,8 @@ fn cli() -> Result<()> {
             }
         }
         "sampled" => {
-            let b = benchmark_arg(rest)?;
-            let rate: f64 = parse_number(rest, "--rate", 2.0)?;
+            let b = benchmark_arg(&args)?;
+            let rate: f64 = args.num("--rate")?.unwrap_or(2.0);
             let space = DesignSpace::from_configs(
                 DesignSpace::table1()
                     .configs()
@@ -467,7 +305,7 @@ fn cli() -> Result<()> {
                 b.name(),
                 space.len()
             );
-            let run = try_run_sampled_dse(b, &space, &cfg, None, checkpoint.as_deref())?;
+            let run = try_run_sampled_dse(b, &space, &cfg, None, checkpoint)?;
             for d in &run.dropped {
                 eprintln!(
                     "dropped {} at {:.0}%: {} ({})",
@@ -530,15 +368,13 @@ fn cli() -> Result<()> {
             }
         }
         "chrono" => {
-            let name = rest
-                .first()
-                .ok_or_else(|| Error::invalid("missing family argument"))?;
+            let name = args.positional(0).unwrap_or_default();
             let fam = ProcessorFamily::from_name(name).ok_or_else(|| {
                 Error::invalid(format!(
                     "unknown family '{name}' — try `perfpredict families`"
                 ))
             })?;
-            let year: u32 = parse_number(rest, "--year", 2005)?;
+            let year: u32 = args.num("--year")?.unwrap_or(2005);
             let cfg = ChronoConfig {
                 train_year: year,
                 models: ModelKind::FIGURE7_ORDER.to_vec(),
@@ -600,15 +436,15 @@ fn cli() -> Result<()> {
             }
         }
         "export-model" => {
-            let b = benchmark_arg(rest)?;
-            let rate: f64 = parse_number(rest, "--rate", 5.0)?;
+            let b = benchmark_arg(&args)?;
+            let rate: f64 = args.num("--rate")?.unwrap_or(5.0);
             if !(rate > 0.0 && rate <= 100.0) {
                 return Err(Error::invalid(format!(
                     "--rate must be in (0, 100], got {rate}"
                 )));
             }
-            let kind_name = parse_flag(rest, "--model").unwrap_or_else(|| "NN-E".to_string());
-            let kind = ModelKind::from_abbrev(&kind_name).ok_or_else(|| {
+            let kind_name = args.value("--model").unwrap_or("NN-E");
+            let kind = ModelKind::from_abbrev(kind_name).ok_or_else(|| {
                 Error::invalid(format!(
                     "unknown model '{kind_name}' — one of {}",
                     ModelKind::ALL
@@ -618,9 +454,11 @@ fn cli() -> Result<()> {
                         .join(", ")
                 ))
             })?;
-            let seed: u64 = parse_number(rest, "--seed", 42)?;
-            let out = parse_flag(rest, "--out")
-                .unwrap_or_else(|| format!("{}_{}.ppmodel", b.name(), kind.abbrev()));
+            let seed: u64 = args.num("--seed")?.unwrap_or(42);
+            let out = args.value("--out").map_or_else(
+                || format!("{}_{}.ppmodel", b.name(), kind.abbrev()),
+                String::from,
+            );
             let space = DesignSpace::from_configs(
                 DesignSpace::table1()
                     .configs()
@@ -634,8 +472,7 @@ fn cli() -> Result<()> {
                 space.len(),
                 b.name()
             );
-            let outcome =
-                try_sweep_design_space(&space, b, &SimOptions::default(), checkpoint.as_deref())?;
+            let outcome = try_sweep_design_space(&space, b, &SimOptions::default(), checkpoint)?;
             let full = try_table_from_sweep(&outcome.results)?;
             let n = full.n_rows();
             let k = ((n as f64 * rate / 100.0).round() as usize).max(8).min(n);
@@ -669,75 +506,46 @@ fn cli() -> Result<()> {
             // One request loop for both modes: one-shot replays a finite
             // stream through the daemon's window path with the artifact
             // preloaded as its only model, and exits at EOF.
-            let daemon_mode = rest.iter().any(|a| a == "--daemon");
-            let daemon_only = [
-                "--preload",
-                "--socket",
-                "--deadline-ms",
-                "--max-frame-bytes",
-                "--default-model",
-                "--queue-cap",
-            ];
+            let daemon_mode = args.has("--daemon");
             if !daemon_mode {
-                if let Some(flag) = rest.iter().find(|a| daemon_only.contains(&a.as_str())) {
+                if let Some(flag) = DAEMON_ONLY.iter().find(|f| args.has(f.name)) {
                     return Err(Error::invalid(format!(
-                        "{flag} is daemon-only (serve --daemon); one-shot serve holds one window"
+                        "{} is daemon-only (serve --daemon); one-shot serve holds one window",
+                        flag.name
                     )));
                 }
             }
             let defaults = DaemonConfig::default();
             // One-shot replay keeps its larger default window.
-            let window = parse_number(
-                rest,
-                "--window",
-                if daemon_mode { defaults.window } else { 256 },
-            )?;
+            let window = if daemon_mode { defaults.window } else { 256 };
             let config = DaemonConfig {
-                window,
-                queue_cap: parse_number(rest, "--queue-cap", defaults.queue_cap)?,
-                workers: parse_number(rest, "--workers", defaults.workers)?,
-                deadline_ms: match parse_flag(rest, "--deadline-ms") {
-                    None => None,
-                    Some(v) => Some(v.parse().map_err(|_| {
-                        Error::invalid(format!("--deadline-ms expects a number, got '{v}'"))
-                    })?),
-                },
-                max_frame_bytes: parse_number(rest, "--max-frame-bytes", defaults.max_frame_bytes)?,
-                default_model: parse_flag(rest, "--default-model"),
+                window: args.num("--window")?.unwrap_or(window),
+                queue_cap: args.num("--queue-cap")?.unwrap_or(defaults.queue_cap),
+                workers: args.num("--workers")?.unwrap_or(defaults.workers),
+                deadline_ms: args.num("--deadline-ms")?,
+                max_frame_bytes: args
+                    .num("--max-frame-bytes")?
+                    .unwrap_or(defaults.max_frame_bytes),
+                default_model: args.value("--default-model").map(String::from),
             };
             let registry_defaults = RegistryConfig::default();
             let mut registry = Registry::new(RegistryConfig {
-                cache_cap: parse_number(rest, "--cache-cap", registry_defaults.cache_cap)?,
+                cache_cap: args
+                    .num("--cache-cap")?
+                    .unwrap_or(registry_defaults.cache_cap),
                 ..registry_defaults
             });
             // A corrupt preload is a startup error (exit 4): fail fast
             // before accepting traffic. Corruption *after* startup is
             // handled by quarantine instead.
-            for spec in collect_values(rest, "--preload")? {
+            for spec in args.values("--preload") {
                 let (name, path) = spec.split_once('=').ok_or_else(|| {
                     Error::invalid(format!("--preload expects name=path, got '{spec}'"))
                 })?;
                 let version = registry.load(name, path)?;
                 eprintln!("daemon: preloaded {name}@{version} from {path}");
             }
-            // The positional artifact is the first arg that is neither a
-            // flag nor the value of a value-taking flag.
-            let value_flags = [
-                &daemon_only[..],
-                &["--input", "--workers", "--window", "--cache-cap"],
-            ]
-            .concat();
-            let mut positional = None;
-            let mut args_iter = rest.iter();
-            while let Some(arg) = args_iter.next() {
-                if value_flags.contains(&arg.as_str()) {
-                    let _ = args_iter.next();
-                } else if !arg.starts_with("--") {
-                    positional = Some(arg);
-                    break;
-                }
-            }
-            match positional {
+            match args.positional(0) {
                 Some(path) => {
                     // Routes are named after the file; a stem that is not a
                     // valid route name falls back to "model".
@@ -759,17 +567,17 @@ fn cli() -> Result<()> {
             }
             let mut daemon = Daemon::new(config, registry)?;
             use std::io::BufRead;
-            let input: Box<dyn BufRead + Send> = match parse_flag(rest, "--input") {
+            let input: Box<dyn BufRead + Send> = match args.value("--input") {
                 Some(p) => {
-                    let file = std::fs::File::open(&p).map_err(|e| Error::io(&p, e))?;
+                    let file = std::fs::File::open(p).map_err(|e| Error::io(p, e))?;
                     Box::new(std::io::BufReader::new(file))
                 }
                 None => Box::new(std::io::BufReader::new(std::io::stdin())),
             };
-            let stats = match parse_flag(rest, "--socket") {
+            let stats = match args.value("--socket") {
                 Some(sock) => {
                     eprintln!("daemon: listening on unix socket {sock}");
-                    daemon.run_socket(&sock)?
+                    daemon.run_socket(sock)?
                 }
                 None if daemon_mode => {
                     let writer = std::sync::Arc::new(std::sync::Mutex::new(std::io::stdout()));
@@ -802,14 +610,18 @@ fn cli() -> Result<()> {
         "perf-report" => {
             use std::path::Path;
             use telemetry::report::{compare, MetricSet};
-            let currents = collect_values(rest, "--current")?;
+            let currents = args.values("--current");
             if currents.is_empty() {
                 return Err(Error::invalid(
                     "perf-report requires at least one --current <file> \
                      (a bench BENCH_*.json or a --metrics-out manifest)",
                 ));
             }
-            let mut baselines = collect_values(rest, "--baseline")?;
+            let mut baselines: Vec<String> = args
+                .values("--baseline")
+                .into_iter()
+                .map(String::from)
+                .collect();
             if baselines.is_empty() {
                 // Default to the committed bench baselines that exist.
                 baselines = ["selection", "nn", "dse", "serve", "sim"]
@@ -824,7 +636,7 @@ fn cli() -> Result<()> {
                     ));
                 }
             }
-            let threshold: f64 = parse_number(rest, "--threshold", 1.5)?;
+            let threshold: f64 = args.num("--threshold")?.unwrap_or(1.5);
             let mut current = MetricSet::new();
             for p in &currents {
                 current.load(Path::new(p)).map_err(Error::invalid)?;
@@ -851,13 +663,10 @@ fn cli() -> Result<()> {
             }
         }
         "gen-requests" => {
-            let path = rest
-                .first()
-                .ok_or_else(|| Error::invalid("missing model-artifact argument"))?;
-            let artifact = ModelArtifact::load(path)?;
-            let n: usize = parse_number(rest, "--n", 1000)?;
-            let distinct: usize = parse_number(rest, "--distinct", 32)?;
-            let seed: u64 = parse_number(rest, "--seed", 42)?;
+            let artifact = ModelArtifact::load(args.positional(0).unwrap_or_default())?;
+            let n: usize = args.num("--n")?.unwrap_or(1000);
+            let distinct: usize = args.num("--distinct")?.unwrap_or(32);
+            let seed: u64 = args.num("--seed")?.unwrap_or(42);
             let lines = generate_requests(&artifact.schema, n, distinct, seed)?;
             print!("{lines}");
         }
@@ -866,10 +675,10 @@ fn cli() -> Result<()> {
 
     if let Some(handle) = run_handle {
         let summary = handle.finish();
-        if let Some(path) = &metrics_out {
+        if let Some(path) = args.value("--metrics-out") {
             eprintln!("{} (manifest: {path})", summary.one_line());
         }
-        if profile && !summary.profile.is_empty() {
+        if args.has("--profile") && !summary.profile.is_empty() {
             eprint!("{}", telemetry::profile::render_table(&summary.profile));
         }
     }
