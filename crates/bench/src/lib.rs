@@ -55,16 +55,10 @@ impl Scale {
 
     /// The design space at this scale.
     pub fn space(self) -> DesignSpace {
-        let full = DesignSpace::table1();
-        let step = match self {
-            Scale::Full => 1,
-            Scale::Medium => 4,
-            Scale::Quick => 16,
-        };
-        if step == 1 {
-            full
-        } else {
-            DesignSpace::from_configs(full.configs().iter().copied().step_by(step).collect())
+        match self {
+            Scale::Full => DesignSpace::table1(),
+            Scale::Medium => DesignSpace::table1_every(4),
+            Scale::Quick => DesignSpace::table1_every(16),
         }
     }
 

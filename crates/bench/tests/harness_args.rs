@@ -15,17 +15,12 @@ const HARNESSES: &[(&str, &str)] = &[
     (env!("CARGO_BIN_EXE_ablation_prefetch"), "--scale"),
     (env!("CARGO_BIN_EXE_ablation_sampling"), "--scale"),
     (env!("CARGO_BIN_EXE_ablation_simpoint"), "--scale"),
-    (env!("CARGO_BIN_EXE_repro_fig2_6"), "--app"),
-    (env!("CARGO_BIN_EXE_repro_fig7"), "--seed"),
-    (env!("CARGO_BIN_EXE_repro_fig8"), "--scale"),
+    (env!("CARGO_BIN_EXE_repro_chrono"), "--seed"),
     (env!("CARGO_BIN_EXE_repro_fp_rate"), "--scale"),
-    (env!("CARGO_BIN_EXE_repro_framework_stats"), "--scale"),
-    (env!("CARGO_BIN_EXE_repro_importance"), "--scale"),
     (env!("CARGO_BIN_EXE_repro_per_app"), "--scale"),
     (env!("CARGO_BIN_EXE_repro_rolling_years"), "--scale"),
+    (env!("CARGO_BIN_EXE_repro_sampled"), "--scale"),
     (env!("CARGO_BIN_EXE_repro_table1"), "--metrics-out"),
-    (env!("CARGO_BIN_EXE_repro_table2"), "--scale"),
-    (env!("CARGO_BIN_EXE_repro_table3"), "--scale"),
     (env!("CARGO_BIN_EXE_soak_serve"), "--secs"),
 ];
 

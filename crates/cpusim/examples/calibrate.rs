@@ -4,8 +4,7 @@ use cpusim::{try_sweep_design_space, Benchmark, DesignSpace, SimOptions};
 use std::time::Instant;
 
 fn main() -> fault::Result<()> {
-    let full = DesignSpace::table1();
-    let sub = DesignSpace::from_configs(full.configs().iter().copied().step_by(16).collect());
+    let sub = DesignSpace::table1_every(16);
     let opts = SimOptions {
         instructions: 100_000,
         ..Default::default()

@@ -727,6 +727,15 @@ impl DesignSpace {
         }
     }
 
+    /// Every `step`-th configuration of [`Self::table1`], starting with
+    /// the first, as an explicit list (`step` 16 gives 288 points, 4 gives
+    /// 1152). The list backing keeps [`Self::content_hash`] that of the
+    /// decimated configs, so sweep ledgers written for such a space still
+    /// resume. Panics if `step` is 0, as [`Iterator::step_by`] does.
+    pub fn table1_every(step: usize) -> Self {
+        Self::from_configs(Self::table1().iter().step_by(step).collect())
+    }
+
     /// Build from an explicit configuration list.
     pub fn from_configs(configs: Vec<CpuConfig>) -> Self {
         DesignSpace {
@@ -1007,6 +1016,21 @@ mod tests {
         // ...but equal explicit lists agree.
         let explicit2 = DesignSpace::from_configs(t1.iter().collect());
         assert_eq!(explicit.content_hash(), explicit2.content_hash());
+    }
+
+    #[test]
+    fn table1_every_is_the_decimated_explicit_list() {
+        let t1 = DesignSpace::table1();
+        for (step, len) in [(1, 4608), (4, 1152), (16, 288)] {
+            let every = DesignSpace::table1_every(step);
+            let by_hand =
+                DesignSpace::from_configs(t1.configs().iter().copied().step_by(step).collect());
+            assert_eq!(every.len(), len);
+            assert_eq!(every.configs(), by_hand.configs());
+            // Ledgers written for the hand-built space still resume.
+            assert_eq!(every.content_hash(), by_hand.content_hash());
+            assert!(every.spec().is_none());
+        }
     }
 
     #[test]

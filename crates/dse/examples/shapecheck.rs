@@ -9,8 +9,7 @@ use std::time::Instant;
 
 fn main() -> fault::Result<()> {
     // Sampled DSE on a 1152-config subspace, 2% and 5% sampling.
-    let full = DesignSpace::table1();
-    let sub = DesignSpace::from_configs(full.configs().iter().copied().step_by(4).collect());
+    let sub = DesignSpace::table1_every(4);
     for b in [Benchmark::Applu, Benchmark::Mcf] {
         let t0 = Instant::now();
         let cfg = SampledConfig {

@@ -497,14 +497,7 @@ mod tests {
     use cpusim::runner::SimOptions;
 
     fn tiny_space() -> DesignSpace {
-        DesignSpace::from_configs(
-            DesignSpace::table1()
-                .configs()
-                .iter()
-                .copied()
-                .step_by(24)
-                .collect(),
-        )
+        DesignSpace::table1_every(24)
     }
 
     fn tiny_cfg() -> AdaptiveConfig {

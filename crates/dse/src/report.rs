@@ -68,7 +68,18 @@ pub fn pct(v: f64) -> String {
     format!("{v:.2}")
 }
 
-/// Format a figure data series: x label column plus named curves.
+/// [`pct`], or "-" for NaN: a value that was never measured (a dropped
+/// fit, an acquisition-only round).
+fn pct_or_dash(v: f64) -> String {
+    if v.is_nan() {
+        "-".to_string()
+    } else {
+        pct(v)
+    }
+}
+
+/// Format a figure data series: x label column plus named curves. NaN
+/// points (a fit that was dropped) render as `-`.
 pub fn render_series(x_label: &str, xs: &[String], curves: &[(&str, Vec<f64>)]) -> String {
     let header: Vec<String> = std::iter::once(x_label.to_string())
         .chain(curves.iter().map(|(n, _)| n.to_string()))
@@ -78,7 +89,7 @@ pub fn render_series(x_label: &str, xs: &[String], curves: &[(&str, Vec<f64>)]) 
         .enumerate()
         .map(|(i, x)| {
             std::iter::once(x.clone())
-                .chain(curves.iter().map(|(_, ys)| pct(ys[i])))
+                .chain(curves.iter().map(|(_, ys)| pct_or_dash(ys[i])))
                 .collect()
         })
         .collect();
@@ -90,7 +101,6 @@ pub fn render_series(x_label: &str, xs: &[String], curves: &[(&str, Vec<f64>)]) 
 /// equal-budget-random MAPEs. NaN errors (acquisition-only runs) render
 /// as `-`.
 pub fn render_trajectory(trajectory: &[crate::adaptive::TrajectoryPoint]) -> String {
-    let err = |v: f64| if v.is_nan() { "-".to_string() } else { pct(v) };
     let header: Vec<String> = ["sims", "adaptive MAPE%", "random MAPE%"]
         .iter()
         .map(|s| s.to_string())
@@ -100,8 +110,8 @@ pub fn render_trajectory(trajectory: &[crate::adaptive::TrajectoryPoint]) -> Str
         .map(|p| {
             vec![
                 p.budget.to_string(),
-                err(p.adaptive_error),
-                err(p.random_error),
+                pct_or_dash(p.adaptive_error),
+                pct_or_dash(p.random_error),
             ]
         })
         .collect();
@@ -172,11 +182,16 @@ mod tests {
         let out = render_series(
             "rate%",
             &["1".into(), "2".into()],
-            &[("NN-E", vec![1.8, 0.9]), ("LR-B", vec![4.1, 4.0])],
+            &[("NN-E", vec![1.8, 0.9]), ("LR-B", vec![4.1, f64::NAN])],
         );
         assert_eq!(out.lines().count(), 4);
         assert!(out.contains("1.80"));
-        assert!(out.contains("4.00"));
+        assert!(
+            out.lines()
+                .nth(3)
+                .is_some_and(|l| l.ends_with("0.90     -")),
+            "{out}"
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use fault::checkpoint::{parse_records, CheckpointWriter};
 use proptest::prelude::*;
-use telemetry::json::JsonObject;
+use telemetry::json::{JsonObject, Value};
 
 fn render_file(n_records: usize) -> String {
     let mut text = format!(
@@ -75,5 +75,87 @@ proptest! {
             prop_assert_eq!(r.get("idx").and_then(|v| v.as_u64()), Some(want));
         }
         let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// Pieces of ledger lines: whole records, JSON fragments that glue into
+/// malformed or non-object lines, awkward numbers, escapes, multi-byte
+/// characters and every kind of line break.
+const FRAGMENTS: &[&str] = &[
+    "{\"type\":\"header\",\"benchmark\":\"gcc\",\"space\":4608}",
+    "{\"type\":\"sim\",\"idx\":3,\"cycles\":1000.5}",
+    "{\"type\":\"fit\"}",
+    "{",
+    "}",
+    "[",
+    "]",
+    "\"type\"",
+    "\"sim\"",
+    ":",
+    ",",
+    "\"",
+    "\\",
+    "\\u12",
+    "1e999",
+    "-0",
+    "18446744073709551616",
+    "null",
+    "true",
+    "[1,2]",
+    " ",
+    "\t",
+    "\r",
+    "\u{e9}",
+    "\u{1F980}",
+    "\u{fffd}",
+    "\0",
+];
+
+/// `parse_records` must return only JSON objects or a typed
+/// `checkpoint` error (exit 4), whatever the text.
+fn records_or_checkpoint_error(text: &str) {
+    match parse_records("soup", text) {
+        Ok(recs) => {
+            for r in &recs {
+                assert!(
+                    matches!(r, Value::Obj(_)),
+                    "non-object record {r:?} from {text:?}"
+                );
+            }
+        }
+        Err(e) => {
+            assert_eq!(e.kind(), "checkpoint", "{e}");
+            assert_eq!(e.exit_code(), 4, "{e}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bytes, decoded the lossy way, with newlines common enough
+    /// to cut them into many lines.
+    #[test]
+    fn byte_soup_is_records_or_a_checkpoint_error(
+        bytes in prop::collection::vec(0u16..300, 0..256),
+    ) {
+        let bytes: Vec<u8> = bytes.iter().map(|&b| if b >= 256 { b'\n' } else { b as u8 }).collect();
+        records_or_checkpoint_error(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Random lines of fragments, with or without a final newline.
+    #[test]
+    fn line_soup_is_records_or_a_checkpoint_error(
+        lines in prop::collection::vec(
+            prop::collection::vec(prop::sample::select(FRAGMENTS.to_vec()), 0..6),
+            0..12,
+        ),
+        terminated in any::<bool>(),
+    ) {
+        let mut text = lines.iter().map(|l| l.concat()).collect::<Vec<_>>().join("\n");
+        if terminated {
+            text.push('\n');
+        }
+        records_or_checkpoint_error(&text);
     }
 }

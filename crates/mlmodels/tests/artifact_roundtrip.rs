@@ -194,3 +194,222 @@ fn save_load_roundtrips_through_disk() {
     assert_eq!(loaded.to_bytes().expect("re-encode"), bytes);
     std::fs::remove_file(&path).expect("cleanup");
 }
+
+/// FNV-1a 64, the checksum an artifact header states for its payload.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// An artifact file for `payload` whose header is valid: the right
+/// `payload_bytes` and checksum, so the bytes get past both checks and
+/// reach the payload parser and decoders.
+fn headed(kind: &str, payload: &[u8]) -> Vec<u8> {
+    let mut out = format!(
+        "{{\"type\":\"perfpredict-model\",\"format_version\":1,\"kind\":\"{kind}\",\
+         \"payload_bytes\":{},\"checksum\":\"fnv1a64:{:016x}\"}}\n",
+        payload.len(),
+        fnv1a64(payload)
+    )
+    .into_bytes();
+    out.extend_from_slice(payload);
+    out.push(b'\n');
+    out
+}
+
+/// The table the splice tests train on, and predict through whatever
+/// artifact a splice still decodes to.
+fn splice_table() -> Table {
+    let n = 32;
+    let xs: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let y: Vec<f64> = xs.iter().map(|x| 2.0 * x + 1.0).collect();
+    let mut t = Table::new();
+    t.add_numeric("x", xs)
+        .add_flag("f", (0..n).map(|i| i % 2 == 0).collect())
+        .add_categorical(
+            "c",
+            (0..n).map(|i| (i % 3) as u32).collect(),
+            vec!["a".into(), "b".into(), "z".into()],
+        )
+        .set_target(y);
+    t
+}
+
+/// A valid artifact's payload line for `kind`, trained on [`splice_table`].
+fn valid_payload(kind: ModelKind) -> Vec<u8> {
+    let t = splice_table();
+    let model = try_train(kind, &t, 7).expect("trains");
+    let bytes = ModelArtifact::from_training(model, &t)
+        .to_bytes()
+        .expect("serialize");
+    let header_end = bytes.iter().position(|&b| b == b'\n').expect("header line") + 1;
+    bytes[header_end..bytes.len() - 1].to_vec()
+}
+
+/// JSON pieces that glue into malformed, mistyped or misshapen payloads:
+/// structure, numbers of every awkward kind, the payload's own keys and
+/// kinds, escapes, multi-byte characters and line breaks.
+const TOKENS: &[&str] = &[
+    "{",
+    "}",
+    "[",
+    "]",
+    ":",
+    ",",
+    "\"",
+    "\\",
+    "\\u0000",
+    "0",
+    "1",
+    "2",
+    "3",
+    "7",
+    "64",
+    "-1",
+    "-0",
+    "2.5e3",
+    "1e999",
+    "-1e999",
+    "1e-400",
+    "18446744073709551616",
+    "null",
+    "true",
+    "false",
+    "\"\"",
+    "\"kind\"",
+    "\"LR-B\"",
+    "\"NN-Q\"",
+    "\"schema\"",
+    "\"columns\"",
+    "\"prep\"",
+    "\"estimator\"",
+    "\"layers\"",
+    "\"weights\"",
+    "\"bias\"",
+    "\u{e9}",
+    "\u{1F980}",
+    " ",
+    "\n",
+    "\r\n",
+    "\0",
+];
+
+/// `from_bytes` on an artifact must be `Ok` or a typed `artifact` error;
+/// a decoded artifact must predict or fail typed too.
+fn loads_or_fails_typed(bytes: &[u8]) {
+    match ModelArtifact::from_bytes("<soup>", bytes) {
+        Ok(artifact) => {
+            for result in [
+                artifact.model.try_predict(&splice_table()).map(drop),
+                artifact.to_bytes().map(drop),
+            ] {
+                if let Err(e) = result {
+                    assert!(
+                        ["artifact", "invalid", "degenerate"].contains(&e.kind()),
+                        "{e}"
+                    );
+                }
+            }
+        }
+        Err(e) => {
+            assert_eq!(e.kind(), "artifact", "{e}");
+            assert_eq!(e.exit_code(), 4, "{e}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random bytes behind a valid header reach `from_bytes`'s UTF-8 and
+    /// JSON checks and stop there with a typed error.
+    #[test]
+    fn byte_soup_payloads_are_typed_errors(bytes in prop::collection::vec(0u16..256, 0..256)) {
+        let payload: Vec<u8> = bytes.iter().map(|&b| b as u8).collect();
+        loads_or_fails_typed(&headed("LR-B", &payload));
+    }
+
+    /// Token soup behind a valid header: mostly JSON, rarely well formed.
+    #[test]
+    fn token_soup_payloads_are_typed_errors(
+        toks in prop::collection::vec(prop::sample::select(TOKENS.to_vec()), 0..64),
+        kind in prop::sample::select(vec!["LR-B", "NN-Q"]),
+    ) {
+        loads_or_fails_typed(&headed(kind, toks.concat().as_bytes()));
+    }
+
+    /// A valid payload with one span replaced by tokens, re-headed so the
+    /// checksum holds: the decoders behind the JSON parser meet wrong
+    /// types, counts and shapes in every field. Half the cases replace
+    /// one number with another JSON value, which keeps the payload well
+    /// formed and so reaches the decoders every time.
+    #[test]
+    fn spliced_payloads_are_typed_errors(
+        kind in prop::sample::select(vec![ModelKind::LrB, ModelKind::NnQ]),
+        at in 0.0f64..1.0,
+        cut in 0usize..12,
+        toks in prop::collection::vec(prop::sample::select(TOKENS.to_vec()), 0..4),
+        swap_number in any::<bool>(),
+        value in prop::sample::select(VALUES.to_vec()),
+    ) {
+        static PAYLOADS: std::sync::OnceLock<[Vec<u8>; 2]> = std::sync::OnceLock::new();
+        let payloads = PAYLOADS
+            .get_or_init(|| [valid_payload(ModelKind::LrB), valid_payload(ModelKind::NnQ)]);
+        let payload = &payloads[usize::from(kind == ModelKind::NnQ)];
+        let (start, end, with) = if swap_number {
+            let numbers = number_spans(payload);
+            let (s, e) = numbers[(numbers.len() as f64 * at) as usize];
+            (s, e, value.to_string())
+        } else {
+            let s = (payload.len() as f64 * at) as usize;
+            (s, (s + cut).min(payload.len()), toks.concat())
+        };
+        let mut spliced = payload[..start].to_vec();
+        spliced.extend_from_slice(with.as_bytes());
+        spliced.extend_from_slice(&payload[end..]);
+        loads_or_fails_typed(&headed(kind.abbrev(), &spliced));
+    }
+}
+
+/// JSON values a number in a payload is swapped for: other magnitudes,
+/// signs and precisions, and values of every other type.
+const VALUES: &[&str] = &[
+    "0",
+    "1",
+    "2",
+    "3",
+    "64",
+    "-1",
+    "-0",
+    "0.5",
+    "1e308",
+    "1e999",
+    "18446744073709551616",
+    "null",
+    "true",
+    "\"x\"",
+    "[]",
+    "[0]",
+    "{}",
+];
+
+/// The byte spans of the numbers in a JSON text: runs of number
+/// characters that start a value (after `:`, `,` or `[`).
+fn number_spans(json: &[u8]) -> Vec<(usize, usize)> {
+    let is_num = |b: u8| b.is_ascii_digit() || b"-+.eE".contains(&b);
+    let mut spans = Vec::new();
+    let mut i = 1;
+    while i < json.len() {
+        if is_num(json[i]) && b":,[".contains(&json[i - 1]) {
+            let end = (i..json.len())
+                .find(|&j| !is_num(json[j]))
+                .unwrap_or(json.len());
+            spans.push((i, end));
+            i = end;
+        } else {
+            i += 1;
+        }
+    }
+    spans
+}

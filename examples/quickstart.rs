@@ -11,8 +11,7 @@ use perfpredict::mlmodels::{try_train, ModelKind};
 fn main() -> perfpredict::error::Result<()> {
     // 1. A design space: every 8th point of the paper's 4608-point lattice
     //    keeps this example fast (576 configurations).
-    let full = DesignSpace::table1();
-    let space = DesignSpace::from_configs(full.configs().iter().copied().step_by(8).collect());
+    let space = DesignSpace::table1_every(8);
     println!("design space: {} configurations", space.len());
 
     // 2. Simulate a 5% sample — the only simulator time we spend.

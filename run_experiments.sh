@@ -1,28 +1,28 @@
 #!/bin/bash
 # Regenerates every table and figure of the paper at full fidelity.
-# Outputs land in results/.
+# Outputs land in results/, one file per harness, and this log (with
+# each harness's start time and the run's wall time) in results/run.log.
 set -u
 cd "$(dirname "$0")"
 SCALE="${1:-full}"
+exec > >(tee results/run.log) 2>&1
+cargo build --release -q -p bench --bins || exit 1
 run() {
   name=$1; shift
   echo "=== $name ($(date +%H:%M:%S)) ==="
-  cargo run --release -p bench --bin "$name" -- "$@" > "results/$name.txt" 2>&1
-  echo "--- done $name"
+  start=$SECONDS
+  "target/release/$name" "$@" > "results/$name.txt" 2>&1
+  echo "--- done $name (exit $?, $((SECONDS - start)) s)"
 }
 run repro_table1
-run repro_fig7  --scale "$SCALE"
-run repro_fig8  --scale "$SCALE"
-run repro_table2 --scale "$SCALE"
-run repro_importance --scale "$SCALE"
-run repro_fig2_6 --scale "$SCALE" --all
-run repro_table3 --scale "$SCALE"
-run repro_framework_stats --scale "$SCALE"
+run repro_chrono --scale "$SCALE"
+run repro_sampled --scale "$SCALE"
 run repro_per_app --scale "$SCALE"
 run repro_rolling_years --scale "$SCALE"
+run repro_fp_rate --scale "$SCALE"
 run ablation_crossval --scale "$SCALE"
 run ablation_sampling --scale "$SCALE"
 run ablation_simpoint --scale "$SCALE"
 run ablation_prefetch --scale "$SCALE"
 run ablation_adaptive --scale "$SCALE"
-echo "ALL EXPERIMENTS DONE"
+echo "ALL EXPERIMENTS DONE in $SECONDS s ($SCALE scale, $(nproc) CPUs)"

@@ -37,14 +37,7 @@ fn space_arg(args: &Args) -> Result<DesignSpace> {
             if step == 0 {
                 return Err(Error::invalid("--step must be at least 1"));
             }
-            Ok(DesignSpace::from_configs(
-                DesignSpace::table1()
-                    .configs()
-                    .iter()
-                    .copied()
-                    .step_by(step)
-                    .collect(),
-            ))
+            Ok(DesignSpace::table1_every(step))
         }
         "smoke" | "mega" => {
             if args.has("--step") {
@@ -283,14 +276,7 @@ fn cli() -> Result<()> {
         "sampled" => {
             let b = benchmark_arg(&args)?;
             let rate: f64 = args.num("--rate")?.unwrap_or(2.0);
-            let space = DesignSpace::from_configs(
-                DesignSpace::table1()
-                    .configs()
-                    .iter()
-                    .copied()
-                    .step_by(4)
-                    .collect(),
-            );
+            let space = DesignSpace::table1_every(4);
             let cfg = SampledConfig {
                 sampling_rates: vec![rate / 100.0],
                 strategy: SamplingStrategy::Random,
@@ -459,14 +445,7 @@ fn cli() -> Result<()> {
                 || format!("{}_{}.ppmodel", b.name(), kind.abbrev()),
                 String::from,
             );
-            let space = DesignSpace::from_configs(
-                DesignSpace::table1()
-                    .configs()
-                    .iter()
-                    .copied()
-                    .step_by(4)
-                    .collect(),
-            );
+            let space = DesignSpace::table1_every(4);
             eprintln!(
                 "export-model: sweeping {} configurations of {}…",
                 space.len(),

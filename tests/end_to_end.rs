@@ -11,20 +11,9 @@ use perfpredict::dse::selectbest::select_method_series;
 use perfpredict::mlmodels::{try_train, ModelKind};
 use perfpredict::specdata::{AnnouncementSet, ProcessorFamily};
 
-fn small_space(step: usize) -> DesignSpace {
-    DesignSpace::from_configs(
-        DesignSpace::table1()
-            .configs()
-            .iter()
-            .copied()
-            .step_by(step)
-            .collect(),
-    )
-}
-
 #[test]
 fn sampled_dse_pipeline_end_to_end() {
-    let space = small_space(24); // 192 configs
+    let space = DesignSpace::table1_every(24); // 192 configs
     let cfg = SampledConfig {
         sampling_rates: vec![0.08],
         strategy: SamplingStrategy::Random,
@@ -115,7 +104,7 @@ fn linear_regression_beats_networks_chronologically() {
 fn simulator_to_model_roundtrip() {
     // Simulate a handful of configs, train on all of them, and verify the
     // model reproduces the training cycles closely (interpolation sanity).
-    let space = small_space(96); // 48 configs
+    let space = DesignSpace::table1_every(96); // 48 configs
     let sim = SimOptions {
         instructions: 8_000,
         ..Default::default()
