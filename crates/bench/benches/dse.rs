@@ -4,8 +4,8 @@
 //!
 //! This is the macro-benchmark behind the selection speedup claim: the
 //! linear-regression methods route through `try_select`'s incremental
-//! Gram engine and the shared-Gram CV cache, so their end-to-end cost
-//! here moves with the `selection` micro-benchmarks.
+//! Gram engine, so their end-to-end cost here moves with the `selection`
+//! micro-benchmarks.
 
 use bench::Scale;
 use cpusim::runner::try_sweep_design_space;

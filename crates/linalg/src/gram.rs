@@ -7,11 +7,8 @@
 //! per selection run ([`NormalEq`]) and evaluates every candidate
 //! add/drop against a maintained Cholesky factor of the active
 //! submatrix ([`ActiveCholesky`]) in O(k²) — independent of the row
-//! count. Cross-validation folds reuse the same Gram: a fold's training
-//! Gram is the full Gram minus the held-out rows' outer products
-//! ([`NormalEq::minus_rows`]), and per-fold feature scaling is applied
-//! as a congruence transform ([`NormalEq::scaled`]) without touching
-//! the rows again.
+//! count. Each selection run accumulates its statistics from the rows
+//! it fits.
 //!
 //! Numerical contract (enforced by tests here and by proptests in
 //! `mlmodels`): for well-conditioned active sets the engine's residual
@@ -32,7 +29,7 @@ use fault::{Error, Result};
 const PIVOT_REL_TOL: f64 = 1e-8;
 
 /// Precomputed sufficient statistics for least squares on `[1 X]`:
-/// the augmented Gram matrix, moment vector, `yᵀy`, and row count.
+/// the augmented Gram matrix, moment vector and `yᵀy`.
 /// Index 0 is the intercept column; predictor `j` lives at index `j+1`.
 #[derive(Debug, Clone)]
 pub struct NormalEq {
@@ -42,8 +39,6 @@ pub struct NormalEq {
     c: Vec<f64>,
     /// `yᵀy`.
     yty: f64,
-    /// Number of rows accumulated.
-    n: usize,
 }
 
 impl NormalEq {
@@ -78,7 +73,7 @@ impl NormalEq {
                 g[(j, k)] = g[(k, j)];
             }
         }
-        NormalEq { g, c, yty, n }
+        NormalEq { g, c, yty }
     }
 
     /// Accumulate the sufficient statistics from a design matrix and
@@ -101,110 +96,9 @@ impl NormalEq {
         Ok(NormalEq::from_design(x, y))
     }
 
-    /// Sufficient statistics with the listed rows' contributions
-    /// subtracted — the Gram/moments of the design restricted to the
-    /// complement row set. `x`/`y` must be the same data the full
-    /// statistics were accumulated from. Used to derive a CV fold's
-    /// training Gram from the full-table Gram without re-scanning the
-    /// training rows.
-    pub fn minus_rows(&self, x: &Matrix, y: &[f64], drop_rows: &[usize]) -> NormalEq {
-        let p = x.cols();
-        debug_assert_eq!(self.g.rows(), p + 1, "design width must match statistics");
-        let mut out = self.clone();
-        let mut aug = vec![0.0; p + 1];
-        for &i in drop_rows {
-            aug[0] = 1.0;
-            aug[1..].copy_from_slice(x.row(i));
-            for j in 0..=p {
-                let gj = out.g.row_mut(j);
-                for (k, &ak) in aug.iter().enumerate() {
-                    gj[k] -= aug[j] * ak;
-                }
-            }
-            for (cj, &aj) in out.c.iter_mut().zip(aug.iter()) {
-                *cj -= aj * y[i];
-            }
-            out.yty -= y[i] * y[i];
-        }
-        out.n -= drop_rows.len();
-        out
-    }
-
-    /// Statistics after the affine feature map `u_j = (v_j − min_j) / range_j`
-    /// (the per-fold min–max scaling preprocessing applies). The scaled
-    /// augmented design is `[1 U] = [1 V]·A` with `A` unit-upper-left,
-    /// so the scaled Gram is the congruence `AᵀGA` and the scaled
-    /// moments are `Aᵀc` — O(p²) instead of O(n·p²).
-    ///
-    /// `mins[j]`/`ranges[j]` describe predictor `j`; every range must be
-    /// non-zero (constant columns are dropped by preprocessing first).
-    pub fn scaled(&self, mins: &[f64], ranges: &[f64]) -> NormalEq {
-        let p = self.g.rows() - 1;
-        debug_assert_eq!(mins.len(), p, "one min per predictor");
-        debug_assert_eq!(ranges.len(), p, "one range per predictor");
-        // A[0][0] = 1; A[0][j+1] = -min_j/range_j; A[j+1][j+1] = 1/range_j.
-        // (AᵀGA)[a][b] expands into the four terms below; exploiting the
-        // sparsity of A keeps this O(p²).
-        let a0: Vec<f64> = mins
-            .iter()
-            .zip(ranges.iter())
-            .map(|(&m, &r)| -m / r)
-            .collect();
-        let inv: Vec<f64> = ranges.iter().map(|&r| 1.0 / r).collect();
-        let mut g = Matrix::zeros(p + 1, p + 1);
-        // Row/col 0 (intercept): u-col b ↦ a0[b-1]·g00 + inv[b-1]·g0b.
-        g[(0, 0)] = self.g[(0, 0)];
-        for b in 1..=p {
-            let v = a0[b - 1] * self.g[(0, 0)] + inv[b - 1] * self.g[(0, b)];
-            g[(0, b)] = v;
-            g[(b, 0)] = v;
-        }
-        for a in 1..=p {
-            for b in a..=p {
-                let v = a0[a - 1] * a0[b - 1] * self.g[(0, 0)]
-                    + a0[a - 1] * inv[b - 1] * self.g[(0, b)]
-                    + inv[a - 1] * a0[b - 1] * self.g[(a, 0)]
-                    + inv[a - 1] * inv[b - 1] * self.g[(a, b)];
-                g[(a, b)] = v;
-                g[(b, a)] = v;
-            }
-        }
-        let mut c = vec![0.0; p + 1];
-        c[0] = self.c[0];
-        for (j, cj) in c.iter_mut().enumerate().skip(1) {
-            *cj = a0[j - 1] * self.c[0] + inv[j - 1] * self.c[j];
-        }
-        NormalEq {
-            g,
-            c,
-            yty: self.yty,
-            n: self.n,
-        }
-    }
-
-    /// Number of rows the statistics were accumulated over.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Number of predictors (excluding the intercept).
-    pub fn p(&self) -> usize {
-        self.g.rows() - 1
-    }
-
     /// `yᵀy` — the uncentered total sum of squares of the target.
     pub fn yty(&self) -> f64 {
         self.yty
-    }
-
-    /// Augmented Gram entry (0 = intercept, predictor `j` at `j+1`).
-    pub fn gram(&self, i: usize, j: usize) -> f64 {
-        self.g[(i, j)]
-    }
-
-    /// Augmented moment entry (0 = intercept, predictor `j` at `j+1`).
-    pub fn moment(&self, i: usize) -> f64 {
-        self.c[i]
     }
 }
 
@@ -560,52 +454,6 @@ mod tests {
         let mut ac = ActiveCholesky::new(&ne).unwrap();
         ac.push(0).unwrap();
         assert_eq!(ac.score_add(4), AddScore::Uncertain);
-    }
-
-    #[test]
-    fn minus_rows_matches_direct_subset() {
-        let (x, y) = toy();
-        let full = NormalEq::from_design(&x, &y);
-        let drop: Vec<usize> = vec![1, 4, 9];
-        let keep: Vec<usize> = (0..x.rows()).filter(|i| !drop.contains(i)).collect();
-        let sub = full.minus_rows(&x, &y, &drop);
-        let xk = x.select_rows(&keep);
-        let yk: Vec<f64> = keep.iter().map(|&i| y[i]).collect();
-        let direct = NormalEq::from_design(&xk, &yk);
-        assert_eq!(sub.n(), direct.n());
-        for i in 0..=x.cols() {
-            for j in 0..=x.cols() {
-                assert!(
-                    (sub.gram(i, j) - direct.gram(i, j)).abs()
-                        <= 1e-9 * (1.0 + direct.gram(i, j).abs())
-                );
-            }
-            assert!((sub.moment(i) - direct.moment(i)).abs() <= 1e-9);
-        }
-        assert!((sub.yty() - direct.yty()).abs() <= 1e-9 * (1.0 + direct.yty().abs()));
-    }
-
-    #[test]
-    fn scaled_matches_scaling_the_rows() {
-        let (x, y) = toy();
-        let mins = vec![0.05, -0.1, 0.2, 0.0];
-        let ranges = vec![1.1, 0.9, 2.0, 0.5];
-        let scaled = NormalEq::from_design(&x, &y).scaled(&mins, &ranges);
-        let xs = Matrix::from_fn(x.rows(), x.cols(), |i, j| (x[(i, j)] - mins[j]) / ranges[j]);
-        let direct = NormalEq::from_design(&xs, &y);
-        for i in 0..=x.cols() {
-            for j in 0..=x.cols() {
-                assert!(
-                    (scaled.gram(i, j) - direct.gram(i, j)).abs()
-                        <= 1e-9 * (1.0 + direct.gram(i, j).abs()),
-                    "G[{i}][{j}]"
-                );
-            }
-            assert!(
-                (scaled.moment(i) - direct.moment(i)).abs()
-                    <= 1e-9 * (1.0 + direct.moment(i).abs())
-            );
-        }
     }
 
     #[test]

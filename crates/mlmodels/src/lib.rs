@@ -33,7 +33,6 @@
 
 pub mod artifact;
 pub mod crossval;
-pub(crate) mod gramcache;
 pub mod importance;
 pub mod linreg;
 pub(crate) mod methods;

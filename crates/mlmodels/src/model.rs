@@ -6,12 +6,11 @@
 //! [`TrainedModel`] carries its preprocessor, so prediction takes raw
 //! [`Table`]s.
 
-use crate::gramcache::LrGramCache;
 use crate::linreg::LinearFit;
 use crate::methods::{try_train_nn, NnMethod};
 use crate::nn::Mlp;
 use crate::prep::{Encoding, Preprocessor};
-use crate::select::{try_select_with, SelectionMethod, Thresholds};
+use crate::select::{try_select, SelectionMethod, Thresholds};
 use crate::table::Table;
 use fault::Result;
 use serde::{Deserialize, Serialize};
@@ -187,36 +186,12 @@ impl TrainedModel {
 /// `DegenerateData` for unusable tables, `SingularSystem` for
 /// unsalvageable designs, `Diverged` when NN retries are exhausted.
 pub fn try_train(kind: ModelKind, table: &Table, seed: u64) -> Result<TrainedModel> {
-    try_train_cached(kind, table, seed, None, &[])
-}
-
-/// [`try_train`] with an optional shared-Gram cache for linear models.
-///
-/// Cross-validation passes the full-table [`LrGramCache`] plus the rows
-/// held out from `table`; when the fold's preprocessing plan matches the
-/// full table's, candidate scoring reuses the cached statistics instead
-/// of re-accumulating the fold's Gram. Non-linear kinds and plan
-/// mismatches train exactly as [`try_train`] does.
-pub(crate) fn try_train_cached(
-    kind: ModelKind,
-    table: &Table,
-    seed: u64,
-    cache: Option<&LrGramCache>,
-    held_out: &[usize],
-) -> Result<TrainedModel> {
     let _span = telemetry::span!("train", model = kind.abbrev(), rows = table.n_rows());
     telemetry::counter_add("train/fits", 1);
     if let Some(selection) = kind.selection() {
         let prep = Preprocessor::try_fit(table, Encoding::NumericCoded)?;
         let x = prep.transform(table);
-        let ne = cache.and_then(|c| c.normal_eq_for(&prep, held_out));
-        let fit = try_select_with(
-            &x,
-            table.target(),
-            ne.as_ref(),
-            selection,
-            Thresholds::default(),
-        )?;
+        let fit = try_select(&x, table.target(), selection, Thresholds::default())?;
         Ok(TrainedModel {
             kind,
             prep,

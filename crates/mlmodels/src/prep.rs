@@ -197,11 +197,6 @@ impl Preprocessor {
         &self.dropped
     }
 
-    /// The fitted encoding mode.
-    pub fn encoding(&self) -> Encoding {
-        self.encoding
-    }
-
     /// The per-feature extraction plan, aligned with [`Self::features`].
     pub fn plan(&self) -> &[FeaturePlan] {
         &self.plan

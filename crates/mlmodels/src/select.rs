@@ -95,22 +95,6 @@ pub fn try_select(
     method: SelectionMethod,
     thresholds: Thresholds,
 ) -> Result<LinearFit> {
-    try_select_with(x, y, None, method, thresholds)
-}
-
-/// [`try_select`] with an optional precomputed [`NormalEq`] for `x`/`y`.
-///
-/// Cross-validation reuses one full-table Gram across folds (deriving
-/// each fold's statistics by row subtraction and rescaling) instead of
-/// re-accumulating it per fold; the statistics must describe exactly the
-/// rows of `x`/`y`.
-pub(crate) fn try_select_with(
-    x: &Matrix,
-    y: &[f64],
-    ne: Option<&NormalEq>,
-    method: SelectionMethod,
-    thresholds: Thresholds,
-) -> Result<LinearFit> {
     let p = x.cols();
     // Guard against under-determined fits: never use more predictors than
     // observations allow.
@@ -120,19 +104,12 @@ pub(crate) fn try_select_with(
         let active: Vec<usize> = (0..p).take(max_active).collect();
         return LinearFit::try_fit_ridge(x, y, &active);
     }
-    let owned;
-    let ne = match ne {
-        Some(shared) => shared,
-        None => {
-            owned = NormalEq::try_from_design(x, y)?;
-            &owned
-        }
-    };
+    let ne = NormalEq::try_from_design(x, y)?;
     let active = match method {
         SelectionMethod::Enter => unreachable!("handled above"),
-        SelectionMethod::Forward => forward(x, y, ne, thresholds, max_active, false)?,
-        SelectionMethod::Stepwise => forward(x, y, ne, thresholds, max_active, true)?,
-        SelectionMethod::Backward => backward(x, y, ne, thresholds, max_active)?,
+        SelectionMethod::Forward => forward(x, y, &ne, thresholds, max_active, false)?,
+        SelectionMethod::Stepwise => forward(x, y, &ne, thresholds, max_active, true)?,
+        SelectionMethod::Backward => backward(x, y, &ne, thresholds, max_active)?,
     };
     // The returned model is always a from-scratch fit of the chosen active
     // set: coefficients, diagnostics, and RSS come from the explicit
@@ -701,21 +678,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    /// When CV hands the driver a precomputed Gram, the result must match
-    /// the build-it-yourself path bit for bit.
-    #[test]
-    fn precomputed_normal_eq_changes_nothing() {
-        let (x, y) = data();
-        let ne = NormalEq::try_from_design(&x, &y).expect("finite design");
-        for m in [SelectionMethod::Forward, SelectionMethod::Stepwise] {
-            let direct = try_select(&x, &y, m, Thresholds::default()).expect("direct");
-            let shared =
-                try_select_with(&x, &y, Some(&ne), m, Thresholds::default()).expect("shared");
-            assert_eq!(direct.active, shared.active);
-            assert_eq!(direct.coefs, shared.coefs);
         }
     }
 }
