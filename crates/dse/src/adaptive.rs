@@ -398,28 +398,48 @@ pub fn try_run_adaptive(
         let budget = acquired.len();
         let train_rows = oracle.labels(&acquired)?;
         let train_table = try_table_from_sweep(&train_rows)?;
-
-        let (adaptive_error, random_error) = match &eval_table {
-            None => (f64::NAN, f64::NAN),
-            Some(eval) => {
-                let model = try_train(
-                    cfg.final_model,
-                    &train_table,
-                    child_seed(cfg.seed, streams::eval(round)),
-                )?;
-                let (a_err, _) = mape(&model.try_predict(eval)?, eval.target());
-                // Equal-budget random baseline (fresh draw each round).
+        // Equal-budget random baseline (fresh draw each round), labeled
+        // right after the acquired rows.
+        let random_table = match eval_table {
+            None => None,
+            Some(_) => {
                 let mut brng = seeded_rng(child_seed(cfg.seed, streams::baseline_draw(round)));
                 let random_rows = draw_distinct(&mut brng, n, budget, &holdout);
-                let random_table = try_table_from_sweep(&oracle.labels(&random_rows)?)?;
-                let baseline = try_train(
-                    cfg.final_model,
-                    &random_table,
-                    child_seed(cfg.seed, streams::baseline_train(round)),
-                )?;
+                Some(try_table_from_sweep(&oracle.labels(&random_rows)?)?)
+            }
+        };
+
+        // One fan-out trains the round's models, costliest first: the
+        // final model on the acquired and on the random sample (when
+        // errors are measured), then the committee (unless this is the
+        // last round). Fits that finish early free their worker for the
+        // nested fan-outs of the fits still running.
+        let mut fits: Vec<(ModelKind, &Table, u64)> = Vec::new();
+        if let Some(random_table) = &random_table {
+            fits.push((cfg.final_model, &train_table, streams::eval(round)));
+            fits.push((
+                cfg.final_model,
+                random_table,
+                streams::baseline_train(round),
+            ));
+        }
+        let members = if round < cfg.rounds { cfg.committee } else { 0 };
+        fits.extend((0..members).map(|m| (cfg.member, &train_table, streams::committee(round, m))));
+        let mut models = telemetry::par_map(fits.len(), telemetry::default_workers(), |k| {
+            let (kind, table, stream) = fits[k];
+            try_train(kind, table, child_seed(cfg.seed, stream))
+        })
+        .into_iter()
+        .collect::<Result<Vec<TrainedModel>>>()?;
+        let committee = models.split_off(fits.len() - members);
+
+        let (adaptive_error, random_error) = match (&eval_table, models.as_slice()) {
+            (Some(eval), [model, baseline]) => {
+                let (a_err, _) = mape(&model.try_predict(eval)?, eval.target());
                 let (r_err, _) = mape(&baseline.try_predict(eval)?, eval.target());
                 (a_err, r_err)
             }
+            _ => (f64::NAN, f64::NAN),
         };
         trajectory.push(TrajectoryPoint {
             budget,
@@ -430,17 +450,6 @@ pub fn try_run_adaptive(
         if round == cfg.rounds {
             break;
         }
-
-        // Query-by-committee: train the committee on the acquired sample.
-        let committee = telemetry::par_map(cfg.committee, telemetry::default_workers(), |m| {
-            try_train(
-                cfg.member,
-                &train_table,
-                child_seed(cfg.seed, streams::committee(round, m)),
-            )
-        })
-        .into_iter()
-        .collect::<Result<Vec<TrainedModel>>>()?;
 
         // Candidate pool: everything unacquired, or a seeded cap of it.
         let acquired_set: HashSet<usize> = acquired.iter().copied().collect();

@@ -105,11 +105,11 @@ fn fit_candidate(
 
 /// Final full-data training for a chosen topology, preserving pruned
 /// inputs from a prototype network. Batch training on small samples can
-/// land in poor local minima, so three restarts compete and the best
-/// training fit wins.
+/// land in poor local minima, so three restarts compete, in parallel, and
+/// the best training fit wins.
 fn finalize(proto: &Mlp, x: &Matrix, y: &[f64], cfg: &TrainConfig) -> Result<Mlp> {
-    let mut restarts = Vec::with_capacity(3);
-    for r in 0..3u64 {
+    let restarts = telemetry::par_map(3, telemetry::default_workers(), |r| {
+        let r = r as u64;
         let mut net = Mlp::new(
             x.cols(),
             &proto.hidden_sizes(),
@@ -123,9 +123,9 @@ fn finalize(proto: &Mlp, x: &Matrix, y: &[f64], cfg: &TrainConfig) -> Result<Mlp
         let mut fcfg = *cfg;
         fcfg.seed = child_seed(cfg.seed, 0xF2 + r);
         let rmse = train_keeping_divergence(&mut net, x, y, &fcfg)?;
-        restarts.push((net, rmse));
-    }
-    Ok(best_restart(restarts))
+        Ok((net, rmse))
+    });
+    Ok(best_restart(restarts.into_iter().collect::<Result<_>>()?))
 }
 
 /// The restart with the lowest final training loss. A NaN loss of

@@ -19,7 +19,8 @@
 //! [`report`] module compares a finished manifest against committed
 //! `BENCH_*.json` baselines (`perfpredict perf-report`).
 //! [`par_map`] is the workspace's one way to fan work out to threads: its
-//! workers inherit the caller's span path and report their busy time.
+//! workers inherit the caller's span path and report their busy time, and
+//! a nested call borrows the idle workers of the outermost call.
 //! Every event is fanned out to the configured [`Sink`]s: a console sink
 //! whose verbosity comes from `PERFPREDICT_LOG` (or the CLI `--trace`
 //! flag) and a JSON-lines manifest sink (`--metrics-out <path>`).
