@@ -16,11 +16,19 @@
 //! instructions, polluting the I-cache (and, when `issue_wrong_path` is
 //! set, the data hierarchy too — SimpleScalar's wrong-path issue mode).
 //!
+//! The scheduler keeps the unissued RUU entries in a separate age-ordered
+//! waiting list, each with its producers' completion-ring slots. Issue
+//! builds a 64-bit ready mask over the first [`ISSUE_SCAN`] of them and
+//! walks its set bits oldest first; the issued entries leave the list in
+//! one compaction pass.
+//!
 //! [`Core::run`] does not tick cycles in which no stage can act: it jumps
 //! to the next event, and while only the wrong-path front end can act it
 //! runs that stage alone. Readiness compares fixed completion cycles with
 //! the current one, so a skipped cycle is a no-op and the statistics equal
-//! the every-cycle loop's, which the unit tests keep as the oracle.
+//! the every-cycle loop's, which the unit tests keep as the oracle. Only a
+//! ticked cycle changes what the next back-end event depends on, so the
+//! core keeps its last scan for that event until the next tick.
 
 use crate::bpred::{self, BranchPredictor};
 use crate::cache::{Cache, Hierarchy, LatencyModel};
@@ -106,19 +114,44 @@ impl FuBusy {
     }
 }
 
-/// One RUU entry.
+/// One RUU entry. Its sequence number is the number of instructions
+/// committed before it, so entry `i` of the RUU is instruction
+/// `committed + i`.
 #[derive(Debug, Clone, Copy)]
 struct RuuEntry {
-    seq: u64,
     op: OpClass,
-    /// Producer sequence numbers (u64::MAX = no dependency).
-    prod1: u64,
-    prod2: u64,
     addr: u64,
-    issued: bool,
     /// Completion cycle once issued (u64::MAX before).
     done_at: u64,
-    is_mem: bool,
+}
+
+/// One unissued instruction in the scheduler's waiting list: its
+/// sequence number and its two producers' `done_ring` slots
+/// ([`LIVE_IN`] for an operand with no producer).
+#[derive(Debug, Clone, Copy)]
+struct Waiting {
+    seq: u64,
+    src: [usize; 2],
+}
+
+impl Waiting {
+    /// Cycle at which both source operands are ready (`u64::MAX` while a
+    /// producer is unissued).
+    fn ready_at(&self, done_ring: &[u64]) -> u64 {
+        done_ring[self.src[0]].max(done_ring[self.src[1]])
+    }
+}
+
+/// Where a core's simulated cycles went. The three parts sum to the
+/// core's cycle count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct CycleSplit {
+    /// Cycles in which commit, issue and fetch/dispatch all ran.
+    pub(crate) ticked: u64,
+    /// Cycles in which only the wrong-path front end ran.
+    pub(crate) wrong_path: u64,
+    /// Cycles jumped over because no stage could act in them.
+    pub(crate) skipped: u64,
 }
 
 /// Counters reported by one simulation run.
@@ -208,8 +241,11 @@ pub struct Core {
     dtlb: Tlb,
     bpred: Box<dyn BranchPredictor + Send>,
     ruu: VecDeque<RuuEntry>,
+    /// The unissued RUU entries, oldest first.
+    waiting: Vec<Waiting>,
     lsq_used: u32,
-    /// Completion cycles ring, indexed by seq % RING.
+    /// Completion cycles ring, indexed by seq % RING, plus the
+    /// [`LIVE_IN`] slot, which always holds 0.
     done_ring: Vec<u64>,
     cycle: u64,
     next_seq: u64,
@@ -223,8 +259,11 @@ pub struct Core {
     /// Optional data-side prefetcher (library extension; None reproduces
     /// the paper's configuration).
     dpref: Option<Box<dyn Prefetcher + Send>>,
-    /// Cycles jumped over because no stage could act in them.
-    skipped: u64,
+    /// The earliest back-end event candidate as last scanned, when none
+    /// was due then (see [`Core::back_end_event`]); cleared by every tick.
+    back_event: Option<u64>,
+    /// Where the simulated cycles so far went.
+    split: CycleSplit,
 }
 
 /// Size of the completion ring. Must exceed RUU size + max dep distance.
@@ -233,11 +272,15 @@ const RING: usize = 1024;
 fn ring_slot(seq: u64) -> usize {
     (seq % RING as u64) as usize
 }
+/// The completion-ring slot of a live-in operand: past every
+/// [`ring_slot`], never written, always 0.
+const LIVE_IN: usize = RING;
 
 /// Front-end refill penalty after a mispredict resolves, in cycles.
 const REFILL_PENALTY: u64 = 3;
 /// Maximum unissued RUU entries the scheduler examines per cycle.
 const ISSUE_SCAN: usize = 64;
+const _: () = assert!(ISSUE_SCAN <= 64, "the ready mask is one u64");
 
 impl Core {
     /// Build a core for a configuration.
@@ -252,8 +295,9 @@ impl Core {
             dtlb: Tlb::new(config.dtlb_kb),
             bpred: bpred::build(config.bpred),
             ruu: VecDeque::with_capacity(config.ruu_size as usize),
+            waiting: Vec::with_capacity(config.ruu_size as usize),
             lsq_used: 0,
-            done_ring: vec![0; RING],
+            done_ring: vec![0; RING + 1],
             cycle: 0,
             next_seq: 0,
             committed: 0,
@@ -261,7 +305,8 @@ impl Core {
             fetch_resume_at: 0,
             last_fetch_line: u64::MAX,
             dpref: None,
-            skipped: 0,
+            back_event: None,
+            split: CycleSplit::default(),
             config,
         }
     }
@@ -278,10 +323,11 @@ impl Core {
         self.dpref.as_ref().map_or(0, |p| p.issued())
     }
 
-    /// Simulated cycles so far that no stage acted in, jumped over by
-    /// [`Core::run`]'s next-event skip instead of being ticked.
-    pub(crate) fn cycles_skipped(&self) -> u64 {
-        self.skipped
+    /// How the simulated cycles so far divide between ticked cycles,
+    /// wrong-path-only cycles and cycles [`Core::run`]'s next-event skip
+    /// jumped over.
+    pub(crate) fn cycle_split(&self) -> CycleSplit {
+        self.split
     }
 
     /// Run `n_insts` architectural instructions from any instruction
@@ -290,6 +336,7 @@ impl Core {
         let mut remaining = n_insts;
         let mut pending: Option<Inst> = None;
         let limit = self.cycle_limit(n_insts);
+        self.back_event = None;
         while (remaining > 0 || pending.is_some() || !self.ruu.is_empty()) && self.cycle < limit {
             let front = self.front_end_event(remaining, pending.as_ref());
             if front > self.cycle {
@@ -297,7 +344,7 @@ impl Core {
                 // can act in.
                 let next = self.back_end_event().min(front).min(limit);
                 if next > self.cycle {
-                    self.skipped += next - self.cycle;
+                    self.split.skipped += next - self.cycle;
                     self.cycle = next;
                     continue;
                 }
@@ -309,6 +356,7 @@ impl Core {
                     while self.cycle < back && self.cycle >= self.fetch_resume_at {
                         self.fetch_wrong_path(gen);
                         self.cycle += 1;
+                        self.split.wrong_path += 1;
                     }
                     continue;
                 }
@@ -333,39 +381,62 @@ impl Core {
         remaining: &mut u64,
         pending: &mut Option<Inst>,
     ) {
+        self.back_event = None;
         self.commit();
         self.issue();
         self.fetch_dispatch(gen, remaining, pending);
         self.cycle += 1;
+        self.split.ticked += 1;
     }
 
     /// Earliest cycle, not before now, at which commit or issue can act or
-    /// the blocked branch resolves (`u64::MAX`: none is scheduled). The
-    /// candidates are the issued RUU head's completion, the completion of
-    /// the blocked branch, and, for the first [`ISSUE_SCAN`] unissued
+    /// the blocked branch resolves (`u64::MAX`: none is scheduled).
+    ///
+    /// The candidates depend only on the RUU, the waiting list,
+    /// `done_ring` and `blocked_on_branch`, which only a tick changes, so
+    /// a scan that finds none due is kept until the next tick and later
+    /// calls return its minimum, or now once that has passed.
+    fn back_end_event(&mut self) -> u64 {
+        let now = self.cycle;
+        let raw = match self.back_event {
+            Some(raw) => {
+                debug_assert_eq!(raw.max(now), self.back_end_scan().unwrap_or(now));
+                raw
+            }
+            None => match self.back_end_scan() {
+                Some(raw) => {
+                    self.back_event = Some(raw);
+                    raw
+                }
+                None => return now,
+            },
+        };
+        raw.max(now)
+    }
+
+    /// The earliest back-end event candidate, or `None` when one is due
+    /// now. The candidates are the RUU head's completion, the completion
+    /// of the blocked branch, and, for the first [`ISSUE_SCAN`] waiting
     /// entries — the ones the scheduler examines — the later of their
     /// producers' completions. An entry with an unissued producer waits
     /// on that producer's issue, itself an earlier candidate.
-    fn back_end_event(&self) -> u64 {
+    fn back_end_scan(&self) -> Option<u64> {
         let now = self.cycle;
-        let mut next = u64::MAX;
-        if let Some(head) = self.ruu.front().filter(|e| e.issued) {
-            next = head.done_at;
-        }
+        let mut next = self.ruu.front().map_or(u64::MAX, |head| head.done_at);
         if let Some(bseq) = self.blocked_on_branch {
             next = next.min(self.done_ring[ring_slot(bseq)]);
         }
         if next <= now {
-            return now;
+            return None;
         }
-        for e in self.ruu.iter().filter(|e| !e.issued).take(ISSUE_SCAN) {
-            let ready = self.operands_ready_at(e);
+        for w in self.waiting.iter().take(ISSUE_SCAN) {
+            let ready = w.ready_at(&self.done_ring);
             if ready <= now {
-                return now;
+                return None;
             }
             next = next.min(ready);
         }
-        next
+        Some(next)
     }
 
     /// Earliest cycle, not before now, at which fetch/dispatch can act
@@ -429,8 +500,8 @@ impl Core {
         let mut retired = 0;
         while retired < usize::from(self.config.width) {
             match self.ruu.front() {
-                Some(e) if e.issued && e.done_at <= self.cycle => {
-                    if e.is_mem {
+                Some(e) if e.done_at <= self.cycle => {
+                    if is_mem(e.op) {
                         self.lsq_used -= 1;
                     }
                     self.ruu.pop_front();
@@ -442,82 +513,89 @@ impl Core {
         }
     }
 
-    /// Cycle at which both source operands of `e` are ready.
-    fn operands_ready_at(&self, e: &RuuEntry) -> u64 {
-        let done_at = |prod: u64| {
-            if prod == u64::MAX {
-                return 0;
-            }
-            // Committed producers left the RUU; their slot in the ring holds
-            // the completion cycle. In-flight producers are found in the ring
-            // too — entries are written at issue time. Unissued producers
-            // hold u64::MAX.
-            self.done_ring[ring_slot(prod)]
-        };
-        done_at(e.prod1).max(done_at(e.prod2))
-    }
-
     /// Wake and issue ready instructions (oldest first), bounded by issue
     /// width and functional-unit availability. The scheduler examines at
-    /// most [`ISSUE_SCAN`] not-yet-issued entries per cycle — real wakeup
-    /// logic has bounded fan-in, and this keeps per-cycle work O(window)
+    /// most [`ISSUE_SCAN`] waiting entries per cycle — real wakeup logic
+    /// has bounded fan-in, and this keeps per-cycle work O(window)
     /// instead of O(RUU).
+    ///
+    /// An instruction issued this cycle completes in a later one, so
+    /// issuing wakes nothing else this cycle: the ready mask built before
+    /// the first issue holds for the whole cycle.
     fn issue(&mut self) {
-        let mut fu = FuBusy::default();
-        let mut issued = 0;
-        let mut scanned = 0;
-        let width = usize::from(self.config.width);
-        for idx in 0..self.ruu.len() {
-            if issued >= width || scanned >= ISSUE_SCAN {
-                break;
-            }
-            let e = self.ruu[idx];
-            if e.issued {
-                continue;
-            }
-            scanned += 1;
-            if self.operands_ready_at(&e) > self.cycle {
-                continue;
-            }
-            if !fu.try_claim(e.op, &self.config.fu) {
-                continue;
-            }
-            let mut lat = op_latency(e.op);
-            if e.op == OpClass::Load {
-                if !self.dtlb.access(e.addr) {
-                    lat += self.latency.tlb_miss;
-                }
-                let level = self.dcache.access(e.addr, &mut self.l2, self.l3.as_mut());
-                lat += self.latency.for_level(level);
-                // Prefetcher observes the demand stream (keyed by the
-                // issuing block, standing in for the load PC) and installs
-                // predicted lines off the critical path.
-                if let Some(pf) = self.dpref.as_mut() {
-                    let miss = level != crate::cache::HierLevel::L1;
-                    // Stream id: the 4 KB page, a PC-free stand-in that
-                    // keeps strided walks within one stream.
-                    let targets = pf.observe((e.addr >> 12) as u32, e.addr, miss);
-                    for t in targets {
-                        let _ = self.dcache.access(t, &mut self.l2, self.l3.as_mut());
-                    }
-                }
-            } else if e.op == OpClass::Store {
-                // Stores translate and touch the cache for ownership but
-                // retire without waiting on the memory latency.
-                if !self.dtlb.access(e.addr) {
-                    lat += self.latency.tlb_miss;
-                }
-                let _ = self.dcache.access(e.addr, &mut self.l2, self.l3.as_mut());
-            }
-            let done = self.cycle + u64::from(lat);
-            let entry = &mut self.ruu[idx];
-            entry.issued = true;
-            entry.done_at = done;
-            self.done_ring[ring_slot(e.seq)] = done;
-            issued += 1;
+        let now = self.cycle;
+        let window = self.waiting.len().min(ISSUE_SCAN);
+        let mut ready = 0u64;
+        for (i, w) in self.waiting[..window].iter().enumerate() {
+            ready |= u64::from(w.ready_at(&self.done_ring) <= now) << i;
         }
-        // If fetch is blocked on a mispredicted branch that has now
-        // executed, schedule the front-end restart.
+        let mut fu = FuBusy::default();
+        let mut issued = 0u64;
+        let mut n_issued = 0;
+        while ready != 0 && n_issued < self.config.width {
+            let i = ready.trailing_zeros() as usize;
+            ready &= ready - 1;
+            let seq = self.waiting[i].seq;
+            let idx = (seq - self.committed) as usize;
+            let op = self.ruu[idx].op;
+            if !fu.try_claim(op, &self.config.fu) {
+                continue;
+            }
+            let done = now + u64::from(self.execute(op, self.ruu[idx].addr));
+            self.ruu[idx].done_at = done;
+            self.done_ring[ring_slot(seq)] = done;
+            issued |= 1 << i;
+            n_issued += 1;
+        }
+        if issued != 0 {
+            let mut kept = 0;
+            for i in 0..window {
+                if issued & (1 << i) == 0 {
+                    self.waiting[kept] = self.waiting[i];
+                    kept += 1;
+                }
+            }
+            self.waiting.drain(kept..window);
+        }
+        self.resolve_blocked_branch();
+    }
+
+    /// Launch an instruction that won a functional unit: translate and
+    /// access the data side for a memory op. Returns its latency.
+    fn execute(&mut self, op: OpClass, addr: u64) -> u32 {
+        let mut lat = op_latency(op);
+        if op == OpClass::Load {
+            if !self.dtlb.access(addr) {
+                lat += self.latency.tlb_miss;
+            }
+            let level = self.dcache.access(addr, &mut self.l2, self.l3.as_mut());
+            lat += self.latency.for_level(level);
+            // Prefetcher observes the demand stream (keyed by the
+            // issuing block, standing in for the load PC) and installs
+            // predicted lines off the critical path.
+            if let Some(pf) = self.dpref.as_mut() {
+                let miss = level != crate::cache::HierLevel::L1;
+                // Stream id: the 4 KB page, a PC-free stand-in that
+                // keeps strided walks within one stream.
+                let targets = pf.observe((addr >> 12) as u32, addr, miss);
+                for t in targets {
+                    let _ = self.dcache.access(t, &mut self.l2, self.l3.as_mut());
+                }
+            }
+        } else if op == OpClass::Store {
+            // Stores translate and touch the cache for ownership but
+            // retire without waiting on the memory latency.
+            if !self.dtlb.access(addr) {
+                lat += self.latency.tlb_miss;
+            }
+            let _ = self.dcache.access(addr, &mut self.l2, self.l3.as_mut());
+        }
+        lat
+    }
+
+    /// If fetch is blocked on a mispredicted branch that has now
+    /// executed, schedule the front-end restart.
+    fn resolve_blocked_branch(&mut self) {
         if let Some(bseq) = self.blocked_on_branch {
             let done = self.done_ring[ring_slot(bseq)];
             if done <= self.cycle {
@@ -617,33 +695,29 @@ impl Core {
                 return;
             }
 
-            let is_mem = is_mem(inst.op);
             let seq = self.next_seq;
             self.next_seq += 1;
             // Producers must still be "recent" enough to resolve through the
-            // ring; the trace generator bounds distances at 64. A distance
-            // reaching before the trace start means the value was live-in:
-            // no dependency (u64::MAX), never "instruction 0".
-            let prod = |d: u16| {
-                if d == 0 {
-                    u64::MAX
-                } else {
-                    seq.checked_sub(u64::from(d)).unwrap_or(u64::MAX)
-                }
+            // ring; the trace generator bounds distances at 64. Committed
+            // producers left the RUU, but their slot in the ring still holds
+            // the completion cycle. A distance reaching before the trace
+            // start means the value was live-in, never "instruction 0".
+            let src = |d: u16| match seq.checked_sub(u64::from(d)) {
+                Some(prod) if d > 0 => ring_slot(prod),
+                _ => LIVE_IN,
             };
             // Mark as not-done until issued.
             self.done_ring[ring_slot(seq)] = u64::MAX;
             self.ruu.push_back(RuuEntry {
-                seq,
                 op: inst.op,
-                prod1: prod(inst.dep1),
-                prod2: prod(inst.dep2),
                 addr: inst.addr,
-                issued: false,
                 done_at: u64::MAX,
-                is_mem,
             });
-            if is_mem {
+            self.waiting.push(Waiting {
+                seq,
+                src: [src(inst.dep1), src(inst.dep2)],
+            });
+            if is_mem(inst.op) {
                 self.lsq_used += 1;
             }
 
@@ -681,6 +755,142 @@ mod tests {
             }
             self.stats()
         }
+
+        /// The oracle for the scheduler: [`Core::run`]'s loop with the
+        /// linear scans below in place of the memoized back-end event and
+        /// the ready-mask issue.
+        fn run_linear<S: InstSource>(&mut self, gen: &mut S, n_insts: u64) -> PipelineStats {
+            let mut remaining = n_insts;
+            let mut pending: Option<Inst> = None;
+            let limit = self.cycle_limit(n_insts);
+            while (remaining > 0 || pending.is_some() || !self.ruu.is_empty()) && self.cycle < limit
+            {
+                let front = self.front_end_event(remaining, pending.as_ref());
+                if front > self.cycle {
+                    let next = self.back_end_event_linear().min(front).min(limit);
+                    if next > self.cycle {
+                        self.split.skipped += next - self.cycle;
+                        self.cycle = next;
+                        continue;
+                    }
+                } else if self.blocked_on_branch.is_some() {
+                    let back = self.back_end_event_linear().min(limit);
+                    if back > self.cycle {
+                        while self.cycle < back && self.cycle >= self.fetch_resume_at {
+                            self.fetch_wrong_path(gen);
+                            self.cycle += 1;
+                            self.split.wrong_path += 1;
+                        }
+                        continue;
+                    }
+                }
+                self.commit();
+                self.issue_linear();
+                self.fetch_dispatch(gen, &mut remaining, &mut pending);
+                self.cycle += 1;
+                self.split.ticked += 1;
+            }
+            self.stats()
+        }
+
+        /// Cycle at which both source operands of the unissued
+        /// instruction `seq` are ready.
+        fn operands_ready_at(&self, seq: u64) -> u64 {
+            let i = self
+                .waiting
+                .binary_search_by_key(&seq, |w| w.seq)
+                .expect("every unissued instruction is waiting");
+            self.waiting[i].ready_at(&self.done_ring)
+        }
+
+        /// Sequence numbers of the unissued RUU entries, oldest first.
+        fn unissued(&self) -> impl Iterator<Item = u64> + '_ {
+            (self.committed..)
+                .zip(&self.ruu)
+                .filter(|(_, e)| e.done_at == u64::MAX)
+                .map(|(seq, _)| seq)
+        }
+
+        /// [`Core::back_end_event`] by a fresh walk over the RUU at every
+        /// call.
+        fn back_end_event_linear(&self) -> u64 {
+            let now = self.cycle;
+            let mut next = self.ruu.front().map_or(u64::MAX, |head| head.done_at);
+            if let Some(bseq) = self.blocked_on_branch {
+                next = next.min(self.done_ring[ring_slot(bseq)]);
+            }
+            if next <= now {
+                return now;
+            }
+            for seq in self.unissued().take(ISSUE_SCAN) {
+                let ready = self.operands_ready_at(seq);
+                if ready <= now {
+                    return now;
+                }
+                next = next.min(ready);
+            }
+            next
+        }
+
+        /// [`Core::issue`] by walking the RUU in order, skipping issued
+        /// entries and examining at most [`ISSUE_SCAN`] unissued ones.
+        fn issue_linear(&mut self) {
+            let mut fu = FuBusy::default();
+            let mut issued = 0;
+            let mut scanned = 0;
+            let width = usize::from(self.config.width);
+            for (idx, seq) in (self.committed..).take(self.ruu.len()).enumerate() {
+                if issued >= width || scanned >= ISSUE_SCAN {
+                    break;
+                }
+                let e = self.ruu[idx];
+                if e.done_at != u64::MAX {
+                    continue;
+                }
+                scanned += 1;
+                if self.operands_ready_at(seq) > self.cycle {
+                    continue;
+                }
+                if !fu.try_claim(e.op, &self.config.fu) {
+                    continue;
+                }
+                let done = self.cycle + u64::from(self.execute(e.op, e.addr));
+                self.ruu[idx].done_at = done;
+                self.done_ring[ring_slot(seq)] = done;
+                self.waiting.retain(|w| w.seq != seq);
+                issued += 1;
+            }
+            self.resolve_blocked_branch();
+        }
+    }
+
+    /// Statistics and cycle split of `n` instructions, after `warmup` more
+    /// when it is nonzero, through the shipped scheduler or, with
+    /// `linear`, through [`Core::run_linear`].
+    fn scheduled(
+        b: Benchmark,
+        cfg: CpuConfig,
+        seed: u64,
+        warmup: u64,
+        n: u64,
+        linear: bool,
+    ) -> (PipelineStats, CycleSplit) {
+        let mut gen = TraceGenerator::for_benchmark(b, seed);
+        let mut core = Core::new(cfg);
+        let mut run = |core: &mut Core, n| {
+            if linear {
+                core.run_linear(&mut gen, n)
+            } else {
+                core.run(&mut gen, n)
+            }
+        };
+        let before = if warmup > 0 {
+            run(&mut core, warmup)
+        } else {
+            PipelineStats::default()
+        };
+        let stats = run(&mut core, n).delta(&before);
+        (stats, core.cycle_split())
     }
 
     /// Statistics and prefetch count of one skipping run and one ticking
@@ -736,6 +946,52 @@ mod tests {
             let [fast, slow] = skipping_and_ticking(b, cfg, kind, seed, warmup, 1_500);
             prop_assert_eq!(fast, slow);
         }
+
+        /// The ready-mask scheduler and the memoized back-end event issue
+        /// and skip exactly as the linear scans do: random generated-space
+        /// configurations, half of them widened to 16-wide with a
+        /// 512-entry RUU, on every benchmark, with and without warm-up.
+        #[test]
+        fn scheduler_matches_linear_scan_oracle(
+            idx in 0usize..2_211_840,
+            b in prop::sample::select(Benchmark::ALL12.to_vec()),
+            widest in any::<bool>(),
+            warm in any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let space = DesignSpace::try_generate(&SpaceSpec::mega()).expect("mega spec");
+            let mut cfg = space.config_at(idx % space.len());
+            if widest {
+                cfg.width = 16;
+                cfg.fu = SpaceSpec::fu_for_width(16);
+                cfg.ruu_size = 512;
+                cfg.lsq_size = 256;
+            }
+            let warmup = if warm { 1_000 } else { 0 };
+            let shipped = scheduled(b, cfg, seed, warmup, 1_500, false);
+            let linear = scheduled(b, cfg, seed, warmup, 1_500, true);
+            prop_assert_eq!(shipped, linear);
+        }
+    }
+
+    #[test]
+    fn cycle_split_adds_up_to_cycles() {
+        for b in [Benchmark::Applu, Benchmark::Mcf] {
+            let mut gen = TraceGenerator::for_benchmark(b, 12);
+            let mut core = Core::new(CpuConfig::baseline());
+            let _ = core.run_with_warmup(&mut gen, 2_000, 5_000);
+            let split = core.cycle_split();
+            let cycles = core.stats().cycles;
+            assert_eq!(
+                split.ticked + split.wrong_path + split.skipped,
+                cycles,
+                "{b:?}"
+            );
+            assert!(
+                split.ticked > 0 && split.wrong_path > 0 && split.skipped > 0,
+                "{b:?}: {split:?}"
+            );
+        }
     }
 
     #[test]
@@ -744,10 +1000,10 @@ mod tests {
         let mut gen = TraceGenerator::for_benchmark(Benchmark::Mcf, 12);
         let mut core = Core::new(CpuConfig::baseline());
         let s = core.run(&mut gen, n);
+        let skipped = core.cycle_split().skipped;
         assert!(
-            core.cycles_skipped() * 2 > s.cycles,
-            "mcf skipped only {} of {} cycles",
-            core.cycles_skipped(),
+            skipped * 2 > s.cycles,
+            "mcf skipped only {skipped} of {} cycles",
             s.cycles
         );
         let [fast, slow] = skipping_and_ticking(

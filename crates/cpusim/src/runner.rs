@@ -8,7 +8,7 @@
 //! campaign.
 
 use crate::config::{CpuConfig, DesignSpace};
-use crate::core::{Core, PipelineStats};
+use crate::core::{Core, CycleSplit, PipelineStats};
 use crate::shard::{self, SweepOutcome};
 use crate::simpoint::analyze_checkpointed;
 use crate::trace::{Inst, ReplaySource, TraceGenerator};
@@ -130,21 +130,21 @@ pub(crate) fn run_windows(
 ) -> SimResult {
     debug_assert_eq!(traces.len(), weights.len());
     let mut weighted_cycles = 0.0;
-    let mut heaviest: Option<(f64, PipelineStats, u64)> = None;
+    let mut heaviest: Option<(f64, PipelineStats, CycleSplit)> = None;
     for (i, (trace, &w)) in traces.iter().zip(weights).enumerate() {
         let mut src = ReplaySource::new(trace, child_seed(seed, i as u64));
         let mut core = Core::new(config);
         let stats = core.run(&mut src, trace.len() as u64);
         weighted_cycles += w * stats.cycles as f64;
         if heaviest.as_ref().is_none_or(|(hw, _, _)| w > *hw) {
-            heaviest = Some((w, stats, core.cycles_skipped()));
+            heaviest = Some((w, stats, core.cycle_split()));
         }
     }
     // `materialize` always yields at least one window, so `heaviest` is
     // always set; an empty trace list would be an internal logic error.
-    let (_, stats, skipped) = heaviest.unwrap_or_default();
+    let (_, stats, split) = heaviest.unwrap_or_default();
     telemetry::counter_add("sim/windows", traces.len() as u64);
-    record_stats(&stats, skipped);
+    record_stats(&stats, split);
     SimResult {
         config,
         benchmark,
@@ -155,14 +155,18 @@ pub(crate) fn run_windows(
 
 /// Roll per-run pipeline statistics into the telemetry counters, so the
 /// run manifest carries cache/branch-predictor totals for the whole sweep.
-/// `sim/cycles_skipped` is the part of `sim/cycles` the core jumped over
-/// instead of ticking; it stays out of [`PipelineStats`] and the ledger.
-fn record_stats(stats: &PipelineStats, skipped: u64) {
+/// `sim/cycles` splits into `sim/cycles_ticked` (every stage ran),
+/// `sim/cycles_wrong_path` (only the wrong-path front end ran) and
+/// `sim/cycles_skipped` (the core jumped over them); the split stays out
+/// of [`PipelineStats`] and the ledger.
+fn record_stats(stats: &PipelineStats, split: CycleSplit) {
     if !telemetry::enabled() {
         return;
     }
     telemetry::counter_add("sim/cycles", stats.cycles);
-    telemetry::counter_add("sim/cycles_skipped", skipped);
+    telemetry::counter_add("sim/cycles_ticked", split.ticked);
+    telemetry::counter_add("sim/cycles_wrong_path", split.wrong_path);
+    telemetry::counter_add("sim/cycles_skipped", split.skipped);
     telemetry::counter_add("sim/instructions", stats.instructions);
     telemetry::counter_add("cache/l1d_accesses", stats.l1d_accesses);
     telemetry::counter_add("cache/l1d_misses", stats.l1d_misses);

@@ -13,6 +13,7 @@ use crate::trace::{Checkpoint, Inst, TraceGenerator};
 use crate::workload::Benchmark;
 use linalg::dist::{child_seed, seeded_rng};
 use rand::Rng;
+use std::sync::Mutex;
 
 /// Projected dimensionality of the BBVs (SimPoint uses 15).
 pub(crate) const PROJECTED_DIMS: usize = 16;
@@ -54,12 +55,26 @@ pub(crate) struct Checkpointed {
 impl Checkpointed {
     /// The instructions of every representative interval, in
     /// `analysis.points` order: interval `i` is instructions
-    /// `[i*len, (i+1)*len)` of the trace.
+    /// `[i*len, (i+1)*len)` of the trace. Each window regenerates from
+    /// its own checkpoint, so they are filled in parallel. They are
+    /// allocated on the calling thread, whose heap the sweep's other
+    /// traces share: allocated on a worker, each would grow that
+    /// worker's heap, and the process's peak memory with it.
     pub(crate) fn windows(&self) -> Vec<Vec<Inst>> {
         let len = self.analysis.interval_len as usize;
-        self.starts
+        let windows: Vec<Mutex<Vec<Inst>>> = self
+            .starts
             .iter()
-            .map(|at| self.gen.resume(at).take_vec(len))
+            .map(|_| Mutex::new(Vec::with_capacity(len)))
+            .collect();
+        telemetry::par_map(windows.len(), telemetry::default_workers(), |i| {
+            let mut gen = self.gen.resume(&self.starts[i]);
+            let mut window = windows[i].lock().expect("each window has one writer");
+            window.extend((0..len).map(|_| gen.next_inst()));
+        });
+        windows
+            .into_iter()
+            .map(|w| w.into_inner().expect("each window has one writer"))
             .collect()
     }
 }
