@@ -2,17 +2,19 @@
 //! an unknown flag, a flag without its value and a repeated flag each
 //! exit 2 with the flag named on stderr. Every harness command line the
 //! documentation, CI and scripts show parses against its harness's table.
+//! The binaries, `run_experiments.sh` and `results/` list the same harnesses.
 
 #[path = "../../../tests/support/doc_lines.rs"]
 mod doc_lines;
 
+use std::collections::BTreeSet;
+use std::path::Path;
 use std::process::Command;
 
 /// Every harness binary, with one of its value flags.
 const HARNESSES: &[(&str, &str)] = &[
     (env!("CARGO_BIN_EXE_ablation_adaptive"), "--scale"),
     (env!("CARGO_BIN_EXE_ablation_crossval"), "--scale"),
-    (env!("CARGO_BIN_EXE_ablation_prefetch"), "--scale"),
     (env!("CARGO_BIN_EXE_ablation_sampling"), "--scale"),
     (env!("CARGO_BIN_EXE_ablation_simpoint"), "--scale"),
     (env!("CARGO_BIN_EXE_repro_chrono"), "--seed"),
@@ -102,4 +104,45 @@ fn every_documented_harness_line_parses() {
             "{at}: {err}"
         );
     }
+}
+
+/// The names of the files in `dir` that end in `ext`, without it.
+fn stems(dir: &Path, ext: &str) -> BTreeSet<String> {
+    std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("directory entry").file_name())
+        .filter_map(|name| name.to_str()?.strip_suffix(ext).map(str::to_string))
+        .collect()
+}
+
+/// `HARNESSES` names every binary in `src/bin`, `run_experiments.sh`
+/// runs all of them but the `soak_serve` stress test, and `results/`
+/// holds one committed output per run line and no other.
+#[test]
+fn binaries_script_and_results_list_the_same_harnesses() {
+    let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let root = manifest.join("../..");
+    let listed: BTreeSet<String> = HARNESSES
+        .iter()
+        .map(|&(bin, _)| bin.rsplit('/').next().unwrap_or(bin).to_string())
+        .collect();
+    assert_eq!(
+        stems(&manifest.join("src/bin"), ".rs"),
+        listed,
+        "src/bin vs HARNESSES"
+    );
+
+    let script = std::fs::read_to_string(root.join("run_experiments.sh")).expect("script");
+    let run: BTreeSet<String> = script
+        .lines()
+        .filter_map(|line| line.strip_prefix("run "))
+        .filter_map(|rest| rest.split_whitespace().next())
+        .map(str::to_string)
+        .collect();
+    let mut expected = listed;
+    expected.remove("soak_serve");
+    assert_eq!(run, expected, "run_experiments.sh vs HARNESSES");
+
+    let results = stems(&root.join("results"), ".txt");
+    assert_eq!(results, expected, "results/*.txt vs run_experiments.sh");
 }

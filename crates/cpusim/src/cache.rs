@@ -86,15 +86,6 @@ impl Cache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Miss rate (0 if never accessed).
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
 }
 
 /// A full data-side or instruction-side hierarchy lookup result.

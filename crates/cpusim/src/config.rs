@@ -99,8 +99,10 @@ impl FuConfig {
         fpalu: 4,
         fpmult: 2,
     };
-    /// The 8-wide FU mix from Table 1: 8/4/4/8/4.
-    pub const WIDE: FuConfig = FuConfig {
+    /// The 8-wide FU mix from Table 1: 8/4/4/8/4, the reference the
+    /// tests pin `SpaceSpec::fu_for_width(8)` against.
+    #[cfg(test)]
+    pub(crate) const WIDE: FuConfig = FuConfig {
         ialu: 8,
         imult: 4,
         memport: 4,

@@ -33,7 +33,6 @@
 use crate::bpred::{self, BranchPredictor};
 use crate::cache::{Cache, Hierarchy, LatencyModel};
 use crate::config::CpuConfig;
-use crate::prefetch::{self, Prefetcher, PrefetcherKind};
 use crate::tlb::Tlb;
 use crate::trace::{Inst, InstSource, OpClass};
 use std::collections::VecDeque;
@@ -256,9 +255,6 @@ pub struct Core {
     fetch_resume_at: u64,
     /// I-cache line of the most recent fetch (new line => new access).
     last_fetch_line: u64,
-    /// Optional data-side prefetcher (library extension; None reproduces
-    /// the paper's configuration).
-    dpref: Option<Box<dyn Prefetcher + Send>>,
     /// The earliest back-end event candidate as last scanned, when none
     /// was due then (see [`Core::back_end_event`]); cleared by every tick.
     back_event: Option<u64>,
@@ -304,23 +300,10 @@ impl Core {
             blocked_on_branch: None,
             fetch_resume_at: 0,
             last_fetch_line: u64::MAX,
-            dpref: None,
             back_event: None,
             split: CycleSplit::default(),
             config,
         }
-    }
-
-    /// Build a core with a data-side prefetcher attached.
-    pub fn with_prefetcher(config: CpuConfig, kind: PrefetcherKind) -> Self {
-        let mut core = Core::new(config);
-        core.dpref = prefetch::build(kind, config.l1d.line_b);
-        core
-    }
-
-    /// Prefetches issued so far (0 without a prefetcher).
-    pub fn prefetches_issued(&self) -> u64 {
-        self.dpref.as_ref().map_or(0, |p| p.issued())
     }
 
     /// How the simulated cycles so far divide between ticked cycles,
@@ -570,18 +553,6 @@ impl Core {
             }
             let level = self.dcache.access(addr, &mut self.l2, self.l3.as_mut());
             lat += self.latency.for_level(level);
-            // Prefetcher observes the demand stream (keyed by the
-            // issuing block, standing in for the load PC) and installs
-            // predicted lines off the critical path.
-            if let Some(pf) = self.dpref.as_mut() {
-                let miss = level != crate::cache::HierLevel::L1;
-                // Stream id: the 4 KB page, a PC-free stand-in that
-                // keeps strided walks within one stream.
-                let targets = pf.observe((addr >> 12) as u32, addr, miss);
-                for t in targets {
-                    let _ = self.dcache.access(t, &mut self.l2, self.l3.as_mut());
-                }
-            }
         } else if op == OpClass::Store {
             // Stores translate and touch the cache for ownership but
             // retire without waiting on the memory latency.
@@ -893,25 +864,24 @@ mod tests {
         (stats, core.cycle_split())
     }
 
-    /// Statistics and prefetch count of one skipping run and one ticking
-    /// run of `n` instructions, after `warmup` more when it is nonzero.
+    /// Statistics of one skipping run and one ticking run of `n`
+    /// instructions, after `warmup` more when it is nonzero.
     fn skipping_and_ticking(
         b: Benchmark,
         cfg: CpuConfig,
-        kind: PrefetcherKind,
         seed: u64,
         warmup: u64,
         n: u64,
-    ) -> [(PipelineStats, u64); 2] {
+    ) -> [PipelineStats; 2] {
         let mut gen = TraceGenerator::for_benchmark(b, seed);
-        let mut fast = Core::with_prefetcher(cfg, kind);
+        let mut fast = Core::new(cfg);
         let s_fast = if warmup > 0 {
             fast.run_with_warmup(&mut gen, warmup, n)
         } else {
             fast.run(&mut gen, n)
         };
         let mut gen = TraceGenerator::for_benchmark(b, seed);
-        let mut slow = Core::with_prefetcher(cfg, kind);
+        let mut slow = Core::new(cfg);
         let s_slow = if warmup > 0 {
             let _ = slow.run_ticking(&mut gen, warmup);
             let before = slow.stats();
@@ -919,31 +889,26 @@ mod tests {
         } else {
             slow.run_ticking(&mut gen, n)
         };
-        [
-            (s_fast, fast.prefetches_issued()),
-            (s_slow, slow.prefetches_issued()),
-        ]
+        [s_fast, s_slow]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Skipping idle cycles changes no statistic: random generated-space
-        /// configurations on every benchmark, with and without a stride
-        /// prefetcher, through `run` and `run_with_warmup`.
+        /// configurations on every benchmark, through `run` and
+        /// `run_with_warmup`.
         #[test]
         fn skipping_core_matches_ticking_oracle(
             idx in 0usize..2_211_840,
             b in prop::sample::select(Benchmark::ALL12.to_vec()),
-            stride in any::<bool>(),
             warm in any::<bool>(),
             seed in 0u64..1_000,
         ) {
             let space = DesignSpace::try_generate(&SpaceSpec::mega()).expect("mega spec");
             let cfg = space.config_at(idx % space.len());
-            let kind = if stride { PrefetcherKind::Stride } else { PrefetcherKind::None };
             let warmup = if warm { 1_000 } else { 0 };
-            let [fast, slow] = skipping_and_ticking(b, cfg, kind, seed, warmup, 1_500);
+            let [fast, slow] = skipping_and_ticking(b, cfg, seed, warmup, 1_500);
             prop_assert_eq!(fast, slow);
         }
 
@@ -1006,14 +971,7 @@ mod tests {
             "mcf skipped only {skipped} of {} cycles",
             s.cycles
         );
-        let [fast, slow] = skipping_and_ticking(
-            Benchmark::Mcf,
-            CpuConfig::baseline(),
-            PrefetcherKind::None,
-            12,
-            0,
-            n,
-        );
+        let [fast, slow] = skipping_and_ticking(Benchmark::Mcf, CpuConfig::baseline(), 12, 0, n);
         assert_eq!(fast, slow);
     }
 
@@ -1142,42 +1100,6 @@ mod tests {
         assert!(s.mispredicts <= s.branches);
         // L2 is fed only by L1 misses.
         assert!(s.l2_accesses <= s.l1d_misses + s.l1i_misses);
-    }
-
-    #[test]
-    fn stride_prefetcher_helps_streaming_workload() {
-        use crate::prefetch::PrefetcherKind;
-        // applu streams with a constant stride: the stride prefetcher
-        // should reduce cycles (or at worst stay within noise).
-        let n = 30_000;
-        let mut gen = TraceGenerator::for_benchmark(Benchmark::Applu, 31);
-        let mut plain = Core::new(CpuConfig::baseline());
-        let s_plain = plain.run(&mut gen, n);
-
-        let mut gen = TraceGenerator::for_benchmark(Benchmark::Applu, 31);
-        let mut pref = Core::with_prefetcher(CpuConfig::baseline(), PrefetcherKind::Stride);
-        let s_pref = pref.run(&mut gen, n);
-        assert!(
-            pref.prefetches_issued() > 0,
-            "prefetcher must fire on applu"
-        );
-        assert!(
-            s_pref.cycles <= s_plain.cycles + s_plain.cycles / 50,
-            "stride prefetch should not hurt a streaming workload: {} vs {}",
-            s_pref.cycles,
-            s_plain.cycles
-        );
-    }
-
-    #[test]
-    fn no_prefetcher_matches_default_core() {
-        let n = 10_000;
-        let mut g1 = TraceGenerator::for_benchmark(Benchmark::Mesa, 5);
-        let mut g2 = TraceGenerator::for_benchmark(Benchmark::Mesa, 5);
-        let a = Core::new(CpuConfig::baseline()).run(&mut g1, n);
-        let b = Core::with_prefetcher(CpuConfig::baseline(), crate::prefetch::PrefetcherKind::None)
-            .run(&mut g2, n);
-        assert_eq!(a.cycles, b.cycles);
     }
 
     #[test]

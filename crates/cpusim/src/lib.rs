@@ -22,8 +22,6 @@
 //!   and optional wrong-path issue.
 //! * [`simpoint`] — basic-block-vector phase analysis with k-means, the
 //!   SimPoint-style representative-interval picker.
-//! * [`prefetch`] — next-line and stride prefetchers (a library extension
-//!   past Table 1; see the `ablation_prefetch` harness).
 //! * [`runner`] — the high-level `(benchmark, config) -> cycles` entry point
 //!   and the full-design-space sweep.
 //! * [`shard`] — the one sweep executor (workers claiming indices from a
@@ -38,7 +36,6 @@ pub mod bpred;
 pub mod cache;
 pub mod config;
 pub mod core;
-pub mod prefetch;
 pub mod runner;
 pub mod shard;
 pub mod simpoint;

@@ -73,13 +73,6 @@ pub struct SimResult {
     pub stats: PipelineStats,
 }
 
-impl SimResult {
-    /// Cycles per instruction.
-    pub fn cpi(&self) -> f64 {
-        self.cycles / self.stats.instructions.max(1) as f64
-    }
-}
-
 /// Materialize the instruction window(s) a run will replay.
 ///
 /// Returns the interval traces and their weights. Without SimPoints this is
@@ -495,16 +488,5 @@ mod tests {
         assert_ne!(a.cycles, m.cycles);
         assert_eq!(a.benchmark, Benchmark::Applu);
         assert_eq!(m.benchmark, Benchmark::Mcf);
-    }
-
-    #[test]
-    fn cpi_is_positive_and_finite() {
-        let r = simulate(
-            Benchmark::Equake,
-            CpuConfig::baseline(),
-            &SimOptions::quick(),
-        );
-        let cpi = r.cpi();
-        assert!(cpi.is_finite() && cpi > 0.0);
     }
 }

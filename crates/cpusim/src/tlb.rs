@@ -55,11 +55,6 @@ impl Tlb {
     pub fn accesses(&self) -> u64 {
         self.inner.accesses()
     }
-
-    /// Miss rate.
-    pub fn miss_rate(&self) -> f64 {
-        self.inner.miss_rate()
-    }
 }
 
 #[cfg(test)]

@@ -118,43 +118,6 @@ pub fn render_trajectory(trajectory: &[crate::adaptive::TrajectoryPoint]) -> Str
     render_aligned(&header, &rows)
 }
 
-/// Write a CSV file (RFC-4180-style quoting for cells containing commas,
-/// quotes, or newlines). Used by the harnesses to emit plot-ready data
-/// alongside the text tables.
-pub fn write_csv(
-    path: &std::path::Path,
-    header: &[String],
-    rows: &[Vec<String>],
-) -> std::io::Result<()> {
-    use std::io::Write;
-    assert!(rows.iter().all(|r| r.len() == header.len()), "ragged CSV");
-    let quote = |cell: &str| -> String {
-        if cell.contains([',', '"', '\n']) {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
-        }
-    };
-    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
-    writeln!(
-        out,
-        "{}",
-        header
-            .iter()
-            .map(|h| quote(h))
-            .collect::<Vec<_>>()
-            .join(",")
-    )?;
-    for row in rows {
-        writeln!(
-            out,
-            "{}",
-            row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(",")
-        )?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,28 +155,6 @@ mod tests {
                 .is_some_and(|l| l.ends_with("0.90     -")),
             "{out}"
         );
-    }
-
-    #[test]
-    fn csv_roundtrips_with_quoting() {
-        let dir = std::env::temp_dir().join("perfpredict_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
-        write_csv(
-            &path,
-            &["name".into(), "value".into()],
-            &[
-                vec!["plain".into(), "1.5".into()],
-                vec!["with,comma".into(), "quote\"d".into()],
-            ],
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1.5");
-        assert_eq!(lines[2], "\"with,comma\",\"quote\"\"d\"");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

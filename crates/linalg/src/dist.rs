@@ -41,29 +41,6 @@ pub fn sample_normal(rng: &mut impl Rng, mean: f64, sd: f64) -> f64 {
     mean + sd * sample_std_normal(rng)
 }
 
-/// Log-normal sample parameterized by the *underlying* normal's mean/sd.
-pub fn sample_log_normal(rng: &mut impl Rng, mu: f64, sigma: f64) -> f64 {
-    sample_normal(rng, mu, sigma).exp()
-}
-
-/// Sample an index from unnormalized non-negative weights.
-pub fn sample_weighted(rng: &mut impl Rng, weights: &[f64]) -> usize {
-    assert!(!weights.is_empty(), "sample_weighted: empty weights");
-    let total: f64 = weights.iter().sum();
-    assert!(
-        total > 0.0 && weights.iter().all(|&w| w >= 0.0),
-        "sample_weighted: weights must be non-negative with positive sum"
-    );
-    let mut t = rng.random::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        t -= w;
-        if t <= 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
-}
-
 /// Zipf-distributed rank in `0..n` with exponent `s`.
 ///
 /// Drives the memory-reference locality model: a small number of hot
@@ -219,27 +196,6 @@ mod tests {
             .collect();
         assert!((mean(&xs) - 3.0).abs() < 0.05);
         assert!((std_dev(&xs) - 2.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn log_normal_is_positive() {
-        let mut rng = seeded_rng(8);
-        for _ in 0..1000 {
-            assert!(sample_log_normal(&mut rng, 0.0, 1.0) > 0.0);
-        }
-    }
-
-    #[test]
-    fn weighted_sampling_respects_weights() {
-        let mut rng = seeded_rng(9);
-        let mut counts = [0usize; 3];
-        for _ in 0..30_000 {
-            counts[sample_weighted(&mut rng, &[1.0, 2.0, 7.0])] += 1;
-        }
-        let total = 30_000.0;
-        assert!((counts[0] as f64 / total - 0.1).abs() < 0.01);
-        assert!((counts[1] as f64 / total - 0.2).abs() < 0.012);
-        assert!((counts[2] as f64 / total - 0.7).abs() < 0.015);
     }
 
     #[test]

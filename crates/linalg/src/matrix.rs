@@ -264,34 +264,6 @@ impl Matrix {
         }
         out
     }
-
-    /// Horizontally append a column.
-    pub fn hstack_col(&self, col: &[f64]) -> Matrix {
-        assert_eq!(col.len(), self.rows, "hstack_col: row count mismatch");
-        let mut out = Matrix::zeros(self.rows, self.cols + 1);
-        for i in 0..self.rows {
-            out.row_mut(i)[..self.cols].copy_from_slice(self.row(i));
-            out[(i, self.cols)] = col[i];
-        }
-        out
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// Largest absolute element.
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().fold(0.0f64, |m, &x| m.max(x.abs()))
-    }
-
-    /// Element-wise scale in place.
-    pub fn scale_mut(&mut self, s: f64) {
-        for x in &mut self.data {
-            *x *= s;
-        }
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -334,12 +306,6 @@ impl fmt::Debug for Matrix {
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
-/// Euclidean norm of a slice.
-#[inline]
-pub fn norm2(a: &[f64]) -> f64 {
-    dot(a, a).sqrt()
 }
 
 /// `out += s * a`, the axpy kernel: the inner row update of `matmul`
@@ -412,30 +378,10 @@ mod tests {
     }
 
     #[test]
-    fn hstack_col_appends() {
-        let a = Matrix::from_rows(&[vec![1.0], vec![2.0]]);
-        let b = a.hstack_col(&[9.0, 8.0]);
-        assert_eq!(b.row(0), &[1.0, 9.0]);
-        assert_eq!(b.row(1), &[2.0, 8.0]);
-    }
-
-    #[test]
     fn axpy_and_norms() {
         let mut out = vec![1.0, 2.0, 3.0];
         axpy(2.0, &[10.0, 20.0, 30.0], &mut out);
         assert_eq!(out, vec![21.0, 42.0, 63.0]);
-        assert!((norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
-        let m = Matrix::from_rows(&[vec![3.0, 0.0], vec![0.0, 4.0]]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-12);
-        assert_eq!(m.max_abs(), 4.0);
-    }
-
-    #[test]
-    fn scale_mut_scales_all_elements() {
-        let mut m = Matrix::from_rows(&[vec![1.0, -2.0], vec![3.0, -4.0]]);
-        m.scale_mut(-0.5);
-        assert_eq!(m.row(0), &[-0.5, 1.0]);
-        assert_eq!(m.row(1), &[-1.5, 2.0]);
     }
 
     #[test]

@@ -139,33 +139,6 @@ pub fn t_sf_two_sided(t: f64, df: f64) -> f64 {
     (2.0 * (1.0 - t_cdf(t.abs(), df))).clamp(0.0, 1.0)
 }
 
-/// Standard normal CDF via the complementary error function.
-pub fn norm_cdf(x: f64) -> f64 {
-    0.5 * erfc(-x / std::f64::consts::SQRT_2)
-}
-
-/// Complementary error function (Numerical Recipes rational Chebyshev fit,
-/// |error| < 1.2e-7 everywhere — plenty for sampling diagnostics).
-pub fn erfc(x: f64) -> f64 {
-    let z = x.abs();
-    let t = 1.0 / (1.0 + 0.5 * z);
-    let ans = t
-        * (-z * z - 1.26551223
-            + t * (1.00002368
-                + t * (0.37409196
-                    + t * (0.09678418
-                        + t * (-0.18628806
-                            + t * (0.27886807
-                                + t * (-1.13520398
-                                    + t * (1.48851587 + t * (-0.82215223 + t * 0.17087277)))))))))
-            .exp();
-    if x >= 0.0 {
-        ans
-    } else {
-        2.0 - ans
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,12 +218,5 @@ mod tests {
         let p_t = t_sf_two_sided(t, df);
         let p_f = f_sf(t * t, 1.0, df);
         assert!((p_t - p_f).abs() < 1e-10);
-    }
-
-    #[test]
-    fn norm_cdf_known_values() {
-        assert!((norm_cdf(0.0) - 0.5).abs() < 1e-7);
-        assert!((norm_cdf(1.959964) - 0.975).abs() < 1e-5);
-        assert!((norm_cdf(-1.959964) - 0.025).abs() < 1e-5);
     }
 }

@@ -86,31 +86,6 @@ pub fn mape(predicted: &[f64], actual: &[f64]) -> (f64, f64) {
     (mean(&errs), std_dev(&errs))
 }
 
-/// Pearson correlation coefficient.
-pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
-    assert_eq!(xs.len(), ys.len(), "pearson: series length mismatch");
-    let n = xs.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mx = mean(xs);
-    let my = mean(ys);
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for i in 0..n {
-        let dx = xs[i] - mx;
-        let dy = ys[i] - my;
-        sxy += dx * dy;
-        sxx += dx * dx;
-        syy += dy * dy;
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return 0.0;
-    }
-    sxy / (sxx * syy).sqrt()
-}
-
 /// p-th percentile (0..=100) using linear interpolation on sorted copies.
 pub fn percentile(xs: &[f64], p: f64) -> f64 {
     assert!(!xs.is_empty(), "percentile: empty input");
@@ -176,15 +151,6 @@ mod tests {
         let pred = [110.0, 180.0];
         let (m, _) = mape(&pred, &actual);
         assert!((m - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pearson_perfect_and_anti() {
-        let xs = [1.0, 2.0, 3.0, 4.0];
-        let ys = [2.0, 4.0, 6.0, 8.0];
-        assert!((pearson(&xs, &ys) - 1.0).abs() < 1e-12);
-        let zs = [8.0, 6.0, 4.0, 2.0];
-        assert!((pearson(&xs, &zs) + 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -31,8 +31,8 @@ pub struct ErrorEstimate {
     pub max: f64,
 }
 
-/// A candidate model dropped from a selection set, with the reason — the
-/// §3.3 *select* method degrades gracefully instead of poisoning the run.
+/// A candidate model dropped from a study, with the reason — the study
+/// degrades gracefully instead of poisoning the run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dropped {
     /// The candidate that failed.
@@ -47,8 +47,7 @@ pub struct Dropped {
 /// split trains on a random half and
 /// measures the mean percentage error on the complementary half, splits
 /// in parallel. A failed split fit (diverged, singular, degenerate) fails
-/// the whole estimate — the candidate is then dropped by
-/// [`estimate_all_fallible`] with the reason recorded.
+/// the whole estimate; the studies then report that model without one.
 pub fn try_estimate_error(kind: ModelKind, table: &Table, seed: u64) -> Result<ErrorEstimate> {
     let _span = telemetry::span!("estimate", model = kind.abbrev());
     let errors = split_errors(kind, table, seed)?;
@@ -94,75 +93,6 @@ fn split_errors(kind: ModelKind, table: &Table, seed: u64) -> Result<Vec<f64>> {
     errors.into_iter().collect()
 }
 
-/// Estimate every candidate's error, candidates in parallel, degrading
-/// gracefully: a candidate whose
-/// estimation fails is moved to the dropped list with its reason
-/// (telemetry point `select/drop_model`) instead of failing the run —
-/// mirroring how the paper's select falls back to the next-best model.
-pub fn estimate_all_fallible(
-    kinds: &[ModelKind],
-    table: &Table,
-    seed: u64,
-) -> (Vec<(ModelKind, ErrorEstimate)>, Vec<Dropped>) {
-    let results: Vec<(ModelKind, Result<ErrorEstimate>)> =
-        telemetry::par_map(kinds.len(), telemetry::default_workers(), |i| {
-            let k = kinds[i];
-            (
-                k,
-                try_estimate_error(
-                    k,
-                    table,
-                    child_seed(seed, k.abbrev().len() as u64 * 31 + k as u64),
-                ),
-            )
-        });
-    let mut estimates = Vec::new();
-    let mut dropped = Vec::new();
-    for (kind, r) in results {
-        match r {
-            Ok(est) => estimates.push((kind, est)),
-            Err(e) => {
-                telemetry::point!(
-                    "select/drop_model",
-                    model = kind.abbrev(),
-                    reason = e.kind()
-                );
-                dropped.push(Dropped {
-                    kind,
-                    reason: e.kind().to_string(),
-                    detail: e.to_string(),
-                });
-            }
-        }
-    }
-    (estimates, dropped)
-}
-
-/// The paper's *select* method: the candidate with the smallest maximum
-/// estimated error. Candidates with non-finite max estimates are
-/// ignored; if none remain, [`Error::NoViableModel`] lists every
-/// candidate with why it was unusable.
-pub fn try_select_best(estimates: &[(ModelKind, ErrorEstimate)]) -> Result<ModelKind> {
-    let viable = estimates
-        .iter()
-        .filter(|(_, est)| est.max.is_finite())
-        .min_by(|a, b| a.1.max.total_cmp(&b.1.max));
-    match viable {
-        Some((kind, _)) => Ok(*kind),
-        None => Err(Error::NoViableModel {
-            reasons: estimates
-                .iter()
-                .map(|(k, est)| {
-                    (
-                        k.abbrev().to_string(),
-                        format!("non-finite max error estimate ({})", est.max),
-                    )
-                })
-                .collect(),
-        }),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,67 +129,12 @@ mod tests {
     }
 
     #[test]
-    fn select_best_picks_lowest_max() {
-        let ests = vec![
-            (
-                ModelKind::LrE,
-                ErrorEstimate {
-                    mean: 2.0,
-                    max: 4.0,
-                },
-            ),
-            (
-                ModelKind::NnE,
-                ErrorEstimate {
-                    mean: 2.5,
-                    max: 3.0,
-                },
-            ),
-            (
-                ModelKind::NnS,
-                ErrorEstimate {
-                    mean: 1.0,
-                    max: 5.0,
-                },
-            ),
-        ];
-        assert_eq!(try_select_best(&ests).expect("viable"), ModelKind::NnE);
-    }
-
-    #[test]
-    fn estimate_all_fallible_records_dropped_candidates() {
-        // 6 rows cannot support 50% cross-validation: every candidate is
-        // dropped with a recorded reason instead of panicking.
-        let t = table(6);
-        let (ests, dropped) = estimate_all_fallible(&[ModelKind::LrE, ModelKind::NnS], &t, 1);
-        assert!(ests.is_empty());
-        assert_eq!(dropped.len(), 2);
-        for d in &dropped {
-            assert_eq!(d.reason, "degenerate");
-            assert!(d.detail.contains("8 rows"), "{}", d.detail);
-        }
-    }
-
-    #[test]
-    fn try_select_best_skips_non_finite_and_reports_no_viable() {
-        let nan_est = ErrorEstimate {
-            mean: f64::NAN,
-            max: f64::NAN,
-        };
-        let good = ErrorEstimate {
-            mean: 2.0,
-            max: 3.0,
-        };
-        let picked =
-            try_select_best(&[(ModelKind::LrE, nan_est), (ModelKind::NnE, good)]).expect("viable");
-        assert_eq!(picked, ModelKind::NnE);
-        match try_select_best(&[(ModelKind::LrE, nan_est)]) {
-            Err(fault::Error::NoViableModel { reasons }) => {
-                assert_eq!(reasons.len(), 1);
-                assert_eq!(reasons[0].0, "LR-E");
-            }
-            other => panic!("expected NoViableModel, got {other:?}"),
-        }
+    fn too_few_rows_are_a_degenerate_estimate() {
+        // 6 rows cannot support 50% cross-validation: a typed error that
+        // leaves the model without an estimate, not a panic.
+        let e = try_estimate_error(ModelKind::NnS, &table(6), 1).expect_err("6 rows");
+        assert_eq!(e.kind(), "degenerate");
+        assert!(e.to_string().contains("8 rows"), "{e}");
     }
 
     /// Cross-validation measures exactly what it claims: every split's
@@ -295,13 +170,5 @@ mod tests {
                 kind.abbrev()
             );
         }
-    }
-
-    #[test]
-    fn select_prefers_lr_on_linear_data() {
-        let t = table(100);
-        let (ests, dropped) = estimate_all_fallible(&[ModelKind::LrE, ModelKind::NnS], &t, 3);
-        assert!(dropped.is_empty(), "{dropped:?}");
-        assert_eq!(try_select_best(&ests).expect("viable"), ModelKind::LrE);
     }
 }

@@ -144,22 +144,6 @@ impl LinearFit {
         self.active.iter().map(|&c| c + 1).max().unwrap_or(0)
     }
 
-    /// Predict one row of the full design matrix, checking the row is
-    /// wide enough for every active term first. Narrow rows are a typed
-    /// `InvalidInput` instead of an out-of-bounds panic.
-    pub fn try_predict_row(&self, row: &[f64]) -> Result<f64> {
-        let need = self.min_width();
-        if row.len() < need {
-            return Err(Error::invalid(format!(
-                "linear fit reads feature column {}; expected at least {} features, got {}",
-                need - 1,
-                need,
-                row.len()
-            )));
-        }
-        Ok(self.row_kernel(row))
-    }
-
     /// Intercept plus every active term; the caller has checked `row`
     /// is at least [`Self::min_width`] wide.
     fn row_kernel(&self, row: &[f64]) -> f64 {
@@ -253,24 +237,17 @@ mod tests {
         let (x, y) = exact_data();
         let fit = LinearFit::try_fit_ridge(&x, &y, &[0, 2]).expect("ridge fit");
         assert_eq!(fit.min_width(), 3);
-        let e = fit
-            .try_predict_row(&[1.0, 2.0])
-            .expect_err("row too narrow");
+        let narrow = Matrix::from_rows(&[vec![0.5, 1.0], vec![0.25, 2.0]]);
+        let e = fit.try_predict(&narrow).expect_err("matrix too narrow");
         assert_eq!(e.kind(), "invalid");
         let msg = e.to_string();
         assert!(
             msg.contains("at least 3") && msg.contains("got 2"),
             "expected-vs-got widths in: {msg}"
         );
-        let narrow = Matrix::from_rows(&[vec![0.5], vec![0.25]]);
-        let e = fit.try_predict(&narrow).expect_err("matrix too narrow");
-        assert_eq!(e.kind(), "invalid");
-        // Wide-enough inputs still predict, row by row identically.
+        // Wide-enough inputs still predict.
         let ok = fit.try_predict(&x).expect("full-width design");
-        for (i, p) in ok.iter().enumerate() {
-            let row = fit.try_predict_row(x.row(i)).expect("full-width row");
-            assert_eq!(p.to_bits(), row.to_bits(), "row {i}");
-        }
+        assert_eq!(ok.len(), x.rows());
     }
 
     /// The two fits part ways only on a rank-deficient design: the

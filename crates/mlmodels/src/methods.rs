@@ -149,7 +149,7 @@ fn best_restart(restarts: Vec<(Mlp, f64)>) -> Mlp {
 /// *method* still produces a non-finite model, the whole method is rerun
 /// with a reseeded driver (telemetry point `train/retry`), and after the
 /// retry budget the failure surfaces as [`Error::Diverged`].
-pub fn try_train_nn(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Result<Mlp> {
+pub(crate) fn try_train_nn(method: NnMethod, x: &Matrix, y01: &[f64], seed: u64) -> Result<Mlp> {
     if x.rows() < 4 {
         return Err(Error::degenerate(format!(
             "need at least 4 rows to train a network, got {}",

@@ -163,22 +163,6 @@ impl TrainedModel {
                 .collect()),
         }
     }
-
-    /// The linear fit, when this is a regression model.
-    pub fn linear_fit(&self) -> Option<&LinearFit> {
-        match &self.estimator {
-            Estimator::Linear(f) => Some(f),
-            Estimator::Network(_) => None,
-        }
-    }
-
-    /// The network, when this is an NN model.
-    pub fn network(&self) -> Option<&Mlp> {
-        match &self.estimator {
-            Estimator::Network(n) => Some(n),
-            Estimator::Linear(_) => None,
-        }
-    }
 }
 
 /// Train `kind` on a table. Deterministic per `(kind, table, seed)`.
@@ -245,17 +229,6 @@ mod tests {
             let (mape, _) = linalg::stats::mape(&preds, t.target());
             assert!(mape < 8.0, "{}: training MAPE {mape}", kind.abbrev());
         }
-    }
-
-    #[test]
-    fn linear_models_expose_fits_and_nn_models_networks() {
-        let t = table(60);
-        let lr = try_train(ModelKind::LrB, &t, 1).expect("train");
-        assert!(lr.linear_fit().is_some());
-        assert!(lr.network().is_none());
-        let nn = try_train(ModelKind::NnS, &t, 1).expect("train");
-        assert!(nn.network().is_some());
-        assert!(nn.linear_fit().is_none());
     }
 
     /// Regression (predict-path edge cases): predicting through a table

@@ -134,14 +134,6 @@ impl Mlp {
             .collect()
     }
 
-    /// Total trainable weights (for complexity reporting).
-    pub fn n_weights(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.outputs() * (l.inputs() + 1))
-            .sum()
-    }
-
     /// Whether an input has been pruned.
     pub fn input_is_dead(&self, i: usize) -> bool {
         self.dead_inputs[i]
@@ -1328,13 +1320,6 @@ mod tests {
             net.try_predict(&Matrix::zeros(0, 2)).expect("empty design"),
             Vec::<f64>::new()
         );
-    }
-
-    #[test]
-    fn n_weights_counts_structure() {
-        let net = Mlp::new(4, &[3], 1);
-        // (4+1)*3 + (3+1)*1 = 19.
-        assert_eq!(net.n_weights(), 19);
     }
 
     #[test]

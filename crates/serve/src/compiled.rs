@@ -14,12 +14,12 @@
 //! * **NN** compiles to a fixed pipeline for the artifact's exact
 //!   topology: fused extract+scale straight into the design row, dead
 //!   inputs pinned to zero, prebuilt `outputs x inputs` weight matrices
-//!   feeding [`Matrix::affine_nt`] (SIMD-dispatched) with in-place tanh
-//!   between layers, and the target unscale folded onto the output.
+//!   feeding [`Matrix::affine_nt`] with in-place tanh between layers,
+//!   and the target unscale folded onto the output.
 //!
 //! Both are **bit-identical** to the interpreted path: every arithmetic
 //! step keeps the same operand order and grouping as `transform` +
-//! `LinearFit::try_predict_row` / `Mlp::forward_batch`. The interpreted path
+//! `LinearFit::try_predict` / `Mlp::forward_batch`. The interpreted path
 //! is the oracle in tests only: `tests/compiled_prop.rs` compares the
 //! two bit for bit across every model kind.
 
@@ -83,7 +83,7 @@ impl FeatureExtract {
 #[derive(Debug)]
 enum Predictor {
     /// `intercept + Σ coef · scaled(feature)`, active terms only, in
-    /// the fit's active order — the same fold as `try_predict_row`.
+    /// the fit's active order — the same fold as `LinearFit::try_predict`.
     Linear {
         intercept: f64,
         terms: Vec<(FeatureExtract, f64)>,

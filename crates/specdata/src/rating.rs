@@ -5,7 +5,6 @@
 //! the test system is compared to the reference time, by which a ratio is
 //! computed."
 
-use linalg::stats::geometric_mean;
 use rand::Rng;
 
 /// The twelve SPECint2000 applications.
@@ -14,32 +13,11 @@ pub const SPECINT_APPS: [&str; 12] = [
     "twolf",
 ];
 
-/// The fourteen SPECfp2000 applications.
-pub const SPECFP_APPS: [&str; 14] = [
-    "wupwise", "swim", "mgrid", "applu", "mesa", "galgel", "art", "equake", "facerec", "ammp",
-    "lucas", "fma3d", "sixtrack", "apsi",
-];
-
-/// Compute a SPEC rating from per-application ratios.
-pub fn rating_from_ratios(ratios: &[f64]) -> f64 {
-    geometric_mean(ratios)
-}
-
-/// Synthesize per-application ratios whose geometric mean is *exactly*
-/// `rate`. Applications deviate log-normally around the rate (real systems
-/// are relatively better at some apps than others); the deviations are
-/// mean-centred in log space so the rating identity holds to rounding.
-pub fn synthesize_ratios(rate: f64, n_apps: usize, spread: f64, rng: &mut impl Rng) -> Vec<f64> {
-    assert!(rate > 0.0, "rate must be positive");
-    assert!(n_apps > 0, "need at least one application");
-    let mut logs: Vec<f64> = (0..n_apps)
-        .map(|_| linalg::dist::sample_normal(rng, 0.0, spread))
-        .collect();
-    let mean_log: f64 = logs.iter().sum::<f64>() / n_apps as f64;
-    for l in &mut logs {
-        *l -= mean_log;
-    }
-    logs.iter().map(|l| rate * l.exp()).collect()
+/// Compute a SPEC rating from per-application ratios: the reference the
+/// tests check synthesized ratios against.
+#[cfg(test)]
+pub(crate) fn rating_from_ratios(ratios: &[f64]) -> f64 {
+    linalg::stats::geometric_mean(ratios)
 }
 
 /// Normalized ratio of one run: reference time / measured time.
@@ -108,26 +86,6 @@ mod tests {
     }
 
     #[test]
-    fn synthesized_ratios_hit_target_rate() {
-        let mut rng = seeded_rng(1);
-        for &rate in &[5.0, 25.0, 300.0] {
-            let ratios = synthesize_ratios(rate, 12, 0.15, &mut rng);
-            assert_eq!(ratios.len(), 12);
-            let back = rating_from_ratios(&ratios);
-            assert!((back - rate).abs() / rate < 1e-10, "rate {rate} -> {back}");
-        }
-    }
-
-    #[test]
-    fn ratios_vary_across_apps() {
-        let mut rng = seeded_rng(2);
-        let ratios = synthesize_ratios(50.0, 12, 0.2, &mut rng);
-        let lo = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = ratios.iter().cloned().fold(0.0f64, f64::max);
-        assert!(hi > lo * 1.05, "apps should differ: {lo}..{hi}");
-    }
-
-    #[test]
     fn ratio_definition() {
         assert!((ratio(1400.0, 700.0) - 2.0).abs() < 1e-12);
     }
@@ -154,6 +112,5 @@ mod tests {
     #[test]
     fn app_lists_match_paper_counts() {
         assert_eq!(SPECINT_APPS.len(), 12, "12 integer applications");
-        assert_eq!(SPECFP_APPS.len(), 14, "14 floating-point applications");
     }
 }

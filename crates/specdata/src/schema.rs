@@ -147,173 +147,16 @@ pub struct Announcement {
 }
 
 impl Announcement {
-    /// Names of the numeric/flag predictor columns produced by
-    /// [`Announcement::numeric_features`], in order.
-    pub fn numeric_feature_names() -> Vec<&'static str> {
-        vec![
-            "bus_frequency_mhz",
-            "processor_speed_mhz",
-            "fpu",
-            "total_cores",
-            "total_chips",
-            "cores_per_chip",
-            "smt",
-            "parallel",
-            "l1i_kb",
-            "l1d_kb",
-            "l1_per_core",
-            "l2_kb",
-            "l2_on_chip",
-            "l2_shared",
-            "l2_unified",
-            "l3_kb",
-            "l3_on_chip",
-            "l3_per_core",
-            "l3_shared",
-            "l3_unified",
-            "l4_kb",
-            "l4_shared_count",
-            "l4_on_chip",
-            "memory_gb",
-            "memory_freq_mhz",
-            "disk_gb",
-            "disk_rpm",
-            "disk_type",
-            "extra_components",
-        ]
-    }
-
-    /// Numeric encoding of every predictor that admits one (flags become
-    /// 0/1, disk type its code). The three free-text identifier columns
-    /// (company, system name, processor model) are what Clementine "omits"
-    /// for linear regression (§3.4); they are exposed separately via
-    /// [`Announcement::categorical_features`].
-    pub fn numeric_features(&self) -> Vec<f64> {
-        let b = |x: bool| if x { 1.0 } else { 0.0 };
-        vec![
-            self.bus_frequency_mhz,
-            self.processor_speed_mhz,
-            b(self.fpu),
-            self.total_cores as f64,
-            self.total_chips as f64,
-            self.cores_per_chip as f64,
-            b(self.smt),
-            b(self.parallel),
-            self.l1i_kb as f64,
-            self.l1d_kb as f64,
-            b(self.l1_per_core),
-            self.l2_kb as f64,
-            b(self.l2_on_chip),
-            b(self.l2_shared),
-            b(self.l2_unified),
-            self.l3_kb as f64,
-            b(self.l3_on_chip),
-            b(self.l3_per_core),
-            b(self.l3_shared),
-            b(self.l3_unified),
-            self.l4_kb as f64,
-            self.l4_shared_count as f64,
-            b(self.l4_on_chip),
-            self.memory_gb,
-            self.memory_freq_mhz,
-            self.disk_gb,
-            self.disk_rpm,
-            self.disk_type.code() as f64,
-            self.extra_components as f64,
-        ]
-    }
-
     /// The categorical (string) predictors, used only by models that accept
     /// non-numeric inputs (the neural networks).
     pub fn categorical_features(&self) -> Vec<&str> {
         vec![&self.company, &self.system_name, &self.processor_model]
     }
-
-    /// Names for [`Announcement::categorical_features`].
-    pub fn categorical_feature_names() -> Vec<&'static str> {
-        vec!["company", "system_name", "processor_model"]
-    }
-
-    /// Total declared parameter count: 29 numeric/flag + 3 categorical = 32,
-    /// matching the paper.
-    pub const PARAMETER_COUNT: usize = 32;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn sample() -> Announcement {
-        Announcement {
-            company: "AMD".into(),
-            system_name: "TestServer 100".into(),
-            processor_model: "Opteron 250".into(),
-            bus_frequency_mhz: 800.0,
-            processor_speed_mhz: 2400.0,
-            fpu: true,
-            total_cores: 2,
-            total_chips: 2,
-            cores_per_chip: 1,
-            smt: false,
-            parallel: true,
-            l1i_kb: 64,
-            l1d_kb: 64,
-            l1_per_core: true,
-            l2_kb: 1024,
-            l2_on_chip: true,
-            l2_shared: false,
-            l2_unified: true,
-            l3_kb: 0,
-            l3_on_chip: false,
-            l3_per_core: false,
-            l3_shared: false,
-            l3_unified: false,
-            l4_kb: 0,
-            l4_shared_count: 0,
-            l4_on_chip: false,
-            memory_gb: 4.0,
-            memory_freq_mhz: 400.0,
-            disk_gb: 73.0,
-            disk_rpm: 10000.0,
-            disk_type: DiskType::Scsi,
-            extra_components: 1,
-            year: 2005,
-            quarter: 2,
-            specint_rate: 25.0,
-            app_ratios: vec![25.0; 12],
-            specfp_rate: 27.0,
-            fp_app_ratios: vec![27.0; 14],
-        }
-    }
-
-    #[test]
-    fn numeric_features_align_with_names() {
-        let a = sample();
-        assert_eq!(
-            a.numeric_features().len(),
-            Announcement::numeric_feature_names().len()
-        );
-    }
-
-    #[test]
-    fn parameter_count_is_32() {
-        assert_eq!(
-            Announcement::numeric_feature_names().len()
-                + Announcement::categorical_feature_names().len(),
-            Announcement::PARAMETER_COUNT
-        );
-    }
-
-    #[test]
-    fn flags_encode_as_01() {
-        let a = sample();
-        let f = a.numeric_features();
-        let names = Announcement::numeric_feature_names();
-        let idx = names.iter().position(|&n| n == "fpu").unwrap();
-        assert_eq!(f[idx], 1.0);
-        let idx = names.iter().position(|&n| n == "smt").unwrap();
-        assert_eq!(f[idx], 0.0);
-    }
 
     #[test]
     fn disk_type_codes_distinct() {

@@ -201,17 +201,10 @@ pub fn gauge_max(name: &str, value: f64) {
     }
 }
 
-/// Record one observation into the named streaming histogram (no-op
-/// when disabled). Histograms are registered on first use, like
-/// counters, and emitted as `histogram` manifest records at run end.
-pub fn hist_observe(name: &str, value: u64) {
-    if let Some(run) = current_run() {
-        run.hist(name).observe(value);
-    }
-}
-
-/// Record a duration into the named histogram as saturating whole
-/// nanoseconds (no-op when disabled).
+/// Record a duration into the named streaming histogram as saturating
+/// whole nanoseconds (no-op when disabled). Histograms are registered on
+/// first use, like counters, and emitted as `histogram` manifest records
+/// at run end.
 pub fn hist_observe_ns(name: &str, d: std::time::Duration) {
     if let Some(run) = current_run() {
         run.hist(name).observe_ns(d);

@@ -23,6 +23,5 @@ run repro_fp_rate --scale "$SCALE"
 run ablation_crossval --scale "$SCALE"
 run ablation_sampling --scale "$SCALE"
 run ablation_simpoint --scale "$SCALE"
-run ablation_prefetch --scale "$SCALE"
 run ablation_adaptive --scale "$SCALE"
 echo "ALL EXPERIMENTS DONE in $SECONDS s ($SCALE scale, $(nproc) CPUs)"
