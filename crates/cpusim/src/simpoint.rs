@@ -93,6 +93,8 @@ fn projection(salt: u64, block: u32, dim: usize) -> f64 {
 /// Collect per-interval basic-block vectors from `gen`, already
 /// random-projected to [`PROJECTED_DIMS`] dimensions and L1-normalized,
 /// together with a checkpoint of `gen` at the start of every interval.
+/// The pass reads only each instruction's block, so it skips the
+/// instructions instead of building them.
 ///
 /// Each interval counts its blocks' occurrences, then projects each
 /// distinct block once. Every term and partial sum is an integer of
@@ -112,7 +114,7 @@ fn collect_bbvs(
     for _ in 0..n_intervals {
         starts.push(gen.checkpoint());
         for _ in 0..interval_len {
-            let block = gen.next_inst().block;
+            let block = gen.skip();
             let c = &mut counts[block as usize];
             if *c == 0 {
                 touched.push(block);
@@ -274,7 +276,7 @@ pub(crate) fn analyze_checkpointed(
     );
     let mut gen = TraceGenerator::for_benchmark(benchmark, seed);
     let (bbvs, starts) = collect_bbvs(&mut gen, seed, n_intervals, interval_len);
-    telemetry::counter_add("trace/insts_generated", n_intervals as u64 * interval_len);
+    telemetry::counter_add("trace/insts_skipped", n_intervals as u64 * interval_len);
     let max_k = max_k.min(n_intervals).max(1);
 
     type Clustering = (f64, usize, Vec<usize>, Vec<[f64; PROJECTED_DIMS]>);

@@ -50,11 +50,6 @@ impl Tlb {
     pub fn misses(&self) -> u64 {
         self.inner.misses()
     }
-
-    /// Access count.
-    pub fn accesses(&self) -> u64 {
-        self.inner.accesses()
-    }
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 use crate::workload::{Phase, WorkloadProfile};
 use linalg::dist::{child_seed, seeded_rng, Zipf};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::{Rng, RngCore};
 use std::sync::Arc;
 
 /// Instruction class, mirroring SimpleScalar's functional-unit classes.
@@ -40,6 +40,7 @@ pub enum OpClass {
 
 /// One dynamic instruction.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct Inst {
     /// Operation class.
     pub op: OpClass,
@@ -204,17 +205,33 @@ struct Tables {
     superperiod: u64,
     /// Cumulative phase segment boundaries within a superperiod.
     seg_bounds: Vec<u64>,
-    /// Class of each static branch, indexed by raw branch id.
+    /// Class of each static branch, indexed by branch (block) id.
     branch_class: Vec<BranchClass>,
     /// Scatter multiplier mixing Zipf ranks onto footprint lines.
     scatter_salt: u64,
-    /// `ln(1 − 1/mean_dep_distance)`, the denominator of the geometric
-    /// inverse CDF the dependency distances are drawn from.
-    dep_ln_q: f64,
+    /// The op-mix fractions of every class but the branch, in
+    /// [`OP_ORDER`].
+    op_fracs: [f64; 6],
+    /// `dep_cut[k - 1]` is the smallest 53-bit draw whose dependency
+    /// distance exceeds `k`, for `k` in `1..=63` ([`dep_cuts`]).
+    dep_cut: [u64; 63],
 }
 
+/// Op classes in the order the mix CDF is walked.
+const OP_ORDER: [OpClass; 7] = [
+    OpClass::IAlu,
+    OpClass::IMult,
+    OpClass::FpAlu,
+    OpClass::FpMult,
+    OpClass::Load,
+    OpClass::Store,
+    OpClass::Branch,
+];
+
 impl Tables {
-    /// Index of the phase active at dynamic instruction `index`.
+    /// Index of the phase active at dynamic instruction `index`. The
+    /// generator tracks it incrementally; this is the oracle it is
+    /// checked against.
     fn phase_index(&self, index: u64) -> usize {
         let pos = index % self.superperiod;
         match self.seg_bounds.binary_search(&pos) {
@@ -229,13 +246,30 @@ impl Tables {
     fn rank_to_line(&self, rank: u64, lines: u64) -> u64 {
         rank.wrapping_mul(self.scatter_salt) % lines
     }
+
+    /// Op class of a uniform draw `u`: walk the mix CDF, the branch class
+    /// absorbing the tail so the mix always resolves even under
+    /// floating-point rounding. The class is the first whose running
+    /// remainder `u − Σ frac` drops below 0; every `frac` is `≥ 0`, so the
+    /// remainder never grows and counting the remainders still `≥ 0` finds
+    /// that class without a branch per step.
+    fn op_class(&self, u: f64) -> OpClass {
+        let mut acc = u;
+        let mut n = 0;
+        for frac in self.op_fracs {
+            acc -= frac;
+            n += usize::from(acc >= 0.0);
+        }
+        OP_ORDER[n]
+    }
 }
 
-/// Everything [`TraceGenerator::next_inst`] advances: the RNG streams, the
-/// counters and the per-branch occurrence counts. A clone taken at
+/// Everything a step of the stream advances: the RNG streams, the
+/// counters, the phase position and the per-branch occurrence counts. A clone taken at
 /// instruction `i` resumes the stream at exactly instruction `i`
 /// ([`TraceGenerator::resume`]).
 #[derive(Clone)]
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct Checkpoint {
     rng: StdRng,
     /// Independent stream for wrong-path (squashed) instructions so that
@@ -254,6 +288,10 @@ pub(crate) struct Checkpoint {
     seq_pos: u64,
     /// Distance since the last load (for dependent-load chains).
     since_last_load: u16,
+    /// Position within the phase superperiod (`index % superperiod`).
+    phase_pos: u64,
+    /// Phase active at `index` ([`Tables::phase_index`]).
+    phase: usize,
 }
 
 /// Deterministic instruction stream for one (benchmark, seed) pair.
@@ -329,8 +367,12 @@ impl TraceGenerator {
 
         let block_zipf = Zipf::new(profile.code_blocks as usize, profile.code_zipf_s);
         let scatter_salt = child_seed(seed, 0x5ca7) | 1;
+        let mix = profile.op_mix;
+        let op_fracs = [
+            mix.ialu, mix.imult, mix.fpalu, mix.fpmult, mix.load, mix.store,
+        ];
         let p = 1.0 / profile.mean_dep_distance;
-        let dep_ln_q = (1.0 - p).ln();
+        let dep_cut = dep_cuts((1.0 - p).ln());
         TraceGenerator {
             tables: Arc::new(Tables {
                 profile,
@@ -340,7 +382,8 @@ impl TraceGenerator {
                 seg_bounds,
                 branch_class,
                 scatter_salt,
-                dep_ln_q,
+                op_fracs,
+                dep_cut,
             }),
             state: Checkpoint {
                 rng,
@@ -351,6 +394,8 @@ impl TraceGenerator {
                 branch_occ: vec![0; n_branches],
                 seq_pos: 0,
                 since_last_load: 0,
+                phase_pos: 0,
+                phase: 0,
             },
         }
     }
@@ -383,72 +428,77 @@ impl TraceGenerator {
 
     /// Generate the next architectural instruction.
     pub fn next_inst(&mut self) -> Inst {
+        self.step::<true>()
+    }
+
+    /// Advance past the next instruction without building it, and return
+    /// its block: the stream afterwards is exactly the one after
+    /// [`Self::next_inst`].
+    pub(crate) fn skip(&mut self) -> u32 {
+        self.step::<false>().block
+    }
+
+    /// Advance the stream by one instruction, building it when `FULL`.
+    ///
+    /// Both modes take the same RNG draws and update every [`Checkpoint`]
+    /// field alike, so a checkpoint taken after either resumes the same
+    /// stream. The draws that shape only the instruction (dependency
+    /// distances, data addresses, branch outcomes) go through [`shaped`]:
+    /// without `FULL` they are taken raw and never mapped, and the result
+    /// is exact in its `op`, `block` and `code_offset` only.
+    #[inline(always)]
+    fn step<const FULL: bool>(&mut self) -> Inst {
         let t = &*self.tables;
         let s = &mut self.state;
-        let pi = t.phase_index(s.index);
-        let mix = t.profile.op_mix;
-        let u: f64 = s.rng.random();
-        // Walk the mix CDF; the branch class absorbs the tail so the mix
-        // always resolves even under floating-point rounding.
-        let classes = [
-            (mix.ialu, OpClass::IAlu),
-            (mix.imult, OpClass::IMult),
-            (mix.fpalu, OpClass::FpAlu),
-            (mix.fpmult, OpClass::FpMult),
-            (mix.load, OpClass::Load),
-            (mix.store, OpClass::Store),
-        ];
-        let mut acc = u;
-        let mut op = OpClass::Branch;
-        for (frac, cls) in classes {
-            acc -= frac;
-            if acc < 0.0 {
-                op = cls;
-                break;
-            }
-        }
-
-        let (dep1, dep2) = sample_deps(t, s, op);
+        debug_assert_eq!(s.phase, t.phase_index(s.index));
+        let ph = &t.phases[s.phase];
+        let op = t.op_class(s.rng.random());
         let mut inst = Inst {
             op,
-            dep1,
-            dep2,
+            dep1: shaped::<FULL, _>(&mut s.rng, |r| dep_distance(&t.dep_cut, r.next_u64())),
+            dep2: 0,
             addr: 0,
             block: s.block,
             code_offset: s.block_offset * 4,
             branch_id: 0,
             taken: false,
         };
+        if op != OpClass::Branch && s.rng.random::<f64>() < 0.5 {
+            inst.dep2 = shaped::<FULL, _>(&mut s.rng, |r| dep_distance(&t.dep_cut, r.next_u64()));
+        }
 
         match op {
             OpClass::Load | OpClass::Store => {
-                inst.addr = sample_data_addr(t, s, pi, op == OpClass::Load, &mut inst);
+                inst.addr = sample_data_addr::<FULL>(t, s, ph, op == OpClass::Load, &mut inst);
             }
             OpClass::Branch => {
-                let raw_id = (s.block % t.branch_class.len() as u32) as usize;
-                let occ = s.branch_occ[raw_id];
-                s.branch_occ[raw_id] = occ.wrapping_add(1);
-                let taken = match t.branch_class[raw_id] {
-                    BranchClass::Biased { taken_mostly } => {
-                        let flip: f64 = s.rng.random();
+                // The branch ending a block has the block's id.
+                inst.branch_id = s.block;
+                let id = s.block as usize;
+                let occ = s.branch_occ[id];
+                s.branch_occ[id] = occ.wrapping_add(1);
+                inst.taken = match t.branch_class[id] {
+                    BranchClass::Biased { taken_mostly } => shaped::<FULL, _>(&mut s.rng, |r| {
+                        let flip: f64 = r.random();
                         if taken_mostly {
                             flip < 0.95
                         } else {
                             flip < 0.05
                         }
-                    }
+                    }),
                     BranchClass::Patterned { period, inverted } => {
                         let body = (occ % u32::from(period)) != (u32::from(period) - 1);
                         body != inverted
                     }
-                    BranchClass::Random { taken_p } => s.rng.random::<f64>() < taken_p,
+                    BranchClass::Random { taken_p } => {
+                        shaped::<FULL, _>(&mut s.rng, |r| r.random::<f64>() < taken_p)
+                    }
                 };
-                inst.branch_id = raw_id as u32;
-                inst.taken = taken;
                 // Control transfer: next block from the phase's code-locality
-                // distribution, offset into the phase's code region.
-                let next = t.block_zipf.sample(&mut s.rng) as u32 + t.phases[pi].phase.block_offset;
-                s.block = next % t.branch_class.len() as u32;
+                // distribution, offset into the phase's code region. Ranks
+                // are below `code_blocks` and offsets at most the largest
+                // phase offset, so every block id has a branch class.
+                s.block = t.block_zipf.sample(&mut s.rng) as u32 + ph.phase.block_offset;
                 s.block_offset = 0;
             }
             _ => {}
@@ -462,6 +512,16 @@ impl TraceGenerator {
         }
         s.since_last_load = s.since_last_load.saturating_add(1);
         s.index += 1;
+        // Phase `i` spans `seg_bounds[i - 1]..seg_bounds[i]` of the
+        // superperiod, and the last bound is the superperiod itself.
+        s.phase_pos += 1;
+        if s.phase_pos == t.seg_bounds[s.phase] {
+            s.phase += 1;
+            if s.phase == t.phases.len() {
+                s.phase = 0;
+                s.phase_pos = 0;
+            }
+        }
         inst
     }
 
@@ -471,7 +531,7 @@ impl TraceGenerator {
     pub(crate) fn wrong_path_inst(&mut self) -> Inst {
         let t = &*self.tables;
         let s = &mut self.state;
-        let ph = &t.phases[t.phase_index(s.index)];
+        let ph = &t.phases[s.phase];
         let u: f64 = s.wp_rng.random();
         let op = if u < 0.5 {
             OpClass::IAlu
@@ -514,21 +574,61 @@ impl TraceGenerator {
     }
 }
 
-/// Dependency distances: geometric-ish with the profile's mean,
-/// clamped to the scheduler-visible window.
-fn sample_deps(t: &Tables, s: &mut Checkpoint, op: OpClass) -> (u16, u16) {
-    let draw = |rng: &mut StdRng| -> u16 {
-        let u: f64 = rng.random();
-        // Inverse-CDF of geometric with success prob 1/mean.
-        ceil_clamped((1.0 - u).ln() / t.dep_ln_q)
-    };
-    let d1 = draw(&mut s.rng);
-    let d2 = if op != OpClass::Branch && s.rng.random::<f64>() < 0.5 {
-        draw(&mut s.rng)
+/// A draw that only shapes the instruction: `f(rng)` when `FULL`,
+/// otherwise one raw `next_u64` whose value is dropped. `f` must take
+/// exactly one `next_u64` (as `random::<f64>`, `random_range` and
+/// `Zipf::sample` do), so both modes advance `rng` alike.
+#[inline(always)]
+fn shaped<const FULL: bool, T: Default>(rng: &mut StdRng, f: impl FnOnce(&mut StdRng) -> T) -> T {
+    if FULL {
+        f(rng)
     } else {
-        0
-    };
-    (d1, d2)
+        rng.next_u64();
+        T::default()
+    }
+}
+
+/// Dependency distance of a raw 64-bit draw, whose top 53 bits are the
+/// `m` of [`dep_distance_ln`], read off the threshold table of [`dep_cuts`].
+fn dep_distance(dep_cut: &[u64; 63], bits: u64) -> u16 {
+    let m = bits >> 11;
+    1 + dep_cut.partition_point(|&c| c <= m) as u16
+}
+
+/// Dependency distance of the 53-bit draw `m` (the `u = m·2⁻⁵³` of
+/// `random::<f64>`): the inverse CDF of a geometric distribution with
+/// success probability `1/mean`, where `dep_ln_q = ln(1 − 1/mean)`,
+/// clamped to the scheduler-visible window `1..=64`.
+fn dep_distance_ln(dep_ln_q: f64, m: u64) -> u16 {
+    let u = m as f64 * (1.0 / (1u64 << 53) as f64);
+    ceil_clamped((1.0 - u).ln() / dep_ln_q)
+}
+
+/// The threshold table behind [`dep_distance`]: entry `k - 1` is
+/// the smallest 53-bit `m` with `dep_distance_ln(dep_ln_q, m) > k`, or
+/// `2⁵³` when no draw reaches past `k`. `1 − u` is exact for a 53-bit
+/// `u`, and `ln` and the division by the negative `dep_ln_q` keep the
+/// order, so the distance never decreases as `m` grows: it is `1` plus
+/// the number of cuts `≤ m`, and each cut is found by binary search over
+/// the same expression. The cuts do not decrease, so each search starts
+/// at the previous cut.
+fn dep_cuts(dep_ln_q: f64) -> [u64; 63] {
+    const END: u64 = 1 << 53;
+    let mut cuts = [END; 63];
+    let mut lo = 0;
+    for (k, cut) in (1..).zip(&mut cuts) {
+        let mut hi = END;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if dep_distance_ln(dep_ln_q, mid) > k {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        *cut = lo;
+    }
+    cuts
 }
 
 /// `x` rounded up and clamped to `1..=64`: the value of
@@ -544,31 +644,36 @@ fn ceil_clamped(x: f64) -> u16 {
 /// Data address: sequential walker or scattered Zipf, with
 /// pointer-chasing loads forced onto the random component and made
 /// dependent on the previous load.
-fn sample_data_addr(
+fn sample_data_addr<const FULL: bool>(
     t: &Tables,
     s: &mut Checkpoint,
-    pi: usize,
+    ph: &PhaseState,
     is_load: bool,
     inst: &mut Inst,
 ) -> u64 {
-    let ph = &t.phases[pi];
     let chasing = is_load && s.rng.random::<f64>() < t.profile.dependent_load_frac;
     if chasing {
         // Address comes from the previous load's value: serialize on it.
         inst.dep1 = s.since_last_load.clamp(1, 64);
-        let rank = ph.data_zipf.sample(&mut s.rng) as u64;
-        let line = t.rank_to_line(rank, ph.data_lines);
-        return line * 64 + s.rng.random_range(0..8u64) * 8;
+        return scattered_addr::<FULL>(t, ph, &mut s.rng);
     }
     if s.rng.random::<f64>() < ph.randomness {
-        let rank = ph.data_zipf.sample(&mut s.rng) as u64;
-        let line = t.rank_to_line(rank, ph.data_lines);
-        line * 64 + s.rng.random_range(0..8u64) * 8
+        scattered_addr::<FULL>(t, ph, &mut s.rng)
     } else {
         let footprint = ph.data_lines * 64;
         s.seq_pos = (s.seq_pos + t.profile.stride_b) % footprint;
         s.seq_pos
     }
+}
+
+/// A random data address: a Zipf line scattered over the phase footprint,
+/// then a random 8-byte word within it.
+#[inline(always)]
+fn scattered_addr<const FULL: bool>(t: &Tables, ph: &PhaseState, rng: &mut StdRng) -> u64 {
+    let line = shaped::<FULL, _>(rng, |r| {
+        t.rank_to_line(ph.data_zipf.sample(r) as u64, ph.data_lines)
+    });
+    line * 64 + shaped::<FULL, _>(rng, |r| r.random_range(0..8u64)) * 8
 }
 
 #[cfg(test)]
@@ -661,6 +766,64 @@ mod tests {
         xs.extend((0..100_000).map(|_| rng.random::<f64>() * 80.0 - 5.0));
         for x in xs {
             assert_eq!(ceil_clamped(x), oracle(x), "x = {x:e}");
+        }
+    }
+
+    #[test]
+    fn skipping_leaves_the_stream_where_generating_does() {
+        // Skip up to a few instructions before each phase boundary (the
+        // superperiod's wrap included), then build 2k instructions across
+        // it: the skipping generator must build exactly what one that
+        // built every instruction does.
+        const TAKE: u64 = 2_000;
+        for b in Benchmark::ALL12 {
+            for seed in [1, 0xC0FFEE] {
+                let mut skipping = TraceGenerator::for_benchmark(b, seed);
+                let mut building = TraceGenerator::for_benchmark(b, seed);
+                let ends = skipping.tables.seg_bounds.clone();
+                let starts = [0, 1, 2_345].into_iter().chain(ends.iter().map(|e| e - 3));
+                for n in starts {
+                    while skipping.index() < n {
+                        assert_eq!(skipping.skip(), building.next_inst().block);
+                    }
+                    assert_eq!(skipping.state, building.state, "{b:?} seed {seed} at {n}");
+                    for i in 0..TAKE {
+                        let (x, y) = (skipping.next_inst(), building.next_inst());
+                        assert_eq!(x, y, "{b:?} seed {seed}: instruction {}", n + i);
+                    }
+                    assert_eq!(skipping.index(), building.index());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dep_threshold_table_matches_the_ln_oracle() {
+        const END: u64 = 1 << 53;
+        let mut rng = seeded_rng(17);
+        let means = Benchmark::ALL12
+            .iter()
+            .map(|b| b.profile().mean_dep_distance)
+            .chain([1.0, 1.25, 40.0, 1e6])
+            .collect::<Vec<_>>();
+        let random_draws = 1_000_000 / means.len();
+        for &mean in &means {
+            let dep_ln_q = (1.0 - 1.0 / mean).ln();
+            let cuts = dep_cuts(dep_ln_q);
+            let mut draws = vec![0, END - 1];
+            for &c in cuts.iter().filter(|&&c| c < END) {
+                draws.extend(c.saturating_sub(1024)..(c + 1024).min(END));
+            }
+            draws.extend((0..random_draws).map(|_| rng.next_u64() >> 11));
+            for m in draws {
+                // The low 11 bits of the raw draw never reach the distance.
+                let bits = (m << 11) | (rng.next_u64() >> 53);
+                assert_eq!(
+                    dep_distance(&cuts, bits),
+                    dep_distance_ln(dep_ln_q, m),
+                    "mean {mean}, m {m}"
+                );
+            }
         }
     }
 

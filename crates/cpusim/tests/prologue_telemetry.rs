@@ -1,8 +1,9 @@
 //! The sweep prologue's telemetry: a SimPoint sweep's phase analysis shows
-//! up as a `simpoint` span under `materialize`, and `trace/insts_generated`
-//! counts each generated instruction once — the analysis pass over every
-//! candidate interval plus one regeneration of each representative. Own
-//! test binary because telemetry is process-global.
+//! up as a `simpoint` span under `materialize`, `trace/insts_skipped`
+//! counts the instructions the analysis pass steps over without building
+//! them (every candidate interval), and `trace/insts_generated` counts
+//! each instruction built once (one regeneration of each representative).
+//! Own test binary because telemetry is process-global.
 
 use cpusim::simpoint::analyze;
 use cpusim::{try_sweep_design_space, Benchmark, DesignSpace, SimOptions};
@@ -36,14 +37,20 @@ fn simpoint_sweep_reports_analysis_span_and_generated_instructions() {
     try_sweep_design_space(&space, Benchmark::Gcc, &opts, None).expect("sweep");
     let summary = run.finish();
 
-    let generated = summary
-        .counters
-        .iter()
-        .find(|(name, _)| name == "trace/insts_generated")
-        .map(|(_, v)| *v);
+    let counter = |wanted: &str| {
+        summary
+            .counters
+            .iter()
+            .find(|(name, _)| name == wanted)
+            .map(|(_, v)| *v)
+    };
     assert_eq!(
-        generated,
-        Some((opts.n_intervals as u64 + windows) * opts.instructions)
+        counter("trace/insts_skipped"),
+        Some(opts.n_intervals as u64 * opts.instructions)
+    );
+    assert_eq!(
+        counter("trace/insts_generated"),
+        Some(windows * opts.instructions)
     );
     let paths: Vec<&str> = summary.profile.iter().map(|e| e.path.as_str()).collect();
     assert!(

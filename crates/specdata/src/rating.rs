@@ -20,15 +20,6 @@ pub(crate) fn rating_from_ratios(ratios: &[f64]) -> f64 {
     linalg::stats::geometric_mean(ratios)
 }
 
-/// Normalized ratio of one run: reference time / measured time.
-pub fn ratio(reference_seconds: f64, measured_seconds: f64) -> f64 {
-    assert!(
-        reference_seconds > 0.0 && measured_seconds > 0.0,
-        "run times must be positive"
-    );
-    reference_seconds / measured_seconds
-}
-
 /// Synthesize *structured* per-application ratios: each application has a
 /// fixed sensitivity profile over normalized system traits (clock, memory
 /// frequency, L2 capacity, socket count), so memory-bound applications
@@ -83,11 +74,6 @@ mod tests {
     fn rating_of_uniform_ratios_is_the_ratio() {
         let r = rating_from_ratios(&[20.0; 12]);
         assert!((r - 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ratio_definition() {
-        assert!((ratio(1400.0, 700.0) - 2.0).abs() < 1e-12);
     }
 
     #[test]
