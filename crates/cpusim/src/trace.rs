@@ -310,17 +310,27 @@ impl TraceGenerator {
         // Phase-derived samplers. Segment lengths are proportional to phase
         // weights over a superperiod of phases.len() * phase_len.
         let superperiod = profile.phase_len * profile.phases.len() as u64;
+        let data_lines: Vec<u64> = profile
+            .phases
+            .iter()
+            .map(|ph| {
+                let footprint =
+                    ((profile.data_footprint as f64) * ph.footprint_scale).max(4096.0) as u64;
+                (footprint / 64).max(1)
+            })
+            .collect();
+        // Cap the Zipf tables so pathological footprints stay cheap; ranks
+        // are scattered across the full footprint below. The phases share
+        // one exponent, so one running sum builds every table.
+        let zipf_ns: Vec<usize> = data_lines
+            .iter()
+            .map(|&lines| lines.min(1 << 20) as usize)
+            .collect();
+        let data_zipfs = Zipf::family(&zipf_ns, profile.data_zipf_s);
         let mut phases = Vec::with_capacity(profile.phases.len());
         let mut seg_bounds = Vec::with_capacity(profile.phases.len());
         let mut acc = 0u64;
-        for ph in &profile.phases {
-            let footprint =
-                ((profile.data_footprint as f64) * ph.footprint_scale).max(4096.0) as u64;
-            let data_lines = (footprint / 64).max(1);
-            // Cap the Zipf table so pathological footprints stay cheap; ranks
-            // are scattered across the full footprint below.
-            let zipf_n = data_lines.min(1 << 20) as usize;
-            let data_zipf = Zipf::new(zipf_n, profile.data_zipf_s);
+        for ((ph, data_zipf), data_lines) in profile.phases.iter().zip(data_zipfs).zip(data_lines) {
             let seg_len = ((superperiod as f64) * ph.weight).round().max(1.0) as u64;
             acc += seg_len;
             seg_bounds.push(acc);
@@ -692,6 +702,25 @@ mod tests {
             assert_eq!(x.block, y.block);
             assert_eq!(x.taken, y.taken);
             assert_eq!(x.op, y.op);
+        }
+    }
+
+    /// The phases' data tables come from one shared running sum, bit
+    /// for bit the tables `Zipf::new` builds one phase at a time, on every
+    /// benchmark profile.
+    #[test]
+    fn shared_zipf_tables_match_per_phase_ones() {
+        for b in Benchmark::ALL12 {
+            let g = TraceGenerator::for_benchmark(b, 5);
+            let profile = &g.tables.profile;
+            assert_eq!(g.tables.phases.len(), profile.phases.len());
+            for (i, ph) in g.tables.phases.iter().enumerate() {
+                let n = ph.data_lines.min(1 << 20) as usize;
+                assert!(
+                    ph.data_zipf == Zipf::new(n, profile.data_zipf_s),
+                    "{b:?} phase {i}"
+                );
+            }
         }
     }
 

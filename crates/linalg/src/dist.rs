@@ -52,7 +52,7 @@ pub fn sample_normal(rng: &mut impl Rng, mean: f64, sd: f64) -> f64 {
 /// search to the ranks whose CDF falls in `u`'s bucket, so a draw costs a
 /// couple of comparisons instead of a binary search over all `n` entries,
 /// and returns exactly the rank the binary search would.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Zipf {
     /// Cumulative probabilities, len = n.
     cdf: Vec<f64>,
@@ -65,20 +65,33 @@ pub struct Zipf {
 impl Zipf {
     /// Precompute the CDF for `n` ranks with exponent `s > 0`.
     pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf: n must be positive");
+        Self::family(&[n], s).remove(0)
+    }
+
+    /// One sampler per rank count in `ns`, all with exponent `s > 0`.
+    ///
+    /// The unnormalised CDF of `n` ranks is the first `n` running sums of
+    /// `k^-s`, so one pass up to the largest `n` serves every table, each
+    /// divided by its own total: each sampler is bit-identical to
+    /// [`Zipf::new`] with its `n`, for one `powf` per rank of the largest
+    /// table only.
+    pub fn family(ns: &[usize], s: f64) -> Vec<Self> {
+        assert!(ns.iter().all(|&n| n > 0), "Zipf: n must be positive");
         assert!(s > 0.0, "Zipf: exponent must be positive");
-        assert!(u32::try_from(n).is_ok(), "Zipf: n must fit in u32");
-        let mut cdf = Vec::with_capacity(n);
+        let max = ns.iter().copied().max().unwrap_or(0);
+        assert!(u32::try_from(max).is_ok(), "Zipf: n must fit in u32");
+        let mut sums = Vec::with_capacity(max);
         let mut acc = 0.0;
-        for k in 1..=n {
+        for k in 1..=max {
             acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
+            sums.push(acc);
         }
-        let total = acc;
-        for c in &mut cdf {
-            *c /= total;
-        }
-        Self::with_cdf(cdf)
+        ns.iter()
+            .map(|&n| {
+                let total = sums[n - 1];
+                Self::with_cdf(sums[..n].iter().map(|c| c / total).collect())
+            })
+            .collect()
     }
 
     /// Wrap a non-empty, non-decreasing CDF ending at 1 and build its
@@ -196,6 +209,29 @@ mod tests {
             .collect();
         assert!((mean(&xs) - 3.0).abs() < 0.05);
         assert!((std_dev(&xs) - 2.0).abs() < 0.05);
+    }
+
+    /// A family's tables are bit for bit the CDFs of the original
+    /// one-table-at-a-time construction, whatever the order of `ns`.
+    #[test]
+    fn zipf_family_matches_separate_tables_bitwise() {
+        let reference = |n: usize, s: f64| {
+            let mut cdf = Vec::with_capacity(n);
+            let mut acc = 0.0;
+            for k in 1..=n {
+                acc += 1.0 / (k as f64).powf(s);
+                cdf.push(acc);
+            }
+            cdf.iter().map(|c| (c / acc).to_bits()).collect::<Vec<_>>()
+        };
+        for s in [0.6, 0.95, 1.0, 1.3] {
+            let ns = [700, 1, 4096, 5, 4096, 13_824];
+            for (z, &n) in Zipf::family(&ns, s).iter().zip(&ns) {
+                let bits: Vec<u64> = z.cdf.iter().map(|c| c.to_bits()).collect();
+                assert!(bits == reference(n, s), "n={n} s={s}");
+                assert_eq!(z, &Zipf::new(n, s));
+            }
+        }
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! explicit decision with an explicit rejection. [`AdmissionQueue`] is that decision point:
 //!
 //! * [`AdmissionQueue::try_admit`] — data-plane admission. When the
-//!   queue is at capacity it returns [`fault::Error::Overloaded`]
-//!   carrying the observed depth, and the caller turns that into a
-//!   typed `{"error":"overloaded"}` response. **A full queue is never a
+//!   queue is at capacity it hands the item back with
+//!   [`fault::Error::Overloaded`] carrying the observed depth, and the
+//!   caller turns that into a typed `{"error":"overloaded"}` response
+//!   naming the item's id. **A full queue is never a
 //!   silent drop** — every rejected request produces exactly one typed
 //!   response.
 //! * [`AdmissionQueue::admit_priority`] — control-plane admission
@@ -69,13 +70,14 @@ impl<T> AdmissionQueue<T> {
     /// Admit a data-plane item, or shed it with a typed
     /// [`Error::Overloaded`] when the queue is full (or closed —
     /// a closing daemon stops admitting, it does not drop silently).
-    pub(crate) fn try_admit(&self, item: T) -> Result<()> {
+    /// A shed item comes back with the error, for the caller to answer.
+    pub(crate) fn try_admit(&self, item: T) -> std::result::Result<(), (T, Error)> {
         let mut inner = self.lock();
         if inner.closed || inner.items.len() >= self.capacity {
             inner.shed += 1;
             let depth = inner.items.len();
             drop(inner);
-            return Err(Error::overloaded(depth, self.capacity));
+            return Err((item, Error::overloaded(depth, self.capacity)));
         }
         inner.items.push_back(item);
         inner.high_water = inner.high_water.max(inner.items.len());
@@ -158,7 +160,8 @@ mod tests {
         let q: AdmissionQueue<u32> = AdmissionQueue::new(2);
         q.try_admit(1).expect("room");
         q.try_admit(2).expect("room");
-        let err = q.try_admit(3).expect_err("full");
+        let (item, err) = q.try_admit(3).expect_err("full");
+        assert_eq!(item, 3, "the shed item comes back");
         assert_eq!(err.kind(), "overloaded");
         assert!(err.to_string().contains("2/2"), "{err}");
         assert_eq!(q.shed_count(), 1);
@@ -177,7 +180,7 @@ mod tests {
             q.admit_priority(3).expect_err("closed").kind(),
             "overloaded"
         );
-        assert_eq!(q.try_admit(4).expect_err("closed").kind(), "overloaded");
+        assert_eq!(q.try_admit(4).expect_err("closed").1.kind(), "overloaded");
     }
 
     #[test]

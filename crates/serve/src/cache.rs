@@ -5,34 +5,53 @@
 //! explores around optima — so the serving engine fronts the model with
 //! an LRU map from canonicalized configuration vectors to predictions.
 //!
-//! The implementation is the classic hash-map-plus-intrusive-list: a
-//! `HashMap` from key to slot index, and slots threaded on a doubly
-//! linked list (indices, not pointers) ordered by recency. All
-//! operations are O(1); eviction pops the list tail. Capacity 0 is a
+//! The implementation is the classic hash-map-plus-intrusive-list, with
+//! the hash computed once per key: a key is hashed by the cache's own
+//! [`RandomState`] (so a client cannot aim keys at one bucket), and a
+//! `HashMap` from that 64-bit hash leads to the key's slot. Slots are
+//! threaded on a doubly linked list (indices, not pointers) ordered by
+//! recency; the rare distinct keys whose hashes collide are chained
+//! through their slots. A caller that already holds a key's
+//! [`hash`](LruCache::hash) probes and fills with
+//! [`get_hashed`](LruCache::get_hashed) and
+//! [`put_hashed`](LruCache::put_hashed) without hashing the key again.
+//! All operations are O(1); eviction pops the list tail. Capacity 0 is a
 //! legal degenerate cache that stores nothing.
 
+use std::borrow::Borrow;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 
-/// Sentinel for "no neighbour" in the intrusive list.
+/// Sentinel for "no neighbour" in the intrusive lists.
 const NIL: usize = usize::MAX;
 
 struct Slot<K, V> {
     key: K,
     value: V,
+    hash: u64,
+    /// Next slot whose key has the same hash.
+    same: usize,
     prev: usize,
     next: usize,
 }
 
 /// A fixed-capacity least-recently-used cache.
 pub struct LruCache<K, V> {
-    map: HashMap<K, usize>,
+    hasher: RandomState,
+    /// Key hash → the first slot of that hash's chain.
+    chains: HashMap<u64, usize>,
+    /// Resident entries, plus at most one evicted slot awaiting reuse.
     slots: Vec<Slot<K, V>>,
+    /// The evicted slot the next new entry reuses, or `NIL`.
+    spare: usize,
+    len: usize,
     head: usize,
     tail: usize,
     capacity: usize,
 }
 
-impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
+impl<K: Hash + Eq, V: Clone> LruCache<K, V> {
     /// A cache holding at most `capacity` entries.
     ///
     /// Eviction semantics, by capacity:
@@ -48,8 +67,13 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
     ///   `put` overwrites refresh recency.
     pub fn new(capacity: usize) -> Self {
         LruCache {
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
-            slots: Vec::with_capacity(capacity.min(1 << 20)),
+            hasher: RandomState::new(),
+            // A full cache briefly holds one entry more, until `put_hashed`
+            // evicts.
+            chains: HashMap::with_capacity(capacity.saturating_add(1).min(1 << 20)),
+            slots: Vec::with_capacity(capacity.saturating_add(1).min(1 << 20)),
+            spare: NIL,
+            len: 0,
             head: NIL,
             tail: NIL,
             capacity,
@@ -58,12 +82,12 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// The configured capacity.
@@ -71,45 +95,110 @@ impl<K: std::hash::Hash + Eq + Clone, V: Clone> LruCache<K, V> {
         self.capacity
     }
 
+    /// The hash [`get_hashed`](Self::get_hashed) and
+    /// [`put_hashed`](Self::put_hashed) take for `key`.
+    pub(crate) fn hash<Q: Hash + ?Sized>(&self, key: &Q) -> u64 {
+        self.hasher.hash_one(key)
+    }
+
     /// Look up `key`, marking it most recently used on a hit.
-    pub fn get(&mut self, key: &K) -> Option<V> {
-        let &idx = self.map.get(key)?;
+    pub fn get<Q>(&mut self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.get_hashed(self.hash(key), key)
+    }
+
+    /// [`get`](Self::get) for a key whose [`hash`](Self::hash) is known.
+    pub(crate) fn get_hashed<Q>(&mut self, hash: u64, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Eq + ?Sized,
+    {
+        let mut idx = *self.chains.get(&hash)?;
+        while self.slots[idx].key.borrow() != key {
+            idx = self.slots[idx].same;
+            if idx == NIL {
+                return None;
+            }
+        }
         self.detach(idx);
         self.attach_front(idx);
         Some(self.slots[idx].value.clone())
     }
 
-    /// Insert (or refresh) `key → value`, evicting the least recently
-    /// used entry if the cache is full.
+    /// [`put_hashed`](Self::put_hashed), hashing `key` itself.
+    #[cfg(test)]
     pub(crate) fn put(&mut self, key: K, value: V) {
+        self.put_hashed(self.hash(&key), key, value);
+    }
+
+    /// Insert (or refresh) `key → value`, where `hash` is the key's
+    /// [`hash`](Self::hash), evicting the least recently used entry if the
+    /// cache is full. One map lookup finds the key's chain; a new key
+    /// joins it in the spare slot (or a new one), and only then, if the
+    /// cache overflowed, is the least recently used entry evicted.
+    pub(crate) fn put_hashed(&mut self, hash: u64, key: K, value: V) {
         if self.capacity == 0 {
             return;
         }
-        if let Some(&idx) = self.map.get(&key) {
-            self.slots[idx].value = value;
-            self.detach(idx);
-            self.attach_front(idx);
-            return;
+        let chain = self.chains.entry(hash).or_insert(NIL);
+        let mut idx = *chain;
+        while idx != NIL {
+            if self.slots[idx].key == key {
+                self.slots[idx].value = value;
+                self.detach(idx);
+                self.attach_front(idx);
+                return;
+            }
+            idx = self.slots[idx].same;
         }
-        let idx = if self.slots.len() < self.capacity {
-            self.slots.push(Slot {
-                key: key.clone(),
-                value,
-                prev: NIL,
-                next: NIL,
-            });
+        let slot = Slot {
+            key,
+            value,
+            hash,
+            same: *chain,
+            prev: NIL,
+            next: NIL,
+        };
+        let idx = if self.spare == NIL {
+            self.slots.push(slot);
             self.slots.len() - 1
         } else {
-            // Reuse the LRU slot.
-            let idx = self.tail;
-            self.detach(idx);
-            self.map.remove(&self.slots[idx].key);
-            self.slots[idx].key = key.clone();
-            self.slots[idx].value = value;
-            idx
+            self.slots[self.spare] = slot;
+            std::mem::replace(&mut self.spare, NIL)
         };
-        self.map.insert(key, idx);
+        *chain = idx;
         self.attach_front(idx);
+        self.len += 1;
+        if self.len > self.capacity {
+            self.evict(self.tail);
+        }
+    }
+
+    /// Remove `idx` from the recency list and its hash chain, leaving its
+    /// slot as the spare.
+    fn evict(&mut self, idx: usize) {
+        self.detach(idx);
+        let (hash, same) = (self.slots[idx].hash, self.slots[idx].same);
+        if let Entry::Occupied(mut chain) = self.chains.entry(hash) {
+            if *chain.get() == idx {
+                if same == NIL {
+                    chain.remove();
+                } else {
+                    *chain.get_mut() = same;
+                }
+            } else {
+                let mut prev = *chain.get();
+                while self.slots[prev].same != idx {
+                    prev = self.slots[prev].same;
+                }
+                self.slots[prev].same = same;
+            }
+        }
+        self.spare = idx;
+        self.len -= 1;
     }
 
     fn detach(&mut self, idx: usize) {
@@ -207,9 +296,10 @@ mod tests {
         assert_eq!(c.get(&3), Some(30));
     }
 
-    #[test]
-    fn matches_reference_model_on_random_trace() {
-        // Differential test against a naive Vec-based LRU model.
+    /// Differential test against a naive Vec-based LRU model. `hash`
+    /// picks the hash each key is filed under: the cache's own, or a
+    /// forced one that makes distinct keys collide.
+    fn check_against_reference(hash: impl Fn(&LruCache<u64, u64>, u64) -> u64) {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(42);
@@ -225,16 +315,31 @@ mod tests {
                     .map(|i| model.remove(i))
                     .inspect(|e| model.insert(0, *e))
                     .map(|(_, v)| v);
-                assert_eq!(real.get(&key), want, "step {step} get {key}");
+                let h = hash(&real, key);
+                assert_eq!(real.get_hashed(h, &key), want, "step {step} get {key}");
             } else {
                 if let Some(i) = model.iter().position(|&(k, _)| k == key) {
                     model.remove(i);
                 }
                 model.insert(0, (key, step));
                 model.truncate(cap);
-                real.put(key, step);
+                real.put_hashed(hash(&real, key), key, step);
             }
             assert_eq!(real.len(), model.len(), "step {step}");
         }
+    }
+
+    #[test]
+    fn matches_reference_model_on_random_trace() {
+        check_against_reference(|c, k| c.hash(&k));
+    }
+
+    /// Distinct keys whose hashes collide share a chain; lookups, refreshes
+    /// and evictions still treat them as distinct entries, whether every
+    /// key collides or a few chains interleave.
+    #[test]
+    fn colliding_hashes_behave_like_distinct_ones() {
+        check_against_reference(|_, _| 7);
+        check_against_reference(|_, k| k % 3);
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! One call to [`predict_window`] is the whole hot path of the serving
 //! layer: probe the LRU surrogate cache, deduplicate the misses by
-//! canonical key, run one matrix-form prediction sharded across
-//! [`telemetry::par_map`] workers, and fill every window slot. Row `i`'s
-//! arithmetic never reads any other row, so the outcome is bit-identical
-//! for any worker count — the property both the replay golden test and
-//! the soak harness's 1-vs-N comparison rely on.
+//! canonical key, run one matrix-form prediction over the distinct misses
+//! (split across [`telemetry::par_map`] workers when the window is large
+//! enough to pay for them, see [`MIN_SHARD_ROWS`]), and fill every window
+//! slot. Row `i`'s arithmetic never reads any other row, so the outcome is
+//! bit-identical for any worker count — the property both the replay
+//! golden test and the soak harness's 1-vs-N comparison rely on.
 //!
 //! Keeping this a pure function of `(artifact, cache, requests)` keeps
 //! the daemon's framing, deadlines and degraded-mode policy out of it:
@@ -14,8 +15,55 @@
 
 use crate::cache::LruCache;
 use crate::compiled::CompiledModel;
-use crate::request::Request;
+use crate::request::{canonical_key, Request};
 use std::collections::HashMap;
+
+/// Fewest distinct misses each shard must hold before a window's
+/// prediction is split across workers; a smaller window is predicted on
+/// the calling thread. Measured on a 2-vCPU x86-64 host: starting and
+/// joining one scoped thread costs 17–37 µs, and a fan-out to two threads
+/// 40–63 µs, against about 0.38 µs of prediction per row for NN-E and
+/// 0.05 µs for LR-B (perfbench's `serve.predict_us_per_row` rows). A
+/// 1024-row shard is about 390 µs of NN-E work and 50 µs of LR-B work: two
+/// such shards save NN-E about 390 µs for the fan-out's 40–63, and break
+/// about even on LR-B, the cheapest model. The default windows (256 frames
+/// one-shot, 64 in the daemon) are never split.
+pub(crate) const MIN_SHARD_ROWS: usize = 1024;
+
+/// End of a hash chain in [`Misses`].
+const NIL: usize = usize::MAX;
+
+/// A window's distinct cache misses, in first-seen order, found by key
+/// hash.
+#[derive(Default)]
+struct Misses<'r> {
+    requests: Vec<&'r Request>,
+    hashes: Vec<u64>,
+    /// Key hash → the first distinct miss with it; distinct misses whose
+    /// hashes collide chain through `same`.
+    first: HashMap<u64, usize>,
+    same: Vec<usize>,
+}
+
+impl<'r> Misses<'r> {
+    /// The index of the distinct miss whose canonical key is `key`, with
+    /// `request` added as a new one if there is none yet.
+    fn index(&mut self, hash: u64, key: &[u64], request: &'r Request) -> usize {
+        let first = self.first.entry(hash).or_insert(NIL);
+        let mut i = *first;
+        while i != NIL && !canonical_key(&self.requests[i].cells).eq(key.iter().copied()) {
+            i = self.same[i];
+        }
+        if i == NIL {
+            i = self.requests.len();
+            self.same.push(*first);
+            *first = i;
+            self.requests.push(request);
+            self.hashes.push(hash);
+        }
+        i
+    }
+}
 
 /// What one window predict produced, slot-aligned with the input.
 pub(crate) struct WindowOutcome {
@@ -30,12 +78,21 @@ pub(crate) struct WindowOutcome {
     pub batches: u64,
 }
 
-/// Split `requests` into at most `workers` contiguous chunks and predict
-/// them through [`telemetry::par_map`]. Each request's prediction reads
-/// only its own cells (and for networks, `affine_nt` computes each output
-/// row from its own input row), so the concatenated result is
-/// bit-identical to one `predict_requests` call for every worker count.
+/// How many shards `rows` distinct misses are split into: as many of
+/// `workers` as leave every shard at least [`MIN_SHARD_ROWS`] rows, and at
+/// least one.
+fn shards(rows: usize, workers: usize) -> usize {
+    workers.min(rows / MIN_SHARD_ROWS).max(1)
+}
+
+/// Predict `requests` in [`shards`] contiguous chunks through
+/// [`telemetry::par_map`]; one shard runs on the calling thread. Each
+/// request's prediction reads only its own cells (and for networks,
+/// `affine_nt` computes each output row from its own input row), so the
+/// concatenated result is bit-identical to one `predict_requests` call for
+/// every worker count.
 fn predict_sharded(model: &CompiledModel, requests: &[&Request], workers: usize) -> Vec<f64> {
+    let workers = shards(requests.len(), workers);
     let chunks: Vec<&[&Request]> = requests
         .chunks(requests.len().div_ceil(workers).max(1))
         .collect();
@@ -43,10 +100,14 @@ fn predict_sharded(model: &CompiledModel, requests: &[&Request], workers: usize)
 }
 
 /// Serve one window of validated requests: cache probe, in-window
-/// dedup, one sharded pass over the distinct misses through the
-/// compiled predictor, cache fill. Returns one `(prediction, cached)`
-/// pair per input slot. Infallible: the compiled predictor proved every
-/// shape it reads when the artifact was compiled.
+/// dedup, one pass over the distinct misses through the compiled
+/// predictor, cache fill. Returns one `(prediction, cached)` pair per
+/// input slot. Infallible: the compiled predictor proved every shape it
+/// reads when the artifact was compiled.
+///
+/// Each request's canonical key is built in one reused buffer and hashed
+/// once; the cache probe, the dedup and the cache fill all take that
+/// hash, and a key is copied only when it is inserted into the cache.
 pub(crate) fn predict_window(
     model: &CompiledModel,
     cache: &mut LruCache<Vec<u64>, f64>,
@@ -55,35 +116,34 @@ pub(crate) fn predict_window(
 ) -> WindowOutcome {
     let _span = telemetry::span!("serve/batch", rows = requests.len());
     let mut results: Vec<(f64, bool)> = vec![(0.0, false); requests.len()];
-    let mut miss_of_key: HashMap<Vec<u64>, usize> = HashMap::new();
-    let mut unique: Vec<&Request> = Vec::new();
-    let mut unique_keys: Vec<Vec<u64>> = Vec::new();
+    let mut misses = Misses::default();
     let mut pending: Vec<(usize, usize)> = Vec::new(); // (window slot, unique slot)
     let mut hits = 0u64;
-    for (slot, request) in requests.iter().enumerate() {
-        let key = request.canonical_key();
-        if let Some(hit) = cache.get(&key) {
-            hits += 1;
-            results[slot] = (hit, true);
-            continue;
+    {
+        let _probe = telemetry::span!("serve/probe", rows = requests.len());
+        let mut key: Vec<u64> = Vec::new();
+        for (slot, request) in requests.iter().enumerate() {
+            key.clear();
+            key.extend(canonical_key(&request.cells));
+            let hash = cache.hash(&key[..]);
+            if let Some(hit) = cache.get_hashed(hash, &key[..]) {
+                hits += 1;
+                results[slot] = (hit, true);
+                continue;
+            }
+            pending.push((slot, misses.index(hash, &key, request)));
         }
-        let uslot = *miss_of_key.entry(key.clone()).or_insert_with(|| {
-            unique.push(request);
-            unique_keys.push(key);
-            unique.len() - 1
-        });
-        pending.push((slot, uslot));
     }
     let mut predictions = 0u64;
     let mut batches = 0u64;
-    // One sharded pass over the deduplicated misses.
-    if !unique.is_empty() {
-        let preds = predict_sharded(model, &unique, workers);
+    // One pass over the deduplicated misses.
+    if !misses.requests.is_empty() {
+        let preds = predict_sharded(model, &misses.requests, workers);
         predictions = preds.len() as u64;
         batches = 1;
         telemetry::counter_add("serve/predictions", predictions);
-        for (key, &p) in unique_keys.into_iter().zip(&preds) {
-            cache.put(key, p);
+        for ((request, &hash), &p) in misses.requests.iter().zip(&misses.hashes).zip(&preds) {
+            cache.put_hashed(hash, canonical_key(&request.cells).collect(), p);
         }
         for &(slot, uslot) in &pending {
             results[slot] = (preds[uslot], false);
@@ -149,17 +209,59 @@ mod tests {
         assert!(again.results.iter().all(|&(_, cached)| cached));
     }
 
+    /// Distinct keys filed under one hash stay distinct misses, and a
+    /// repeat of either finds its own.
+    #[test]
+    fn colliding_miss_hashes_keep_keys_apart() {
+        let model = compiled();
+        let schema = &model.artifact.schema;
+        let (a, b) = (request(schema, 100.0, 1), request(schema, 150.0, 2));
+        let key = |r: &Request| canonical_key(&r.cells).collect::<Vec<_>>();
+        let mut misses = Misses::default();
+        assert_eq!(misses.index(7, &key(&a), &a), 0);
+        assert_eq!(misses.index(7, &key(&b), &b), 1);
+        assert_eq!(misses.index(7, &key(&a), &a), 0);
+        assert_eq!(misses.index(7, &key(&b), &b), 1);
+        assert_eq!(
+            misses.index(8, &key(&b), &b),
+            2,
+            "another hash, another miss"
+        );
+        assert_eq!(misses.requests.len(), 3);
+    }
+
+    #[test]
+    fn small_windows_stay_on_the_calling_thread() {
+        assert_eq!(shards(0, 8), 1);
+        assert_eq!(shards(2 * MIN_SHARD_ROWS - 1, 8), 1);
+        assert_eq!(shards(2 * MIN_SHARD_ROWS, 8), 2);
+        assert_eq!(shards(3 * MIN_SHARD_ROWS + 7, 8), 3);
+        assert_eq!(shards(100 * MIN_SHARD_ROWS, 4), 4);
+        assert_eq!(shards(100 * MIN_SHARD_ROWS, 1), 1);
+    }
+
     #[test]
     fn outcome_is_identical_across_worker_counts() {
         let model = compiled();
-        let reqs: Vec<Request> = (0..40)
-            .map(|i| request(&model.artifact.schema, 100.0 + (i % 9) as f64 * 25.0, i + 1))
+        // Enough distinct misses for three shards, with in-window
+        // duplicates and a cache that evicts.
+        let rows = 3 * MIN_SHARD_ROWS + 500;
+        let reqs: Vec<Request> = (0..rows as u64)
+            .map(|i| {
+                request(
+                    &model.artifact.schema,
+                    100.0 + (i % 3200) as f64 * 0.25,
+                    i + 1,
+                )
+            })
             .collect();
         let refs: Vec<&Request> = reqs.iter().collect();
-        let mut base_cache = LruCache::new(64);
+        let mut base_cache = LruCache::new(2048);
         let base = predict_window(&model, &mut base_cache, 1, &refs);
+        assert_eq!(base.predictions, 3200);
+        assert_eq!(shards(3200, 8), 3, "the batch is split");
         for workers in [2, 3, 8] {
-            let mut cache = LruCache::new(64);
+            let mut cache = LruCache::new(2048);
             let out = predict_window(&model, &mut cache, workers, &refs);
             for (slot, (a, b)) in base.results.iter().zip(&out.results).enumerate() {
                 assert_eq!(

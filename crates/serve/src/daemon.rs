@@ -53,7 +53,7 @@ use crate::admission::AdmissionQueue;
 use crate::core::predict_window;
 use crate::registry::{Registry, Route};
 use crate::request::{
-    canonical_key, cells_from_members, invalid, member, parse_object, request_id, Request,
+    canonical_key, invalid, member, parse_object, request_id, Request, Validator,
 };
 use fault::{Error, Result};
 use std::borrow::Cow;
@@ -287,13 +287,19 @@ impl Reply<'_> {
                 id,
                 prediction,
                 cached,
-            } => out.push_str(
-                &JsonObject::new()
-                    .str("id", id)
-                    .raw("prediction", &json::number(*prediction))
-                    .bool("cached", *cached)
-                    .finish(),
-            ),
+            } => {
+                // The `JsonObject` with fields `id`, `prediction` and
+                // `cached`, written in place.
+                out.push_str("{\"id\":\"");
+                json::escape_into(out, id);
+                out.push_str("\",\"prediction\":");
+                json::number_into(out, *prediction);
+                out.push_str(if *cached {
+                    ",\"cached\":true}"
+                } else {
+                    ",\"cached\":false}"
+                });
+            }
             Reply::Invalid { id, error } => {
                 out.push_str(&error_line(id, error.kind(), &error.to_string()));
             }
@@ -497,11 +503,20 @@ fn classify(line: &str, frame_no: u64, admitted_at: Instant) -> Class<'_> {
     }
 }
 
+/// Whether `text` can hold an `"op"` key: the key is the literal `"op"`
+/// unless it is spelled with an escape, which needs a backslash. A frame
+/// with neither is a predict or a malformed frame, never a control op.
+fn may_be_control(text: &str) -> bool {
+    text.contains("\"op\"") || text.contains('\\')
+}
+
 /// The reader half of the long-lived daemon: drain the transport and
-/// admit frames, control frames with priority (the core parses every
-/// frame again where it serves it). Returns `Ok(())` on clean
-/// EOF or after a `shutdown` frame; a protocol or transport error is
-/// returned for the core to surface.
+/// admit frames, control frames with priority. Only a frame that
+/// [may be a control op](may_be_control) is parsed here, and a shed
+/// frame is parsed for its response id; the core parses every admitted
+/// frame where it serves it. Returns `Ok(())` on clean EOF or after a
+/// `shutdown` frame; a protocol or transport error is returned for the
+/// core to surface.
 fn reader_loop<R: BufRead, W: Write>(
     input: &mut R,
     queue: &AdmissionQueue<Frame>,
@@ -517,19 +532,22 @@ fn reader_loop<R: BufRead, W: Write>(
         let Some(frame) = next_frame(input, max_frame, &mut frame_no)? else {
             return Ok(()); // EOF
         };
-        let (control, shutdown, id) =
+        let control = if may_be_control(&frame.text) {
             match classify(frame.text.trim(), frame.frame_no, frame.admitted_at) {
-                Class::Control(job) => (true, matches!(job.op, Op::Shutdown), String::new()),
-                class => (false, false, class.id().to_string()),
-            };
-        if control {
+                Class::Control(job) => Some(matches!(job.op, Op::Shutdown)),
+                _ => None,
+            }
+        } else {
+            None
+        };
+        if let Some(shutdown) = control {
             if queue.admit_priority(frame).is_err() {
                 return Ok(()); // closed: the core is already terminating
             }
             if shutdown {
                 return Ok(()); // frames after shutdown are not read
             }
-        } else if let Err(e) = queue.try_admit(frame) {
+        } else if let Err((frame, e)) = queue.try_admit(frame) {
             // Predict and malformed frames share the data plane so error
             // responses keep admission order.
             if terminated.load(Ordering::Relaxed) {
@@ -537,7 +555,8 @@ fn reader_loop<R: BufRead, W: Write>(
             }
             // Typed shed response, written by the reader so the core
             // never sees the frame. Never a silent drop.
-            let mut line = error_line(&id, e.kind(), &e.to_string());
+            let class = classify(frame.text.trim(), frame.frame_no, frame.admitted_at);
+            let mut line = error_line(class.id(), e.kind(), &e.to_string());
             line.push('\n');
             write_out(&mut *lock(writer), &line)?;
         }
@@ -920,10 +939,12 @@ impl Daemon {
                 // A dark route answers only salvaged cache hits, and only
                 // for frames its salvaged schema validates.
                 let dark = Error::quarantined(label.as_str(), reason.as_str());
+                let mut validator = schema.map(Validator::new);
                 for (slot, job) in jobs {
-                    let hit = schema
-                        .and_then(|s| cells_from_members(s, &job.members, job.frame_no).ok())
-                        .and_then(|cells| cache.get(&canonical_key(&cells)));
+                    let hit = validator
+                        .as_mut()
+                        .and_then(|v| v.cells(&job.members, job.frame_no).ok())
+                        .and_then(|cells| cache.get(&canonical_key(&cells).collect::<Vec<_>>()));
                     replies[slot] = match hit {
                         Some(prediction) => cache_hit(job, prediction, stats, latency),
                         None => {
@@ -950,16 +971,18 @@ impl Daemon {
             }
         };
         let validate = telemetry::span!("serve/validate", rows = jobs.len());
+        let mut validator = Validator::new(&model.compiled.artifact.schema);
         let mut valid = Vec::with_capacity(jobs.len());
         for (slot, job) in jobs {
-            match cells_from_members(&model.artifact().schema, &job.members, job.frame_no) {
+            match validator.cells(&job.members, job.frame_no) {
                 Err(error) => {
                     stats.invalid += 1;
                     replies[slot] = Reply::Invalid { id: job.id, error };
                 }
                 // Cache-hits-only service under stress.
                 Ok(cells) if degraded => {
-                    replies[slot] = match model.cache.get(&canonical_key(&cells)) {
+                    let key: Vec<u64> = canonical_key(&cells).collect();
+                    replies[slot] = match model.cache.get(&key) {
                         Some(prediction) => cache_hit(job, prediction, stats, latency),
                         None => {
                             stats.degraded_rejects += 1;
@@ -1081,6 +1104,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::registry::RegistryConfig;
     use mlmodels::{try_train, ModelArtifact, ModelKind, Table};
+    use telemetry::json::Value;
 
     /// Replay `input` through a daemon whose registry holds just `artifact`
     /// (saved to a temporary file): the stats and the response text.
@@ -1727,5 +1751,138 @@ pub(crate) mod tests {
         assert_eq!(stats.invalid, 3);
         assert_eq!(stats.requests, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A predicted reply is written in place, byte for byte the
+    /// `JsonObject` it replaced, escapes and non-finite numbers included.
+    #[test]
+    fn predicted_reply_renders_like_a_json_object() {
+        for (id, prediction, cached) in [
+            ("q1", 1.25, false),
+            ("quote\"back\\slash\ttab\u{1}", -0.0, true),
+            ("big", 1e300, false),
+            ("nan", f64::NAN, true),
+            ("inf", f64::NEG_INFINITY, false),
+        ] {
+            let mut out = String::new();
+            Reply::Predicted {
+                id: Cow::Borrowed(id),
+                prediction,
+                cached,
+            }
+            .render(&mut out);
+            let want = JsonObject::new()
+                .str("id", id)
+                .raw("prediction", &json::number(prediction))
+                .bool("cached", cached)
+                .finish();
+            assert_eq!(out, format!("{want}\n"));
+        }
+    }
+
+    /// A window with more distinct misses than two shards' minimum is
+    /// split across workers, and its output is the same bytes for any
+    /// worker count.
+    #[test]
+    fn replay_of_sharded_windows_is_identical_across_worker_counts() {
+        let rows = 5 * crate::core::MIN_SHARD_ROWS;
+        let input: String = (0..rows)
+            .map(|i| format!("{{\"x\":{}}}\n", 100.0 + (i % 4500) as f64 * 0.125))
+            .collect();
+        let art = x_artifact(ModelKind::LrE);
+        let mut baseline = None;
+        for workers in [1, 2, 8] {
+            let config = DaemonConfig {
+                window: 4 * crate::core::MIN_SHARD_ROWS,
+                workers,
+                ..cfg()
+            };
+            let (stats, out) = replay_artifact(&art, config, &input);
+            let stats = stats.expect("replay");
+            assert_eq!(out.lines().count(), rows);
+            assert_eq!((stats.windows, stats.predictions), (2, 4500), "{stats:?}");
+            match &baseline {
+                None => baseline = Some(out),
+                Some(b) => assert!(b == &out, "{workers} workers diverged"),
+            }
+        }
+    }
+
+    #[test]
+    fn only_frames_with_an_op_key_or_an_escape_may_be_control() {
+        assert!(may_be_control("{\"op\":\"status\"}"));
+        assert!(may_be_control("{\"id\":\"op\",\"x\":1}"));
+        assert!(may_be_control("{\"\\u006fp\":\"status\"}"));
+        assert!(!may_be_control("{\"id\":\"q1\",\"x\":150}"));
+        assert!(!may_be_control("{\"id\":\"op1\",\"hop\":1}"));
+    }
+
+    /// The reader parses a frame only when it may be a control op, so
+    /// `"op"` as a string value is served as a predict, and an `op` key
+    /// spelled with an escape is still a control op: after an escaped
+    /// `shutdown` the reader stops reading.
+    #[test]
+    fn reader_sees_escaped_op_keys_and_serves_op_values() {
+        let dir = tmpdir("op-probe");
+        let path = write_artifact(&dir, "m.ppmodel");
+        let mut reg = Registry::new(reg_cfg());
+        reg.load("m", &path).expect("load");
+        let mut input = String::from(concat!(
+            "{\"id\":\"op\",\"x\":150}\n",
+            "{\"id\":\"v\",\"x\":\"op\"}\n",
+            "{\"id\":\"s\",\"\\u006fp\":\"shutdown\"}\n",
+        ));
+        for i in 0..40 {
+            input.push_str(&format!("{{\"id\":\"late{i}\",\"x\":175}}\n"));
+        }
+        let (result, lines) = run_daemon(cfg(), reg, input.into_bytes());
+        let stats = result.expect("clean shutdown");
+        assert_eq!(lines.len(), 3, "nothing after shutdown is read: {lines:?}");
+        assert!(
+            lines[0].starts_with("{\"id\":\"op\",\"prediction\":"),
+            "{}",
+            lines[0]
+        );
+        assert!(
+            lines[1].contains("\"error\":\"invalid\"") && lines[1].contains("finite number"),
+            "{}",
+            lines[1]
+        );
+        assert!(lines[2].contains("\"op\":\"shutdown\""), "{}", lines[2]);
+        assert_eq!((stats.requests, stats.control_ops, stats.shed), (1, 1, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With nobody draining the queue, every data frame past its capacity
+    /// is shed with a typed line naming the frame's id (its line number
+    /// when it has none or does not parse), and control frames still get
+    /// in.
+    #[test]
+    fn reader_sheds_full_queue_frames_with_their_ids() {
+        let input = concat!(
+            "{\"id\":\"a\",\"x\":100}\n",
+            "{\"id\":\"b\",\"x\":150}\n",
+            "{\"x\":175}\n",
+            "not json\n",
+            "{\"id\":\"c\",\"op\":\"predict\",\"x\":1}\n",
+            "{\"id\":7,\"x\":2}\n",
+            "{\"op\":\"status\"}\n",
+        );
+        let queue = AdmissionQueue::new(1);
+        let writer = Arc::new(Mutex::new(Vec::new()));
+        let terminated = AtomicBool::new(false);
+        reader_loop(&mut input.as_bytes(), &queue, &writer, &terminated, 4096).expect("clean EOF");
+        let text = String::from_utf8(lock(&writer).clone()).expect("utf8");
+        let ids: Vec<String> = text
+            .lines()
+            .map(|l| {
+                let v = json::parse(l).expect("shed line is JSON");
+                assert_eq!(v.get("error").and_then(Value::as_str), Some("overloaded"));
+                v.get("id").and_then(Value::as_str).expect("id").to_string()
+            })
+            .collect();
+        assert_eq!(ids, ["b", "3", "4", "c", "7"]);
+        assert_eq!(queue.shed_count(), 5);
+        assert_eq!(queue.depth(), 2, "the first predict and the status op");
     }
 }

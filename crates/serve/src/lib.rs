@@ -18,17 +18,19 @@
 //!   windows of exactly `window` frames. [`Daemon::run`] and
 //!   [`Daemon::run_socket`] are the long-lived daemon: a reader thread
 //!   feeds a bounded admission queue. Both serve each window the same
-//!   way — cache misses are deduplicated and predicted in matrix form by
-//!   `telemetry::par_map` workers over contiguous row chunks, so output is
-//!   bit-identical whether one thread runs or eight do, and responses
-//!   come back in request order with one write per window.
+//!   way — cache misses are deduplicated and predicted in matrix form,
+//!   split into contiguous row chunks across `telemetry::par_map` workers
+//!   when the window holds enough of them to pay for the threads, so
+//!   output is bit-identical whether one thread runs or eight do, and
+//!   responses come back in request order with one write per window.
 //! * [`registry`] — the hosted models and their versions, with
 //!   quarantine of corrupt artifacts.
 //! * [`workload`] — a seeded request generator that samples the schema's
 //!   observed value domains, for smoke tests and benchmarks.
 //!
 //! Telemetry: each window is a `serve/read` (one-shot only),
-//! `serve/parse`, `serve/validate` and `serve/batch` (per route),
+//! `serve/parse`, `serve/validate` and `serve/batch` (per route, with
+//! the cache probe and dedup as its `serve/probe` child),
 //! `serve/render` and `serve/write` span,
 //! and the loop maintains `serve/requests`, `serve/cache_hits`,
 //! `serve/cache_misses`, `serve/predictions`, and queue-depth / latency

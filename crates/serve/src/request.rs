@@ -44,25 +44,15 @@ pub struct Request {
     pub cells: Vec<Cell>,
 }
 
-impl Request {
-    /// Canonical cache key: one `u64` per cell, in schema order. Numeric
-    /// cells use the f64 bit pattern with `-0.0` folded into `0.0`, so
-    /// arithmetically identical configs share a key.
-    pub(crate) fn canonical_key(&self) -> Vec<u64> {
-        canonical_key(&self.cells)
-    }
-}
-
-/// [`Request::canonical_key`] over bare cells.
-pub(crate) fn canonical_key(cells: &[Cell]) -> Vec<u64> {
-    cells
-        .iter()
-        .map(|c| match *c {
-            Cell::Num(x) => (if x == 0.0 { 0.0f64 } else { x }).to_bits(),
-            Cell::Flag(b) => u64::from(b),
-            Cell::Code(code) => u64::from(code),
-        })
-        .collect()
+/// The canonical cache key of a request's cells: one `u64` per cell, in
+/// schema order. Numeric cells use the f64 bit pattern with `-0.0` folded
+/// into `0.0`, so arithmetically identical configs share a key.
+pub(crate) fn canonical_key(cells: &[Cell]) -> impl Iterator<Item = u64> + '_ {
+    cells.iter().map(|c| match *c {
+        Cell::Num(x) => (if x == 0.0 { 0.0f64 } else { x }).to_bits(),
+        Cell::Flag(b) => u64::from(b),
+        Cell::Code(code) => u64::from(code),
+    })
 }
 
 /// A typed `InvalidInput` naming the 1-based request line.
@@ -77,7 +67,7 @@ pub fn parse_request_line(schema: &TableSchema, line: &str, line_no: u64) -> Res
     let members = parse_object(line, line_no)?;
     Ok(Request {
         id: request_id(&members, line_no)?.into_owned(),
-        cells: cells_from_members(schema, &members, line_no)?,
+        cells: Validator::new(schema).cells(&members, line_no)?,
     })
 }
 
@@ -112,54 +102,75 @@ pub(crate) fn request_id<'a>(
     }
 }
 
-/// Validate a frame's members against the schema and return its cells in
-/// schema order. Besides `"id"`, every key must be a schema column (the
-/// daemon strips its envelope keys first), and a repeated key's last value
-/// wins. When several fields are wrong, the first unknown key in key order
-/// is reported, else the first bad column in schema order. `line_no` is
-/// the 1-based frame number.
-pub(crate) fn cells_from_members(
-    schema: &TableSchema,
-    members: &[(Cow<'_, str>, Scalar<'_>)],
-    line_no: u64,
-) -> Result<Vec<Cell>> {
-    let columns = &schema.columns;
-    let mut values = vec![None; columns.len()];
-    let mut unknown: Option<&str> = None;
-    let mut next = 0;
-    for (key, value) in members {
-        // Frames usually list the columns in schema order, so the column
-        // after the previous match is tried first.
-        let column = if columns.get(next).is_some_and(|c| c.name() == key) {
-            Some(next)
-        } else {
-            columns.iter().position(|c| c.name() == key)
-        };
-        match column {
-            Some(j) => {
-                values[j] = Some(value);
-                next = j + 1;
-            }
-            None if key != "id" && unknown.is_none_or(|u| key.as_ref() < u) => {
-                unknown = Some(key);
-            }
-            None => {}
+/// Validates frames against one schema, reusing its scratch from frame
+/// to frame.
+pub(crate) struct Validator<'s> {
+    schema: &'s TableSchema,
+    /// Per schema column, the index of the member that sets it, or
+    /// `usize::MAX` when none does.
+    member_of: Vec<usize>,
+}
+
+impl<'s> Validator<'s> {
+    pub(crate) fn new(schema: &'s TableSchema) -> Self {
+        Validator {
+            schema,
+            member_of: Vec::with_capacity(schema.columns.len()),
         }
     }
-    if let Some(key) = unknown {
-        return Err(invalid(
-            line_no,
-            format!("unknown field '{key}' (not a schema column)"),
-        ));
+
+    /// Validate a frame's members and return its cells in schema order.
+    /// Besides `"id"`, every key must be a schema column (the daemon
+    /// strips its envelope keys first), and a repeated key's last value
+    /// wins. When several fields are wrong, the first unknown key in key
+    /// order is reported, else the first bad column in schema order.
+    /// `line_no` is the 1-based frame number.
+    pub(crate) fn cells(
+        &mut self,
+        members: &[(Cow<'_, str>, Scalar<'_>)],
+        line_no: u64,
+    ) -> Result<Vec<Cell>> {
+        let columns = &self.schema.columns;
+        self.member_of.clear();
+        self.member_of.resize(columns.len(), usize::MAX);
+        let mut unknown: Option<&str> = None;
+        let mut next = 0;
+        for (m, (key, _)) in members.iter().enumerate() {
+            // Frames usually list the columns in schema order, so the
+            // column after the previous match is tried first.
+            let column = if columns.get(next).is_some_and(|c| c.name() == key) {
+                Some(next)
+            } else {
+                columns.iter().position(|c| c.name() == key)
+            };
+            match column {
+                Some(j) => {
+                    self.member_of[j] = m;
+                    next = j + 1;
+                }
+                None if key != "id" && unknown.is_none_or(|u| key.as_ref() < u) => {
+                    unknown = Some(key);
+                }
+                None => {}
+            }
+        }
+        if let Some(key) = unknown {
+            return Err(invalid(
+                line_no,
+                format!("unknown field '{key}' (not a schema column)"),
+            ));
+        }
+        // Collected by hand: `collect` into a `Result` cannot size the
+        // vector up front.
+        let mut cells = Vec::with_capacity(columns.len());
+        for (col, &m) in columns.iter().zip(&self.member_of) {
+            let (_, v) = members
+                .get(m)
+                .ok_or_else(|| invalid(line_no, format!("missing field '{}'", col.name())))?;
+            cells.push(cell_from_value(col, v, line_no)?);
+        }
+        Ok(cells)
     }
-    columns
-        .iter()
-        .zip(values)
-        .map(|(col, v)| {
-            let v = v.ok_or_else(|| invalid(line_no, format!("missing field '{}'", col.name())))?;
-            cell_from_value(col, v, line_no)
-        })
-        .collect()
 }
 
 fn cell_from_value(col: &ColumnSchema, v: &Scalar<'_>, line_no: u64) -> Result<Cell> {
@@ -368,8 +379,9 @@ mod tests {
         let b =
             parse_request_line(&s, r#"{"bpred":"perfect","smt":false,"speed":-0.0}"#, 2).unwrap();
         let c = parse_request_line(&s, r#"{"bpred":"perfect","smt":true,"speed":0}"#, 3).unwrap();
-        assert_eq!(a.canonical_key(), b.canonical_key());
-        assert_ne!(a.canonical_key(), c.canonical_key());
+        let key = |r: &Request| canonical_key(&r.cells).collect::<Vec<_>>();
+        assert_eq!(key(&a), key(&b));
+        assert_ne!(key(&a), key(&c));
     }
 
     /// Regression (cache-key canonicalization): `-0.0` is rewritten to
@@ -411,7 +423,7 @@ mod tests {
                 Scalar::Str(Cow::Borrowed("perfect")),
             ),
         ];
-        let err = cells_from_members(&s, &members, 9).expect_err("NaN cell");
+        let err = Validator::new(&s).cells(&members, 9).expect_err("NaN cell");
         assert_eq!(err.kind(), "invalid");
         assert!(err.to_string().contains("finite number"), "{err}");
     }

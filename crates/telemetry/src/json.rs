@@ -20,7 +20,7 @@ pub fn escape(s: &str) -> String {
 }
 
 /// [`escape`], appending to `out`.
-fn escape_into(out: &mut String, s: &str) {
+pub fn escape_into(out: &mut String, s: &str) {
     let mut rest = s;
     // Copy runs that need no escaping in one go; every escaped char is
     // ASCII, so each run ends on a char boundary.
@@ -46,12 +46,19 @@ fn escape_into(out: &mut String, s: &str) {
 
 /// Format a float the way JSON expects (no NaN/Inf — mapped to null).
 pub fn number(x: f64) -> String {
+    let mut out = String::new();
+    number_into(&mut out, x);
+    out
+}
+
+/// [`number`], appending to `out`.
+pub fn number_into(out: &mut String, x: f64) {
     if x.is_finite() {
         // Shortest representation that round-trips is overkill here;
         // `{}` on f64 already round-trips in Rust.
-        format!("{x}")
+        let _ = write!(out, "{x}");
     } else {
-        "null".to_string()
+        out.push_str("null");
     }
 }
 
@@ -99,11 +106,7 @@ impl JsonObject {
     /// Add a float field (NaN/Inf become null).
     pub fn num(mut self, k: &str, v: f64) -> Self {
         self.key(k);
-        if v.is_finite() {
-            let _ = write!(self.buf, "{v}");
-        } else {
-            self.buf.push_str("null");
-        }
+        number_into(&mut self.buf, v);
         self
     }
 
