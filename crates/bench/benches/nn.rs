@@ -1,10 +1,17 @@
-//! Neural-network hot-loop cost: the batched matrix-form RProp training
-//! loop and forward pass, plus the two linalg kernels they are built on.
+//! Neural-network hot-loop cost: the batched iRProp− training loop and
+//! forward pass, plus two linalg kernels: `affine_nt`, which prediction
+//! runs on, and the gradient-shaped `matmul_tn`.
 //! `rprop_small_30ep` trains at the shape the sampled-DSE drivers fit
-//! (a couple of dozen rows, about 300 weights), where the per-weight
-//! iRProp− update rather than the matrix kernels dominates an epoch.
+//! (a couple of dozen rows, about 300 weights), and `rprop_nne_30ep` at
+//! NN-E's starting shape in perfbench's `train` workload (23 rows of 19
+//! encoded inputs into 28 hidden units). At that shape an epoch of the
+//! matrix-form trainer measured about 15 µs on a 2-vCPU x86-64 host:
+//! libm `tanh` about 36 % of it, the forward product about 25 %, the
+//! gradient products about 25 % and the per-weight iRProp− update about
+//! 8 %. The input-major epoch more than halves the forward and dW
+//! products, so its 644 `tanh` calls are now about half of an epoch.
 //!
-//! The batched paths are pinned bit for bit to the per-sample reference
+//! The training epoch is pinned bit for bit to the per-sample reference
 //! loops by `mlmodels::nn`'s unit tests, and every `linalg` kernel to a
 //! naive reference loop by `crates/linalg/tests/kernel_prop.rs`; this
 //! file only measures.
@@ -22,9 +29,14 @@ const EPOCHS: usize = 30;
 /// units is 313 weights, trained on 23 rows.
 const SMALL_ROWS: usize = 23;
 const SMALL_HIDDEN: [usize; 1] = [12];
+/// NN-E's first starting topology for a 19-column design: 3·19/2 = 28
+/// hidden units, trained on half of a 46-row sample.
+const NNE_ROWS: usize = 23;
+const NNE_COLS: usize = 19;
+const NNE_HIDDEN: [usize; 1] = [28];
 
-fn design(rows: usize) -> (Matrix, Vec<f64>) {
-    let x = Matrix::from_fn(rows, COLS, |i, j| {
+fn design(rows: usize, cols: usize) -> (Matrix, Vec<f64>) {
+    let x = Matrix::from_fn(rows, cols, |i, j| {
         (((i * 7 + j * 13 + 5) % 29) as f64) / 29.0
     });
     let y: Vec<f64> = (0..rows)
@@ -43,8 +55,9 @@ fn rprop_config() -> TrainConfig {
 }
 
 fn bench_nn(c: &mut Criterion) {
-    let (x, y) = design(ROWS);
-    let (x_small, y_small) = design(SMALL_ROWS);
+    let (x, y) = design(ROWS, COLS);
+    let (x_small, y_small) = design(SMALL_ROWS, COLS);
+    let (x_nne, y_nne) = design(NNE_ROWS, NNE_COLS);
     let cfg = rprop_config();
 
     let mut group = c.benchmark_group("nn");
@@ -62,6 +75,13 @@ fn bench_nn(c: &mut Criterion) {
         b.iter_batched(
             || Mlp::new(COLS, &SMALL_HIDDEN, cfg.seed),
             |mut net| black_box(net.try_train(&x_small, &y_small, &cfg)),
+            BatchSize::LargeInput,
+        )
+    });
+    group.bench_function(format!("rprop_nne_{EPOCHS}ep"), |b| {
+        b.iter_batched(
+            || Mlp::new(NNE_COLS, &NNE_HIDDEN, cfg.seed),
+            |mut net| black_box(net.try_train(&x_nne, &y_nne, &cfg)),
             BatchSize::LargeInput,
         )
     });

@@ -152,8 +152,7 @@ impl Matrix {
     /// `selfᵀ * other` without materializing the transpose: both operands
     /// are streamed row by row, accumulating rank-one contributions in
     /// row-index-ascending order — the exact order a per-sample gradient
-    /// loop accumulates, which keeps batched backprop bit-identical to the
-    /// per-sample reference.
+    /// loop accumulates.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
         assert_eq!(
             self.rows, other.rows,

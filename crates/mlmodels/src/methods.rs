@@ -397,14 +397,21 @@ fn prune_driver(
             } else {
                 vec![start_h]
             };
-            // Only starts that reached a finite validation RMSE may seed
-            // the pruning loop; a restart where every start diverged
-            // yields no candidate instead of a poisoned one.
-            let mut seeded: Option<(Mlp, f64)> = None;
-            for &h in &starts {
+            // The starts are independent fits, so they run side by side
+            // on whatever workers are idle, and the pick below walks them
+            // in start order. Only starts that reached a finite
+            // validation RMSE may seed the pruning loop; a restart where
+            // every start diverged yields no candidate instead of a
+            // poisoned one.
+            let fits = telemetry::par_map(starts.len(), telemetry::default_workers(), |s| {
+                let h = starts[s];
                 let mut c = cfg;
                 c.seed = child_seed(rseed, h as u64);
-                let (net, val) = fit_candidate(&[h], xt, yt, xv, yv, &c)?;
+                fit_candidate(&[h], xt, yt, xv, yv, &c)
+            });
+            let mut seeded: Option<(Mlp, f64)> = None;
+            for fit in fits {
+                let (net, val) = fit?;
                 if val.is_finite() && seeded.as_ref().is_none_or(|(_, bv)| val < *bv) {
                     seeded = Some((net, val));
                 }
@@ -429,12 +436,19 @@ fn prune_driver(
                         .collect();
                     units.sort_by(|a, b| a.1.total_cmp(&b.1));
                     let lookahead = if exhaustive { 3.min(units.len()) } else { 1 };
+                    // Independent retrains too: fan out, then pick in
+                    // candidate order.
+                    let trials: Vec<Result<(Mlp, f64)>> =
+                        telemetry::par_map(lookahead, telemetry::default_workers(), |t| {
+                            let mut trial = net.clone();
+                            trial.prune_hidden_unit(0, units[t].0);
+                            train_keeping_divergence(&mut trial, xt, yt, &retrain_cfg)?;
+                            let val = trial.rmse(xv, yv);
+                            Ok((trial, val))
+                        });
                     let mut best_trial: Option<(Mlp, f64)> = None;
-                    for &(u, _) in units.iter().take(lookahead) {
-                        let mut trial = net.clone();
-                        trial.prune_hidden_unit(0, u);
-                        train_keeping_divergence(&mut trial, xt, yt, &retrain_cfg)?;
-                        let val = trial.rmse(xv, yv);
+                    for trial in trials {
+                        let (trial, val) = trial?;
                         if best_trial.as_ref().is_none_or(|(_, bv)| val < *bv) {
                             best_trial = Some((trial, val));
                         }

@@ -3,11 +3,14 @@
 //!
 //! Architecture follows §3.2: an input layer (the scaled predictors), one
 //! or more hidden layers of tanh units, and a linear output unit predicting
-//! the 0–1-scaled response. Training is stochastic gradient descent with
-//! momentum — "backpropagation procedure, variation of steepest descent" —
-//! with optional learning-rate decay and weight decay. The prune-based
-//! drivers in [`crate::methods`] need structural surgery (removing hidden
-//! units, silencing inputs), which the network supports directly.
+//! the 0–1-scaled response. The default trainer is full-batch iRProp−
+//! (resilient backpropagation, [`TrainAlgo::Rprop`]), which five of the
+//! six drivers in [`crate::methods`] use; NN-S keeps online stochastic
+//! gradient descent with momentum and a constant learning rate
+//! ([`TrainAlgo::Sgd`]) — "backpropagation procedure, variation of
+//! steepest descent". Both take an optional weight decay. The
+//! prune-based drivers need structural surgery (removing hidden units,
+//! silencing inputs), which the network supports directly.
 
 use fault::{Error, Result};
 use linalg::dist::{sample_normal, seeded_rng};
@@ -216,28 +219,6 @@ impl Mlp {
         Cow::Owned(a0)
     }
 
-    /// Batched forward pass over every row of an already [masked](Self::masked)
-    /// design `a0`. Returns each layer's output: `outs[l]` is the output
-    /// of layer `l`, `outs.last()` the `n x 1` prediction column. Each
-    /// element accumulates bias-first in input order via
-    /// [`Matrix::affine_nt`], so every value is bit-identical to the
-    /// scalar [`Mlp::forward`] on the same row.
-    fn forward_batch(&self, a0: &Matrix) -> Vec<Matrix> {
-        debug_assert_eq!(a0.cols(), self.inputs());
-        let mut outs: Vec<Matrix> = Vec::with_capacity(self.layers.len());
-        for (li, layer) in self.layers.iter().enumerate() {
-            let prev = if li == 0 { a0 } else { &outs[li - 1] };
-            let mut z = prev.affine_nt(&layer.w, &layer.b);
-            if li + 1 < self.layers.len() {
-                for v in z.as_mut_slice() {
-                    *v = v.tanh();
-                }
-            }
-            outs.push(z);
-        }
-        outs
-    }
-
     /// Predict every row of a design matrix, rejecting width mismatches
     /// with a typed error instead of panicking (batched kernels,
     /// bit-identical to the per-row [`Self::forward`]).
@@ -252,10 +233,24 @@ impl Mlp {
         Ok(self.predict_masked(&self.masked(x)))
     }
 
-    /// Predictions for an already masked design `a0`.
+    /// Predictions for an already [masked](Self::masked) design `a0`,
+    /// layer by layer through [`Matrix::affine_nt`] with tanh between
+    /// layers. Each element accumulates bias-first in input order, so
+    /// every prediction is bit-identical to the scalar [`Mlp::forward`]
+    /// on the same row.
     fn predict_masked(&self, a0: &Matrix) -> Vec<f64> {
-        let out = self.forward_batch(a0).pop().expect("output layer");
-        out.as_slice().to_vec()
+        debug_assert_eq!(a0.cols(), self.inputs());
+        let mut act = Cow::Borrowed(a0);
+        for (li, layer) in self.layers.iter().enumerate() {
+            let mut z = act.affine_nt(&layer.w, &layer.b);
+            if li + 1 < self.layers.len() {
+                for v in z.as_mut_slice() {
+                    *v = v.tanh();
+                }
+            }
+            act = Cow::Owned(z);
+        }
+        act.into_owned().as_slice().to_vec()
     }
 
     /// Root-mean-square error on (x, y); `x` must have [`Self::inputs`]
@@ -344,9 +339,9 @@ impl Mlp {
                         .w
                         .row_mut(o)
                         .iter_mut()
-                        .zip(&mut vw[span.clone()])
+                        .zip(&mut vw[span])
                         .zip(prev_act)
-                        .zip(&state.live[span])
+                        .zip(&state.live_inputs)
                     {
                         if live {
                             let g = (d * a + cfg.weight_decay * *w).clamp(-8.0, 8.0);
@@ -362,53 +357,9 @@ impl Mlp {
         }
     }
 
-    /// Full-batch squared-error gradient over an already masked design
-    /// `a0`: per layer, `(dW, db)` in the shapes of the weights and
-    /// biases.
-    ///
-    /// Matrix form: one batched forward, then per layer a
-    /// `deltaᵀ·activations` product ([`Matrix::matmul_tn`]) for dW, a
-    /// column sum for db, and a `delta·W` product for the upstream delta.
-    /// Every kernel accumulates in row-ascending order — exactly the
-    /// order the per-sample reference loop in the tests adds its
-    /// contributions — so the two match bit for bit.
-    fn batch_gradient(&self, a0: &Matrix, y: &[f64]) -> Vec<(Matrix, Vec<f64>)> {
-        let n = a0.rows() as f64;
-        let outs = self.forward_batch(a0);
-        let y_hat = outs.last().expect("output layer");
-        let mut delta = Matrix::from_fn(a0.rows(), 1, |i, _| (y_hat[(i, 0)] - y[i]) / n);
-        let mut grads: Vec<(Matrix, Vec<f64>)> = Vec::with_capacity(self.layers.len());
-        for li in (0..self.layers.len()).rev() {
-            let layer = &self.layers[li];
-            let prev = if li == 0 { a0 } else { &outs[li - 1] };
-            let dw = delta.matmul_tn(prev);
-            let db: Vec<f64> = (0..layer.outputs())
-                .map(|o| {
-                    let mut s = 0.0;
-                    for i in 0..delta.rows() {
-                        s += delta[(i, o)];
-                    }
-                    s
-                })
-                .collect();
-            grads.push((dw, db));
-            if li > 0 {
-                let mut pd = delta.matmul(&layer.w);
-                for i in 0..pd.rows() {
-                    // tanh' = 1 - a².
-                    for (v, &a) in pd.row_mut(i).iter_mut().zip(prev.row(i)) {
-                        *v *= 1.0 - a * a;
-                    }
-                }
-                delta = pd;
-            }
-        }
-        grads.reverse();
-        grads
-    }
-
     /// Per-sample scalar gradient accumulation — the historical hot loop,
-    /// kept as the reference the batched path is tested against.
+    /// kept as the reference the batched epoch is tested against. Per
+    /// layer it returns `(dW, db)`, `dW` row-major `outputs × inputs`.
     #[cfg(test)]
     fn batch_gradient_scalar(&self, x: &Matrix, y: &[f64]) -> Vec<(Vec<Vec<f64>>, Vec<f64>)> {
         let mut grads: Vec<(Vec<Vec<f64>>, Vec<f64>)> = self
@@ -499,13 +450,13 @@ impl Mlp {
             })
             .collect();
         for _ in 0..cfg.epochs {
-            let mut grads = self.batch_gradient(x, y);
+            let mut grads = self.batch_gradient_scalar(x, y);
             // Weight decay folds into the gradient.
             if cfg.weight_decay > 0.0 {
                 for (li, layer) in self.layers.iter().enumerate() {
                     for o in 0..layer.outputs() {
                         for j in 0..layer.inputs() {
-                            grads[li].0[(o, j)] += cfg.weight_decay * layer.w[(o, j)];
+                            grads[li].0[o][j] += cfg.weight_decay * layer.w[(o, j)];
                         }
                     }
                 }
@@ -516,7 +467,7 @@ impl Mlp {
                         if li == 0 && self.dead_inputs[j] {
                             continue;
                         }
-                        let g = grads[li].0[(o, j)];
+                        let g = grads[li].0[o][j];
                         let pg = prev[li].0[o][j];
                         let step = &mut steps[li].0[o][j];
                         if pg * g > 0.0 {
@@ -547,11 +498,18 @@ impl Mlp {
     }
 
     /// iRProp− training loop: per-weight step sizes grow (×1.2) while the
-    /// gradient keeps its sign and shrink (×0.5) when it flips. Each
-    /// epoch is one batched gradient, then one fused branch-free
-    /// [`irprop_update`] per layer over the flat weights and biases.
+    /// gradient keeps its sign and shrink (×0.5) when it flips.
+    ///
+    /// The parameters move into the workspace's input-major layout
+    /// ([`Workspace::load`]) for the length of the call and back into
+    /// the network at its end, so the caller's [`Self::rmse_masked`] and
+    /// any retry see them as usual. Each epoch is one
+    /// [`Workspace::gradient`], then one fused branch-free
+    /// [`irprop_update`] per layer over the flat weights and one over
+    /// the biases.
     fn train_rprop(&mut self, ws: &mut Workspace<'_>, y: &[f64], cfg: &TrainConfig) {
         let init = cfg.learning_rate.clamp(1e-4, 0.5);
+        ws.load(self);
         for state in &mut ws.layers {
             state.step.fill(init);
             state.prev_grad.fill(0.0);
@@ -561,33 +519,29 @@ impl Mlp {
             if trace {
                 telemetry::counter_add("train/epochs", 1);
                 if e % 100 == 99 {
+                    ws.store(self);
                     let loss = self.rmse_masked(&ws.x, y);
                     telemetry::point!("train/epoch_loss", epoch = e + 1, loss = loss);
                 }
             }
             let t_epoch = trace.then(std::time::Instant::now);
-            let grads = self.batch_gradient(&ws.x, y);
-            for ((layer, (dw, db)), state) in self.layers.iter_mut().zip(&grads).zip(&mut ws.layers)
-            {
-                let nw = dw.as_slice().len();
+            ws.gradient(y);
+            for state in &mut ws.layers {
+                let nw = state.inputs * state.outputs;
+                let (param_w, param_b) = state.params.split_at_mut(nw);
+                let (grad_w, grad_b) = state.grad.split_at(nw);
                 let (step_w, step_b) = state.step.split_at_mut(nw);
                 let (prev_w, prev_b) = state.prev_grad.split_at_mut(nw);
                 let (live_w, live_b) = state.live.split_at(nw);
-                irprop_update(
-                    layer.w.as_mut_slice(),
-                    dw.as_slice(),
-                    cfg.weight_decay,
-                    step_w,
-                    prev_w,
-                    live_w,
-                );
+                irprop_update(param_w, grad_w, cfg.weight_decay, step_w, prev_w, live_w);
                 // Biases carry no weight decay.
-                irprop_update(&mut layer.b, db, 0.0, step_b, prev_b, live_b);
+                irprop_update(param_b, grad_b, 0.0, step_b, prev_b, live_b);
             }
             if let Some(t) = t_epoch {
                 telemetry::hist_observe_ns("train/epoch_ns", t.elapsed());
             }
         }
+        ws.store(self);
     }
 
     /// Train with the configured algorithm and divergence guards.
@@ -804,10 +758,18 @@ const STEP_MAX: f64 = 1.0;
 /// Smallest iRProp− step.
 const STEP_MIN: f64 = 1e-9;
 
-/// Optimizer state of one layer. Every vector is flat over the layer's
-/// parameters in storage order — the row-major weights, then the biases
-/// — so an update walks parameters, gradients and state in lockstep.
+/// Training state of one layer. The iRProp− vectors (`params`, `grad`,
+/// `step`, `prev_grad`, `live`) are flat over the layer's parameters in
+/// one order — the weights input-major (`inputs × outputs`, all of one
+/// input's weights together), then the biases — so an update walks
+/// parameters, gradients and state in lockstep. The SGD velocities
+/// follow the network's own row-major order.
 struct LayerState {
+    inputs: usize,
+    outputs: usize,
+    /// `false` for the inputs of layer 0 that are dead; SGD reads it per
+    /// weight column.
+    live_inputs: Vec<bool>,
     /// `false` for the weights of dead inputs, which training leaves
     /// untouched; biases and every later layer are live.
     live: Vec<bool>,
@@ -815,50 +777,68 @@ struct LayerState {
     step: Vec<f64>,
     /// iRProp−'s previous gradient.
     prev_grad: Vec<f64>,
+    /// The layer's weights and biases for the length of an iRProp− fit.
+    params: Vec<f64>,
+    /// The epoch's squared-error gradient of `params`.
+    grad: Vec<f64>,
+    /// The layer's output for every training row, row-major
+    /// `rows × outputs` (tanh applied on hidden layers).
+    out: Vec<f64>,
     /// SGD momentum velocities.
     velocity: Vec<f64>,
 }
 
 /// Per-fit training state, built once per [`Mlp::try_train`] call and
-/// reused by every attempt and epoch: the optimizer state lives here
-/// rather than in the model, and the dead-input mask is applied to the
-/// design once rather than once per epoch.
+/// reused by every attempt and epoch, so no epoch allocates: the
+/// optimizer state and the epoch's buffers live here rather than in the
+/// model, and the dead-input mask is applied to the design once rather
+/// than once per epoch.
 struct Workspace<'a> {
     /// The training design with dead inputs zeroed (borrowed when no
     /// input is dead).
     x: Cow<'a, Matrix>,
     layers: Vec<LayerState>,
     /// SGD scratch, reused across rows: `acts[l]` is layer `l`'s output
-    /// for the current row, `delta`/`prev_delta` the backward deltas.
+    /// for the current row.
     acts: Vec<Vec<f64>>,
+    /// Backward deltas: per row under SGD, `rows × width` under iRProp−,
+    /// where `prev_delta` receives the layer below's delta.
     delta: Vec<f64>,
     prev_delta: Vec<f64>,
 }
 
 impl<'a> Workspace<'a> {
     fn new(net: &Mlp, x: &'a Matrix) -> Self {
-        let layers = net
+        let rows = x.rows();
+        let layers: Vec<LayerState> = net
             .layers
             .iter()
             .enumerate()
             .map(|(li, l)| {
                 let (outputs, inputs) = (l.outputs(), l.inputs());
-                let n = outputs * inputs + outputs;
+                let n = inputs * outputs + outputs;
+                let live_inputs: Vec<bool> =
+                    (0..inputs).map(|k| li > 0 || !net.dead_inputs[k]).collect();
                 let mut live = vec![true; n];
-                if li == 0 {
-                    // An empty weight block never reaches the `%`.
-                    for (k, slot) in live[..outputs * inputs].iter_mut().enumerate() {
-                        *slot = !net.dead_inputs[k % inputs];
-                    }
+                // The zip stops before the trailing block of biases.
+                for (block, &l) in live.chunks_exact_mut(outputs).zip(&live_inputs) {
+                    block.fill(l);
                 }
                 LayerState {
+                    inputs,
+                    outputs,
+                    live_inputs,
                     live,
                     step: vec![0.0; n],
                     prev_grad: vec![0.0; n],
+                    params: vec![0.0; n],
+                    grad: vec![0.0; n],
+                    out: vec![0.0; rows * outputs],
                     velocity: vec![0.0; n],
                 }
             })
             .collect();
+        let widest = layers.iter().map(|l| l.outputs).max().unwrap_or(1);
         Workspace {
             x: net.masked(x),
             layers,
@@ -867,8 +847,285 @@ impl<'a> Workspace<'a> {
                 .iter()
                 .map(|l| Vec::with_capacity(l.outputs()))
                 .collect(),
-            delta: Vec::new(),
-            prev_delta: Vec::new(),
+            delta: Vec::with_capacity(rows * widest),
+            prev_delta: Vec::with_capacity(rows * widest),
+        }
+    }
+
+    /// Copy `net`'s weights (transposed to input-major) and biases into
+    /// `params`.
+    fn load(&mut self, net: &Mlp) {
+        for (state, layer) in self.layers.iter_mut().zip(&net.layers) {
+            let (w, b) = state.params.split_at_mut(state.inputs * state.outputs);
+            for o in 0..state.outputs {
+                for (k, &v) in layer.w.row(o).iter().enumerate() {
+                    w[k * state.outputs + o] = v;
+                }
+            }
+            b.copy_from_slice(&layer.b);
+        }
+    }
+
+    /// Write `params` back into `net`'s row-major weights and biases.
+    fn store(&self, net: &mut Mlp) {
+        for (state, layer) in self.layers.iter().zip(&mut net.layers) {
+            let (w, b) = state.params.split_at(state.inputs * state.outputs);
+            for o in 0..state.outputs {
+                for (k, v) in layer.w.row_mut(o).iter_mut().enumerate() {
+                    *v = w[k * state.outputs + o];
+                }
+            }
+            layer.b.copy_from_slice(b);
+        }
+    }
+
+    /// Full-batch squared-error gradient of `params` into each layer's
+    /// `grad`: one forward pass over every row ([`affine_batch`]), then
+    /// per layer, last first, dW and db ([`weight_grad`]) and the layer
+    /// below's delta ([`upstream_delta`]).
+    ///
+    /// Every sum folds in the order of the matching `linalg` kernel —
+    /// bias-first and input-ascending forward ([`Matrix::affine_nt`]),
+    /// row-ascending from 0.0 for dW and db ([`Matrix::matmul_tn`]),
+    /// output-ascending from 0.0 with zero deltas skipped upstream
+    /// ([`Matrix::matmul`]) — and each product and tanh′ factor is the
+    /// same, so the gradient matches the per-sample reference loop bit
+    /// for bit.
+    fn gradient(&mut self, y: &[f64]) {
+        let n_layers = self.layers.len();
+        for li in 0..n_layers {
+            let (done, rest) = self.layers.split_at_mut(li);
+            let prev: &[f64] = if li == 0 {
+                self.x.as_slice()
+            } else {
+                &done[li - 1].out
+            };
+            let state = &mut rest[0];
+            let (wt, b) = state.params.split_at(state.inputs * state.outputs);
+            affine_batch(prev, state.inputs, wt, b, &mut state.out, li + 1 < n_layers);
+        }
+        // dE/dŷ of the mean squared error over the linear output.
+        let n = self.x.rows() as f64;
+        self.delta.clear();
+        self.delta.extend(
+            self.layers[n_layers - 1]
+                .out
+                .iter()
+                .zip(y)
+                .map(|(&p, &t)| (p - t) / n),
+        );
+        for li in (0..n_layers).rev() {
+            let (done, rest) = self.layers.split_at_mut(li);
+            let prev: &[f64] = if li == 0 {
+                self.x.as_slice()
+            } else {
+                &done[li - 1].out
+            };
+            let state = &mut rest[0];
+            weight_grad(&self.delta, prev, state.inputs, &mut state.grad);
+            if li > 0 {
+                let wt = &state.params[..state.inputs * state.outputs];
+                upstream_delta(&self.delta, wt, prev, state.inputs, &mut self.prev_delta);
+                std::mem::swap(&mut self.delta, &mut self.prev_delta);
+            }
+        }
+    }
+}
+
+/// One layer's outputs for every row: `out[i][o] = bias[o] + Σ_k
+/// a[i][k] · wt[k][o]`, through tanh when `tanh` is set, with `a`
+/// row-major `rows × inputs` and `wt` input-major `inputs × outputs`.
+///
+/// Each sum starts at the bias and adds the products in ascending `k`,
+/// the order of [`Matrix::affine_nt`]. Tiles of rows × outputs only run
+/// several such sums side by side: wide layers take two rows by eight
+/// outputs (one contiguous run of `wt` per input), narrow ones (the
+/// one-output layer) four rows at a time, each row its own chain.
+fn affine_batch(a: &[f64], inputs: usize, wt: &[f64], bias: &[f64], out: &mut [f64], tanh: bool) {
+    let outputs = bias.len();
+    let rows = out.len() / outputs;
+    let mut i = 0;
+    if outputs >= 4 {
+        while i + 2 <= rows {
+            affine_rows::<2>(a, inputs, wt, bias, out, tanh, i);
+            i += 2;
+        }
+    } else {
+        while i + 4 <= rows {
+            affine_rows::<4>(a, inputs, wt, bias, out, tanh, i);
+            i += 4;
+        }
+    }
+    while i < rows {
+        affine_rows::<1>(a, inputs, wt, bias, out, tanh, i);
+        i += 1;
+    }
+}
+
+/// [`affine_batch`] for rows `i0..i0 + R`, in blocks of 8, 4 and 1
+/// outputs.
+fn affine_rows<const R: usize>(
+    a: &[f64],
+    inputs: usize,
+    wt: &[f64],
+    bias: &[f64],
+    out: &mut [f64],
+    tanh: bool,
+    i0: usize,
+) {
+    let outputs = bias.len();
+    let mut o = 0;
+    while o + 8 <= outputs {
+        affine_tile::<R, 8>(a, inputs, wt, bias, out, tanh, i0, o);
+        o += 8;
+    }
+    if o + 4 <= outputs {
+        affine_tile::<R, 4>(a, inputs, wt, bias, out, tanh, i0, o);
+        o += 4;
+    }
+    while o < outputs {
+        affine_tile::<R, 1>(a, inputs, wt, bias, out, tanh, i0, o);
+        o += 1;
+    }
+}
+
+/// One `R × B` tile of [`affine_batch`]: rows `i0..i0 + R`, outputs
+/// `o0..o0 + B`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn affine_tile<const R: usize, const B: usize>(
+    a: &[f64],
+    inputs: usize,
+    wt: &[f64],
+    bias: &[f64],
+    out: &mut [f64],
+    tanh: bool,
+    i0: usize,
+    o0: usize,
+) {
+    let outputs = bias.len();
+    let rows: [&[f64]; R] = std::array::from_fn(|r| &a[(i0 + r) * inputs..][..inputs]);
+    let b: [f64; B] = bias[o0..o0 + B].try_into().expect("tile width");
+    let mut acc = [b; R];
+    for (k, w) in wt.chunks_exact(outputs).enumerate() {
+        let w: &[f64; B] = w[o0..o0 + B].try_into().expect("tile width");
+        for (s, row) in acc.iter_mut().zip(&rows) {
+            let x = row[k];
+            for (s, &w) in s.iter_mut().zip(w) {
+                *s += w * x;
+            }
+        }
+    }
+    for (r, s) in acc.iter().enumerate() {
+        let dst = &mut out[(i0 + r) * outputs + o0..][..B];
+        for (d, &s) in dst.iter_mut().zip(s) {
+            *d = if tanh { s.tanh() } else { s };
+        }
+    }
+}
+
+/// dW and db of one layer into `grad` (dW input-major `inputs ×
+/// outputs`, then db): `dW[k][o] = Σ_i δ[i][o] · prev[i][k]` and `db[o]
+/// = Σ_i δ[i][o]`, each from 0.0 in ascending `i` — the order of
+/// [`Matrix::matmul_tn`] and the column sum. Tiles of inputs × outputs
+/// run their sums side by side over the rows, and the tiles of the
+/// first input also sum the biases.
+fn weight_grad(delta: &[f64], prev: &[f64], inputs: usize, grad: &mut [f64]) {
+    let outputs = grad.len() / (inputs + 1);
+    let mut o = 0;
+    while o + 8 <= outputs {
+        grad_cols::<2, 8>(delta, prev, inputs, grad, o);
+        o += 8;
+    }
+    if o + 4 <= outputs {
+        grad_cols::<4, 4>(delta, prev, inputs, grad, o);
+        o += 4;
+    }
+    while o < outputs {
+        grad_cols::<8, 1>(delta, prev, inputs, grad, o);
+        o += 1;
+    }
+}
+
+/// [`weight_grad`] for outputs `o0..o0 + B`, in blocks of `K` and 1
+/// inputs.
+fn grad_cols<const K: usize, const B: usize>(
+    delta: &[f64],
+    prev: &[f64],
+    inputs: usize,
+    grad: &mut [f64],
+    o0: usize,
+) {
+    let mut k = 0;
+    while k + K <= inputs {
+        grad_tile::<K, B>(delta, prev, inputs, grad, k, o0);
+        k += K;
+    }
+    while k < inputs {
+        grad_tile::<1, B>(delta, prev, inputs, grad, k, o0);
+        k += 1;
+    }
+}
+
+/// One `K × B` tile of [`weight_grad`]: inputs `k0..k0 + K`, outputs
+/// `o0..o0 + B`, plus those outputs' bias sums when `k0` is 0.
+#[inline(always)]
+fn grad_tile<const K: usize, const B: usize>(
+    delta: &[f64],
+    prev: &[f64],
+    inputs: usize,
+    grad: &mut [f64],
+    k0: usize,
+    o0: usize,
+) {
+    let outputs = grad.len() / (inputs + 1);
+    let with_bias = k0 == 0;
+    let mut acc = [[0.0f64; B]; K];
+    let mut db = [0.0f64; B];
+    for (d, p) in delta.chunks_exact(outputs).zip(prev.chunks_exact(inputs)) {
+        let d: &[f64; B] = d[o0..o0 + B].try_into().expect("tile width");
+        let p: &[f64; K] = p[k0..k0 + K].try_into().expect("tile height");
+        for (s, &p) in acc.iter_mut().zip(p) {
+            for (s, &d) in s.iter_mut().zip(d) {
+                *s += d * p;
+            }
+        }
+        if with_bias {
+            for (s, &d) in db.iter_mut().zip(d) {
+                *s += d;
+            }
+        }
+    }
+    for (kk, s) in acc.iter().enumerate() {
+        grad[(k0 + kk) * outputs + o0..][..B].copy_from_slice(s);
+    }
+    if with_bias {
+        grad[inputs * outputs + o0..][..B].copy_from_slice(&db);
+    }
+}
+
+/// The delta of the layer below from this layer's delta `δ` and
+/// input-major weights `wt`: `up[i][k] = (Σ_o δ[i][o] · wt[k][o]) · (1 −
+/// a²)` with `a = prev[i][k]`, that layer's tanh output. Each sum starts
+/// at 0.0 and adds in ascending `o`, skipping zero deltas, the order and
+/// the skip of [`Matrix::matmul`].
+fn upstream_delta(delta: &[f64], wt: &[f64], prev: &[f64], inputs: usize, up: &mut Vec<f64>) {
+    let outputs = wt.len() / inputs;
+    up.resize(prev.len(), 0.0);
+    for ((d, a), u) in delta
+        .chunks_exact(outputs)
+        .zip(prev.chunks_exact(inputs))
+        .zip(up.chunks_exact_mut(inputs))
+    {
+        for ((u, w), &a) in u.iter_mut().zip(wt.chunks_exact(outputs)).zip(a) {
+            let mut s = 0.0;
+            for (&d, &w) in d.iter().zip(w) {
+                if d != 0.0 {
+                    s += d * w;
+                }
+            }
+            // tanh' = 1 - a².
+            *u = s * (1.0 - a * a);
         }
     }
 }
@@ -949,8 +1206,8 @@ fn irprop_update(
 /// tests can run the whole fit under the reference loop.
 type RpropLoop = fn(&mut Mlp, &mut Workspace<'_>, &[f64], &TrainConfig);
 
-/// Convenience: fresh random generator usable by callers that add noise to
-/// seeds per restart.
+/// The seed of restart `attempt` of a driver seeded with `base`: a child
+/// seed, so restarts train from distinct but reproducible weights.
 pub(crate) fn restart_seed(base: u64, attempt: u64) -> u64 {
     linalg::dist::child_seed(base, attempt)
 }
@@ -958,6 +1215,7 @@ pub(crate) fn restart_seed(base: u64, attempt: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// The branchy loop's update of one parameter, for the step tests.
     fn branchy_step(w: f64, g: f64, step: f64, prev: f64) -> (f64, f64, f64) {
@@ -1276,24 +1534,183 @@ mod tests {
         assert!(net.forward(&[0.3, 0.3]).is_finite());
     }
 
+    /// The epoch's gradient of `net` on `(x, y)`, each layer's dW
+    /// transposed back to row-major rows for comparison with
+    /// [`Mlp::batch_gradient_scalar`].
+    fn epoch_gradient(net: &Mlp, x: &Matrix, y: &[f64]) -> Vec<(Vec<Vec<f64>>, Vec<f64>)> {
+        let mut ws = Workspace::new(net, x);
+        ws.load(net);
+        ws.gradient(y);
+        ws.layers
+            .iter()
+            .map(|l| {
+                let (dw, db) = l.grad.split_at(l.inputs * l.outputs);
+                let rows = (0..l.outputs)
+                    .map(|o| (0..l.inputs).map(|k| dw[k * l.outputs + o]).collect())
+                    .collect();
+                (rows, db.to_vec())
+            })
+            .collect()
+    }
+
+    /// `to_bits` equality of two gradients in the oracle's shape.
+    fn assert_gradients_bitwise_equal(
+        fast: &[(Vec<Vec<f64>>, Vec<f64>)],
+        slow: &[(Vec<Vec<f64>>, Vec<f64>)],
+        what: &str,
+    ) {
+        assert_eq!(fast.len(), slow.len());
+        for (li, ((fw, fb), (sw, sb))) in fast.iter().zip(slow).enumerate() {
+            assert_eq!(fw.len(), sw.len());
+            for (o, (fr, sr)) in fw.iter().zip(sw).enumerate() {
+                assert_eq!(fr.len(), sr.len());
+                for (j, (a, b)) in fr.iter().zip(sr).enumerate() {
+                    assert!(
+                        a.to_bits() == b.to_bits(),
+                        "{what}: dW[{li}][{o}][{j}]: {a} vs {b}"
+                    );
+                }
+            }
+            assert_eq!(fb.len(), sb.len());
+            for (o, (a, b)) in fb.iter().zip(sb).enumerate() {
+                assert!(
+                    a.to_bits() == b.to_bits(),
+                    "{what}: db[{li}][{o}]: {a} vs {b}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn batched_gradient_matches_scalar_oracle_bitwise() {
         let (x, y) = nonlinear_data(90);
         for hidden in [vec![6], vec![8, 4]] {
             let mut net = Mlp::new(2, &hidden, 21);
             net.prune_input(1); // exercise the dead-input mask too
-            let fast = net.batch_gradient(&net.masked(&x), &y);
+                                // A few epochs first, so the biases are not all zero.
+            let cfg = TrainConfig {
+                epochs: 5,
+                ..Default::default()
+            };
+            net.try_train(&x, &y, &cfg).expect("train");
+            let fast = epoch_gradient(&net, &x, &y);
             let slow = net.batch_gradient_scalar(&x, &y);
-            assert_eq!(fast.len(), slow.len());
-            for (li, ((fw, fb), (sw, sb))) in fast.iter().zip(&slow).enumerate() {
-                for (o, sr) in sw.iter().enumerate() {
-                    for (j, (a, b)) in fw.row(o).iter().zip(sr).enumerate() {
-                        assert!(a.to_bits() == b.to_bits(), "dW[{li}][{o}][{j}]: {a} vs {b}");
-                    }
+            assert_gradients_bitwise_equal(&fast, &slow, &format!("{hidden:?}"));
+        }
+    }
+
+    /// A random design and network for the epoch property: `rows × inputs`
+    /// values in [-1, 1), targets, a hidden shape, dead inputs, a pool
+    /// of bias values, a weight decay, an init seed, and whether row 0's
+    /// target equals its prediction (a δ row of exactly 0).
+    #[allow(clippy::type_complexity)]
+    fn arb_epoch_case() -> impl Strategy<
+        Value = (
+            Matrix,
+            Vec<f64>,
+            Vec<usize>,
+            Vec<bool>,
+            Vec<f64>,
+            f64,
+            u64,
+            bool,
+        ),
+    > {
+        (
+            (
+                1usize..65,
+                1usize..31,
+                prop::sample::select(vec![
+                    vec![1],
+                    vec![3],
+                    vec![5],
+                    vec![7],
+                    vec![13],
+                    vec![40],
+                    vec![8, 4],
+                ]),
+            ),
+            (
+                prop::collection::vec(-1.0f64..1.0, 64 * 30),
+                prop::collection::vec(0.0f64..1.0, 64),
+                prop::collection::vec(0u8..4, 30),
+                prop::collection::vec(-1.0f64..1.0, 64),
+            ),
+            (
+                prop::sample::select(vec![0.0, 1e-5, 1e-2]),
+                0u64..1 << 32,
+                any::<bool>(),
+            ),
+        )
+            .prop_map(
+                |((rows, inputs, hidden), (xs, ys, dead, biases), (decay, seed, zero_row))| {
+                    let x = Matrix::from_fn(rows, inputs, |i, k| xs[i * inputs + k]);
+                    // About one input in four is dead, never all of them.
+                    let dead = (0..inputs).map(|k| k > 0 && dead[k] == 0).collect();
+                    let y = ys[..rows].to_vec();
+                    (x, y, hidden, dead, biases, decay, seed, zero_row)
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The input-major epoch's gradient matches the per-sample
+        /// oracle bit for bit, and a short fit under it matches the
+        /// branchy reference loop bit for bit, on shapes whose widths
+        /// are not multiples of the kernels' tiles.
+        #[test]
+        fn epoch_matches_the_scalar_oracle_bitwise(case in arb_epoch_case()) {
+            let (x, mut y, hidden, dead, biases, weight_decay, seed, zero_row) = case;
+            let mut net = Mlp::new(x.cols(), &hidden, seed);
+            for (k, &d) in dead.iter().enumerate() {
+                if d {
+                    net.prune_input(k);
                 }
-                for (o, (a, b)) in fb.iter().zip(sb).enumerate() {
-                    assert!(a.to_bits() == b.to_bits(), "db[{li}][{o}]: {a} vs {b}");
+            }
+            // A fresh network's biases are all zero, which would hide
+            // where a sum adds its bias.
+            for layer in &mut net.layers {
+                for (b, &v) in layer.b.iter_mut().zip(biases.iter().cycle()) {
+                    *b = v;
                 }
+            }
+            if zero_row {
+                y[0] = net.forward(x.row(0));
+            }
+            let fast = epoch_gradient(&net, &x, &y);
+            let slow = net.batch_gradient_scalar(&x, &y);
+            if zero_row {
+                let n_layers = net.layers.len();
+                let ws = {
+                    let mut ws = Workspace::new(&net, &x);
+                    ws.load(&net);
+                    ws.gradient(&y);
+                    ws
+                };
+                prop_assert_eq!(ws.layers[n_layers - 1].out[0].to_bits(), y[0].to_bits());
+            }
+            let what = format!("{} x {} -> {hidden:?}", x.rows(), x.cols());
+            assert_gradients_bitwise_equal(&fast, &slow, &what);
+
+            let cfg = TrainConfig {
+                epochs: 4,
+                weight_decay,
+                seed,
+                ..Default::default()
+            };
+            let mut branchy = net.clone();
+            let rf = net.try_train(&x, &y, &cfg);
+            let rb = branchy.try_train_with(&x, &y, &cfg, Mlp::train_rprop_branchy);
+            prop_assert_eq!(rf.map(f64::to_bits).ok(), rb.map(f64::to_bits).ok());
+            for (a, b) in net.layers.iter().zip(&branchy.layers) {
+                let wa: Vec<u64> = a.w.as_slice().iter().map(|v| v.to_bits()).collect();
+                let wb: Vec<u64> = b.w.as_slice().iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(wa, wb, "{}", what);
+                let ba: Vec<u64> = a.b.iter().map(|v| v.to_bits()).collect();
+                let bb: Vec<u64> = b.b.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(ba, bb, "{}", what);
             }
         }
     }

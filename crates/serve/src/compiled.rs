@@ -19,7 +19,7 @@
 //!
 //! Both are **bit-identical** to the interpreted path: every arithmetic
 //! step keeps the same operand order and grouping as `transform` +
-//! `LinearFit::try_predict` / `Mlp::forward_batch`. The interpreted path
+//! `LinearFit::try_predict` / `Mlp::try_predict`. The interpreted path
 //! is the oracle in tests only: `tests/compiled_prop.rs` compares the
 //! two bit for bit across every model kind.
 
@@ -246,7 +246,7 @@ fn predict(p: &Predictor, requests: &[&Request]) -> Vec<f64> {
                 let row = x.row_mut(i);
                 for (j, fx) in features.iter().enumerate() {
                     // Dead inputs are pinned to exactly 0.0, matching the
-                    // post-transform mask in `Mlp::forward_batch`.
+                    // post-transform mask in `Mlp::try_predict`.
                     row[j] = if dead[j] { 0.0 } else { fx.scaled(&r.cells) };
                 }
             }
