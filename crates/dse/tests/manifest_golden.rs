@@ -148,7 +148,8 @@ fn sampled_run_manifest_has_all_expected_stages() {
         .filter(|v| v.get("type").and_then(Value::as_str) == Some("histogram"))
         .map(|v| v.get("name").unwrap().as_str().unwrap())
         .collect();
-    for expected in ["sim/config_ns", "train/epoch_ns", "train/fold_fit_ns"] {
+    // NN-S trains by SGD; the iRProp− families record `train/rprop_epoch_ns`.
+    for expected in ["sim/config_ns", "train/sgd_epoch_ns", "train/fold_fit_ns"] {
         assert!(
             hist_names.contains(expected),
             "histogram '{expected}' missing; got {hist_names:?}"

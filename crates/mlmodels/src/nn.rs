@@ -538,7 +538,7 @@ impl Mlp {
                 irprop_update(param_b, grad_b, 0.0, step_b, prev_b, live_b);
             }
             if let Some(t) = t_epoch {
-                telemetry::hist_observe_ns("train/epoch_ns", t.elapsed());
+                telemetry::hist_observe_ns("train/rprop_epoch_ns", t.elapsed());
             }
         }
         ws.store(self);
@@ -662,7 +662,7 @@ impl Mlp {
                 self.epoch(&mut ws, y, lr, cfg, &mut rng);
                 lr *= cfg.lr_decay;
                 if let Some(t) = t_epoch {
-                    telemetry::hist_observe_ns("train/epoch_ns", t.elapsed());
+                    telemetry::hist_observe_ns("train/sgd_epoch_ns", t.elapsed());
                 }
                 if trace {
                     telemetry::counter_add("train/epochs", 1);

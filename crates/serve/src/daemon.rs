@@ -53,15 +53,16 @@ use crate::admission::AdmissionQueue;
 use crate::core::predict_window;
 use crate::registry::{Registry, Route};
 use crate::request::{
-    canonical_key, invalid, member, parse_object, request_id, Request, Validator,
+    canonical_key, invalid, parse_frame, request_id, Members, Request, Validator,
 };
 use fault::{Error, Result};
 use std::borrow::Cow;
-use std::io::{BufRead, Write};
+use std::io::{Read, Write};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use telemetry::json::{self, JsonObject, Members, Scalar};
+use telemetry::json::{self, JsonObject, Scalar};
 use telemetry::Histogram;
 
 /// Daemon tuning knobs. The CLI maps the `serve` flags onto them.
@@ -117,7 +118,7 @@ impl DaemonConfig {
 
     /// The long-lived daemon's admission queue, which must hold a full
     /// window.
-    fn admission_queue(&self) -> Result<AdmissionQueue<Frame>> {
+    fn admission_queue(&self) -> Result<AdmissionQueue<QueuedFrame>> {
         if self.queue_cap < self.window {
             return Err(Error::invalid(format!(
                 "serve queue capacity {} is smaller than the window {}",
@@ -225,21 +226,41 @@ struct ControlJob {
     op: Op,
 }
 
-/// A frame as read: its text and where it sits in the stream. It is
-/// parsed where it is served, so its keys and strings are borrowed from
-/// `text` rather than copied.
-struct Frame {
+/// A frame as served: its trimmed text and where it sits in the stream.
+/// It is parsed where it is served, so its keys and strings are borrowed
+/// from `text` rather than copied.
+#[derive(Clone, Copy)]
+struct Frame<'t> {
+    text: &'t str,
+    frame_no: u64,
+    admitted_at: Instant,
+}
+
+/// A frame admitted to the long-lived daemon's queue, which outlives the
+/// reader's buffer.
+struct QueuedFrame {
     text: String,
     frame_no: u64,
     admitted_at: Instant,
 }
 
-/// A predict frame: its envelope, and the configuration members still
-/// to be validated against the schema of the model it routes to.
+impl QueuedFrame {
+    fn frame(&self) -> Frame<'_> {
+        Frame {
+            text: &self.text,
+            frame_no: self.frame_no,
+            admitted_at: self.admitted_at,
+        }
+    }
+}
+
+/// A predict frame: its envelope, and where its configuration members,
+/// still to be validated against the schema of the model it routes to,
+/// sit in its window's member buffer.
 struct PredictJob<'a> {
     id: Cow<'a, str>,
     route: Option<Cow<'a, str>>,
-    members: Members<'a>,
+    members: Range<usize>,
     frame_no: u64,
     admitted_at: Instant,
     deadline_ms: Option<u64>,
@@ -356,69 +377,240 @@ fn render_window(replies: &[Reply<'_>], buf: &mut String) {
     }
 }
 
-/// The next frame that is not blank, stamped with its admission time.
-/// `Ok(None)` is EOF; a partial final line (EOF with no trailing newline)
-/// is returned as a normal frame so a mid-line truncation becomes a typed
-/// `invalid` response followed by a clean EOF — never a hang. Every line
-/// counts toward `frame_no`, blank ones included, so a frame's default id
-/// and error messages name its 1-based line in the stream. Oversized and
-/// non-UTF-8 frames are protocol violations (typed `InvalidInput`, exit
-/// code 2).
-fn next_frame<R: BufRead>(input: &mut R, max: usize, frame_no: &mut u64) -> Result<Option<Frame>> {
-    // At most one byte past a full frame and its newline is read, so an
-    // oversized frame is caught without buffering all of it.
-    let limit = u64::try_from(max).map_or(u64::MAX, |m| m.saturating_add(1));
-    let mut buf = Vec::new();
-    loop {
-        buf.clear();
-        let n = std::io::Read::take(&mut *input, limit)
-            .read_until(b'\n', &mut buf)
-            .map_err(|e| Error::io("<serve input>", e))?;
-        if n == 0 {
-            return Ok(None);
+/// Bytes asked of the input per read, at least.
+const READ_BLOCK: usize = 64 * 1024;
+
+fn oversized(max: usize) -> Error {
+    Error::invalid(format!("protocol violation: frame exceeds {max} bytes"))
+}
+
+fn not_utf8() -> Error {
+    Error::invalid("protocol violation: frame is not valid UTF-8")
+}
+
+/// Where a frame sits in the reader's buffer, relative to the start of
+/// its window, and when it was read.
+struct Slot {
+    text: Range<usize>,
+    frame_no: u64,
+    admitted_at: Instant,
+}
+
+/// Cuts a framed stream into windows of frames. The input is read in
+/// blocks of at least [`READ_BLOCK`] bytes into one buffer, and a
+/// window's frames are slices of it, so a frame costs no allocation.
+///
+/// Every line counts toward `frame_no`, blank ones included, so a
+/// frame's default id and error messages name its 1-based line in the
+/// stream; blank (all-whitespace) lines are skipped and every frame is
+/// trimmed. A final line with no newline is a frame, so a mid-line
+/// truncation becomes a typed `invalid` response followed by a clean EOF
+/// — never a hang. A line longer than `max` bytes (its `\r` included,
+/// its `\n` not) and a line that is not UTF-8 are protocol violations
+/// (typed `InvalidInput`, exit code 2), raised when the line is reached,
+/// so the frames before it are served first; an oversized line is caught
+/// within one read past its first `max` bytes. The reader blocks
+/// only when no whole line is buffered, so a live transport's frames are
+/// handed out as they arrive, each stamped with the time of the read
+/// that completed it.
+struct FrameReader<R> {
+    input: R,
+    max: usize,
+    /// Input bytes in `buf[..filled]`; the rest is room for the next read.
+    buf: Vec<u8>,
+    filled: usize,
+    /// Start of the current window.
+    base: usize,
+    /// Start of the next line.
+    head: usize,
+    /// Where the search for the next line's `\n` resumes.
+    scan: usize,
+    eof: bool,
+    /// When the last read returned bytes. Latency and deadline
+    /// accounting only; never shapes a prediction.
+    read_at: Instant,
+    frame_no: u64,
+    slots: Vec<Slot>,
+}
+
+impl<R: Read> FrameReader<R> {
+    fn new(input: R, max: usize) -> Self {
+        FrameReader {
+            input,
+            max,
+            buf: Vec::new(),
+            filled: 0,
+            base: 0,
+            head: 0,
+            scan: 0,
+            eof: false,
+            read_at: Instant::now(),
+            frame_no: 0,
+            slots: Vec::new(),
         }
-        if buf.last() == Some(&b'\n') {
-            buf.pop();
+    }
+
+    /// The next `n` frames: fewer at EOF, none once the stream is done.
+    fn next_window(&mut self, n: usize) -> Result<Vec<Frame<'_>>> {
+        self.base = self.head;
+        self.slots.clear();
+        while self.slots.len() < n {
+            let line_start = self.head - self.base;
+            let line = match self.next_line() {
+                Ok(Some(line)) => line,
+                Ok(None) => break,
+                Err(e) => {
+                    // A line before it that is not UTF-8 is reported first.
+                    let before = &self.buf[self.base..self.base + line_start];
+                    std::str::from_utf8(before).map_err(|_| not_utf8())?;
+                    return Err(e);
+                }
+            };
+            self.frame_no += 1;
+            let Some(text) = trimmed(&self.buf[line.clone()])? else {
+                continue;
+            };
+            self.slots.push(Slot {
+                text: line.start - self.base + text.start..line.start - self.base + text.end,
+                frame_no: self.frame_no,
+                admitted_at: self.read_at,
+            });
         }
-        if buf.len() > max {
-            return Err(Error::invalid(format!(
-                "protocol violation: frame exceeds {max} bytes"
-            )));
+        // The window's text, checked to be UTF-8 in one pass.
+        let text = std::str::from_utf8(&self.buf[self.base..self.head]).map_err(|_| not_utf8())?;
+        Ok(self
+            .slots
+            .iter()
+            .map(|s| Frame {
+                text: &text[s.text.clone()],
+                frame_no: s.frame_no,
+                admitted_at: s.admitted_at,
+            })
+            .collect())
+    }
+
+    /// The next line's bytes in `buf`, without its `\n`; `None` at EOF.
+    fn next_line(&mut self) -> Result<Option<Range<usize>>> {
+        loop {
+            if let Some(i) = find_newline(&self.buf[self.scan..self.filled]) {
+                let line = self.head..self.scan + i;
+                self.head = line.end + 1;
+                self.scan = self.head;
+                if line.len() > self.max {
+                    return Err(oversized(self.max));
+                }
+                return Ok(Some(line));
+            }
+            self.scan = self.filled;
+            if self.filled - self.head > self.max {
+                return Err(oversized(self.max));
+            }
+            if self.eof {
+                if self.head == self.filled {
+                    return Ok(None);
+                }
+                let line = self.head..self.filled;
+                self.head = self.filled;
+                self.scan = self.filled;
+                return Ok(Some(line));
+            }
+            self.fill()?;
         }
-        *frame_no += 1;
-        let text = String::from_utf8(std::mem::take(&mut buf))
-            .map_err(|_| Error::invalid("protocol violation: frame is not valid UTF-8"))?;
-        if !text.trim().is_empty() {
-            return Ok(Some(Frame {
-                text,
-                frame_no: *frame_no,
-                // Latency and deadline accounting only; never shapes a
-                // prediction.
-                admitted_at: Instant::now(),
-            }));
+    }
+
+    /// Read once, after making room for at least a block: first by
+    /// dropping the bytes before the current window, then by growing.
+    fn fill(&mut self) -> Result<()> {
+        if self.buf.len() - self.filled < READ_BLOCK && self.base > 0 {
+            self.buf.copy_within(self.base..self.filled, 0);
+            self.filled -= self.base;
+            self.head -= self.base;
+            self.scan -= self.base;
+            self.base = 0;
         }
-        buf = text.into_bytes();
+        if self.buf.len() - self.filled < READ_BLOCK {
+            let len = (self.filled + READ_BLOCK).max(2 * self.buf.len());
+            self.buf.resize(len, 0);
+        }
+        loop {
+            match self.input.read(&mut self.buf[self.filled..]) {
+                Ok(0) => self.eof = true,
+                Ok(n) => {
+                    self.filled += n;
+                    self.read_at = Instant::now();
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(Error::io("<serve input>", e)),
+            }
+            return Ok(());
+        }
     }
 }
 
-/// A string member, or an error naming it.
-fn str_member<'a>(
-    members: &[(Cow<'a, str>, Scalar<'a>)],
+/// The index of the first `\n` in `bytes`. `skip_until` on a byte slice
+/// is std's `memchr`.
+fn find_newline(mut bytes: &[u8]) -> Option<usize> {
+    let all = bytes;
+    let skipped = std::io::BufRead::skip_until(&mut bytes, b'\n').ok()?;
+    (skipped > 0 && all[skipped - 1] == b'\n').then(|| skipped - 1)
+}
+
+/// Where `line`'s text sits once trimmed like `str::trim`, or `None` when
+/// the line is blank. The ASCII whitespace `str::trim` knows is trimmed
+/// from the bytes; only when that leaves a non-ASCII byte at either end,
+/// which may start or end Unicode whitespace, is the line decoded here
+/// (and a line that is not UTF-8 a protocol violation). The rest of the
+/// window is checked for UTF-8 in one pass once it is cut.
+fn trimmed(line: &[u8]) -> Result<Option<Range<usize>>> {
+    let ascii_space = |c: &u8| matches!(c, b'\t'..=b'\r' | b' ');
+    let start = line
+        .iter()
+        .position(|c| !ascii_space(c))
+        .unwrap_or(line.len());
+    let end = line
+        .iter()
+        .rposition(|c| !ascii_space(c))
+        .map_or(start, |i| i + 1);
+    if start < end && (!line[start].is_ascii() || !line[end - 1].is_ascii()) {
+        let text = std::str::from_utf8(line).map_err(|_| not_utf8())?;
+        let start = text.len() - text.trim_start().len();
+        let end = text.trim_end().len();
+        return Ok((start < end).then_some(start..end));
+    }
+    Ok((start < end).then_some(start..end))
+}
+
+/// A string value, or an error naming its key.
+fn str_value<'a>(
+    value: Option<Scalar<'a>>,
     key: &str,
 ) -> std::result::Result<Option<Cow<'a, str>>, String> {
-    match member(members, key) {
+    match value {
         None => Ok(None),
-        Some(Scalar::Str(s)) => Ok(Some(s.clone())),
+        Some(Scalar::Str(s)) => Ok(Some(s)),
         Some(_) => Err(format!("'{key}' must be a string")),
     }
 }
 
-/// Classify one (trimmed, non-blank) frame. Every malformation becomes
-/// a typed `Malformed` class naming the frame's line, answered in frame
-/// order.
-fn classify(line: &str, frame_no: u64, admitted_at: Instant) -> Class<'_> {
-    let mut members = match parse_object(line, frame_no) {
-        Ok(members) => members,
+/// Classify one (trimmed, non-blank) frame. A predict frame's
+/// configuration members are appended to `members`, the window's member
+/// buffer; any other frame leaves it as it was. Every malformation
+/// becomes a typed `Malformed` class naming the frame's line, answered in
+/// frame order.
+fn classify<'a>(frame: Frame<'a>, members: &mut Members<'a>) -> Class<'a> {
+    let start = members.len();
+    let class = classify_envelope(frame, members, start);
+    if !matches!(class, Class::Predict(_)) {
+        members.truncate(start);
+    }
+    class
+}
+
+/// [`classify`], with the frame's members from `start` on.
+fn classify_envelope<'a>(frame: Frame<'a>, members: &mut Members<'a>, start: usize) -> Class<'a> {
+    let frame_no = frame.frame_no;
+    let envelope = match parse_frame(frame.text, frame_no, members) {
+        Ok(envelope) => envelope,
         Err(error) => {
             return Class::Malformed {
                 id: frame_no.to_string(),
@@ -426,7 +618,7 @@ fn classify(line: &str, frame_no: u64, admitted_at: Instant) -> Class<'_> {
             }
         }
     };
-    let id = match request_id(&members, frame_no) {
+    let id = match request_id(envelope.id, frame_no) {
         Ok(id) => id,
         Err(error) => {
             return Class::Malformed {
@@ -439,7 +631,7 @@ fn classify(line: &str, frame_no: u64, admitted_at: Instant) -> Class<'_> {
         id: id.into_owned(),
         error: invalid(frame_no, detail),
     };
-    let op = match str_member(&members, "op") {
+    let op = match str_value(envelope.op, "op") {
         Ok(op) => op,
         Err(detail) => return malformed(id, detail),
     };
@@ -451,11 +643,11 @@ fn classify(line: &str, frame_no: u64, admitted_at: Instant) -> Class<'_> {
     };
     match op.as_deref() {
         None | Some("predict") => {
-            let route = match str_member(&members, "model") {
+            let route = match str_value(envelope.model, "model") {
                 Ok(r) => r,
                 Err(detail) => return malformed(id, detail),
             };
-            let deadline_ms = match member(&members, "deadline_ms").map(Scalar::as_u64) {
+            let deadline_ms = match envelope.deadline_ms.as_ref().map(Scalar::as_u64) {
                 None => None,
                 Some(Some(ms)) => Some(ms),
                 Some(None) => {
@@ -465,27 +657,28 @@ fn classify(line: &str, frame_no: u64, admitted_at: Instant) -> Class<'_> {
                     )
                 }
             };
-            // The envelope is not part of the configuration.
-            members.retain(|(k, _)| !matches!(k.as_ref(), "op" | "model" | "deadline_ms"));
             Class::Predict(PredictJob {
                 id,
                 route,
-                members,
+                members: start..members.len(),
                 frame_no,
-                admitted_at,
+                admitted_at: frame.admitted_at,
                 deadline_ms,
             })
         }
-        Some("load") => match (str_member(&members, "model"), str_member(&members, "path")) {
-            (Err(detail), _) | (Ok(Some(_)), Err(detail)) => malformed(id, detail),
-            (Ok(None), _) => malformed(id, "'load' needs a 'model' name".to_string()),
-            (Ok(Some(_)), Ok(None)) => malformed(id, "'load' needs a 'path'".to_string()),
-            (Ok(Some(name)), Ok(Some(path))) => control(Op::Load {
-                name: name.into_owned(),
-                path: path.into_owned(),
-            }),
-        },
-        Some(verb @ ("reload" | "unload")) => match str_member(&members, "model") {
+        Some("load") => {
+            let path = members.get(start..members.len(), "path").cloned();
+            match (str_value(envelope.model, "model"), str_value(path, "path")) {
+                (Err(detail), _) | (Ok(Some(_)), Err(detail)) => malformed(id, detail),
+                (Ok(None), _) => malformed(id, "'load' needs a 'model' name".to_string()),
+                (Ok(Some(_)), Ok(None)) => malformed(id, "'load' needs a 'path'".to_string()),
+                (Ok(Some(name)), Ok(Some(path))) => control(Op::Load {
+                    name: name.into_owned(),
+                    path: path.into_owned(),
+                }),
+            }
+        }
+        Some(verb @ ("reload" | "unload")) => match str_value(envelope.model, "model") {
             Ok(Some(route)) => {
                 let route = route.into_owned();
                 control(if verb == "reload" {
@@ -517,37 +710,43 @@ fn may_be_control(text: &str) -> bool {
 /// frame where it serves it. Returns `Ok(())` on clean EOF or after a
 /// `shutdown` frame; a protocol or transport error is returned for the
 /// core to surface.
-fn reader_loop<R: BufRead, W: Write>(
-    input: &mut R,
-    queue: &AdmissionQueue<Frame>,
+fn reader_loop<R: Read, W: Write>(
+    input: R,
+    queue: &AdmissionQueue<QueuedFrame>,
     writer: &Arc<Mutex<W>>,
     terminated: &AtomicBool,
     max_frame: usize,
 ) -> Result<()> {
-    let mut frame_no = 0u64;
+    let mut frames = FrameReader::new(input, max_frame);
     loop {
         if terminated.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let Some(frame) = next_frame(input, max_frame, &mut frame_no)? else {
+        let window = frames.next_window(1)?;
+        let Some(&frame) = window.first() else {
             return Ok(()); // EOF
         };
-        let control = if may_be_control(&frame.text) {
-            match classify(frame.text.trim(), frame.frame_no, frame.admitted_at) {
+        let control = if may_be_control(frame.text) {
+            match classify(frame, &mut Members::default()) {
                 Class::Control(job) => Some(matches!(job.op, Op::Shutdown)),
                 _ => None,
             }
         } else {
             None
         };
+        let queued = QueuedFrame {
+            text: frame.text.to_string(),
+            frame_no: frame.frame_no,
+            admitted_at: frame.admitted_at,
+        };
         if let Some(shutdown) = control {
-            if queue.admit_priority(frame).is_err() {
+            if queue.admit_priority(queued).is_err() {
                 return Ok(()); // closed: the core is already terminating
             }
             if shutdown {
                 return Ok(()); // frames after shutdown are not read
             }
-        } else if let Err((frame, e)) = queue.try_admit(frame) {
+        } else if let Err((_, e)) = queue.try_admit(queued) {
             // Predict and malformed frames share the data plane so error
             // responses keep admission order.
             if terminated.load(Ordering::Relaxed) {
@@ -555,7 +754,7 @@ fn reader_loop<R: BufRead, W: Write>(
             }
             // Typed shed response, written by the reader so the core
             // never sees the frame. Never a silent drop.
-            let class = classify(frame.text.trim(), frame.frame_no, frame.admitted_at);
+            let class = classify(frame, &mut Members::default());
             let mut line = error_line(class.id(), e.kind(), &e.to_string());
             line.push('\n');
             write_out(&mut *lock(writer), &line)?;
@@ -569,6 +768,9 @@ pub struct Daemon {
     registry: Registry,
     /// Cache-hits-only service after a troubled window (see module docs).
     degraded: bool,
+    /// The most configuration members a window has held, which the next
+    /// window's member buffer reserves up front.
+    member_capacity: usize,
 }
 
 impl Daemon {
@@ -579,6 +781,7 @@ impl Daemon {
             config,
             registry,
             degraded: false,
+            member_capacity: 0,
         })
     }
 
@@ -598,30 +801,17 @@ impl Daemon {
     /// frame aborts the replay with a typed `InvalidInput` error naming
     /// its line (exit code 2), before its window is written. `shutdown`
     /// ends the replay early; all-models-quarantined is exit code 8.
-    pub fn replay<R: BufRead, W: Write>(
-        &mut self,
-        mut input: R,
-        out: &mut W,
-    ) -> Result<DaemonStats> {
+    pub fn replay<R: Read, W: Write>(&mut self, input: R, out: &mut W) -> Result<DaemonStats> {
         let _span = telemetry::span!("serve/replay", models = self.registry.len());
         // A finite stream is never overloaded: full service throughout.
         self.degraded = false;
         let mut stats = DaemonStats::default();
         let mut latency = Histogram::new();
         let mut text = String::new();
-        let mut frame_no = 0u64;
-        let mut eof = false;
-        while !eof {
-            let mut window = Vec::with_capacity(self.config.window);
+        let mut frames = FrameReader::new(input, self.config.max_frame_bytes);
+        loop {
             let read = telemetry::span!("serve/read");
-            while window.len() < self.config.window {
-                let max_frame = self.config.max_frame_bytes;
-                let Some(frame) = next_frame(&mut input, max_frame, &mut frame_no)? else {
-                    eof = true;
-                    break;
-                };
-                window.push(frame);
-            }
+            let window = frames.next_window(self.config.window)?;
             drop(read);
             if window.is_empty() {
                 break;
@@ -657,7 +847,7 @@ impl Daemon {
     /// codes 2, 3, and 8).
     pub fn run<R, W>(&mut self, input: R, writer: Arc<Mutex<W>>) -> Result<DaemonStats>
     where
-        R: BufRead + Send + 'static,
+        R: Read + Send + 'static,
         W: Write + Send + 'static,
     {
         let mut stats = DaemonStats::default();
@@ -687,7 +877,7 @@ impl Daemon {
                 Err(e) => break Err(Error::io(path, e)),
             };
             let reader = match stream.try_clone() {
-                Ok(s) => std::io::BufReader::new(s),
+                Ok(s) => s,
                 Err(e) => break Err(Error::io(path, e)),
             };
             let writer = Arc::new(Mutex::new(stream));
@@ -741,13 +931,13 @@ impl Daemon {
 
     fn run_stream<R, W>(
         &mut self,
-        mut input: R,
+        input: R,
         writer: &Arc<Mutex<W>>,
         stats: &mut DaemonStats,
         latency: &mut Histogram,
     ) -> Result<EndReason>
     where
-        R: BufRead + Send + 'static,
+        R: Read + Send + 'static,
         W: Write + Send + 'static,
     {
         let _span = telemetry::span!("serve/daemon", models = self.registry.len());
@@ -762,7 +952,7 @@ impl Daemon {
             let fatal = Arc::clone(&fatal);
             let max_frame = self.config.max_frame_bytes;
             std::thread::spawn(move || {
-                let outcome = reader_loop(&mut input, &queue, &writer, &terminated, max_frame);
+                let outcome = reader_loop(input, &queue, &writer, &terminated, max_frame);
                 if let Err(e) = outcome {
                     *lock(&fatal) = Some(e);
                 }
@@ -776,7 +966,8 @@ impl Daemon {
         let mut text = String::new();
         while let Some(window) = queue.pop_window(self.config.window) {
             telemetry::gauge_max("serve/queue_depth", queue.depth() as f64);
-            let served = self.serve_window(&window, stats, latency);
+            let frames: Vec<Frame<'_>> = window.iter().map(QueuedFrame::frame).collect();
+            let served = self.serve_window(&frames, stats, latency);
             render_window(&served.replies, &mut text);
             write_out(&mut *lock(writer), &text)?;
             let shed_now = queue.shed_count();
@@ -823,7 +1014,7 @@ impl Daemon {
     /// predicts admitted before it.
     fn serve_window<'w>(
         &mut self,
-        window: &'w [Frame],
+        window: &[Frame<'w>],
         stats: &mut DaemonStats,
         latency: &mut Histogram,
     ) -> Served<'w> {
@@ -833,6 +1024,8 @@ impl Daemon {
             deadline_misses: 0,
             shutdown: false,
         };
+        // The configuration members of every predict in the window.
+        let mut members = Members::with_capacity(self.member_capacity);
         let mut items = window.iter().enumerate();
         loop {
             let mut groups: Vec<(String, Vec<(usize, PredictJob<'w>)>)> = Vec::new();
@@ -846,8 +1039,8 @@ impl Daemon {
                 .or_else(|| self.registry.sole_name().map(String::from));
             {
                 let _parse = telemetry::span!("serve/parse");
-                for (slot, f) in items.by_ref() {
-                    match classify(f.text.trim(), f.frame_no, f.admitted_at) {
+                for (slot, &frame) in items.by_ref() {
+                    match classify(frame, &mut members) {
                         Class::Malformed { id, error } => {
                             stats.invalid += 1;
                             served.replies[slot] = Reply::Invalid {
@@ -886,9 +1079,10 @@ impl Daemon {
                     }
                 }
             }
+            self.member_capacity = self.member_capacity.max(members.len());
             groups.sort_by(|a, b| a.0.cmp(&b.0));
             for (route, jobs) in groups {
-                self.serve_group(&route, jobs, &mut served.replies, stats, latency);
+                self.serve_group(&route, jobs, &members, &mut served.replies, stats, latency);
             }
             let Some((slot, job)) = control else {
                 return served;
@@ -923,6 +1117,7 @@ impl Daemon {
         &mut self,
         route: &str,
         jobs: Vec<(usize, PredictJob<'w>)>,
+        members: &Members<'w>,
         replies: &mut [Reply<'w>],
         stats: &mut DaemonStats,
         latency: &mut Histogram,
@@ -943,7 +1138,7 @@ impl Daemon {
                 for (slot, job) in jobs {
                     let hit = validator
                         .as_mut()
-                        .and_then(|v| v.cells(&job.members, job.frame_no).ok())
+                        .and_then(|v| v.cells(members, job.members.clone(), job.frame_no).ok())
                         .and_then(|cells| cache.get(&canonical_key(&cells).collect::<Vec<_>>()));
                     replies[slot] = match hit {
                         Some(prediction) => cache_hit(job, prediction, stats, latency),
@@ -974,7 +1169,7 @@ impl Daemon {
         let mut validator = Validator::new(&model.compiled.artifact.schema);
         let mut valid = Vec::with_capacity(jobs.len());
         for (slot, job) in jobs {
-            match validator.cells(&job.members, job.frame_no) {
+            match validator.cells(members, job.members.clone(), job.frame_no) {
                 Err(error) => {
                     stats.invalid += 1;
                     replies[slot] = Reply::Invalid { id: job.id, error };
@@ -1113,6 +1308,15 @@ pub(crate) mod tests {
         config: DaemonConfig,
         input: &str,
     ) -> (Result<DaemonStats>, String) {
+        replay_artifact_from(artifact, config, input.as_bytes())
+    }
+
+    /// [`replay_artifact`] over any reader.
+    fn replay_artifact_from(
+        artifact: &mlmodels::ModelArtifact,
+        config: DaemonConfig,
+        input: impl Read,
+    ) -> (Result<DaemonStats>, String) {
         use std::sync::atomic::AtomicUsize;
         static NEXT: AtomicUsize = AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
@@ -1127,7 +1331,7 @@ pub(crate) mod tests {
         let _ = std::fs::remove_file(&path);
         let mut daemon = Daemon::new(config, registry).expect("daemon config");
         let mut out = Vec::new();
-        let stats = daemon.replay(input.as_bytes(), &mut out);
+        let stats = daemon.replay(input, &mut out);
         (stats, String::from_utf8(out).expect("responses are UTF-8"))
     }
 
@@ -1884,5 +2088,274 @@ pub(crate) mod tests {
         assert_eq!(ids, ["b", "3", "4", "c", "7"]);
         assert_eq!(queue.shed_count(), 5);
         assert_eq!(queue.depth(), 2, "the first predict and the status op");
+    }
+
+    /// A reader that hands out its input in chunks of the given sizes,
+    /// in turn, like a pipe that delivers partial writes.
+    struct Chunked<'a> {
+        input: &'a [u8],
+        sizes: &'a [usize],
+        next: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let size = self.sizes[self.next % self.sizes.len()];
+            self.next += 1;
+            let n = size.min(buf.len()).min(self.input.len());
+            buf[..n].copy_from_slice(&self.input[..n]);
+            self.input = &self.input[n..];
+            Ok(n)
+        }
+    }
+
+    /// Replay `input` through a daemon serving `art`, read in chunks of
+    /// `sizes` bytes.
+    fn replay_chunked(
+        art: &ModelArtifact,
+        config: DaemonConfig,
+        input: &[u8],
+        sizes: &[usize],
+    ) -> (Result<DaemonStats>, String) {
+        let reader = Chunked {
+            input,
+            sizes,
+            next: 0,
+        };
+        replay_artifact_from(art, config, reader)
+    }
+
+    /// CRLF endings, blank lines (ASCII and Unicode whitespace only) and
+    /// whitespace around a frame change nothing but the line numbers.
+    #[test]
+    fn crlf_blank_lines_and_padding_replay_like_plain_lines() {
+        let plain: String = (0..40)
+            .map(|i| format!("{{\"id\":\"q{i}\",\"x\":{}}}\n", 100 + i % 7))
+            .collect();
+        let mut padded = String::new();
+        for (i, line) in plain.lines().enumerate() {
+            match i % 4 {
+                0 => padded.push_str(&format!("{line}\r\n\r\n")),
+                1 => padded.push_str(&format!(" \t{line} \r\n \u{b}\u{c}\n")),
+                2 => padded.push_str(&format!("\u{2003}{line}\u{3000}\n\u{a0}\n")),
+                _ => padded.push_str(&format!("{line}\n\n")),
+            }
+        }
+        let art = x_artifact(ModelKind::LrE);
+        let (stats, want) = replay_artifact(&art, cfg(), &plain);
+        stats.expect("plain replay");
+        let (stats, got) = replay_artifact(&art, cfg(), &padded);
+        stats.expect("padded replay");
+        assert_eq!(got, want);
+        // The line numbers count the blank lines: an id-less frame after
+        // them is named by its own line.
+        let (stats, out) = replay_artifact(&art, cfg(), "\r\n \n\u{a0}\n{\"x\":150}\r\n");
+        stats.expect("replay");
+        assert!(out.starts_with("{\"id\":\"4\","), "{out}");
+    }
+
+    /// `trimmed` is `str::trim` on every line, blank or not.
+    #[test]
+    fn trimmed_frames_match_str_trim() {
+        for line in [
+            "",
+            " ",
+            "\t\r",
+            "{}",
+            " {} \r",
+            "\u{b}{\"a\":1}\u{c}",
+            "\u{a0}",
+            "\u{2003}{}\u{3000}",
+            "é{}",
+            "{}ü \r",
+            "\u{85}x\u{85}",
+            "\u{1c}{}\u{1f}",
+        ] {
+            let want = line.trim();
+            let got = trimmed(line.as_bytes())
+                .expect("UTF-8")
+                .map_or("", |r| &line[r]);
+            assert_eq!(got, want, "{line:?}");
+        }
+    }
+
+    /// A frame of exactly `max_frame_bytes` (its `\r` included) is
+    /// served; one byte more stops the replay, with or without a final
+    /// newline, after the windows before it were written.
+    #[test]
+    fn frames_of_the_byte_limit_pass_and_one_byte_more_does_not() {
+        let max = 64;
+        let config = DaemonConfig {
+            max_frame_bytes: max,
+            window: 1,
+            ..cfg()
+        };
+        let frame = |len: usize| {
+            let head = "{\"id\":\"a\",\"x\":150";
+            format!("{head}{}}}", " ".repeat(len - head.len() - 1))
+        };
+        let art = x_artifact(ModelKind::LrE);
+        for (input, ok) in [
+            (format!("{}\n", frame(max)), true),
+            (frame(max), true),
+            (format!("{}\r\n", frame(max - 1)), true),
+            (format!("{}\n", frame(max + 1)), false),
+            (frame(max + 1), false),
+            (format!("{}\r\n", frame(max)), false),
+        ] {
+            let input = format!("{{\"x\":175}}\n{input}");
+            let (stats, out) = replay_artifact(&art, config.clone(), &input);
+            assert_eq!(
+                out.lines().count(),
+                if ok { 2 } else { 1 },
+                "{input:?}: {out}"
+            );
+            match stats {
+                Ok(_) => assert!(ok, "{input:?}"),
+                Err(e) => {
+                    assert!(!ok, "{input:?}: {e}");
+                    assert_eq!(e.kind(), "invalid");
+                    assert!(e.to_string().contains("exceeds 64 bytes"), "{e}");
+                }
+            }
+        }
+    }
+
+    /// A line that is not UTF-8 stops the replay before its window is
+    /// written, whether its bad bytes sit at an end or inside, and is
+    /// reported even when an oversized line follows it in the window;
+    /// an oversized line before it is reported instead.
+    #[test]
+    fn non_utf8_lines_stop_the_replay_in_line_order() {
+        let config = DaemonConfig {
+            max_frame_bytes: 64,
+            window: 4,
+            ..cfg()
+        };
+        let good: String = (0..4).map(|i| format!("{{\"x\":{}}}\n", 100 + i)).collect();
+        let long = format!("{{\"x\":150,\"pad\":\"{}\"}}\n", "y".repeat(80));
+        let art = x_artifact(ModelKind::LrE);
+        for (bad, then, want) in [
+            (&b"\xff{\"x\":1}\n"[..], "", "UTF-8"),
+            (b"{\"x\":\"\xc3\x28\"}\n", "", "UTF-8"),
+            (b"{\"x\":\"\xe2\x82\"}\r\n", long.as_str(), "UTF-8"),
+            (long.as_bytes(), "\u{0}", "exceeds 64 bytes"),
+        ] {
+            let mut input = good.clone().into_bytes();
+            input.extend_from_slice(b"{\"x\":175}\n");
+            input.extend_from_slice(bad);
+            input.extend_from_slice(then.as_bytes());
+            input.extend_from_slice(b"\xff\n");
+            let (stats, out) = replay_chunked(&art, config.clone(), &input, &[5, 11]);
+            let err = stats.expect_err("protocol violation");
+            assert_eq!(err.kind(), "invalid");
+            assert!(err.to_string().contains(want), "{want}: {err}");
+            assert_eq!(out.lines().count(), 4, "only the first window: {out}");
+        }
+    }
+
+    /// A final line without a newline is a frame: served when whole, the
+    /// replay's typed error naming its line when cut mid-JSON.
+    #[test]
+    fn a_final_line_without_newline_is_a_frame() {
+        let art = x_artifact(ModelKind::LrE);
+        let (stats, out) =
+            replay_artifact(&art, cfg(), "{\"x\":150}\n\n{\"id\":\"end\",\"x\":175}");
+        stats.expect("replay");
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 2, "{out}");
+        assert!(lines[1].starts_with("{\"id\":\"end\","), "{out}");
+        let (stats, out) = replay_artifact(&art, cfg(), "{\"x\":150}\n{\"id\":\"cut\",\"x\":17");
+        let err = stats.expect_err("torn frame");
+        assert!(
+            err.to_string().contains("request line 2: malformed JSON"),
+            "{err}"
+        );
+        assert!(out.is_empty(), "{out}");
+    }
+
+    /// Frames cut across read boundaries, the buffer's growth and its
+    /// compaction replay exactly as when the input arrives at once.
+    #[test]
+    fn frames_straddling_read_blocks_replay_identically() {
+        let mut input = String::new();
+        let mut i = 0;
+        while input.len() < 3 * READ_BLOCK + 1000 {
+            let pad = " ".repeat(i % 37);
+            input.push_str(&format!(
+                "{{\"id\":\"f{i}\",{pad}\"x\":{}}}\n",
+                100 + i % 50
+            ));
+            if i % 9 == 0 {
+                input.push_str("\r\n");
+            }
+            i += 1;
+        }
+        let art = x_artifact(ModelKind::LrE);
+        for window in [1, 7, 256, 4096] {
+            let config = DaemonConfig { window, ..cfg() };
+            let (stats, want) = replay_artifact(&art, config.clone(), &input);
+            let want_stats = stats.expect("whole input");
+            assert_eq!(want.lines().count(), i);
+            for sizes in [
+                &[1usize, 2, 3][..],
+                &[4093, 17],
+                &[READ_BLOCK - 1],
+                &[3 * READ_BLOCK],
+            ] {
+                let (stats, got) = replay_chunked(&art, config.clone(), input.as_bytes(), sizes);
+                let stats = stats.expect("chunked input");
+                assert!(got == want, "window {window}, chunks {sizes:?}");
+                assert_eq!(stats.windows, want_stats.windows);
+            }
+        }
+    }
+
+    /// The envelope takes the last of a repeated key, like the map it
+    /// stands for, and sees keys and ids spelled with escapes.
+    #[test]
+    fn envelope_keys_follow_the_last_occurrence_and_escapes() {
+        let art = x_artifact(ModelKind::LrE);
+        let input = concat!(
+            "{\"id\":\"a\",\"x\":150,\"id\":\"b\"}\n",
+            "{\"\\u0069d\":\"esc\",\"x\":150}\n",
+            "{\"id\":\"q\\u0031\\\"\",\"x\":150}\n",
+            "{\"model\":\"nope\",\"x\":150,\"model\":\"m\",\"id\":\"routed\"}\n",
+            "{\"deadline_ms\":\"x\",\"deadline_ms\":60000,\"id\":\"late\",\"x\":150}\n",
+            "{\"id\":7,\"x\":150,\"\\u006fp\":\"predict\"}\n",
+        );
+        let (stats, out) = replay_artifact(&art, cfg(), input);
+        stats.expect("replay");
+        let ids: Vec<String> = out
+            .lines()
+            .map(|l| {
+                let v = json::parse(l).expect("reply is JSON");
+                assert!(v.get("prediction").is_some(), "{l}");
+                v.get("id").and_then(Value::as_str).expect("id").to_string()
+            })
+            .collect();
+        assert_eq!(ids, ["b", "esc", "q1\"", "routed", "late", "7"]);
+        for (frame, needle) in [
+            (
+                "{\"x\":150,\"\\u006dodel\":\"nope\"}",
+                "unknown model 'nope'",
+            ),
+            (
+                "{\"x\":150,\"deadline_ms\":5,\"deadline_ms\":-1}",
+                "'deadline_ms' must be",
+            ),
+            (
+                "{\"id\":\"a\",\"id\":null,\"x\":150}",
+                "'id' must be a string or number",
+            ),
+            (
+                "{\"x\":150,\"op\":\"status\",\"op\":1}",
+                "'op' must be a string",
+            ),
+        ] {
+            let (stats, _) = replay_artifact(&art, cfg(), &format!("{frame}\n"));
+            let err = stats.expect_err(frame);
+            assert!(err.to_string().contains(needle), "{frame}: {err}");
+        }
     }
 }

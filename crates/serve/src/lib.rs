@@ -6,16 +6,19 @@
 //! against a [`mlmodels::ModelArtifact`] with the throughput posture of a
 //! real inference tier:
 //!
-//! * `request` — parse JSONL requests and validate each configuration
-//!   against the artifact's [`mlmodels::TableSchema`] (typed
-//!   `InvalidInput` errors naming the offending line and field, never a
-//!   panic deep in the preprocessor).
+//! * `request` — parse each JSONL request in one scan
+//!   (`telemetry::json::parse_members`, taking the daemon's envelope
+//!   keys `id`, `op`, `model` and `deadline_ms` as they pass) and
+//!   validate each configuration against the artifact's
+//!   [`mlmodels::TableSchema`] (typed `InvalidInput` errors naming the
+//!   offending line and field, never a panic deep in the preprocessor).
 //! * [`cache`] — a bounded LRU surrogate cache keyed on canonicalized
 //!   configuration vectors; design-space replays are heavily repetitive,
 //!   so hot configs skip the model entirely.
 //! * [`daemon`] — the one request loop. [`Daemon::replay`] is one-shot
-//!   `serve`: a finite stream read on the calling thread, cut into
-//!   windows of exactly `window` frames. [`Daemon::run`] and
+//!   `serve`: a finite stream read on the calling thread in blocks of at
+//!   least 64 KiB, cut into windows of exactly `window` frames that are
+//!   slices of one buffer. [`Daemon::run`] and
 //!   [`Daemon::run_socket`] are the long-lived daemon: a reader thread
 //!   feeds a bounded admission queue. Both serve each window the same
 //!   way — cache misses are deduplicated and predicted in matrix form,

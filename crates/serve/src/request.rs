@@ -20,7 +20,8 @@ use mlmodels::artifact::{ColumnSchema, TableSchema};
 #[cfg(test)]
 use mlmodels::Table;
 use std::borrow::Cow;
-use telemetry::json::{self, Members, Scalar};
+use std::ops::Range;
+use telemetry::json::{self, Scalar};
 
 /// One validated configuration cell, typed like its training column.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,40 +65,124 @@ pub(crate) fn invalid(line_no: u64, detail: impl std::fmt::Display) -> Error {
 /// `line_no` is 1-based and used both for error messages and as the
 /// default id.
 pub fn parse_request_line(schema: &TableSchema, line: &str, line_no: u64) -> Result<Request> {
-    let members = parse_object(line, line_no)?;
+    let mut members = Members::default();
+    parse_object(line, line_no, |key, value| members.push(key, value))?;
+    let all = 0..members.len();
     Ok(Request {
-        id: request_id(&members, line_no)?.into_owned(),
-        cells: Validator::new(schema).cells(&members, line_no)?,
+        id: request_id(members.get(all.clone(), "id").cloned(), line_no)?.into_owned(),
+        cells: Validator::new(schema).cells(&members, all, line_no)?,
     })
 }
 
-/// Parse one request frame into its members, or a typed `InvalidInput`.
-pub(crate) fn parse_object(line: &str, line_no: u64) -> Result<Members<'_>> {
-    match json::parse_members(line) {
-        Ok(Some(members)) => Ok(members),
-        Ok(None) => Err(invalid(line_no, "request must be a JSON object")),
+/// Parse one request frame, handing each member to `member` in document
+/// order, or a typed `InvalidInput`.
+fn parse_object<'a>(
+    line: &'a str,
+    line_no: u64,
+    member: impl FnMut(Cow<'a, str>, Scalar<'a>),
+) -> Result<()> {
+    match json::parse_members(line, member) {
+        Ok(true) => Ok(()),
+        Ok(false) => Err(invalid(line_no, "request must be a JSON object")),
         Err(e) => Err(invalid(line_no, format!("malformed JSON: {e}"))),
     }
 }
 
-/// The value of `key`; the last occurrence wins, as in a JSON map.
-pub(crate) fn member<'m, 'a>(
-    members: &'m [(Cow<'a, str>, Scalar<'a>)],
-    key: &str,
-) -> Option<&'m Scalar<'a>> {
-    members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+/// Object members in document order, of one frame or of a whole window,
+/// whose frames each own a range of them. Keys and values sit in
+/// parallel vectors: two narrow pushes per member cost less than one
+/// push of the pair.
+#[derive(Default)]
+pub(crate) struct Members<'a> {
+    keys: Vec<Cow<'a, str>>,
+    values: Vec<Scalar<'a>>,
 }
 
-/// A request's response id: its `"id"` field (a string, or a number
-/// rendered as JSON), or its 1-based line number when absent.
-pub(crate) fn request_id<'a>(
-    members: &[(Cow<'a, str>, Scalar<'a>)],
+impl<'a> Members<'a> {
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Members {
+            keys: Vec::with_capacity(n),
+            values: Vec::with_capacity(n),
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn push(&mut self, key: Cow<'a, str>, value: Scalar<'a>) {
+        self.keys.push(key);
+        self.values.push(value);
+    }
+
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.keys.truncate(len);
+        self.values.truncate(len);
+    }
+
+    /// The value of `key` among the members in `range`; the last
+    /// occurrence wins, as in a JSON map.
+    pub(crate) fn get(&self, range: Range<usize>, key: &str) -> Option<&Scalar<'a>> {
+        let at = self.keys[range.clone()].iter().rposition(|k| k == key)?;
+        Some(&self.values[range.start + at])
+    }
+}
+
+/// The keys of a daemon frame that the daemon reads itself instead of
+/// validating them against a schema, each by its last occurrence, as a
+/// JSON map keeps it.
+#[derive(Default)]
+pub(crate) struct Envelope<'a> {
+    pub(crate) id: Option<Scalar<'a>>,
+    pub(crate) op: Option<Scalar<'a>>,
+    pub(crate) model: Option<Scalar<'a>>,
+    pub(crate) deadline_ms: Option<Scalar<'a>>,
+}
+
+/// Parse one daemon frame in one scan: its configuration members are
+/// appended to `members` and its envelope is returned. `"id"` is both
+/// (the [`Validator`] skips it); `"op"`, `"model"` and `"deadline_ms"`
+/// are only envelope. On error `members` is left as it was.
+pub(crate) fn parse_frame<'a>(
+    line: &'a str,
     line_no: u64,
-) -> Result<Cow<'a, str>> {
-    match member(members, "id") {
+    members: &mut Members<'a>,
+) -> Result<Envelope<'a>> {
+    let start = members.len();
+    let mut envelope = Envelope::default();
+    let parsed = parse_object(line, line_no, |key, value| {
+        let slot = match key.as_ref() {
+            "id" => {
+                envelope.id = Some(value.clone());
+                members.push(key, value);
+                return;
+            }
+            "op" => &mut envelope.op,
+            "model" => &mut envelope.model,
+            "deadline_ms" => &mut envelope.deadline_ms,
+            _ => {
+                members.push(key, value);
+                return;
+            }
+        };
+        *slot = Some(value);
+    });
+    match parsed {
+        Ok(()) => Ok(envelope),
+        Err(e) => {
+            members.truncate(start);
+            Err(e)
+        }
+    }
+}
+
+/// A request's response id from its `"id"` value (a string, or a number
+/// rendered as JSON), or its 1-based line number when it has none.
+pub(crate) fn request_id(id: Option<Scalar<'_>>, line_no: u64) -> Result<Cow<'_, str>> {
+    match id {
         None => Ok(Cow::Owned(line_no.to_string())),
-        Some(Scalar::Str(s)) => Ok(s.clone()),
-        Some(Scalar::Num(x)) => Ok(Cow::Owned(json::number(*x))),
+        Some(Scalar::Str(s)) => Ok(s),
+        Some(Scalar::Num(x)) => Ok(Cow::Owned(json::number(x))),
         Some(_) => Err(invalid(line_no, "'id' must be a string or number")),
     }
 }
@@ -106,6 +191,11 @@ pub(crate) fn request_id<'a>(
 /// to frame.
 pub(crate) struct Validator<'s> {
     schema: &'s TableSchema,
+    /// The schema's column names, in schema order.
+    names: Vec<&'s str>,
+    /// The column named `"id"`, if the schema has one; otherwise an
+    /// `"id"` member is the response id only.
+    id_column: Option<usize>,
     /// Per schema column, the index of the member that sets it, or
     /// `usize::MAX` when none does.
     member_of: Vec<usize>,
@@ -113,35 +203,45 @@ pub(crate) struct Validator<'s> {
 
 impl<'s> Validator<'s> {
     pub(crate) fn new(schema: &'s TableSchema) -> Self {
+        let names: Vec<&str> = schema.columns.iter().map(ColumnSchema::name).collect();
         Validator {
             schema,
+            id_column: names.iter().position(|&n| n == "id"),
+            names,
             member_of: Vec::with_capacity(schema.columns.len()),
         }
     }
 
-    /// Validate a frame's members and return its cells in schema order.
+    /// Validate a frame's members, those of `members` in `range`, and
+    /// return its cells in schema order.
     /// Besides `"id"`, every key must be a schema column (the daemon
-    /// strips its envelope keys first), and a repeated key's last value
-    /// wins. When several fields are wrong, the first unknown key in key
-    /// order is reported, else the first bad column in schema order.
+    /// keeps its envelope keys apart while parsing), and a repeated
+    /// key's last value wins. When several fields are wrong, the first
+    /// unknown key in key order is reported, else the first bad column
+    /// in schema order.
     /// `line_no` is the 1-based frame number.
     pub(crate) fn cells(
         &mut self,
-        members: &[(Cow<'_, str>, Scalar<'_>)],
+        members: &Members<'_>,
+        range: Range<usize>,
         line_no: u64,
     ) -> Result<Vec<Cell>> {
+        let keys = &members.keys[range.clone()];
+        let values = &members.values[range];
         let columns = &self.schema.columns;
         self.member_of.clear();
         self.member_of.resize(columns.len(), usize::MAX);
         let mut unknown: Option<&str> = None;
         let mut next = 0;
-        for (m, (key, _)) in members.iter().enumerate() {
+        for (m, key) in keys.iter().enumerate() {
             // Frames usually list the columns in schema order, so the
             // column after the previous match is tried first.
-            let column = if columns.get(next).is_some_and(|c| c.name() == key) {
+            let column = if self.names.get(next).is_some_and(|&n| n == key) {
                 Some(next)
+            } else if key == "id" {
+                self.id_column
             } else {
-                columns.iter().position(|c| c.name() == key)
+                self.names.iter().position(|&n| n == key)
             };
             match column {
                 Some(j) => {
@@ -164,7 +264,7 @@ impl<'s> Validator<'s> {
         // vector up front.
         let mut cells = Vec::with_capacity(columns.len());
         for (col, &m) in columns.iter().zip(&self.member_of) {
-            let (_, v) = members
+            let v = values
                 .get(m)
                 .ok_or_else(|| invalid(line_no, format!("missing field '{}'", col.name())))?;
             cells.push(cell_from_value(col, v, line_no)?);
@@ -415,15 +515,16 @@ mod tests {
             assert!(err.to_string().contains("finite number"), "{line}: {err}");
         }
         // And via the daemon's pre-parsed members entry point too.
-        let members = vec![
-            (Cow::Borrowed("speed"), Scalar::Num(f64::NAN)),
-            (Cow::Borrowed("smt"), Scalar::Bool(false)),
-            (
-                Cow::Borrowed("bpred"),
-                Scalar::Str(Cow::Borrowed("perfect")),
-            ),
-        ];
-        let err = Validator::new(&s).cells(&members, 9).expect_err("NaN cell");
+        let mut members = Members::default();
+        members.push(Cow::Borrowed("speed"), Scalar::Num(f64::NAN));
+        members.push(Cow::Borrowed("smt"), Scalar::Bool(false));
+        members.push(
+            Cow::Borrowed("bpred"),
+            Scalar::Str(Cow::Borrowed("perfect")),
+        );
+        let err = Validator::new(&s)
+            .cells(&members, 0..3, 9)
+            .expect_err("NaN cell");
         assert_eq!(err.kind(), "invalid");
         assert!(err.to_string().contains("finite number"), "{err}");
     }

@@ -165,8 +165,17 @@ pub fn emit(event: &Event<'_>) {
     let Some(run) = current_run() else {
         return;
     };
-    if let (Some(profiler), Event::SpanClose { path, wall_ns, .. }) = (&run.profiler, event) {
-        profiler.record(path, *wall_ns);
+    if let (
+        Some(profiler),
+        Event::SpanClose {
+            path,
+            parent,
+            wall_ns,
+            ..
+        },
+    ) = (&run.profiler, event)
+    {
+        profiler.record(path, *parent, *wall_ns);
     }
     let t_ms = run.start.elapsed().as_secs_f64() * 1e3;
     for sink in &run.sinks {

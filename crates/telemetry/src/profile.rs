@@ -10,8 +10,11 @@
 //! Children close before their parent, and a span opened on a
 //! [`par_map`](crate::par_map) worker closes under the path of the span
 //! that called `par_map`, so each closing span's wall time is attributed
-//! to its real parent. Children on several workers can together outlast
-//! their parent; self time is therefore a saturating subtraction, which
+//! to its real parent. The parent's path comes with the closing span
+//! from its span stack, not from cutting the path at its last slash:
+//! span names such as `serve/parse` contain slashes themselves.
+//! Children on several workers can together outlast their parent; self
+//! time is therefore a saturating subtraction, which
 //! keeps summed self time within wall time × worker count and never
 //! produces negative self time.
 //!
@@ -58,15 +61,16 @@ impl Profiler {
         Profiler::default()
     }
 
-    /// Fold one closing span in.
-    pub fn record(&self, path: &str, wall_ns: u64) {
+    /// Fold one closing span in: `parent` is the path of the span it
+    /// closed inside (`None` at top level).
+    pub fn record(&self, path: &str, parent: Option<&str>, wall_ns: u64) {
         let mut stats = self.stats.lock().unwrap_or_else(|e| e.into_inner());
         {
             let entry = stats.entry(path.to_string()).or_default();
             entry.calls += 1;
             entry.total_ns = entry.total_ns.saturating_add(wall_ns);
         }
-        if let Some((parent, _)) = path.rsplit_once('/') {
+        if let Some(parent) = parent {
             let entry = stats.entry(parent.to_string()).or_default();
             entry.child_ns = entry.child_ns.saturating_add(wall_ns);
         }
@@ -104,9 +108,10 @@ impl ProfileEntry {
 }
 
 /// Render the hot-path table: one row per path, sorted as given
-/// (snapshot order = self time descending). Paths with zero calls are
-/// impossible by construction; an empty slice renders an explanatory
-/// one-liner instead of an empty table.
+/// (snapshot order = self time descending). Every parent a span names
+/// is a span that closes, so a row has zero calls only while its span is
+/// still open when the table is taken. An empty slice renders an
+/// explanatory one-liner instead of an empty table.
 pub fn render_table(entries: &[ProfileEntry]) -> String {
     if entries.is_empty() {
         return "profile: no spans recorded\n".to_string();
@@ -134,9 +139,9 @@ mod tests {
     fn self_time_subtracts_children() {
         let p = Profiler::new();
         // Two "sweep/simulate" children inside one "sweep" parent.
-        p.record("sweep/simulate", 300);
-        p.record("sweep/simulate", 200);
-        p.record("sweep", 1000);
+        p.record("sweep/simulate", Some("sweep"), 300);
+        p.record("sweep/simulate", Some("sweep"), 200);
+        p.record("sweep", None, 1000);
         let entries = p.snapshot();
         let sweep = entries.iter().find(|e| e.path == "sweep").unwrap();
         assert_eq!(sweep.calls, 1);
@@ -151,9 +156,9 @@ mod tests {
     #[test]
     fn snapshot_sorts_by_self_time_then_path() {
         let p = Profiler::new();
-        p.record("b", 10);
-        p.record("a", 10);
-        p.record("c", 99);
+        p.record("b", None, 10);
+        p.record("a", None, 10);
+        p.record("c", None, 99);
         let entries = p.snapshot();
         let paths: Vec<&str> = entries.iter().map(|e| e.path.as_str()).collect();
         assert_eq!(paths, ["c", "a", "b"]);
@@ -163,9 +168,9 @@ mod tests {
     fn self_time_saturates_instead_of_underflowing() {
         let p = Profiler::new();
         // Concurrent children can report more wall time than the parent.
-        p.record("par/child", 800);
-        p.record("par/child", 800);
-        p.record("par", 1000);
+        p.record("par/child", Some("par"), 800);
+        p.record("par/child", Some("par"), 800);
+        p.record("par", None, 1000);
         let par = p.snapshot().into_iter().find(|e| e.path == "par").unwrap();
         assert_eq!(par.self_ns, 0);
     }
@@ -173,8 +178,8 @@ mod tests {
     #[test]
     fn table_renders_every_path() {
         let p = Profiler::new();
-        p.record("fit/train", 2_000_000);
-        p.record("fit", 3_000_000);
+        p.record("fit/train", Some("fit"), 2_000_000);
+        p.record("fit", None, 3_000_000);
         let table = render_table(&p.snapshot());
         assert!(table.contains("fit/train"), "{table}");
         assert!(table.contains("hot paths"), "{table}");

@@ -50,6 +50,10 @@ pub enum Event<'a> {
     SpanClose {
         /// Slash-joined ancestry, e.g. `sweep/simulate`.
         path: &'a str,
+        /// The enclosing span's path (`None` at top level). Span names
+        /// may contain `/`, so it cannot be cut from `path` at the last
+        /// slash.
+        parent: Option<&'a str>,
         /// Nesting depth (1 = top level).
         depth: usize,
         /// Span wall time in nanoseconds.
@@ -186,6 +190,7 @@ impl Sink for ConsoleSink {
                 depth,
                 wall_ns,
                 attrs,
+                ..
             } => {
                 if self.level >= ConsoleLevel::Debug
                     || (self.level >= ConsoleLevel::Info && *depth <= 1)
@@ -292,6 +297,7 @@ impl Sink for JsonlSink {
                 depth,
                 wall_ns,
                 attrs,
+                ..
             } => JsonObject::new()
                 .str("type", "span")
                 .num("t_ms", t_ms)
@@ -374,6 +380,7 @@ mod tests {
             1.5,
             &Event::SpanClose {
                 path: "a/b",
+                parent: Some("a"),
                 depth: 2,
                 wall_ns: 2_000_000,
                 attrs: &[("model", "LR-B".to_string()), ("rate", "2".to_string())],

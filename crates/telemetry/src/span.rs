@@ -30,6 +30,8 @@ pub(crate) fn set_stack(names: Vec<&'static str>) {
 
 struct ActiveSpan {
     path: String,
+    /// `path[..parent_len]` is the enclosing span's path.
+    parent_len: Option<usize>,
     depth: usize,
     start: Instant,
     attrs: Vec<(&'static str, String)>,
@@ -51,9 +53,12 @@ impl SpanGuard {
             stack.push(name);
             (stack.join("/"), stack.len())
         });
+        // The path is the parent's path, a slash and the name.
+        let parent_len = (depth > 1).then(|| path.len() - name.len() - 1);
         SpanGuard {
             active: Some(ActiveSpan {
                 path,
+                parent_len,
                 depth,
                 start: Instant::now(),
                 attrs,
@@ -86,6 +91,7 @@ impl Drop for SpanGuard {
         });
         crate::emit(&Event::SpanClose {
             path: &active.path,
+            parent: active.parent_len.map(|n| &active.path[..n]),
             depth: active.depth,
             wall_ns,
             attrs: &active.attrs,

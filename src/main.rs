@@ -545,13 +545,10 @@ fn cli() -> Result<()> {
                 None => {}
             }
             let mut daemon = Daemon::new(config, registry)?;
-            use std::io::BufRead;
-            let input: Box<dyn BufRead + Send> = match args.value("--input") {
-                Some(p) => {
-                    let file = std::fs::File::open(p).map_err(|e| Error::io(p, e))?;
-                    Box::new(std::io::BufReader::new(file))
-                }
-                None => Box::new(std::io::BufReader::new(std::io::stdin())),
+            // The daemon reads its input in large blocks itself.
+            let input: Box<dyn std::io::Read + Send> = match args.value("--input") {
+                Some(p) => Box::new(std::fs::File::open(p).map_err(|e| Error::io(p, e))?),
+                None => Box::new(std::io::stdin()),
             };
             let stats = match args.value("--socket") {
                 Some(sock) => {
